@@ -3,7 +3,9 @@
 A BeliefBase is an immutable snapshot: every operation returns a new base
 at the next epoch and records the set of active formulas for that epoch,
 so any two epochs can be diffed later.  Contraction is partial meet over
-brute-force remainder sets, revision follows the Levi identity, and
+relevance-restricted remainder sets: subsets are enumerated only over
+the formulas atom-connected to the target, and the rest of the base
+joins every remainder whole.  Revision follows the Levi identity, and
 nothing is ever silently dropped: every removal lands in the retraction
 log with a reason.
 """
@@ -11,11 +13,19 @@ log with a reason.
 from __future__ import annotations
 
 import enum
+import math
 import warnings
 from dataclasses import dataclass, field, replace
 from typing import Iterable
 
-from .logic import Formula, Not, entails, is_consistent, render_canonical
+from .logic import (
+    Formula,
+    Not,
+    atoms_of,
+    entails,
+    is_consistent,
+    render_canonical,
+)
 from .logic.sat import ResourceLimitError
 
 DEFAULT_THETA = 0.95
@@ -261,9 +271,12 @@ def contract(base: BeliefBase, target: Formula) -> BeliefBase:
     """Partial meet contraction: give up the target formula.
 
     The selection function keeps the remainders with the largest total
-    provenance confidence and intersects them on ties.  Contracting a
-    tautology is impossible and returns the base unchanged after a
-    warning; a target the base never entailed is a no-op.
+    provenance confidence and intersects them on ties.  Remainders are
+    enumerated over the target's atom component only (see
+    _contraction_candidates), so REMAINDER_CAP bounds that component,
+    not the whole base.  Contracting a tautology is impossible and
+    returns the base unchanged after a warning; a target the base never
+    entailed is a no-op.
     """
     if entails([], target):
         warnings.warn(
@@ -274,8 +287,7 @@ def contract(base: BeliefBase, target: Formula) -> BeliefBase:
     active = base.formulas()
     if not entails(active, target):
         return base
-    candidates = remainders(active, target)
-    kept = _select_remainder(base, candidates)
+    kept = _select_remainder(base, _contraction_candidates(active, target))
     kept_keys = {render_canonical(f) for f in kept}
     reason = f"contract({render_canonical(target)})"
     survivors = [e for e in base.entries if e.key in kept_keys]
@@ -287,6 +299,47 @@ def contract(base: BeliefBase, target: Formula) -> BeliefBase:
     return base._advance(survivors, dropped)
 
 
+def _contraction_candidates(
+    formulas: list[Formula], target: Formula
+) -> frozenset[frozenset[Formula]]:
+    """The remainders of formulas by target, enumerated over its component.
+
+    Formulas sharing no atom with the target, even through other
+    formulas, form the unrelated part U.  When U is consistent, a subset
+    entails the target exactly when its relevant part does (Parikh's
+    splitting languages), so every remainder is a remainder of the
+    relevant part plus all of U: the same set brute force finds.  An
+    inconsistent U falls back to enumerating every formula.
+    """
+    relevant, unrelated = _split_by_relevance(formulas, target)
+    if not is_consistent(unrelated):
+        return remainders(formulas, target)
+    whole = frozenset(unrelated)
+    return frozenset(part | whole for part in remainders(relevant, target))
+
+
+def _split_by_relevance(
+    formulas: list[Formula], target: Formula
+) -> tuple[list[Formula], list[Formula]]:
+    """Split off the atom-connected closure of the target's atoms."""
+    reached = set(atoms_of(target))
+    relevant: list[Formula] = []
+    pending = [(f, atoms_of(f)) for f in formulas]
+    grew = True
+    while grew:
+        grew = False
+        rest = []
+        for formula, atoms in pending:
+            if reached.isdisjoint(atoms):
+                rest.append((formula, atoms))
+            else:
+                relevant.append(formula)
+                reached |= atoms
+                grew = True
+        pending = rest
+    return relevant, [formula for formula, _ in pending]
+
+
 def _select_remainder(
     base: BeliefBase,
     candidates: frozenset[frozenset[Formula]],
@@ -296,7 +349,11 @@ def _select_remainder(
     weight_of = {e.key: e.provenance.confidence for e in base.entries}
 
     def weight(remainder: frozenset[Formula]) -> float:
-        return sum(weight_of.get(render_canonical(f), 0.0) for f in remainder)
+        # fsum is correctly rounded, so the total does not depend on the
+        # set's iteration order, which varies with the hash seed.
+        return math.fsum(
+            weight_of.get(render_canonical(f), 0.0) for f in remainder
+        )
 
     ordered = sorted(
         candidates,

@@ -15,12 +15,7 @@ import hashlib
 import os
 from dataclasses import dataclass
 from pathlib import Path
-
-from cryptography.exceptions import InvalidSignature
-from cryptography.hazmat.primitives.asymmetric.ed25519 import (
-    Ed25519PrivateKey,
-    Ed25519PublicKey,
-)
+from typing import TYPE_CHECKING
 
 from .belief import (
     BeliefBase,
@@ -36,6 +31,14 @@ from .config import EngineConfig
 from .guard import MARKING_RULES, assertion_gate
 from .justify import JustificationGraph
 from .logic import parse
+
+if TYPE_CHECKING:
+    # cryptography is imported where a key is used: no engine or CLI
+    # path signs anything, and loading it costs several MB of memory.
+    from cryptography.hazmat.primitives.asymmetric.ed25519 import (
+        Ed25519PrivateKey,
+        Ed25519PublicKey,
+    )
 
 ZERO_HASH = b"\x00" * 32
 LEDGER_SUFFIX = ".vlog"
@@ -426,6 +429,8 @@ def verify_truth_record(
     root: bytes,
 ) -> tuple[bool, str | None]:
     """Check signature then Merkle inclusion; names the failing check."""
+    from cryptography.exceptions import InvalidSignature
+
     try:
         public_key.verify(
             record.signature, _record_message(record.formula, record.timestamp)
@@ -438,6 +443,10 @@ def verify_truth_record(
 
 
 def generate_key() -> Ed25519PrivateKey:
+    from cryptography.hazmat.primitives.asymmetric.ed25519 import (
+        Ed25519PrivateKey,
+    )
+
     return Ed25519PrivateKey.generate()
 
 
@@ -452,4 +461,8 @@ def private_key_bytes(key: Ed25519PrivateKey) -> bytes:
 
 
 def load_private_key(raw: bytes) -> Ed25519PrivateKey:
+    from cryptography.hazmat.primitives.asymmetric.ed25519 import (
+        Ed25519PrivateKey,
+    )
+
     return Ed25519PrivateKey.from_private_bytes(raw)

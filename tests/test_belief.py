@@ -7,12 +7,18 @@ vacuity, consistency, extensionality) over small enumerated bases.
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import pytest
-from oracles import subset_remainders, tt_satisfiable
+from oracles import random_formula, subset_remainders, tt_satisfiable
 
+import veritas
+from veritas import belief
 from veritas.belief import (
     BeliefBase,
     BeliefEntry,
@@ -37,7 +43,16 @@ from veritas.belief import (
     update_belief_state,
     weakest_link,
 )
-from veritas.logic import entails, is_consistent, parse, render_canonical
+from veritas.logic import (
+    Atom,
+    Formula,
+    Not,
+    Or,
+    entails,
+    is_consistent,
+    parse,
+    render_canonical,
+)
 from veritas.logic.sat import ResourceLimitError
 
 
@@ -202,6 +217,45 @@ class TestContraction:
         assert result.entries == ()
         assert not entails(result.formulas(), parse("q"))
 
+    def test_tied_weights_tie_under_every_hash_seed(self):
+        """Equal totals tie whatever order the set iterates in.
+
+        {a..d} and {e..h} carry the same four weights in opposite
+        orders, so they tie exactly and the meet is empty.  A plain
+        left-to-right sum rounds differently per iteration order, which
+        changes with PYTHONHASHSEED.
+        """
+        script = (
+            "from veritas.belief import BeliefBase, BeliefEntry, Provenance, "
+            "_select_remainder\n"
+            "from veritas.logic import parse\n"
+            "weights = dict(zip('abcdefgh', "
+            "(.96, .97, .98, .99, .99, .98, .97, .96)))\n"
+            "base = BeliefBase.from_entries(BeliefEntry(parse(k), 0.99, "
+            "Provenance('s', 0, w)) for k, w in weights.items())\n"
+            "left = frozenset(parse(k) for k in 'abcd')\n"
+            "right = frozenset(parse(k) for k in 'efgh')\n"
+            "kept = _select_remainder(base, frozenset({left, right}))\n"
+            "print(sorted(str(f) for f in kept))\n"
+        )
+        src = str(Path(veritas.__file__).resolve().parents[1])
+        for seed in range(8):
+            env = dict(
+                os.environ,
+                PYTHONHASHSEED=str(seed),
+                PYTHONPATH=os.pathsep.join(
+                    filter(None, [src, os.environ.get("PYTHONPATH")])
+                ),
+            )
+            run = subprocess.run(
+                [sys.executable, "-c", script],
+                env=env,
+                capture_output=True,
+                text=True,
+                check=True,
+            )
+            assert run.stdout.strip() == "[]", f"PYTHONHASHSEED={seed}"
+
     def test_vacuous_contraction_is_identity(self):
         base = base_of(entry("p"))
         assert contract(base, parse("q")) is base
@@ -332,6 +386,105 @@ class TestExport:
             return export(base)
 
         assert build() == build()
+
+
+def grouped_base(rng: random.Random) -> tuple[BeliefBase, list[list[Atom]]]:
+    """Up to 10 distinct formulas over 2-4 disjoint atom groups.
+
+    About one base in three gets a formula and its negation in one
+    group, so the base is inconsistent and contraction must fall back
+    to enumerating every formula; the others are consistent.
+    """
+    groups = [
+        [Atom(f"g{g}x{i}", ()) for i in range(rng.randrange(1, 3))]
+        for g in range(rng.randrange(2, 5))
+    ]
+    formulas: dict[str, Formula] = {}
+    for _ in range(rng.randrange(1, 16)):
+        formula = random_formula(rng, rng.choice(groups), 2)
+        if len(formulas) < 10 and tt_satisfiable([*formulas.values(), formula]):
+            formulas.setdefault(render_canonical(formula), formula)
+    if rng.random() < 0.35 and len(formulas) < 10:
+        formula = next(iter(formulas.values()))
+        formulas.setdefault(render_canonical(Not(formula)), Not(formula))
+    base = BeliefBase.from_entries(
+        BeliefEntry(f, 0.99, Provenance(f"s{i}", i, rng.choice([0.6, 0.8, 0.9])))
+        for i, f in enumerate(formulas.values())
+    )
+    return base, groups
+
+
+def random_incoming(
+    rng: random.Random, base: BeliefBase, groups: list[list[Atom]]
+) -> Formula:
+    """A formula over one or two groups, often contradicting the base.
+
+    Negating one held formula, or the conjunction of two, forces a real
+    revision; the two-formula case joins their components.
+    """
+    held = base.formulas()
+    kind = rng.randrange(3)
+    if kind == 0 or not held:
+        atoms = [a for g in rng.sample(groups, rng.randrange(1, 3)) for a in g]
+        return random_formula(rng, atoms, 2)
+    if kind == 1:
+        return Not(rng.choice(held))
+    return Or(Not(rng.choice(held)), Not(rng.choice(held)))
+
+
+class TestRelevanceRestriction:
+    """Restricted contraction against whole-base brute force."""
+
+    def test_candidates_and_results_match_brute_force(self, monkeypatch):
+        """Same candidates as the oracle; same entries, log and epochs."""
+        rng = random.Random(2506)
+        inconsistent = entailing = 0
+        for _ in range(40):
+            base, groups = grouped_base(rng)
+            active = base.formulas()
+            incoming_formula = random_incoming(rng, base, groups)
+            if not is_consistent([incoming_formula]):
+                continue
+            target = Not(incoming_formula)
+            oracle = subset_remainders(active, target)
+            assert belief._contraction_candidates(active, target) == oracle
+            if not is_consistent(active):
+                inconsistent += 1
+            elif entails(active, target):
+                entailing += 1
+            incoming = BeliefEntry(
+                incoming_formula, 0.99, Provenance("new", 99, 0.95)
+            )
+            results = [contract(base, target), revise(base, incoming)]
+            with monkeypatch.context() as patched:
+                patched.setattr(
+                    belief, "_contraction_candidates", lambda *_: oracle
+                )
+                reference = [contract(base, target), revise(base, incoming)]
+            assert results == reference
+        assert inconsistent >= 5 and entailing >= 5
+
+    def test_component_follows_chains_of_shared_atoms(self):
+        """b reaches p only through b -> c and c -> p, in any order."""
+        pool = [parse(t) for t in ("b -> c", "c -> p", "b", "d")]
+        target = parse("p")
+        expected = subset_remainders(pool, target)
+        assert all(parse("d") in r for r in expected)
+        for order in (pool, pool[::-1]):
+            assert belief._contraction_candidates(order, target) == expected
+
+    def test_cap_bounds_the_target_component_only(self):
+        """17 disjoint beliefs contract; 17 connected ones hit the cap."""
+        disjoint = base_of(*(entry(f"P{i}") for i in range(17)))
+        result = revise(disjoint, entry("!P3"))
+        assert {e.key for e in result.entries} == (
+            {f"P{i}" for i in range(17)} - {"P3"} | {"(! P3)"}
+        )
+        connected = base_of(
+            entry("p"), *(entry(f"p -> q{i}") for i in range(16))
+        )
+        with pytest.raises(ResourceLimitError):
+            contract(connected, parse("p"))
 
 
 POOL = ["p", "q", "p -> q", "!p", "q -> p", "!q", "p | q"]

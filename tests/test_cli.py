@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import veritas
 from veritas.belief import export
 from veritas.cli import main
 from veritas.config import load_config
@@ -383,3 +387,28 @@ class TestConfigPlumbing:
         code, out, _ = cli("audit")
         assert code == 0
         assert out.endswith("\tnone\n")
+
+
+class TestImportCost:
+    def test_cli_import_leaves_cryptography_unloaded(self):
+        """Only truth-record signing needs cryptography, so the CLI skips it."""
+        src = str(Path(veritas.__file__).resolve().parents[1])
+        env = dict(
+            os.environ,
+            PYTHONPATH=os.pathsep.join(
+                filter(None, [src, os.environ.get("PYTHONPATH")])
+            ),
+        )
+        run = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                "import sys, veritas.cli; "
+                "print('cryptography' in sys.modules)",
+            ],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert run.stdout.strip() == "False"

@@ -136,6 +136,17 @@ class TestReplayParity:
         with Session(make_config()) as session:
             assert export(session.base) == before
 
+    def test_revision_beside_many_disjoint_beliefs(self, make_config):
+        """Revising one of 17 disjoint beliefs stays under the remainder cap."""
+        with Session(make_config()) as session:
+            for i in range(17):
+                session.observe(f"P{i}", 0.99, "sensor")
+            assert session.observe("!P3", 0.99, "sensor") == "revised"
+            live = export(session.base)
+            assert live == replay_export(session)
+        with Session(make_config()) as session:
+            assert export(session.base) == live
+
     def test_second_concurrent_session_is_refused(self, make_config):
         with Session(make_config()):
             with pytest.raises(SessionLockedError):
