@@ -162,13 +162,12 @@ class BeliefEntry:
     justification: str | None = None
     assertable: bool = True
     tier: ConfidenceTier = field(init=False)
+    # The canonical rendering of the formula, computed once.
+    key: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "tier", classify_confidence(self.probability))
-
-    @property
-    def key(self) -> str:
-        return render_canonical(self.formula)
+        object.__setattr__(self, "key", render_canonical(self.formula))
 
 
 @dataclass(frozen=True)
@@ -180,12 +179,18 @@ class RetractionRecord:
 
 @dataclass(frozen=True)
 class BeliefBase:
-    """Immutable belief snapshot plus the trail that led to it."""
+    """Immutable belief snapshot plus the trail that led to it.
+
+    known_consistent is True when the operation that produced the base
+    proved its formulas satisfiable; False means not known, so callers
+    fall back to a SAT check (see is_consistent_base).
+    """
 
     epoch: int = 0
     entries: tuple[BeliefEntry, ...] = ()
     retraction_log: tuple[RetractionRecord, ...] = ()
     history: tuple[frozenset[str], ...] = (frozenset(),)
+    known_consistent: bool = field(default=False, repr=False, compare=False)
 
     @classmethod
     def from_entries(cls, entries: Iterable[BeliefEntry]) -> BeliefBase:
@@ -213,6 +218,7 @@ class BeliefBase:
         self,
         entries: Iterable[BeliefEntry],
         retractions: Iterable[RetractionRecord] = (),
+        known_consistent: bool = False,
     ) -> BeliefBase:
         ordered = _sorted_entries(entries)
         return BeliefBase(
@@ -220,7 +226,17 @@ class BeliefBase:
             entries=ordered,
             retraction_log=self.retraction_log + tuple(retractions),
             history=self.history + (frozenset(e.key for e in ordered),),
+            known_consistent=known_consistent,
         )
+
+
+def is_consistent_base(base: BeliefBase) -> bool:
+    """Whether the base's formulas are jointly satisfiable.
+
+    Reads the record its producing operation left and runs the SAT
+    check only when there is none.
+    """
+    return base.known_consistent or is_consistent(base.formulas())
 
 
 def _sorted_entries(entries: Iterable[BeliefEntry]) -> tuple[BeliefEntry, ...]:
@@ -233,12 +249,18 @@ def expand(base: BeliefBase, entry: BeliefEntry) -> BeliefBase:
     Re-observing a formula already present replaces its entry.  Raises
     ConsistencyError when the result would be unsatisfiable.
     """
-    others = [e for e in base.entries if e.key != entry.key]
-    if not is_consistent([e.formula for e in others] + [entry.formula]):
+    others = [e.formula for e in base.entries if e.key != entry.key]
+    if not is_consistent(others + [entry.formula]):
         raise ConsistencyError(
             f"expansion by {entry.key} would make the base inconsistent"
         )
-    return base._advance(others + [entry])
+    return _expand_checked(base, entry)
+
+
+def _expand_checked(base: BeliefBase, entry: BeliefEntry) -> BeliefBase:
+    """expand, for a caller that has just found base plus entry consistent."""
+    others = [e for e in base.entries if e.key != entry.key]
+    return base._advance(others + [entry], known_consistent=True)
 
 
 def remainders(
@@ -296,7 +318,8 @@ def contract(base: BeliefBase, target: Formula) -> BeliefBase:
         for e in base.entries
         if e.key not in kept_keys
     ]
-    return base._advance(survivors, dropped)
+    # What is kept no longer entails the target, so it is satisfiable.
+    return base._advance(survivors, dropped, known_consistent=True)
 
 
 def _contraction_candidates(
@@ -400,7 +423,7 @@ def update_belief_state(
     )
     active = [e.formula for e in base.entries if e.key != gated.key]
     if is_consistent(active + [gated.formula]):
-        return expand(base, gated), "expanded"
+        return _expand_checked(base, gated), "expanded"
     return revise(base, gated), "revised"
 
 
@@ -415,7 +438,7 @@ def retract_entry(base: BeliefBase, formula: Formula, reason: str) -> BeliefBase
         return base
     survivors = [e for e in base.entries if e.key != key]
     record = RetractionRecord(base.epoch + 1, key, reason)
-    return base._advance(survivors, [record])
+    return base._advance(survivors, [record], base.known_consistent)
 
 
 def amend_entry(
@@ -441,7 +464,7 @@ def amend_entry(
         assertable=assertable if assertable is not None else current.assertable,
     )
     others = [e for e in base.entries if e.key != current.key]
-    return base._advance(others + [updated])
+    return base._advance(others + [updated], (), base.known_consistent)
 
 
 def status_for(rule: str, probability: float) -> StatusTag:

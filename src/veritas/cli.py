@@ -2,8 +2,8 @@
 
 Exit status doubles as a machine-readable verdict: 0 success, 2 bad
 input, 3 consistency refusal, 4 ledger corruption, 5 planning failure,
-6 recovery escalation, 1 anything else.  Errors go to stderr as one
-tab-separated ``error`` line.
+6 recovery escalation, 7 resource limit, 1 anything else.  Errors go to
+stderr as one tab-separated ``error`` line.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .engine import (
 )
 from .justify import NoJustificationError
 from .ledger import Ledger, LedgerCorruptionError, replay
-from .logic import ParseError, parse, render_canonical
+from .logic import ParseError, ResourceLimitError, parse, render_canonical
 from .plan import PlanningError, render_trace
 
 EXIT_OK = 0
@@ -36,6 +36,7 @@ EXIT_REFUSED = 3
 EXIT_CORRUPT = 4
 EXIT_NO_PLAN = 5
 EXIT_ESCALATED = 6
+EXIT_LIMIT = 7
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -267,6 +268,9 @@ def main(argv: list[str] | None = None) -> int:
     except EscalationError as err:
         _error("escalated", err)
         return EXIT_ESCALATED
+    except ResourceLimitError as err:
+        _error("limit", err)
+        return EXIT_LIMIT
     except NoJustificationError as err:
         _error("justify", err)
         return EXIT_ERROR

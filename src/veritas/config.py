@@ -25,7 +25,6 @@ class EngineConfig:
     epsilon_max: float = 0.05
     delta: float = 0.1
     theta_meta: float = 0.6
-    max_atoms: int = 64
     fixed_clock: bool = False
     ledger_path: str = "veritas.vlog"
     nodes_path: str = ""
@@ -54,8 +53,6 @@ class EngineConfig:
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {value}")
-        if self.max_atoms < 1:
-            raise ValueError(f"max_atoms must be positive, got {self.max_atoms}")
         for source, score in self.reliability.items():
             if not 0.0 <= score <= 1.0:
                 raise ValueError(
@@ -70,7 +67,6 @@ _FIELD_TYPES = {
     "epsilon_max": float,
     "delta": float,
     "theta_meta": float,
-    "max_atoms": int,
     "fixed_clock": bool,
     "ledger_path": str,
     "nodes_path": str,

@@ -1,9 +1,10 @@
 """Agent sessions: the observe, sweep, plan, and audit cycle.
 
 A Session owns the ledger, the justification node store, and the belief
-base replayed from them.  Every belief mutation goes through a ledger
-block and is re-applied via the same fold that replay uses, so the live
-base and a fresh replay of the ledger can never drift apart.  New
+base replayed from them.  Every belief mutation is a ledger block folded
+by the same code replay uses, and the block is appended only once its
+fold has succeeded, so the live base and a fresh replay of the ledger
+can never drift apart and a refused change appends no block.  New
 justification nodes are persisted next to the ledger so later sessions
 can replay blocks that reference them.
 """
@@ -23,7 +24,9 @@ from .belief import (
     FourState,
     Provenance,
     classify_confidence,
+    is_consistent_base,
     project_four_state,
+    update_belief_state,
     weakest_link,
 )
 from .config import EngineConfig
@@ -50,7 +53,7 @@ from .justify import (
     node_to_json,
     verify_public_proof,
 )
-from .ledger import Ledger, Op, apply_block, replay
+from .ledger import Ledger, Op, apply_block, node_entry, replay
 from .logic import (
     Atom,
     Formula,
@@ -237,34 +240,53 @@ class Session:
                 self._persisted.add(node.node_id)
 
     def _append_and_apply(self, op: Op | str, formula: str, digest: bytes) -> None:
+        """Fold the next block into the base; append it only if that worked.
+
+        A fold that raises (a resource limit, say) leaves the ledger and
+        the live base as they were.
+        """
+        timestamp = self._block_ts()
+        block = self.ledger.next_block(op, formula, digest, timestamp)
+        base = apply_block(self.base, block, self.config, self.graph)
+        self._append(op, formula, digest, timestamp)
+        self.base = base
+
+    def _append(
+        self, op: Op | str, formula: str, digest: bytes, timestamp: int
+    ) -> None:
         self._sync_nodes()
-        block = self.ledger.append(
+        self.ledger.append(
             op,
             formula=formula,
             justification_digest=digest,
-            timestamp=self._block_ts(),
+            timestamp=timestamp,
         )
-        self.base = apply_block(self.base, block, self.config, self.graph)
 
     # -- observations and contraction ------------------------------------
 
     def observe(self, text: str, probability: float, source: str) -> str:
-        """Admit one observation; returns which route it took."""
+        """Admit one observation; returns which route it took.
+
+        The entry is folded into the live base exactly as replay folds
+        its block, and the block (insert or revise, by the route the
+        fold took) is appended only once the fold has succeeded.
+        """
         formula = parse(text)
         if not is_consistent([formula]):
             raise ConsistencyError(
                 f"observation is self-contradictory: {render_canonical(formula)}"
             )
-        key = render_canonical(formula)
         node_id = self.graph.record_inference(
             formula,
             (),
             "observation",
             Provenance(source, self._prov_ts(), probability),
         )
-        others = [e.formula for e in self.base.entries if e.key != key]
-        op = Op.INSERT if is_consistent(others + [formula]) else Op.REVISE
-        self._append_and_apply(op, key, bytes.fromhex(node_id))
+        entry = node_entry(formula, self.graph.node(node_id), self.config, self.graph)
+        base, route = update_belief_state(self.base, entry, theta=self.config.theta)
+        op = Op.REVISE if route == "revised" else Op.INSERT
+        self._append(op, entry.key, bytes.fromhex(node_id), self._block_ts())
+        self.base = base
         self._obs_seq += 1
         if op == Op.REVISE:
             return "revised"
@@ -291,11 +313,12 @@ class Session:
                 support = [e for e in support if e is not entry]
         return support
 
+    def _entailed(self, formula: Formula) -> bool:
+        return entails(self.base.assertable_formulas(), formula)
+
     def query(self, text: str) -> QueryResult:
         formula = parse(text)
-        entailed = entails(
-            [e.formula for e in self.base.entries if e.assertable], formula
-        )
+        entailed = self._entailed(formula)
         entry = self.base.find(formula)
         if entry is not None:
             probability = entry.probability
@@ -340,8 +363,7 @@ class Session:
         ):
             node_id = entry.justification
         else:
-            result = self.query(text)
-            if not result.entailed:
+            if not self._entailed(formula):
                 raise NoJustificationError(
                     f"not entailed: {render_canonical(formula)}"
                 )
@@ -457,7 +479,7 @@ class Session:
     def is_safe(self, plan: list[GroundAction]) -> tuple[bool, str]:
         """The IsSafe gate: consistent base, every support within risk."""
         del plan
-        if not is_consistent([e.formula for e in self.base.entries]):
+        if not is_consistent_base(self.base):
             return False, "belief base inconsistent"
         for entry in self._supporting_entries(self.world_state()):
             depth = (

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import enum
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 from .belief import (
@@ -24,6 +24,7 @@ from .belief import (
     StatusTag,
     amend_entry,
     contract,
+    is_consistent_base,
     retract_entry,
     status_for,
 )
@@ -115,9 +116,9 @@ def detect_contradiction(base: BeliefBase) -> list[frozenset[Formula]]:
     purely semantic conflicts fall back to deletion-based shrinking,
     which returns a single irreducible core.
     """
-    active = base.formulas()
-    if is_consistent(active):
+    if is_consistent_base(base):
         return []
+    active = base.formulas()
     keys = {render_canonical(f): f for f in active}
     pairs = []
     for formula in sorted(active, key=render_canonical):
@@ -148,15 +149,18 @@ def resolve_contradiction(
     where method is "retract" or "contract".
     """
     actions: list[tuple[str, str]] = []
-    current: frozenset[Formula] | None = core
+    current = core
     guard_rail = len(base.entries) + 1
-    while current is not None and guard_rail > 0:
+    while guard_rail > 0:
         guard_rail -= 1
         base, action = _shrink_core(base, current, reliability)
         if action is not None:
             actions.append(action)
         cores = detect_contradiction(base)
-        current = cores[0] if cores else None
+        if not cores:
+            # detect_contradiction has just found the base satisfiable.
+            return replace(base, known_consistent=True), actions
+        current = cores[0]
     return base, actions
 
 
@@ -414,7 +418,7 @@ def _protocol_cascade(
         else:
             _append_block(context, "contract", key, ZERO_DIGEST)
             _note(report, context, event, "contracted", subject=key)
-    if not is_consistent(context.base.formulas()):
+    if not is_consistent_base(context.base):
         report.escalated = True
         _note(report, context, event, "escalated(unresolved)")
         return

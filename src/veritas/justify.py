@@ -192,19 +192,25 @@ class JustificationGraph:
                 raise NoJustificationError(render_canonical(target))
             root = maybe
         order: list[JustificationNode] = []
-        done: set[str] = set()
-
-        def visit(node_id: str) -> None:
-            if node_id in done:
-                return
-            node = self.node(node_id)
-            done.add(node_id)
-            for premise in node.premises:
-                visit(premise)
-            order.append(node)
-
-        visit(root)
+        self._visit(root, set(), order)
         return order
+
+    def _visit(
+        self, node_id: str, done: set[str], order: list[JustificationNode]
+    ) -> None:
+        """Append the node's premises, depth first, then the node itself.
+
+        A method rather than a nested function: a closure that calls
+        itself is a reference cycle, which keeps the graph alive until
+        the cyclic collector runs.
+        """
+        if node_id in done:
+            return
+        node = self.node(node_id)
+        done.add(node_id)
+        for premise in node.premises:
+            self._visit(premise, done, order)
+        order.append(node)
 
     def depth(self, node_id: str) -> int:
         """Longest premise path below the node; leaves have depth 0."""

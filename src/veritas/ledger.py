@@ -29,8 +29,8 @@ from .belief import (
 )
 from .config import EngineConfig
 from .guard import MARKING_RULES, assertion_gate
-from .justify import JustificationGraph
-from .logic import parse
+from .justify import JustificationGraph, JustificationNode
+from .logic import Formula, parse
 
 if TYPE_CHECKING:
     # cryptography is imported where a key is used: no engine or CLI
@@ -207,6 +207,22 @@ class Ledger:
             return self._corrupt_at
         return None
 
+    def next_block(
+        self,
+        op: Op | str,
+        formula: str = "",
+        justification_digest: bytes = ZERO_HASH,
+        timestamp: int = 0,
+    ) -> Block:
+        """The block append would write next, without writing it."""
+        op = Op(op) if isinstance(op, str) else op
+        if len(justification_digest) != 32:
+            raise ValueError("justification digest must be 32 bytes")
+        index = len(self._blocks)
+        h_prev = self.last_hash()
+        h = block_hash(index, timestamp, op, formula, justification_digest, h_prev)
+        return Block(index, timestamp, op, formula, justification_digest, h_prev, h)
+
     def append(
         self,
         op: Op | str,
@@ -218,13 +234,7 @@ class Ledger:
         bad = self.verify_chain()
         if bad is not None:
             raise LedgerCorruptionError(bad)
-        op = Op(op) if isinstance(op, str) else op
-        if len(justification_digest) != 32:
-            raise ValueError("justification digest must be 32 bytes")
-        index = len(self._blocks)
-        h_prev = self.last_hash()
-        h = block_hash(index, timestamp, op, formula, justification_digest, h_prev)
-        block = Block(index, timestamp, op, formula, justification_digest, h_prev, h)
+        block = self.next_block(op, formula, justification_digest, timestamp)
         self._blocks.append(block)
         if self.path is not None:
             with open(self.path, "ab") as handle:
@@ -236,6 +246,30 @@ class Ledger:
     def contains_digest(self, digest: bytes) -> bool:
         """Whether any block anchors the given justification digest."""
         return any(b.justification_digest == digest for b in self._blocks)
+
+
+def node_entry(
+    formula: Formula,
+    node: JustificationNode,
+    config: EngineConfig,
+    graph: JustificationGraph,
+) -> BeliefEntry:
+    """The entry an insert or revise block adds for its justification node.
+
+    Probability and provenance come from the node; the assertion gate
+    weighs the node's derivation depth.
+    """
+    probability = node.provenance.confidence
+    return BeliefEntry(
+        formula=formula,
+        probability=probability,
+        provenance=node.provenance,
+        status=status_for(node.rule, probability),
+        justification=node.node_id,
+        assertable=assertion_gate(
+            probability, graph.depth(node.node_id), config
+        ),
+    )
 
 
 def apply_block(
@@ -259,17 +293,7 @@ def apply_block(
                 f"block {block.index} references unknown node "
                 f"{block.justification_digest.hex()}"
             )
-        probability = node.provenance.confidence
-        entry = BeliefEntry(
-            formula=parse(block.formula),
-            probability=probability,
-            provenance=node.provenance,
-            status=status_for(node.rule, probability),
-            justification=node.node_id,
-            assertable=assertion_gate(
-                probability, graph.depth(node.node_id), config
-            ),
-        )
+        entry = node_entry(parse(block.formula), node, config, graph)
         new_base, _ = update_belief_state(base, entry, theta=config.theta)
         return new_base
     if block.op == Op.CONTRACT:

@@ -1,15 +1,25 @@
 """Satisfiability and entailment over sets of ground formulas.
 
-The main path clausifies the conjunction of the input formulas by direct
-distribution (no auxiliary variables, so models stay over the original
-atoms) and runs DPLL with unit propagation and pure-literal elimination.
-If distribution blows past a clause budget the check falls back to truth
-table enumeration, which is only viable for small atom counts.
+The main path clausifies each formula by direct distribution (no
+auxiliary variables, so models stay over the original atoms) and runs
+DPLL with unit propagation and pure-literal elimination over the joined
+clauses.  If distribution blows past a clause budget the check falls
+back to truth table enumeration, which is only viable for small atom
+counts.
+
+Each formula instance is compiled once, on its first check, into its
+atom set and its non-tautological clauses (or an over-budget marker),
+and the result is kept on that instance; a check joins the compiled
+clauses of its formulas.  Clause literals are integers from one
+process-wide atom table.  Nothing else outlives a formula: a re-parsed
+formula is a new instance and compiles afresh, and verdicts are never
+cached.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+import threading
+from typing import Iterable, NamedTuple
 
 from .syntax import And, Atom, Formula, Iff, Implies, Not, Or, atoms_of, evaluate
 
@@ -27,27 +37,52 @@ class _ClauseBudgetExceeded(Exception):
     pass
 
 
+class _AtomIds(dict):
+    """Atom -> positive integer literal, shared by the whole process.
+
+    An id never changes once given; the lock keeps two threads from
+    handing one id to two atoms.
+    """
+
+    _lock = threading.Lock()
+
+    def __missing__(self, atom: Atom) -> int:
+        with self._lock:
+            return self.setdefault(atom, len(self) + 1)
+
+
+_ATOM_IDS = _AtomIds()
+
+
+class _Compiled(NamedTuple):
+    # Atom ids rather than atoms: an atom's own compiled form would
+    # otherwise refer back to it, a cycle only the collector frees.
+    atom_ids: frozenset[int]
+    # None when clausifying this formula alone exceeds the clause budget.
+    clauses: tuple[frozenset[int], ...] | None
+
+
 def is_consistent(formulas: Iterable[Formula], max_atoms: int = DEFAULT_MAX_ATOMS) -> bool:
     """Decide whether the formulas are jointly satisfiable."""
     formulas = list(formulas)
-    atoms: set[Atom] = set()
-    for formula in formulas:
-        atoms |= atoms_of(formula)
-    if len(atoms) > max_atoms:
+    compiled = [_compiled(formula) for formula in formulas]
+    atom_ids: set[int] = set()
+    for item in compiled:
+        atom_ids |= item.atom_ids
+    if len(atom_ids) > max_atoms:
         raise ResourceLimitError(
-            f"query spans {len(atoms)} atoms, limit is {max_atoms}"
+            f"query spans {len(atom_ids)} atoms, limit is {max_atoms}"
         )
     if _has_complementary_pair(formulas):
         return False
-    index = {atom: i + 1 for i, atom in enumerate(sorted(atoms, key=_atom_key))}
-    try:
-        clauses = _clausify(formulas, index)
-    except _ClauseBudgetExceeded:
-        if len(atoms) > _TRUTH_TABLE_MAX_ATOMS:
+    clauses = _join(compiled)
+    if clauses is None:
+        if len(atom_ids) > _TRUTH_TABLE_MAX_ATOMS:
             raise ResourceLimitError(
-                f"clause budget exceeded and {len(atoms)} atoms is too many "
+                f"clause budget exceeded and {len(atom_ids)} atoms is too many "
                 "for truth-table fallback"
-            ) from None
+            )
+        atoms = set().union(*(atoms_of(formula) for formula in formulas))
         return _truth_table_satisfiable(formulas, sorted(atoms, key=_atom_key))
     return _dpll(clauses)
 
@@ -75,14 +110,37 @@ def _has_complementary_pair(formulas: list[Formula]) -> bool:
     return False
 
 
-def _clausify(formulas: list[Formula], index: dict[Atom, int]) -> list[frozenset[int]]:
+def _compiled(formula: Formula) -> _Compiled:
+    """The formula's atoms and clauses, compiled on first use and kept on it."""
+    compiled = formula.__dict__.get("_sat")
+    if compiled is None:
+        atom_ids = frozenset(_ATOM_IDS[atom] for atom in atoms_of(formula))
+        compiled = _Compiled(atom_ids, _clausify(formula))
+        object.__setattr__(formula, "_sat", compiled)
+    return compiled
+
+
+def _clausify(formula: Formula) -> tuple[frozenset[int], ...] | None:
+    try:
+        clauses = tuple(
+            clause
+            for clause in _cnf(_nnf(formula, positive=True), _ATOM_IDS)
+            if not _is_tautological_clause(clause)
+        )
+    except _ClauseBudgetExceeded:
+        return None
+    return clauses if len(clauses) <= _CLAUSE_BUDGET else None
+
+
+def _join(compiled: list[_Compiled]) -> list[frozenset[int]] | None:
+    """All clauses of a query, or None past the clause budget."""
     clauses: list[frozenset[int]] = []
-    for formula in formulas:
-        for clause in _cnf(_nnf(formula, positive=True), index):
-            if not _is_tautological_clause(clause):
-                clauses.append(clause)
-            if len(clauses) > _CLAUSE_BUDGET:
-                raise _ClauseBudgetExceeded
+    for item in compiled:
+        if item.clauses is None:
+            return None
+        clauses.extend(item.clauses)
+        if len(clauses) > _CLAUSE_BUDGET:
+            return None
     return clauses
 
 

@@ -7,6 +7,7 @@ vacuity, consistency, extensionality) over small enumerated bases.
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import random
 import subprocess
@@ -386,6 +387,65 @@ class TestExport:
             return export(base)
 
         assert build() == build()
+
+
+class TestStoredKey:
+    """The canonical key is computed once and is not part of identity."""
+
+    def test_key_is_the_canonical_rendering(self):
+        held = entry("p -> (q | !r)")
+        assert held.key == render_canonical(held.formula) == "(p -> (q | (! r)))"
+        moved = dataclasses.replace(held, formula=parse("s & t"))
+        assert moved.key == "(s & t)"
+
+    def test_equality_hash_and_repr_ignore_the_key(self):
+        first, second = entry("p -> q"), entry("p -> q")
+        assert first.formula is not second.formula
+        assert first == second and hash(first) == hash(second)
+        assert first != entry("p -> q", 0.98)
+        assert "key=" not in repr(first)
+        compared = [f.name for f in dataclasses.fields(BeliefEntry) if f.compare]
+        assert "key" not in compared
+
+    def test_export_renders_the_key(self):
+        base = BeliefBase()
+        for step, text in enumerate(["p -> q", "!r"]):
+            base, _ = update_belief_state(base, entry(text, timestamp=step))
+        assert export(base) == (
+            "2\t(! r)\t0.99\t5\tsensor\t1\tderived\n"
+            "2\t(p -> q)\t0.99\t5\tsensor\t0\tderived\n"
+        )
+
+
+class TestConsistencyRecord:
+    """Bases that expand, revise or contract produce carry their verdict."""
+
+    def test_changed_bases_record_consistency(self):
+        base, route = update_belief_state(BeliefBase(), entry("p"))
+        assert route == "expanded" and base.known_consistent
+        base, route = update_belief_state(base, entry("!p"))
+        assert route == "revised" and base.known_consistent
+        assert expand(base, entry("q")).known_consistent
+        assert contract(expand(base, entry("q")), parse("q")).known_consistent
+
+    def test_record_is_not_part_of_identity(self):
+        built = base_of(entry("p"), entry("q"))
+        assert not built.known_consistent
+        assert dataclasses.replace(built, known_consistent=True) == built
+
+    def test_recorded_base_skips_the_sat_check(self, monkeypatch):
+        base, _ = update_belief_state(BeliefBase(), entry("p"))
+
+        def refuse(formulas):
+            raise AssertionError("SAT check on a recorded base")
+
+        monkeypatch.setattr(belief, "is_consistent", refuse)
+        assert belief.is_consistent_base(base)
+
+    def test_unrecorded_base_is_checked(self):
+        clash = base_of(entry("p"), entry("p -> q"), entry("!q"))
+        assert not belief.is_consistent_base(clash)
+        assert belief.is_consistent_base(base_of(entry("p"), entry("!q")))
 
 
 def grouped_base(rng: random.Random) -> tuple[BeliefBase, list[list[Atom]]]:

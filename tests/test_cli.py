@@ -53,6 +53,21 @@ class TestObserveAndQuery:
         assert code == 3
         assert err.startswith("error\trefused\t")
 
+    def test_resource_limit_has_its_own_exit_code(self, cli):
+        """A revision over the remainder cap exits 7 and appends no block."""
+        cli("observe", "p", "--p", "0.99")
+        for i in range(16):
+            cli("observe", f"p -> q{i}", "--p", "0.99")
+        code, out, err = cli("observe", "!p", "--p", "0.99")
+        assert code == 7
+        assert out == ""
+        assert err.startswith("error\tlimit\t")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        code, out, _ = cli("ledger", "verify")
+        assert (code, out) == (0, "ok\t17\n")
+        code, out, _ = cli("query", "q15")
+        assert code == 0 and out.startswith("entailed\t")
+
     def test_contracting_a_tautology_is_refused(self, cli):
         code, _, err = cli("contract", "p | !p")
         assert code == 3

@@ -29,7 +29,7 @@ from veritas.engine import (
 from veritas.guard import FailureEvent, FailureKind
 from veritas.justify import NoJustificationError
 from veritas.ledger import Op, replay
-from veritas.logic import parse
+from veritas.logic import ResourceLimitError, parse
 from veritas.plan import PlanningError
 
 DOMAINS = Path(__file__).parent / "domains"
@@ -57,6 +57,13 @@ def graft(session: Session, *entries: BeliefEntry) -> None:
     session.base = BeliefBase.from_entries(
         [*session.base.entries, *entries]
     )
+
+
+def observe_fan(session: Session) -> None:
+    """p and p -> q0..q15: 17 formulas in one atom component."""
+    session.observe("p", 0.99, "sensor")
+    for i in range(16):
+        session.observe(f"p -> q{i}", 0.99, "rulebook")
 
 
 def plain_entry(text: str, probability: float, **kwargs) -> BeliefEntry:
@@ -146,6 +153,32 @@ class TestReplayParity:
             assert live == replay_export(session)
         with Session(make_config()) as session:
             assert export(session.base) == live
+
+    def test_refused_revision_writes_no_block(self, make_config):
+        """A revision over the remainder cap raises before its block is written."""
+        with Session(make_config()) as session:
+            observe_fan(session)
+            blocks = len(session.ledger)
+            before = export(session.base)
+            with pytest.raises(ResourceLimitError):
+                session.observe("!p", 0.99, "sensor")
+            assert len(session.ledger) == blocks
+            assert export(session.base) == before == replay_export(session)
+        with Session(make_config()) as session:
+            assert len(session.ledger) == blocks
+            assert export(session.base) == before
+
+    def test_refused_contraction_writes_no_block(self, make_config):
+        with Session(make_config()) as session:
+            observe_fan(session)
+            blocks = len(session.ledger)
+            before = export(session.base)
+            with pytest.raises(ResourceLimitError):
+                session.contract_formula("q0")
+            assert len(session.ledger) == blocks
+            assert export(session.base) == before == replay_export(session)
+        with Session(make_config()) as session:
+            assert export(session.base) == before
 
     def test_second_concurrent_session_is_refused(self, make_config):
         with Session(make_config()):

@@ -10,8 +10,9 @@ from __future__ import annotations
 import random
 
 import pytest
-from oracles import random_formula, tt_eval, tt_models
+from oracles import random_formula, tt_entails, tt_eval, tt_models, tt_satisfiable
 
+from veritas.logic import sat
 from veritas.logic import (
     And,
     Atom,
@@ -182,3 +183,142 @@ class TestSatisfiability:
     def test_atoms_of_collects_duplicates_once(self):
         f = parse("p & (p -> q)")
         assert atoms_of(f) == frozenset({Atom("p"), Atom("q")})
+
+
+def parity(atoms: list[Atom]) -> Formula:
+    """a1 <-> a2 <-> ... : its CNF has 2^(n-1) clauses over n atoms."""
+    formula: Formula = atoms[0]
+    for atom in atoms[1:]:
+        formula = Iff(formula, atom)
+    return formula
+
+
+@pytest.fixture()
+def fallbacks(monkeypatch):
+    """Count the checks that fell back to truth-table enumeration."""
+    calls = []
+    original = sat._truth_table_satisfiable
+
+    def spy(formulas, atoms):
+        calls.append(len(atoms))
+        return original(formulas, atoms)
+
+    monkeypatch.setattr(sat, "_truth_table_satisfiable", spy)
+    return calls
+
+
+@pytest.fixture()
+def compilations(monkeypatch):
+    """Record every formula the checker clausifies."""
+    compiled = []
+    original = sat._clausify
+
+    def spy(formula):
+        compiled.append(formula)
+        return original(formula)
+
+    monkeypatch.setattr(sat, "_clausify", spy)
+    return compiled
+
+
+class TestCompiledConsistency:
+    """Per-instance compiled clauses against the truth-table oracle."""
+
+    def test_shared_instances_agree_with_truth_table(self):
+        """Formulas compiled once answer every later query correctly."""
+        rng = random.Random(40213)
+        atoms = [Atom(name) for name in ("p", "q", "r", "s", "t")]
+        pool = [random_formula(rng, atoms, 5) for _ in range(60)]
+        for _ in range(400):
+            base = rng.sample(pool, rng.randrange(0, 5))
+            goal = rng.choice(pool)
+            assert is_consistent(base) == tt_satisfiable(base)
+            assert entails(base, goal) == tt_entails(base, goal)
+
+    def test_every_connective_reaches_the_solver(self):
+        p, q, r = Atom("p"), Atom("q"), Atom("r")
+        cases = [
+            Not(p), And(p, q), Or(p, q), Implies(p, q), Iff(p, q),
+            Not(Iff(p, Or(q, Not(r)))), Iff(Implies(p, q), And(r, Not(p))),
+            Or(p, Not(p)), And(p, Not(p)),
+        ]
+        for f in cases:
+            for g in cases:
+                assert is_consistent([f, g]) == tt_satisfiable([f, g])
+                assert entails([f], g) == tt_entails([f], g)
+
+    def test_deep_formula_over_the_clause_budget_falls_back(self, fallbacks):
+        atoms = [Atom(f"x{i}") for i in range(14)]
+        odd = parity(atoms)
+        assert is_consistent([odd]) == tt_satisfiable([odd])
+        assert is_consistent([odd, Not(odd)]) is False
+        flipped = Iff(Not(atoms[0]), parity(atoms[1:]))
+        assert is_consistent([odd, flipped]) == tt_satisfiable([odd, flipped])
+        assert entails([odd], Or(odd, atoms[3]))
+        assert fallbacks and max(fallbacks) == 14
+
+    def test_joined_clauses_over_the_budget_fall_back(self, fallbacks):
+        """Three formulas under the budget alone exceed it together."""
+        atoms = [Atom(f"y{i}") for i in range(12)]
+
+        def disjunction_of_pairs(step: int) -> Formula:
+            # 11 disjuncts of two atoms each: 2^11 = 2048 clauses.
+            pairs = [And(atoms[i], atoms[(i + step) % 12]) for i in range(11)]
+            formula = pairs[0]
+            for pair in pairs[1:]:
+                formula = Or(formula, pair)
+            return formula
+
+        parts = [disjunction_of_pairs(step) for step in (1, 3, 5)]
+        for part in parts:
+            assert is_consistent([part])
+        assert fallbacks == []
+        assert is_consistent(parts) == tt_satisfiable(parts)
+        negated = parts[:2] + [Not(parts[2])]
+        assert is_consistent(negated) == tt_satisfiable(negated)
+        assert fallbacks == [12, 12]
+
+    def test_over_budget_beyond_truth_table_size_raises(self):
+        pairs = [And(Atom(f"a{i}"), Atom(f"b{i}")) for i in range(13)]
+        wide = pairs[0]
+        for pair in pairs[1:]:
+            wide = Or(wide, pair)
+        with pytest.raises(ResourceLimitError):
+            is_consistent([wide])
+
+    def test_atom_limit_holds_for_a_compiled_formula(self):
+        wide = [Atom(f"w{i}") for i in range(65)]
+        big = wide[0]
+        for atom in wide[1:]:
+            big = And(big, atom)
+        assert is_consistent([big], max_atoms=65)
+        with pytest.raises(ResourceLimitError):
+            is_consistent([big])
+        with pytest.raises(ResourceLimitError):
+            is_consistent([wide[0], And(wide[1], big)])
+
+    def test_each_instance_compiles_once(self, compilations):
+        first = parse("(a | b) -> !(c <-> d)")
+        is_consistent([first])
+        is_consistent([first, Atom("a")])
+        entails([first], Atom("c"))
+        assert sum(1 for f in compilations if f is first) == 1
+        assert len(compilations) == 3  # first, a, and the negated goal
+
+    def test_reparsing_compiles_a_fresh_instance(self, compilations):
+        text = "(a & b) | (c -> !a)"
+        first = parse(text)
+        assert is_consistent([first])
+        again = parse(text)
+        assert again == first and again is not first
+        assert is_consistent([again])
+        assert [f is first for f in compilations] == [True, False]
+        assert compilations[1] is again
+
+    def test_compiled_state_leaves_equality_and_rendering_alone(self):
+        first = parse("p -> (q | !r)")
+        is_consistent([first])
+        again = parse("p -> (q | !r)")
+        assert first == again and hash(first) == hash(again)
+        assert repr(first) == repr(again)
+        assert render_canonical(first) == render_canonical(again)
