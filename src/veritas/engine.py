@@ -44,11 +44,13 @@ from .guard import (
 )
 from .justify import (
     JustificationGraph,
+    JustificationNode,
     NoJustificationError,
     PublicProof,
     VerifyResult,
     build_public_proof,
     hash_chain,
+    node_digest,
     node_from_json,
     node_to_json,
     verify_public_proof,
@@ -276,16 +278,20 @@ class Session:
             raise ConsistencyError(
                 f"observation is self-contradictory: {render_canonical(formula)}"
             )
-        node_id = self.graph.record_inference(
+        provenance = Provenance(source, self._prov_ts(), probability)
+        node = JustificationNode(
+            node_digest(formula, "observation", (), provenance),
             formula,
-            (),
             "observation",
-            Provenance(source, self._prov_ts(), probability),
+            (),
+            provenance,
         )
-        entry = node_entry(formula, self.graph.node(node_id), self.config, self.graph)
+        entry = node_entry(formula, node, self.config, self.graph)
         base, route = update_belief_state(self.base, entry, theta=self.config.theta)
+        # Recorded only now, so a refused fold leaves no node behind.
+        self.graph.add_node(node)
         op = Op.REVISE if route == "revised" else Op.INSERT
-        self._append(op, entry.key, bytes.fromhex(node_id), self._block_ts())
+        self._append(op, entry.key, bytes.fromhex(node.node_id), self._block_ts())
         self.base = base
         self._obs_seq += 1
         if op == Op.REVISE:

@@ -291,7 +291,7 @@ def mscu_sweep(
     keys = {e.key for e in assertable}
     conflicted: set[str] = set()
     for entry in assertable:
-        negation = render_canonical(Not(entry.formula))
+        negation = f"(! {entry.key})"
         if negation in keys:
             conflicted.add(entry.key)
             conflicted.add(negation)

@@ -214,7 +214,10 @@ class JustificationGraph:
 
     def depth(self, node_id: str) -> int:
         """Longest premise path below the node; leaves have depth 0."""
-        node = self.node(node_id)
+        return self.depth_of(self.node(node_id))
+
+    def depth_of(self, node: JustificationNode) -> int:
+        """depth() of a node whose premises are recorded; it need not be."""
         if not node.premises:
             return 0
         return 1 + max(self.depth(p) for p in node.premises)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import enum
 import hashlib
 import os
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -124,13 +125,13 @@ def block_line(block: Block) -> bytes:
     return payload + _FIELD_SEP + block.h.hex().encode() + b"\n"
 
 
-_HEX_DIGITS = frozenset(b"0123456789abcdef")
+_HEX_32 = re.compile(rb"[0-9a-f]{64}")
 
 
 def _strict_hex(field: bytes) -> bytes | None:
     """Decode exactly 32 bytes of lowercase hex; int() and fromhex() are
     whitespace-tolerant, which would let some byte flips slip through."""
-    if len(field) != 64 or any(c not in _HEX_DIGITS for c in field):
+    if _HEX_32.fullmatch(field) is None:
         return None
     return bytes.fromhex(field.decode())
 
@@ -155,11 +156,21 @@ def _parse_line(raw: bytes) -> Block | None:
 
 
 class Ledger:
-    """Blocks in memory, mirrored to a .vlog file when a path is given."""
+    """Blocks in memory, mirrored to a .vlog file when a path is given.
+
+    Each block is hashed once per ledger: ``verify_chain`` re-hashes the
+    whole chain and, when it is intact, records it as the verified
+    prefix, which ``append`` then extends by the one block it writes.
+    """
 
     def __init__(self, path: str | Path | None = None):
         self.path = Path(path) if path is not None else None
         self._blocks: list[Block] = []
+        # The verified prefix, None until a verification succeeds.
+        # append compares it with _blocks by list equality, which
+        # hashes nothing, so an in-memory edit is still caught.
+        self._verified: list[Block] | None = None
+        self._digests: set[bytes] = set()
         self._corrupt_at: int | None = None
         if self.path is not None and self.path.exists():
             self._load()
@@ -175,6 +186,7 @@ class Ledger:
                 self._corrupt_at = position
                 return
             self._blocks.append(block)
+            self._digests.add(block.justification_digest)
 
     def __len__(self) -> int:
         return len(self._blocks)
@@ -187,7 +199,11 @@ class Ledger:
         return self._blocks[-1].h if self._blocks else ZERO_HASH
 
     def verify_chain(self) -> int | None:
-        """None when the chain is intact, else the first bad index."""
+        """None when the chain is intact, else the first bad index.
+
+        Always re-hashes every block; an intact chain becomes the
+        verified prefix that append extends.
+        """
         previous = ZERO_HASH
         for position, block in enumerate(self._blocks):
             if block.index != position or block.h_prev != previous:
@@ -205,6 +221,7 @@ class Ledger:
             previous = block.h
         if self._corrupt_at is not None:
             return self._corrupt_at
+        self._verified = list(self._blocks)
         return None
 
     def next_block(
@@ -230,12 +247,19 @@ class Ledger:
         justification_digest: bytes = ZERO_HASH,
         timestamp: int = 0,
     ) -> Block:
-        """Append one block, refusing to extend a corrupt chain."""
-        bad = self.verify_chain()
-        if bad is not None:
-            raise LedgerCorruptionError(bad)
+        """Append one block, refusing to extend a corrupt chain.
+
+        Only the new block is hashed while the chain still equals the
+        verified prefix; otherwise the whole chain is verified first.
+        """
+        if self._blocks != self._verified:
+            bad = self.verify_chain()
+            if bad is not None:
+                raise LedgerCorruptionError(bad)
         block = self.next_block(op, formula, justification_digest, timestamp)
         self._blocks.append(block)
+        self._verified.append(block)
+        self._digests.add(block.justification_digest)
         if self.path is not None:
             with open(self.path, "ab") as handle:
                 handle.write(block_line(block))
@@ -245,7 +269,7 @@ class Ledger:
 
     def contains_digest(self, digest: bytes) -> bool:
         """Whether any block anchors the given justification digest."""
-        return any(b.justification_digest == digest for b in self._blocks)
+        return digest in self._digests
 
 
 def node_entry(
@@ -257,7 +281,8 @@ def node_entry(
     """The entry an insert or revise block adds for its justification node.
 
     Probability and provenance come from the node; the assertion gate
-    weighs the node's derivation depth.
+    weighs the node's derivation depth.  The node itself need not be in
+    the graph yet, only its premises.
     """
     probability = node.provenance.confidence
     return BeliefEntry(
@@ -267,7 +292,7 @@ def node_entry(
         status=status_for(node.rule, probability),
         justification=node.node_id,
         assertable=assertion_gate(
-            probability, graph.depth(node.node_id), config
+            probability, graph.depth_of(node), config
         ),
     )
 
@@ -402,11 +427,23 @@ def inclusion_proof(ledger: Ledger, index: int) -> MerkleProof:
 
 
 def verify_inclusion(proof: MerkleProof, root: bytes) -> bool:
+    """Fold the audit path up to the root, binding the leaf's index.
+
+    Bit k of the index says which side the level-k sibling sits on (1:
+    left), so a path whose sides disagree with the index, or an index
+    with bits above the path, is rejected.
+    """
+    if proof.index < 0 or proof.index >> len(proof.path):
+        return False
     current = proof.leaf
-    for sibling, side in proof.path:
-        if side == "left":
+    for level, (sibling, side) in enumerate(proof.path):
+        if (proof.index >> level) & 1:
+            if side != "left":
+                return False
             current = hashlib.sha256(sibling + current).digest()
         else:
+            if side != "right":
+                return False
             current = hashlib.sha256(current + sibling).digest()
     return current == root == proof.root
 

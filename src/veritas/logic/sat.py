@@ -8,12 +8,12 @@ back to truth table enumeration, which is only viable for small atom
 counts.
 
 Each formula instance is compiled once, on its first check, into its
-atom set and its non-tautological clauses (or an over-budget marker),
-and the result is kept on that instance; a check joins the compiled
-clauses of its formulas.  Clause literals are integers from one
-process-wide atom table.  Nothing else outlives a formula: a re-parsed
-formula is a new instance and compiles afresh, and verdicts are never
-cached.
+atom set, its non-tautological clauses (or an over-budget marker) and
+its canonical rendering, and the result is kept on that instance; a
+check joins the compiled clauses of its formulas.  Clause literals are
+integers from one process-wide atom table.  Nothing else outlives a
+formula: a re-parsed formula is a new instance and compiles afresh, and
+verdicts are never cached.
 """
 
 from __future__ import annotations
@@ -21,7 +21,18 @@ from __future__ import annotations
 import threading
 from typing import Iterable, NamedTuple
 
-from .syntax import And, Atom, Formula, Iff, Implies, Not, Or, atoms_of, evaluate
+from .syntax import (
+    And,
+    Atom,
+    Formula,
+    Iff,
+    Implies,
+    Not,
+    Or,
+    atoms_of,
+    evaluate,
+    render_canonical,
+)
 
 DEFAULT_MAX_ATOMS = 64
 
@@ -60,6 +71,9 @@ class _Compiled(NamedTuple):
     atom_ids: frozenset[int]
     # None when clausifying this formula alone exceeds the clause budget.
     clauses: tuple[frozenset[int], ...] | None
+    # render_canonical of the formula: injective, so equal keys mean
+    # structurally equal formulas, and hashing a string is not a walk.
+    key: str
 
 
 def is_consistent(formulas: Iterable[Formula], max_atoms: int = DEFAULT_MAX_ATOMS) -> bool:
@@ -73,7 +87,7 @@ def is_consistent(formulas: Iterable[Formula], max_atoms: int = DEFAULT_MAX_ATOM
         raise ResourceLimitError(
             f"query spans {len(atom_ids)} atoms, limit is {max_atoms}"
         )
-    if _has_complementary_pair(formulas):
+    if _has_complementary_pair(formulas, compiled):
         return False
     clauses = _join(compiled)
     if clauses is None:
@@ -101,21 +115,28 @@ def _atom_key(atom: Atom) -> tuple[str, tuple[str, ...]]:
     return (atom.predicate, atom.args)
 
 
-def _has_complementary_pair(formulas: list[Formula]) -> bool:
-    """Cheap pre-filter: look for some f together with (! f)."""
-    seen = set(formulas)
-    for formula in formulas:
-        if isinstance(formula, Not) and formula.operand in seen:
+def _has_complementary_pair(
+    formulas: list[Formula], compiled: list[_Compiled]
+) -> bool:
+    """Cheap pre-filter: look for some f together with (! f).
+
+    Compares canonical keys: (! f) renders as "(! " + key(f) + ")".
+    """
+    seen = {item.key for item in compiled}
+    for formula, item in zip(formulas, compiled):
+        if isinstance(formula, Not) and item.key[3:-1] in seen:
             return True
     return False
 
 
 def _compiled(formula: Formula) -> _Compiled:
-    """The formula's atoms and clauses, compiled on first use and kept on it."""
+    """The formula's atoms, clauses and key, compiled on first use and kept on it."""
     compiled = formula.__dict__.get("_sat")
     if compiled is None:
         atom_ids = frozenset(_ATOM_IDS[atom] for atom in atoms_of(formula))
-        compiled = _Compiled(atom_ids, _clausify(formula))
+        compiled = _Compiled(
+            atom_ids, _clausify(formula), render_canonical(formula)
+        )
         object.__setattr__(formula, "_sat", compiled)
     return compiled
 

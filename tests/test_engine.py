@@ -168,6 +168,22 @@ class TestReplayParity:
             assert len(session.ledger) == blocks
             assert export(session.base) == before
 
+    def test_refused_revision_records_no_node(self, make_config):
+        """A refused observation leaves no justification node behind."""
+        config = make_config()
+        with Session(config) as session:
+            observe_fan(session)
+            with pytest.raises(ResourceLimitError):
+                session.observe("!p", 0.99, "sensor")
+            session.observe("r", 0.99, "sensor")
+            assert len(session.ledger) == 18
+            assert len(session.graph) == 18
+        with open(config.resolved_nodes_path(), encoding="utf-8") as handle:
+            assert len(handle.read().splitlines()) == 18
+        with Session(make_config()) as session:
+            assert len(session.graph) == 18
+            assert export(session.base) == replay_export(session)
+
     def test_refused_contraction_writes_no_block(self, make_config):
         with Session(make_config()) as session:
             observe_fan(session)

@@ -10,6 +10,7 @@ import pytest
 
 from veritas.belief import BeliefBase, Provenance, StatusTag, export
 from veritas.config import EngineConfig
+from veritas import ledger as ledger_module
 from veritas.justify import JustificationGraph
 from veritas.ledger import (
     Ledger,
@@ -153,6 +154,131 @@ class TestChain:
                 assert verdict == expected_block
         path.write_bytes(pristine)
         assert Ledger(path).verify_chain() is None
+
+
+@pytest.fixture()
+def hashes(monkeypatch):
+    """Count every block hash the ledger computes."""
+    calls = []
+    original = ledger_module.block_hash
+
+    def spy(*args):
+        calls.append(args[0])
+        return original(*args)
+
+    monkeypatch.setattr(ledger_module, "block_hash", spy)
+    return calls
+
+
+def write_chain(path, count: int) -> bytes:
+    ledger = Ledger(path)
+    for index in range(count):
+        ledger.append(
+            Op.INSERT,
+            formula=f"s{index}",
+            justification_digest=bytes([index]) * 32,
+            timestamp=index,
+        )
+    return path.read_bytes()
+
+
+class TestVerifiedPrefix:
+    """Each block is hashed once per ledger; appends extend the prefix."""
+
+    def test_appends_hash_each_block_once(self, tmp_path, hashes):
+        path = tmp_path / "chain.vlog"
+        write_chain(path, 50)
+        ledger = Ledger(path)
+        hashes.clear()
+        for ts in range(50, 100):
+            ledger.append(Op.META, formula=f"m{ts}", timestamp=ts)
+        # 50 to verify the loaded chain on the first append, then one
+        # per new block; re-verifying on every append would be 3,775.
+        assert len(hashes) == 100
+        assert sorted(hashes) == sorted([*range(50), *range(50, 100)])
+        assert Ledger(path).verify_chain() is None
+
+    def test_verified_ledger_appends_without_rehashing(self, tmp_path, hashes):
+        path = tmp_path / "chain.vlog"
+        write_chain(path, 50)
+        ledger = Ledger(path)
+        assert ledger.verify_chain() is None
+        hashes.clear()
+        for ts in range(50, 60):
+            ledger.append(Op.META, timestamp=ts)
+        assert hashes == list(range(50, 60))
+
+    def test_verify_chain_always_rehashes(self, tmp_path, hashes):
+        path = tmp_path / "chain.vlog"
+        write_chain(path, 20)
+        ledger = Ledger(path)
+        hashes.clear()
+        assert ledger.verify_chain() is None
+        assert ledger.verify_chain() is None
+        assert len(hashes) == 40
+
+    def test_tampered_file_refuses_the_first_append(self, tmp_path):
+        path = tmp_path / "chain.vlog"
+        pristine = write_chain(path, 50)
+        lines = pristine.split(b"\n")
+        for target in (0, 17, 49):
+            tampered = bytearray(pristine)
+            position = sum(len(line) + 1 for line in lines[:target]) + 2
+            tampered[position] ^= 0x01
+            path.write_bytes(bytes(tampered))
+            ledger = Ledger(path)
+            with pytest.raises(LedgerCorruptionError) as raised:
+                ledger.append(Op.META, timestamp=50)
+            assert raised.value.index == target
+            assert path.read_bytes() == bytes(tampered)
+
+    def test_unreadable_only_line_refuses_append(self, tmp_path):
+        path = tmp_path / "chain.vlog"
+        path.write_bytes(b"garbage\n")
+        ledger = Ledger(path)
+        assert len(ledger) == 0
+        with pytest.raises(LedgerCorruptionError) as raised:
+            ledger.append(Op.META)
+        assert raised.value.index == 0
+
+    def test_tamper_after_verification_is_still_refused(self):
+        ledger = Ledger()
+        for ts in range(5):
+            ledger.append(Op.META, timestamp=ts)
+        assert ledger.verify_chain() is None
+        ledger._blocks[3] = replace(ledger._blocks[3], formula="x")
+        with pytest.raises(LedgerCorruptionError) as raised:
+            ledger.append(Op.META, timestamp=5)
+        assert raised.value.index == 3
+
+    def test_contains_digest_sees_loaded_and_appended_blocks(self, tmp_path):
+        path = tmp_path / "chain.vlog"
+        write_chain(path, 5)
+        ledger = Ledger(path)
+        assert all(ledger.contains_digest(bytes([i]) * 32) for i in range(5))
+        assert not ledger.contains_digest(b"\x77" * 32)
+        ledger.append(Op.META, justification_digest=b"\x77" * 32)
+        assert ledger.contains_digest(b"\x77" * 32)
+
+    @pytest.mark.parametrize(
+        "field",
+        [
+            b"ab" * 31 + b"aB",
+            b"AB" * 32,
+            b"ab" * 31 + b"a",
+            b"ab" * 32 + b"a",
+            b"ab" * 31 + b"a ",
+            b" " + b"ab" * 31 + b"a",
+            b"ab" * 31 + b"a\n",
+            b"ab" * 31 + b"ag",
+            b"",
+        ],
+    )
+    def test_strict_hex_rejects_near_misses(self, field):
+        assert ledger_module._strict_hex(field) is None
+
+    def test_strict_hex_decodes_lowercase(self):
+        assert ledger_module._strict_hex(b"0f" * 32) == b"\x0f" * 32
 
 
 @pytest.fixture
@@ -327,6 +453,31 @@ class TestMerkle:
         proof = inclusion_proof(ledger, 2)
         bad_path = ((b"\x03" * 32, proof.path[0][1]),) + proof.path[1:]
         assert not verify_inclusion(replace(proof, path=bad_path), root)
+
+    def test_forged_index_is_rejected(self):
+        """A proof verifies under its own index and no other."""
+        for count in range(1, 10):
+            ledger = self.leaves(count)
+            root = merkle_root(ledger)
+            for index in range(count):
+                proof = inclusion_proof(ledger, index)
+                assert verify_inclusion(proof, root)
+                for forged in range(-1, 2 * count + 3):
+                    if forged != index:
+                        assert not verify_inclusion(
+                            replace(proof, index=forged), root
+                        ), (count, index, forged)
+
+    def test_path_sides_must_match_the_index(self):
+        ledger = self.leaves(6)
+        root = merkle_root(ledger)
+        proof = inclusion_proof(ledger, 4)
+        flip = {"left": "right", "right": "left"}
+        for level in range(len(proof.path)):
+            sibling, side = proof.path[level]
+            path = list(proof.path)
+            path[level] = (sibling, flip[side])
+            assert not verify_inclusion(replace(proof, path=tuple(path)), root)
 
     def test_out_of_range_index_rejected(self):
         with pytest.raises(IndexError):

@@ -322,3 +322,37 @@ class TestCompiledConsistency:
         assert first == again and hash(first) == hash(again)
         assert repr(first) == repr(again)
         assert render_canonical(first) == render_canonical(again)
+
+    def test_complementary_pair_keys_match_the_structural_check(self):
+        """The key-based pre-filter agrees with a tree comparison.
+
+        Formulas are re-built from their rendering, so a match must come
+        from equal structure, not from shared instances.
+        """
+
+        def structural(formulas: list[Formula]) -> bool:
+            seen = set(formulas)
+            return any(
+                isinstance(f, Not) and f.operand in seen for f in formulas
+            )
+
+        rng = random.Random(90417)
+        atoms = [Atom(name) for name in ("p", "q", "r")] + [Atom("P", ("a", "b"))]
+        hits = 0
+        for _ in range(600):
+            pool = [random_formula(rng, atoms, 3) for _ in range(rng.randrange(1, 5))]
+            for _ in range(rng.randrange(0, 3)):
+                negated = rng.choice(pool)
+                for _ in range(rng.randrange(1, 4)):
+                    negated = Not(negated)
+                pool.append(negated)
+            formulas = [
+                parse(render_canonical(f)) if rng.random() < 0.5 else f
+                for f in pool
+            ]
+            rng.shuffle(formulas)
+            expected = structural(formulas)
+            hits += expected
+            compiled = [sat._compiled(f) for f in formulas]
+            assert sat._has_complementary_pair(formulas, compiled) == expected
+        assert 100 < hits < 500
