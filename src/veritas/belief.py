@@ -8,6 +8,15 @@ the formulas atom-connected to the target, and the rest of the base
 joins every remainder whole.  Revision follows the Levi identity, and
 nothing is ever silently dropped: every removal lands in the retraction
 log with a reason.
+
+Consistency verdicts are not cached, but a base that expansion found
+consistent keeps a witness, a model of its formulas (see
+logic.sat.Witness).  The next expansion first tests only the incoming
+formula against it and solves the whole base only when that test
+cannot decide.  Retraction and amendment keep the witness, because a
+model of a set is a model of any subset.  Contraction builds no model
+and drops it, as does every other producer; a revision's closing
+expansion solves its base and keeps the model it finds.
 """
 
 from __future__ import annotations
@@ -26,7 +35,7 @@ from .logic import (
     is_consistent,
     render_canonical,
 )
-from .logic.sat import ResourceLimitError
+from .logic.sat import ResourceLimitError, Witness, extend_witness
 
 DEFAULT_THETA = 0.95
 REMAINDER_CAP = 16
@@ -183,7 +192,8 @@ class BeliefBase:
 
     known_consistent is True when the operation that produced the base
     proved its formulas satisfiable; False means not known, so callers
-    fall back to a SAT check (see is_consistent_base).
+    fall back to a SAT check (see is_consistent_base).  witness, when
+    set, is a model of the formulas, and implies known_consistent.
     """
 
     epoch: int = 0
@@ -191,6 +201,11 @@ class BeliefBase:
     retraction_log: tuple[RetractionRecord, ...] = ()
     history: tuple[frozenset[str], ...] = (frozenset(),)
     known_consistent: bool = field(default=False, repr=False, compare=False)
+    witness: Witness | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if self.witness is not None:
+            object.__setattr__(self, "known_consistent", True)
 
     @classmethod
     def from_entries(cls, entries: Iterable[BeliefEntry]) -> BeliefBase:
@@ -219,6 +234,7 @@ class BeliefBase:
         entries: Iterable[BeliefEntry],
         retractions: Iterable[RetractionRecord] = (),
         known_consistent: bool = False,
+        witness: Witness | None = None,
     ) -> BeliefBase:
         ordered = _sorted_entries(entries)
         return BeliefBase(
@@ -227,6 +243,7 @@ class BeliefBase:
             retraction_log=self.retraction_log + tuple(retractions),
             history=self.history + (frozenset(e.key for e in ordered),),
             known_consistent=known_consistent,
+            witness=witness,
         )
 
 
@@ -249,18 +266,41 @@ def expand(base: BeliefBase, entry: BeliefEntry) -> BeliefBase:
     Re-observing a formula already present replaces its entry.  Raises
     ConsistencyError when the result would be unsatisfiable.
     """
-    others = [e.formula for e in base.entries if e.key != entry.key]
-    if not is_consistent(others + [entry.formula]):
+    consistent, witness = _check_expansion(base, entry)
+    if not consistent:
         raise ConsistencyError(
             f"expansion by {entry.key} would make the base inconsistent"
         )
-    return _expand_checked(base, entry)
+    return _expand_checked(base, entry, witness)
 
 
-def _expand_checked(base: BeliefBase, entry: BeliefEntry) -> BeliefBase:
+def _check_expansion(
+    base: BeliefBase, entry: BeliefEntry
+) -> tuple[bool, Witness | None]:
+    """Whether base plus entry is consistent, and a witness if one is known.
+
+    Extends the base's witness when it can; otherwise runs the full SAT
+    check, which also raises where a resource limit is reached.
+    """
+    if base.witness is not None:
+        if any(e.key == entry.key for e in base.entries):
+            # Same key, same formula: the witnessed set does not change.
+            return True, base.witness
+        witness = extend_witness(base.witness, entry.formula)
+        if witness is not None:
+            return True, witness
+    others = [e.formula for e in base.entries if e.key != entry.key]
+    found: list[Witness] = []
+    consistent = is_consistent(others + [entry.formula], witnesses=found)
+    return consistent, found[0] if found else None
+
+
+def _expand_checked(
+    base: BeliefBase, entry: BeliefEntry, witness: Witness | None
+) -> BeliefBase:
     """expand, for a caller that has just found base plus entry consistent."""
     others = [e for e in base.entries if e.key != entry.key]
-    return base._advance(others + [entry], known_consistent=True)
+    return base._advance(others + [entry], known_consistent=True, witness=witness)
 
 
 def remainders(
@@ -421,9 +461,9 @@ def update_belief_state(
     gated = replace(
         entry, assertable=entry.assertable and entry.probability >= theta
     )
-    active = [e.formula for e in base.entries if e.key != gated.key]
-    if is_consistent(active + [gated.formula]):
-        return _expand_checked(base, gated), "expanded"
+    consistent, witness = _check_expansion(base, gated)
+    if consistent:
+        return _expand_checked(base, gated, witness), "expanded"
     return revise(base, gated), "revised"
 
 
@@ -438,7 +478,9 @@ def retract_entry(base: BeliefBase, formula: Formula, reason: str) -> BeliefBase
         return base
     survivors = [e for e in base.entries if e.key != key]
     record = RetractionRecord(base.epoch + 1, key, reason)
-    return base._advance(survivors, [record], base.known_consistent)
+    return base._advance(
+        survivors, [record], base.known_consistent, base.witness
+    )
 
 
 def amend_entry(
@@ -464,7 +506,9 @@ def amend_entry(
         assertable=assertable if assertable is not None else current.assertable,
     )
     others = [e for e in base.entries if e.key != current.key]
-    return base._advance(others + [updated], (), base.known_consistent)
+    return base._advance(
+        others + [updated], (), base.known_consistent, base.witness
+    )
 
 
 def status_for(rule: str, probability: float) -> StatusTag:

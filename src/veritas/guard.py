@@ -158,8 +158,9 @@ def resolve_contradiction(
             actions.append(action)
         cores = detect_contradiction(base)
         if not cores:
-            # detect_contradiction has just found the base satisfiable.
-            return replace(base, known_consistent=True), actions
+            # detect_contradiction has just found the base satisfiable,
+            # without keeping a model of it.
+            return replace(base, known_consistent=True, witness=None), actions
         current = cores[0]
     return base, actions
 

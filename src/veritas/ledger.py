@@ -318,7 +318,11 @@ def apply_block(
                 f"block {block.index} references unknown node "
                 f"{block.justification_digest.hex()}"
             )
-        entry = node_entry(parse(block.formula), node, config, graph)
+        # The node holds the formula already parsed, and compiled once
+        # it has been checked; parse again only if its text differs.
+        entry = node_entry(node.conclusion, node, config, graph)
+        if entry.key != block.formula:
+            entry = node_entry(parse(block.formula), node, config, graph)
         new_base, _ = update_belief_state(base, entry, theta=config.theta)
         return new_base
     if block.op == Op.CONTRACT:

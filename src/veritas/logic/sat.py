@@ -10,10 +10,18 @@ counts.
 Each formula instance is compiled once, on its first check, into its
 atom set, its non-tautological clauses (or an over-budget marker) and
 its canonical rendering, and the result is kept on that instance; a
-check joins the compiled clauses of its formulas.  Clause literals are
-integers from one process-wide atom table.  Nothing else outlives a
-formula: a re-parsed formula is a new instance and compiles afresh, and
-verdicts are never cached.
+check joins the compiled clauses of its formulas.  The negation that
+entails tests is compiled once per goal instance too.  Clause literals
+are integers from one process-wide atom table.  A re-parsed formula is
+a new instance and compiles afresh.
+
+Verdicts are not cached, but a satisfiable DPLL check can hand its
+model back as a Witness: the literals DPLL set true, with the query's
+atom ids and clause count.  extend_witness tests one more formula
+against a witness by checking its clauses and setting free atoms; when
+that cannot decide, or a limit may be reached, it returns None and the
+caller runs the full check, which raises where a limit is reached.  A
+truth-table verdict yields no witness.
 """
 
 from __future__ import annotations
@@ -76,8 +84,31 @@ class _Compiled(NamedTuple):
     key: str
 
 
-def is_consistent(formulas: Iterable[Formula], max_atoms: int = DEFAULT_MAX_ATOMS) -> bool:
-    """Decide whether the formulas are jointly satisfiable."""
+class Witness(NamedTuple):
+    """A model of a satisfiable set, and upper bounds on its size.
+
+    Every clause of the set holds a literal of literals; atoms no
+    literal names are free.  atom_ids and clause_count cover the set, so
+    a limit check need not recompute them; for a subset they still bound
+    it from above.
+    """
+
+    literals: frozenset[int]
+    atom_ids: frozenset[int]
+    clause_count: int
+
+
+def is_consistent(
+    formulas: Iterable[Formula],
+    max_atoms: int = DEFAULT_MAX_ATOMS,
+    *,
+    witnesses: list[Witness] | None = None,
+) -> bool:
+    """Decide whether the formulas are jointly satisfiable.
+
+    When witnesses is a list and DPLL finds the formulas satisfiable,
+    the Witness of its model is appended to it.
+    """
     formulas = list(formulas)
     compiled = [_compiled(formula) for formula in formulas]
     atom_ids: set[int] = set()
@@ -98,13 +129,47 @@ def is_consistent(formulas: Iterable[Formula], max_atoms: int = DEFAULT_MAX_ATOM
             )
         atoms = set().union(*(atoms_of(formula) for formula in formulas))
         return _truth_table_satisfiable(formulas, sorted(atoms, key=_atom_key))
-    return _dpll(clauses)
+    model = _dpll(clauses)
+    if model is None:
+        return False
+    if witnesses is not None:
+        witnesses.append(
+            Witness(frozenset(model), frozenset(atom_ids), len(clauses))
+        )
+    return True
+
+
+def extend_witness(
+    witness: Witness, formula: Formula, max_atoms: int = DEFAULT_MAX_ATOMS
+) -> Witness | None:
+    """A witness for the witnessed set plus formula, or None if undecided.
+
+    Each clause of the formula that the witness leaves unsatisfied gets
+    one of its free literals set true.  None means no such literal was
+    left, or the joined query might reach a limit or need the truth
+    table; is_consistent then decides, and raises where it must.
+    """
+    compiled = _compiled(formula)
+    if compiled.clauses is None:
+        return None
+    atom_ids = witness.atom_ids | compiled.atom_ids
+    clause_count = witness.clause_count + len(compiled.clauses)
+    if len(atom_ids) > max_atoms or clause_count > _CLAUSE_BUDGET:
+        return None
+    literals = witness.literals
+    for clause in compiled.clauses:
+        if literals.isdisjoint(clause):
+            free = [lit for lit in clause if -lit not in literals]
+            if not free:
+                return None
+            literals = literals | {min(free, key=abs)}
+    return Witness(literals, atom_ids, clause_count)
 
 
 def entails(base: Iterable[Formula], formula: Formula,
             max_atoms: int = DEFAULT_MAX_ATOMS) -> bool:
     """Decide whether the base logically entails the formula."""
-    return not is_consistent([*base, Not(formula)], max_atoms=max_atoms)
+    return not is_consistent([*base, _negation(formula)], max_atoms=max_atoms)
 
 
 def is_tautology(formula: Formula, max_atoms: int = DEFAULT_MAX_ATOMS) -> bool:
@@ -133,12 +198,31 @@ def _compiled(formula: Formula) -> _Compiled:
     """The formula's atoms, clauses and key, compiled on first use and kept on it."""
     compiled = formula.__dict__.get("_sat")
     if compiled is None:
-        atom_ids = frozenset(_ATOM_IDS[atom] for atom in atoms_of(formula))
+        # Ids are handed out in sorted atom order, not set order, so they
+        # and the models DPLL finds repeat under every hash seed.
+        atom_ids = frozenset(
+            _ATOM_IDS[atom] for atom in sorted(atoms_of(formula), key=_atom_key)
+        )
         compiled = _Compiled(
             atom_ids, _clausify(formula), render_canonical(formula)
         )
         object.__setattr__(formula, "_sat", compiled)
     return compiled
+
+
+def _negation(formula: Formula) -> Not:
+    """A fresh Not(formula) whose compiled form is kept on formula.
+
+    The formula keeps the compiled negation, not the Not itself, which
+    would refer back to it.
+    """
+    negation = Not(formula)
+    compiled = formula.__dict__.get("_sat_negation")
+    if compiled is None:
+        object.__setattr__(formula, "_sat_negation", _compiled(negation))
+    else:
+        object.__setattr__(negation, "_sat", compiled)
+    return negation
 
 
 def _clausify(formula: Formula) -> tuple[frozenset[int], ...] | None:
@@ -214,34 +298,40 @@ def _is_tautological_clause(clause: frozenset[int]) -> bool:
     return any(-lit in clause for lit in clause)
 
 
-def _dpll(clauses: list[frozenset[int]]) -> bool:
+def _dpll(clauses: list[frozenset[int]]) -> list[int] | None:
+    """The literals chosen to satisfy every clause, or None if none can.
+
+    Clauses are never empty: compiled clauses are not, and _assign
+    reports a clause it would empty as a conflict instead.
+    """
+    chosen: list[int] = []
     while True:
         if not clauses:
-            return True
-        if any(not clause for clause in clauses):
-            return False
+            return chosen
         unit = next((clause for clause in clauses if len(clause) == 1), None)
         if unit is not None:
-            reduced = _assign(clauses, next(iter(unit)))
+            lit = next(iter(unit))
+            reduced = _assign(clauses, lit)
             if reduced is None:
-                return False
+                return None
+            chosen.append(lit)
             clauses = reduced
             continue
         literals = {lit for clause in clauses for lit in clause}
         pure = sorted((lit for lit in literals if -lit not in literals), key=abs)
         if pure:
             for lit in pure:
-                reduced = _assign(clauses, lit)
-                if reduced is None:
-                    return False
-                clauses = reduced
+                # A pure literal's complement is in no clause: no conflict.
+                clauses = _assign(clauses, lit)
+            chosen.extend(pure)
             continue
         branch = min(abs(lit) for clause in clauses for lit in clause)
-        positive = _assign(clauses, branch)
-        if positive is not None and _dpll(positive):
-            return True
-        negative = _assign(clauses, -branch)
-        return negative is not None and _dpll(negative)
+        for lit in (branch, -branch):
+            reduced = _assign(clauses, lit)
+            rest = None if reduced is None else _dpll(reduced)
+            if rest is not None:
+                return chosen + [lit] + rest
+        return None
 
 
 def _assign(clauses: list[frozenset[int]], lit: int) -> list[frozenset[int]] | None:

@@ -16,7 +16,7 @@ from itertools import combinations
 from pathlib import Path
 
 import pytest
-from oracles import random_formula, subset_remainders, tt_satisfiable
+from oracles import random_formula, subset_remainders, tt_eval, tt_satisfiable
 
 import veritas
 from veritas import belief
@@ -45,15 +45,18 @@ from veritas.belief import (
     weakest_link,
 )
 from veritas.logic import (
+    And,
     Atom,
     Formula,
     Not,
     Or,
+    atoms_of,
     entails,
     is_consistent,
     parse,
     render_canonical,
 )
+from veritas.logic import sat
 from veritas.logic.sat import ResourceLimitError
 
 
@@ -610,3 +613,165 @@ class TestRevisionPostulates:
                 assert all(
                     entails(left.formulas(), f) for f in right.formulas()
                 )
+
+
+def witness_holds(base: BeliefBase) -> bool:
+    """Whether the base's witness satisfies every formula, for both
+    completions of its free atoms."""
+    formulas = base.formulas()
+    literals = base.witness.literals
+    atoms = {atom for f in formulas for atom in atoms_of(f)}
+    for free in (False, True):
+        valuation = {}
+        for atom in atoms:
+            lit = sat._ATOM_IDS[atom]
+            held = lit in literals or -lit in literals
+            valuation[atom] = lit in literals if held else free
+        if not all(tt_eval(f, valuation) for f in formulas):
+            return False
+    return True
+
+
+WITNESS_ATOMS = [Atom(name) for name in "abcdef"]
+
+
+def witness_steps(rng: random.Random) -> list[tuple]:
+    """Eight random operations: update, negate (update by the negation of
+    a held formula), contract, retract or amend."""
+    steps = []
+    for _ in range(8):
+        kind = rng.choice(["update", "update", "negate", "contract", "retract", "amend"])
+        formula = random_formula(rng, rng.sample(WITNESS_ATOMS, rng.randrange(1, 4)), 3)
+        if kind in ("update", "negate") and not tt_satisfiable([formula]):
+            formula = Not(formula)
+        if kind == "contract" and not tt_satisfiable([Not(formula)]):
+            formula = Not(formula)
+        steps.append((kind, formula, rng.randrange(8), rng.choice([0.6, 0.8, 0.97])))
+    return steps
+
+
+def run_witness_steps(steps: list[tuple]) -> tuple[list[str], list[str]]:
+    """Apply the steps from an empty base, checking each result.
+
+    Returns the export after every step and the update routes.
+    """
+    base = BeliefBase()
+    exports, routes = [], []
+    for kind, formula, pick, probability in steps:
+        held = base.entries[pick % len(base.entries)] if base.entries else None
+        if kind == "negate" and held is not None and tt_satisfiable([Not(held.formula)]):
+            kind, formula = "update", Not(held.formula)
+        if kind in ("update", "negate"):
+            others = [e.formula for e in base.entries if e.key != render_canonical(formula)]
+            incoming = BeliefEntry(formula, probability, Provenance("s", len(exports), probability))
+            base, route = update_belief_state(base, incoming)
+            expected = "expanded" if tt_satisfiable(others + [formula]) else "revised"
+            assert route == expected
+            routes.append(route)
+        elif kind == "contract":
+            base = contract(base, formula)
+        elif kind == "retract" and held is not None:
+            base = belief.retract_entry(base, held.formula, "test")
+        elif kind == "amend" and held is not None:
+            base = belief.amend_entry(base, held.formula, probability=probability)
+        if base.known_consistent:
+            assert tt_satisfiable(base.formulas())
+        if base.witness is not None:
+            assert witness_holds(base)
+        exports.append(export(base))
+    return exports, routes
+
+
+class TestWitness:
+    """A consistent base keeps a model; expansion tests only the new formula."""
+
+    def test_random_sequences_match_the_oracle_and_a_witnessless_run(self, monkeypatch):
+        hits = []
+        extend = belief.extend_witness
+
+        def counted(witness, formula):
+            result = extend(witness, formula)
+            hits.append(result is not None)
+            return result
+
+        rng = random.Random(4470)
+        plans = [witness_steps(rng) for _ in range(300)]
+        with monkeypatch.context() as patched:
+            patched.setattr(belief, "extend_witness", counted)
+            runs = [run_witness_steps(steps) for steps in plans]
+        routes = [route for _, taken in runs for route in taken]
+        assert routes.count("revised") > 100 and routes.count("expanded") > 300
+        assert sum(hits) > 200 and hits.count(False) > 50
+
+        def no_witness(formulas, max_atoms=sat.DEFAULT_MAX_ATOMS, witnesses=None):
+            return is_consistent(formulas, max_atoms)
+
+        monkeypatch.setattr(belief, "is_consistent", no_witness)
+        for steps, (exports, _) in zip(plans, runs):
+            assert run_witness_steps(steps)[0] == exports
+
+    def test_producers_keep_or_drop_the_witness(self):
+        base, _ = update_belief_state(BeliefBase(), entry("p"))
+        base, _ = update_belief_state(base, entry("q"))
+        assert base.witness is not None and base.known_consistent
+        assert belief.retract_entry(base, parse("q"), "r").witness == base.witness
+        assert belief.amend_entry(base, parse("q"), probability=0.5).witness == base.witness
+        assert contract(base, parse("q")).witness is None
+        revised, route = update_belief_state(base, entry("!q"))
+        assert route == "revised" and witness_holds(revised)
+        unrecorded = base_of(entry("p"), entry("q"))
+        assert unrecorded.witness is None
+        assert dataclasses.replace(unrecorded, witness=base.witness) == unrecorded
+        assert dataclasses.replace(unrecorded, witness=base.witness).known_consistent
+
+    def test_resolved_contradiction_keeps_no_witness(self):
+        from veritas.guard import detect_contradiction, resolve_contradiction
+
+        clash = base_of(entry("p"), entry("q"), entry("!p", 0.6))
+        core = detect_contradiction(clash)[0]
+        resolved, _ = resolve_contradiction(clash, core)
+        assert resolved.known_consistent and resolved.witness is None
+
+    def test_re_observation_keeps_the_witness_without_solving(self, monkeypatch):
+        base, _ = update_belief_state(BeliefBase(), entry("p | q"))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("full SAT check on a witnessed base")
+
+        monkeypatch.setattr(belief, "is_consistent", refuse)
+        again, route = update_belief_state(base, entry("p | q", 0.8))
+        assert route == "expanded" and again.witness == base.witness
+        grown, route = update_belief_state(again, entry("r"))
+        assert route == "expanded" and witness_holds(grown)
+
+    def test_atom_limit_still_raises_on_a_witnessed_base(self):
+        wide = [Atom(f"w{i}") for i in range(65)]
+        conjunction = wide[0]
+        for atom in wide[1:64]:
+            conjunction = And(conjunction, atom)
+        base, _ = update_belief_state(
+            BeliefBase(), BeliefEntry(conjunction, 0.99, Provenance("s", 0, 0.99))
+        )
+        assert len(base.witness.atom_ids) == 64
+        with pytest.raises(ResourceLimitError):
+            update_belief_state(base, BeliefEntry(wide[64], 0.99, Provenance("s", 1, 0.99)))
+        inside = BeliefEntry(Or(wide[0], wide[9]), 0.99, Provenance("s", 2, 0.99))
+        assert update_belief_state(base, inside)[1] == "expanded"
+
+    def test_clause_budget_still_raises_on_a_witnessed_base(self):
+        def pair_disjunction(prefix: str) -> Formula:
+            pairs = [And(Atom(f"{prefix}x{i}"), Atom(f"{prefix}y{i}")) for i in range(11)]
+            formula = pairs[0]
+            for pair in pairs[1:]:
+                formula = Or(formula, pair)
+            return formula
+
+        base = BeliefBase()
+        for k, prefix in enumerate("uv"):
+            incoming = BeliefEntry(pair_disjunction(prefix), 0.99, Provenance("s", k, 0.99))
+            base, route = update_belief_state(base, incoming)
+            assert route == "expanded"
+        assert base.witness.clause_count == sat._CLAUSE_BUDGET
+        assert len(base.witness.atom_ids) == 44
+        with pytest.raises(ResourceLimitError):
+            update_belief_state(base, entry("z"))

@@ -184,6 +184,25 @@ class TestReplayParity:
             assert len(session.graph) == 18
             assert export(session.base) == replay_export(session)
 
+    def test_65th_atom_on_a_witnessed_base_writes_no_block(self, make_config):
+        """A base at exactly 64 atoms refuses a formula with a 65th.
+
+        The base's witness could be extended by the new atom, so this
+        checks that the atom limit, not the witness, decides.
+        """
+        wide = " & ".join(f"w{i}" for i in range(64))
+        with Session(make_config()) as session:
+            session.observe(wide, 0.99, "sensor")
+            assert len(session.base.witness.atom_ids) == 64
+            blocks = len(session.ledger)
+            before = export(session.base)
+            with pytest.raises(ResourceLimitError):
+                session.observe("w64", 0.99, "sensor")
+            assert len(session.ledger) == blocks
+            assert export(session.base) == before == replay_export(session)
+        with Session(make_config()) as session:
+            assert export(session.base) == before
+
     def test_refused_contraction_writes_no_block(self, make_config):
         with Session(make_config()) as session:
             observe_fan(session)

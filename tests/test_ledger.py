@@ -297,6 +297,35 @@ class TestReplay:
         assert export(replayed) == export(live)
         assert replayed.epoch == 3
 
+    def test_insert_blocks_reuse_the_node_formula(self, engine_state, monkeypatch):
+        """Replay folds each node's parsed conclusion instead of re-parsing."""
+        ledger, graph, config = engine_state
+        for ts, text in enumerate(["p", "p -> q", "!q", "r | s"]):
+            insert(ledger, graph, text, ts)
+        expected = export(replay(ledger, config, graph))
+        parsed = []
+        monkeypatch.setattr(
+            ledger_module, "parse", lambda text: parsed.append(text) or parse(text)
+        )
+        base = replay(ledger, config, graph)
+        assert parsed == [] and export(base) == expected
+        assert all(
+            e.formula is graph.get(e.justification).conclusion
+            for e in base.entries
+        )
+
+    def test_block_text_unlike_its_node_is_parsed(self, engine_state):
+        ledger, graph, config = engine_state
+        node_id = observation(graph, "p", 0)
+        ledger.append(
+            Op.INSERT,
+            formula="q",
+            justification_digest=bytes.fromhex(node_id),
+            timestamp=0,
+        )
+        base = replay(ledger, config, graph)
+        assert [e.key for e in base.entries] == ["q"]
+
     def test_replay_honours_upto(self, engine_state):
         ledger, graph, config = engine_state
         for ts, text in enumerate(["p", "q", "r"]):

@@ -356,3 +356,128 @@ class TestCompiledConsistency:
             compiled = [sat._compiled(f) for f in formulas]
             assert sat._has_complementary_pair(formulas, compiled) == expected
         assert 100 < hits < 500
+
+
+def witness_valuations(witness: sat.Witness, formulas: list[Formula]):
+    """The witness over the formulas' atoms, free atoms all false, then all true."""
+    atoms = {atom for f in formulas for atom in atoms_of(f)}
+    for free in (False, True):
+        valuation = {}
+        for atom in atoms:
+            lit = sat._ATOM_IDS[atom]
+            if lit in witness.literals or -lit in witness.literals:
+                valuation[atom] = lit in witness.literals
+            else:
+                valuation[atom] = free
+        yield valuation
+
+
+def pair_disjunction(prefix: str) -> Formula:
+    """(x0 & y0) | ... | (x10 & y10): 2^11 = 2048 clauses over 22 atoms."""
+    pairs = [And(Atom(f"{prefix}x{i}"), Atom(f"{prefix}y{i}")) for i in range(11)]
+    formula = pairs[0]
+    for pair in pairs[1:]:
+        formula = Or(formula, pair)
+    return formula
+
+
+class TestWitness:
+    """Models kept from DPLL, and their one-formula extension."""
+
+    def test_dpll_models_satisfy_their_formulas(self, fallbacks):
+        rng = random.Random(61447)
+        atoms = [Atom(name) for name in "pqrstu"]
+        witnessed = 0
+        for _ in range(400):
+            formulas = [random_formula(rng, atoms, 4) for _ in range(rng.randrange(0, 6))]
+            found: list[sat.Witness] = []
+            verdict = is_consistent(formulas, witnesses=found)
+            assert verdict == tt_satisfiable(formulas)
+            assert len(found) == int(verdict)
+            if not found:
+                continue
+            witnessed += 1
+            witness = found[0]
+            compiled = [sat._compiled(f) for f in formulas]
+            assert witness.atom_ids == frozenset().union(*(c.atom_ids for c in compiled))
+            assert witness.clause_count == sum(len(c.clauses) for c in compiled)
+            assert not any(-lit in witness.literals for lit in witness.literals)
+            for valuation in witness_valuations(witness, formulas):
+                assert all(tt_eval(f, valuation) for f in formulas)
+        assert fallbacks == []
+        assert 100 < witnessed < 400
+
+    def test_extension_is_a_model_or_undecided(self):
+        rng = random.Random(7121)
+        atoms = [Atom(name) for name in "pqrstu"]
+        extended = undecided = 0
+        for _ in range(400):
+            formulas = [random_formula(rng, atoms, 3) for _ in range(rng.randrange(0, 5))]
+            found: list[sat.Witness] = []
+            if not is_consistent(formulas, witnesses=found):
+                continue
+            incoming = random_formula(rng, atoms, 3)
+            witness = sat.extend_witness(found[0], incoming)
+            if witness is None:
+                undecided += 1
+                continue
+            extended += 1
+            joined = formulas + [incoming]
+            assert found[0].literals <= witness.literals
+            assert witness.clause_count == (
+                found[0].clause_count + len(sat._compiled(incoming).clauses)
+            )
+            for valuation in witness_valuations(witness, joined):
+                assert all(tt_eval(f, valuation) for f in joined)
+        assert extended > 100 and undecided > 20
+
+    def test_truth_table_verdicts_keep_no_witness(self, fallbacks):
+        odd = parity([Atom(f"x{i}") for i in range(14)])
+        found: list[sat.Witness] = []
+        assert is_consistent([odd], witnesses=found)
+        assert fallbacks == [14] and found == []
+
+    def test_extension_past_the_atom_limit_is_undecided(self):
+        wide = [Atom(f"w{i}") for i in range(65)]
+        big = wide[0]
+        for atom in wide[1:64]:
+            big = And(big, atom)
+        found: list[sat.Witness] = []
+        assert is_consistent([big], witnesses=found)
+        assert len(found[0].atom_ids) == 64
+        assert sat.extend_witness(found[0], wide[64]) is None
+        with pytest.raises(ResourceLimitError):
+            is_consistent([big, wide[64]])
+        assert sat.extend_witness(found[0], Or(wide[3], Not(wide[7]))) is not None
+
+    def test_extension_past_the_clause_budget_is_undecided(self):
+        parts = [pair_disjunction("u"), pair_disjunction("v")]
+        found: list[sat.Witness] = []
+        assert is_consistent(parts, witnesses=found)
+        assert found[0].clause_count == sat._CLAUSE_BUDGET
+        assert sat.extend_witness(found[0], Atom("z")) is None
+        with pytest.raises(ResourceLimitError):
+            is_consistent(parts + [Atom("z")])
+
+    def test_atom_ids_follow_sorted_atom_order(self):
+        """New atoms get ids in sorted order, not set order.
+
+        DPLL branches on the smallest id, so ids that followed the hash
+        seed would give different witnesses, and different witness hit
+        counts, in different processes.
+        """
+        formula = parse("Wq(x) | (Wa(y) & (Wm(x) -> Wa(x)))")
+        sat._compiled(formula)
+        ids = [sat._ATOM_IDS[parse_atom(text)] for text in ("Wa(x)", "Wa(y)", "Wm(x)", "Wq(x)")]
+        assert ids == list(range(ids[0], ids[0] + 4))
+
+    def test_negated_goal_compiles_once_per_goal(self, compilations):
+        base = [parse("p"), parse("p -> q")]
+        goal = parse("q")
+        for _ in range(100):
+            assert entails(base, goal)
+        negations = [f for f in compilations if isinstance(f, Not) and f.operand is goal]
+        assert len(negations) == 1
+        assert len(compilations) == 3
+        # The goal keeps the negation's compiled form, not the negation.
+        assert not any(isinstance(v, Not) for v in vars(goal).values())
