@@ -139,22 +139,21 @@ def is_consistent(
     return True
 
 
-def extend_witness(
-    witness: Witness, formula: Formula, max_atoms: int = DEFAULT_MAX_ATOMS
-) -> Witness | None:
+def extend_witness(witness: Witness, formula: Formula) -> Witness | None:
     """A witness for the witnessed set plus formula, or None if undecided.
 
     Each clause of the formula that the witness leaves unsatisfied gets
     one of its free literals set true.  None means no such literal was
-    left, or the joined query might reach a limit or need the truth
-    table; is_consistent then decides, and raises where it must.
+    left, or the joined query might reach is_consistent's default limits
+    or need the truth table; is_consistent then decides, and raises
+    where it must.
     """
     compiled = _compiled(formula)
     if compiled.clauses is None:
         return None
     atom_ids = witness.atom_ids | compiled.atom_ids
     clause_count = witness.clause_count + len(compiled.clauses)
-    if len(atom_ids) > max_atoms or clause_count > _CLAUSE_BUDGET:
+    if len(atom_ids) > DEFAULT_MAX_ATOMS or clause_count > _CLAUSE_BUDGET:
         return None
     literals = witness.literals
     for clause in compiled.clauses:

@@ -3,6 +3,8 @@
 Everything here is written independently of the library's decision
 procedures: entailment is truth-table enumeration over the atoms, and
 the remainder and unsat-core oracles enumerate subsets directly.
+witness_valuations only reads the solver's atom numbering, to turn a
+kept model into valuations that tt_eval can check.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ import random
 from itertools import combinations
 
 from veritas.logic import And, Atom, Formula, Iff, Implies, Not, Or, atoms_of
+from veritas.logic import sat
 
 
 def tt_eval(f: Formula, env: dict[Atom, bool]) -> bool:
@@ -41,6 +44,29 @@ def tt_models(formulas: list[Formula]) -> list[dict[Atom, bool]]:
         if all(tt_eval(f, env) for f in formulas):
             models.append(env)
     return models
+
+
+def witness_valuations(witness: sat.Witness, formulas: list[Formula]):
+    """The witness over the formulas' atoms, free atoms all false, then all true."""
+    atoms = {atom for f in formulas for atom in atoms_of(f)}
+    for free in (False, True):
+        valuation = {}
+        for atom in atoms:
+            lit = sat._ATOM_IDS[atom]
+            if lit in witness.literals or -lit in witness.literals:
+                valuation[atom] = lit in witness.literals
+            else:
+                valuation[atom] = free
+        yield valuation
+
+
+def pair_disjunction(prefix: str) -> Formula:
+    """(x0 & y0) | ... | (x10 & y10): 2^11 = 2048 clauses over 22 atoms."""
+    pairs = [And(Atom(f"{prefix}x{i}"), Atom(f"{prefix}y{i}")) for i in range(11)]
+    formula = pairs[0]
+    for pair in pairs[1:]:
+        formula = Or(formula, pair)
+    return formula
 
 
 def tt_satisfiable(formulas: list[Formula]) -> bool:

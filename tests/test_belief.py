@@ -16,7 +16,14 @@ from itertools import combinations
 from pathlib import Path
 
 import pytest
-from oracles import random_formula, subset_remainders, tt_eval, tt_satisfiable
+from oracles import (
+    pair_disjunction,
+    random_formula,
+    subset_remainders,
+    tt_eval,
+    tt_satisfiable,
+    witness_valuations,
+)
 
 import veritas
 from veritas import belief
@@ -50,7 +57,6 @@ from veritas.logic import (
     Formula,
     Not,
     Or,
-    atoms_of,
     entails,
     is_consistent,
     parse,
@@ -619,17 +625,10 @@ def witness_holds(base: BeliefBase) -> bool:
     """Whether the base's witness satisfies every formula, for both
     completions of its free atoms."""
     formulas = base.formulas()
-    literals = base.witness.literals
-    atoms = {atom for f in formulas for atom in atoms_of(f)}
-    for free in (False, True):
-        valuation = {}
-        for atom in atoms:
-            lit = sat._ATOM_IDS[atom]
-            held = lit in literals or -lit in literals
-            valuation[atom] = lit in literals if held else free
-        if not all(tt_eval(f, valuation) for f in formulas):
-            return False
-    return True
+    return all(
+        all(tt_eval(f, valuation) for f in formulas)
+        for valuation in witness_valuations(base.witness, formulas)
+    )
 
 
 WITNESS_ATOMS = [Atom(name) for name in "abcdef"]
@@ -759,13 +758,6 @@ class TestWitness:
         assert update_belief_state(base, inside)[1] == "expanded"
 
     def test_clause_budget_still_raises_on_a_witnessed_base(self):
-        def pair_disjunction(prefix: str) -> Formula:
-            pairs = [And(Atom(f"{prefix}x{i}"), Atom(f"{prefix}y{i}")) for i in range(11)]
-            formula = pairs[0]
-            for pair in pairs[1:]:
-                formula = Or(formula, pair)
-            return formula
-
         base = BeliefBase()
         for k, prefix in enumerate("uv"):
             incoming = BeliefEntry(pair_disjunction(prefix), 0.99, Provenance("s", k, 0.99))

@@ -10,7 +10,15 @@ from __future__ import annotations
 import random
 
 import pytest
-from oracles import random_formula, tt_entails, tt_eval, tt_models, tt_satisfiable
+from oracles import (
+    pair_disjunction,
+    random_formula,
+    tt_entails,
+    tt_eval,
+    tt_models,
+    tt_satisfiable,
+    witness_valuations,
+)
 
 from veritas.logic import sat
 from veritas.logic import (
@@ -356,29 +364,6 @@ class TestCompiledConsistency:
             compiled = [sat._compiled(f) for f in formulas]
             assert sat._has_complementary_pair(formulas, compiled) == expected
         assert 100 < hits < 500
-
-
-def witness_valuations(witness: sat.Witness, formulas: list[Formula]):
-    """The witness over the formulas' atoms, free atoms all false, then all true."""
-    atoms = {atom for f in formulas for atom in atoms_of(f)}
-    for free in (False, True):
-        valuation = {}
-        for atom in atoms:
-            lit = sat._ATOM_IDS[atom]
-            if lit in witness.literals or -lit in witness.literals:
-                valuation[atom] = lit in witness.literals
-            else:
-                valuation[atom] = free
-        yield valuation
-
-
-def pair_disjunction(prefix: str) -> Formula:
-    """(x0 & y0) | ... | (x10 & y10): 2^11 = 2048 clauses over 22 atoms."""
-    pairs = [And(Atom(f"{prefix}x{i}"), Atom(f"{prefix}y{i}")) for i in range(11)]
-    formula = pairs[0]
-    for pair in pairs[1:]:
-        formula = Or(formula, pair)
-    return formula
 
 
 class TestWitness:
