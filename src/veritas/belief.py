@@ -458,13 +458,12 @@ def update_belief_state(
     Entries below the assertion gate theta are stored at their tier but
     marked non-assertable.  Returns the new base and which route ran.
     """
-    gated = replace(
-        entry, assertable=entry.assertable and entry.probability >= theta
-    )
-    consistent, witness = _check_expansion(base, gated)
+    if entry.assertable and entry.probability < theta:
+        entry = replace(entry, assertable=False)
+    consistent, witness = _check_expansion(base, entry)
     if consistent:
-        return _expand_checked(base, gated, witness), "expanded"
-    return revise(base, gated), "revised"
+        return _expand_checked(base, entry, witness), "expanded"
+    return revise(base, entry), "revised"
 
 
 def retract_entry(base: BeliefBase, formula: Formula, reason: str) -> BeliefBase:

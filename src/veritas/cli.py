@@ -1,7 +1,8 @@
 """Command line front end over agent sessions.
 
 Exit status doubles as a machine-readable verdict: 0 success, 2 bad
-input, 3 consistency refusal, 4 ledger corruption, 5 planning failure,
+input, 3 consistency refusal, 4 ledger corruption (or a block naming a
+node the node store lacks), 5 planning failure,
 6 recovery escalation, 7 resource limit, 1 anything else.  Errors go to
 stderr as one tab-separated ``error`` line.
 """
@@ -25,7 +26,7 @@ from .engine import (
     resolve_action,
 )
 from .justify import NoJustificationError
-from .ledger import Ledger, LedgerCorruptionError, replay
+from .ledger import Ledger, LedgerCorruptionError, ReplayError, replay
 from .logic import ParseError, ResourceLimitError, parse, render_canonical
 from .plan import PlanningError, render_trace
 
@@ -259,7 +260,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConsistencyError as err:
         _error("refused", err)
         return EXIT_REFUSED
-    except LedgerCorruptionError as err:
+    except (LedgerCorruptionError, ReplayError) as err:
         _error("ledger", err)
         return EXIT_CORRUPT
     except PlanningError as err:

@@ -1,23 +1,27 @@
 """Agent sessions: the observe, sweep, plan, and audit cycle.
 
 A Session owns the ledger, the justification node store, and the belief
-base replayed from them.  Every belief mutation is a ledger block folded
-by the same code replay uses, and the block is appended only once its
-fold has succeeded, so the live base and a fresh replay of the ledger
-can never drift apart and a refused change appends no block.  New
-justification nodes are persisted next to the ledger so later sessions
-can replay blocks that reference them.
+base replayed from them.  Opening one verifies the chain; the node store
+is read, and the base replayed, only when a command first uses them, so
+checking a proof against the ledger needs neither.  Every belief
+mutation is a ledger block folded by the same code replay uses, and the
+block is appended only once its fold has succeeded, so the live base and
+a fresh replay of the ledger can never drift apart and a refused change
+appends no block.  New justification nodes are persisted next to the
+ledger so later sessions can replay blocks that reference them.
 """
 
 from __future__ import annotations
 
 import fcntl
+import functools
 import json
 import os
 import time
 from dataclasses import dataclass
 
 from .belief import (
+    BeliefBase,
     BeliefEntry,
     ConfidenceTier,
     ConsistencyError,
@@ -167,26 +171,37 @@ class Session:
         self._lock_handle = None
         if config.ledger_path:
             self._acquire_lock(config.ledger_path + ".lock")
-        self.graph = JustificationGraph()
-        self._persisted: set[str] = set()
         self.nodes_path = (
             config.resolved_nodes_path() if config.ledger_path else ""
         )
+        self.ledger = Ledger(config.ledger_path or None)
+        self.ledger.ensure_verified()
+        self._obs_seq = sum(
+            1 for b in self.ledger.blocks if b.op in (Op.INSERT, Op.REVISE)
+        )
+        self._domain: Domain | None = None
+
+    @functools.cached_property
+    def graph(self) -> JustificationGraph:
+        """The node store, read and validated on first use."""
+        graph = JustificationGraph()
         if self.nodes_path and os.path.exists(self.nodes_path):
             with open(self.nodes_path, "r", encoding="utf-8") as handle:
                 for line in handle:
                     if not line.strip():
                         continue
                     node = node_from_json(line)
-                    if node.node_id not in self.graph:
-                        self.graph.add_node(node)
-                    self._persisted.add(node.node_id)
-        self.ledger = Ledger(config.ledger_path or None)
-        self.base = replay(self.ledger, config, self.graph)
-        self._obs_seq = sum(
-            1 for b in self.ledger.blocks if b.op in (Op.INSERT, Op.REVISE)
-        )
-        self._domain: Domain | None = None
+                    if node.node_id not in graph:
+                        graph.add_node(node)
+        # Every node read back is on disk already; the graph only grows,
+        # so _sync_nodes writes the nodes past this count.
+        self._synced = len(graph)
+        return graph
+
+    @functools.cached_property
+    def base(self) -> BeliefBase:
+        """The base replayed from the ledger on first use."""
+        return replay(self.ledger, self.config, self.graph)
 
     def _acquire_lock(self, path: str) -> None:
         handle = open(path, "a+")
@@ -226,20 +241,16 @@ class Session:
     # -- persistence ----------------------------------------------------
 
     def _sync_nodes(self) -> None:
+        """Append the nodes recorded since the last sync to the node store."""
         if not self.nodes_path:
-            self._persisted.update(n.node_id for n in self.graph.all_nodes())
             return
-        fresh = [
-            node
-            for node in self.graph.all_nodes()
-            if node.node_id not in self._persisted
-        ]
-        if not fresh:
+        graph = self.graph  # reading it first sets _synced
+        if len(graph) == self._synced:
             return
         with open(self.nodes_path, "a", encoding="utf-8") as handle:
-            for node in fresh:
+            for node in graph.nodes_since(self._synced):
                 handle.write(node_to_json(node) + "\n")
-                self._persisted.add(node.node_id)
+        self._synced = len(graph)
 
     def _append_and_apply(self, op: Op | str, formula: str, digest: bytes) -> None:
         """Fold the next block into the base; append it only if that worked.

@@ -264,12 +264,12 @@ def assertion_gate(
 def justification_health(
     graph: JustificationGraph, entry: BeliefEntry
 ) -> float:
-    """1.0 for a resolvable trace, 0.5 for provisional tags, 0 if broken."""
+    """1.0 for a resolvable trace, 0.5 for provisional tags, 0 if broken.
+
+    A node in the graph always resolves: the graph admits a node only
+    once all of its premises are present and never removes one.
+    """
     if entry.justification is None or entry.justification not in graph:
-        return 0.0
-    try:
-        graph.trace(entry.justification)
-    except LookupError:
         return 0.0
     if entry.status == StatusTag.APPROXIMATE:
         return 0.5

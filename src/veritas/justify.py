@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .belief import Provenance
@@ -224,6 +225,15 @@ class JustificationGraph:
 
     def all_nodes(self) -> list[JustificationNode]:
         return list(self._nodes.values())
+
+    def nodes_since(self, count: int) -> list[JustificationNode]:
+        """The nodes added after the first count, oldest first.
+
+        Nodes are never removed and keep insertion order, so this walks
+        only the newest nodes, from the end.
+        """
+        newest = islice(reversed(self._nodes.values()), len(self._nodes) - count)
+        return list(newest)[::-1]
 
 
 def build_public_proof(graph: JustificationGraph, target: Formula | str) -> PublicProof:

@@ -161,6 +161,8 @@ class Ledger:
     Each block is hashed once per ledger: ``verify_chain`` re-hashes the
     whole chain and, when it is intact, records it as the verified
     prefix, which ``append`` then extends by the one block it writes.
+    ``ensure_verified`` accepts a chain equal to that prefix without
+    hashing it again, so a replay after the open's check hashes nothing.
     """
 
     def __init__(self, path: str | Path | None = None):
@@ -224,6 +226,17 @@ class Ledger:
         self._verified = list(self._blocks)
         return None
 
+    def ensure_verified(self) -> None:
+        """Raise LedgerCorruptionError unless the chain is intact.
+
+        A chain that still equals the verified prefix is not hashed
+        again; any other chain is verified in full.
+        """
+        if self._blocks != self._verified:
+            bad = self.verify_chain()
+            if bad is not None:
+                raise LedgerCorruptionError(bad)
+
     def next_block(
         self,
         op: Op | str,
@@ -252,10 +265,7 @@ class Ledger:
         Only the new block is hashed while the chain still equals the
         verified prefix; otherwise the whole chain is verified first.
         """
-        if self._blocks != self._verified:
-            bad = self.verify_chain()
-            if bad is not None:
-                raise LedgerCorruptionError(bad)
+        self.ensure_verified()
         block = self.next_block(op, formula, justification_digest, timestamp)
         self._blocks.append(block)
         self._verified.append(block)
@@ -369,9 +379,7 @@ def replay(
     initial: BeliefBase | None = None,
 ) -> BeliefBase:
     """Rebuild the belief base from blocks 0..upto (inclusive)."""
-    bad = ledger.verify_chain()
-    if bad is not None:
-        raise LedgerCorruptionError(bad)
+    ledger.ensure_verified()
     base = initial if initial is not None else BeliefBase()
     for block in ledger.blocks:
         if upto is not None and block.index > upto:

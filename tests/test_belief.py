@@ -336,6 +336,18 @@ class TestUpdateRouting:
         base, _ = update_belief_state(BeliefBase(), entry("p", 0.95))
         assert base.find(parse("p")).assertable
 
+    def test_gate_that_changes_nothing_keeps_the_entry(self):
+        """Only an assertable entry below theta is rebuilt, as non-assertable."""
+        kept = [entry("p", 0.99), entry("q", 0.80, assertable=False)]
+        for incoming in kept:
+            base, _ = update_belief_state(BeliefBase(), incoming)
+            assert base.find(incoming.formula) is incoming
+        low = entry("r", 0.80)
+        base, _ = update_belief_state(BeliefBase(), low)
+        stored = base.find(low.formula)
+        assert stored is not low and not stored.assertable
+        assert stored == dataclasses.replace(low, assertable=False)
+
 
 class TestEpochDiff:
     def test_insert_shows_as_added(self):

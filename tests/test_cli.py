@@ -10,6 +10,8 @@ from pathlib import Path
 import pytest
 
 import veritas
+import veritas.engine
+import veritas.ledger
 from veritas.belief import export
 from veritas.cli import main
 from veritas.config import load_config
@@ -176,6 +178,86 @@ class TestLedgerCommands:
         )
         with Session(config) as session:
             assert out == export(session.base)
+
+
+def count_calls(monkeypatch, calls: list, module, name: str) -> None:
+    """Record every call of module.name in calls, by name."""
+    original = getattr(module, name)
+
+    def spy(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, spy)
+
+
+class TestLazyOpen:
+    """Commands read the node store and replay only when they use them."""
+
+    def test_missing_node_store_is_ledger_damage(self, cli, tmp_path):
+        cli("observe", "p", "--p", "0.99")
+        cli("prove", "p", "--out", "p.proof")
+        (tmp_path / "veritas.nodes").unlink()
+        code, out, err = cli("query", "p")
+        assert (code, out) == (4, "")
+        assert err.startswith("error\tledger\tblock 0 references unknown node ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        code, out, _ = cli("verify-proof", "p.proof")
+        assert (code, out) == (0, "ok\n")
+
+    def test_cold_verify_proof_replays_nothing(self, cli, monkeypatch):
+        cli("observe", "p", "--p", "0.99")
+        cli("observe", "p -> q", "--p", "0.97")
+        cli("prove", "q", "--out", "q.proof")
+        calls, opened = [], []
+        count_calls(monkeypatch, calls, veritas.engine, "replay")
+        count_calls(monkeypatch, calls, veritas.ledger, "apply_block")
+        real_open = open
+
+        def open_spy(file, *args, **kwargs):
+            opened.append(str(file))
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr("builtins.open", open_spy)
+        code, out, _ = cli("verify-proof", "q.proof")
+        assert (code, out) == (0, "ok\n")
+        assert calls == []
+        assert not [name for name in opened if name.endswith(".nodes")]
+
+    def test_ledger_replay_to_n_replays_once(self, cli, monkeypatch):
+        for atom in ("p", "q", "r"):
+            cli("observe", atom, "--p", "0.99")
+        calls = []
+        count_calls(monkeypatch, calls, veritas.engine, "replay")
+        count_calls(monkeypatch, calls, veritas.cli, "replay")
+        code, out, _ = cli("ledger", "replay", "--to", "2")
+        assert (code, calls) == (0, ["replay"])
+        assert [line.split("\t")[1] for line in out.splitlines()] == ["p", "q"]
+
+    def test_cold_query_hashes_each_block_once(self, cli, monkeypatch):
+        for atom in ("p", "q", "r", "s", "t"):
+            cli("observe", atom, "--p", "0.99")
+        hashed = []
+        original = veritas.ledger.block_hash
+
+        def spy(*args):
+            hashed.append(args[0])
+            return original(*args)
+
+        monkeypatch.setattr(veritas.ledger, "block_hash", spy)
+        code, out, _ = cli("query", "p")
+        assert code == 0 and out.startswith("entailed\t")
+        assert hashed == [0, 1, 2, 3, 4]
+
+    def test_corrupt_chain_still_exits_four_for_verify_proof(self, cli, tmp_path):
+        cli("observe", "p", "--p", "0.99")
+        cli("prove", "p", "--out", "p.proof")
+        path = tmp_path / "veritas.vlog"
+        raw = path.read_bytes()
+        path.write_bytes(raw[:20] + b"!" + raw[21:])
+        code, out, err = cli("verify-proof", "p.proof")
+        assert (code, out) == (4, "")
+        assert err == "error\tledger\tledger corrupt at block 0\n"
 
 
 class TestRollbackCommand:

@@ -27,7 +27,7 @@ from veritas.engine import (
     resolve_action,
 )
 from veritas.guard import FailureEvent, FailureKind
-from veritas.justify import NoJustificationError
+from veritas.justify import NoJustificationError, node_to_json
 from veritas.ledger import Op, replay
 from veritas.logic import ResourceLimitError, parse
 from veritas.plan import PlanningError
@@ -219,6 +219,58 @@ class TestReplayParity:
         with Session(make_config()):
             with pytest.raises(SessionLockedError):
                 Session(make_config())
+
+
+class TestLazyOpen:
+    """A session reads the node store and replays only when a command needs it."""
+
+    def test_verify_proof_reads_neither_nodes_nor_base(self, make_config):
+        with Session(make_config()) as session:
+            session.observe("p", 0.99, "sensor")
+            proof = session.prove("p")
+        with Session(make_config()) as session:
+            assert session.verify_proof(proof).ok
+            assert "graph" not in vars(session)
+            assert "base" not in vars(session)
+
+    def test_node_store_holds_each_node_once_in_graph_order(self, make_config):
+        config = make_config()
+        with Session(config) as session:
+            session.observe("p", 0.99, "sensor")
+            session.observe("p -> q", 0.97, "rulebook")
+            session.prove("q")
+        with Session(config) as session:
+            session.observe("r", 0.99, "sensor")
+            session.prove("q")
+            session.observe("!p", 0.99, "sensor")
+            written = [node_to_json(n) for n in session.graph.all_nodes()]
+        with open(config.resolved_nodes_path(), encoding="utf-8") as handle:
+            assert handle.read().splitlines() == written
+        # p, p -> q, q, r, q again (a new entailment step, stamped after
+        # r), and !p.
+        assert len(written) == 6
+
+    def test_live_equals_replay_equals_reopened(self, make_config):
+        """Full BeliefBase equality, retraction log and history included."""
+        config = make_config()
+        steps = [
+            lambda s: s.observe("p", 0.99, "sensor"),
+            lambda s: s.observe("p -> q", 0.97, "rulebook"),
+            lambda s: s.prove("q"),
+            lambda s: s.observe("!q", 0.99, "sensor"),
+            lambda s: s.prove("!q"),
+            lambda s: s.rollback(3),
+            lambda s: s.observe("r", 0.9, "scout"),
+            lambda s: s.rollback(0),
+        ]
+        for step in steps:
+            with Session(config) as session:
+                step(session)
+                live = session.base
+                assert live == replay(session.ledger, config, session.graph)
+            with Session(config) as reopened:
+                assert reopened.base == live
+                assert export(reopened.base) == export(live)
 
 
 class TestQuery:

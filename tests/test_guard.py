@@ -252,6 +252,26 @@ class TestSweep:
         assert log[0].score == pytest.approx(0.495)
         assert log[0].action == "reevaluate"
 
+    def test_health_needs_no_walk_of_the_dag(self, monkeypatch):
+        """A node in the graph always resolves, so scoring never traces."""
+        graph, ids = self.build_graph("p", "p -> q")
+        derived = graph.record_inference(
+            parse("q"), (ids["p"], ids["p -> q"]), "modus-ponens",
+            Provenance("deriver", 2, 0.97),
+        )
+
+        def refuse(*args):
+            raise AssertionError("trace called")
+
+        monkeypatch.setattr(JustificationGraph, "trace", refuse)
+        scored = [
+            entry("q", 0.97, justification=derived),
+            entry("q", 0.97, justification=derived, status=StatusTag.APPROXIMATE),
+            entry("q", 0.97, justification="0" * 64),
+            entry("q", 0.97, justification=None),
+        ]
+        assert [justification_health(graph, e) for e in scored] == [1.0, 0.5, 0.0, 0.0]
+
     def test_contradictory_pair_flags_contract(self):
         graph, ids = self.build_graph("p", "!p")
         base = BeliefBase.from_entries(

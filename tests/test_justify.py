@@ -144,6 +144,14 @@ class TestTrace:
         assert graph.depth(ids["q"]) == 1
         assert graph.depth(ids["r"]) == 2
 
+    def test_nodes_since_returns_the_newest_in_insertion_order(self, graph):
+        self.build_diamond(graph)
+        nodes = graph.all_nodes()
+        for count in range(len(nodes) + 1):
+            assert graph.nodes_since(count) == nodes[count:]
+        observe(graph, "p")  # already recorded: the graph does not grow
+        assert graph.nodes_since(len(nodes)) == []
+
 
 class TestHashChain:
     def test_single_node_digest_is_sha256_of_formula(self, graph):
