@@ -1,8 +1,8 @@
 """Command line front end over agent sessions.
 
 Exit status doubles as a machine-readable verdict: 0 success, 2 bad
-input, 3 consistency refusal, 4 ledger corruption (or a block naming a
-node the node store lacks), 5 planning failure,
+input, 3 consistency refusal, 4 ledger corruption (or a damaged node
+store, or a block naming a node the store lacks), 5 planning failure,
 6 recovery escalation, 7 resource limit, 1 anything else.  Errors go to
 stderr as one tab-separated ``error`` line.
 """

@@ -54,12 +54,13 @@ from .justify import (
     VerifyResult,
     build_public_proof,
     hash_chain,
+    load_graph,
     node_digest,
     node_from_json,
     node_to_json,
     verify_public_proof,
 )
-from .ledger import Ledger, Op, apply_block, node_entry, replay
+from .ledger import Ledger, Op, ReplayError, apply_block, node_entry, replay
 from .logic import (
     Atom,
     Formula,
@@ -69,6 +70,7 @@ from .logic import (
     parse,
     render_canonical,
 )
+from .logic.sat import EMPTY_WITNESS, extend_witness, preferred_conflict
 from .plan import (
     Domain,
     GroundAction,
@@ -183,16 +185,18 @@ class Session:
 
     @functools.cached_property
     def graph(self) -> JustificationGraph:
-        """The node store, read and validated on first use."""
+        """The node store, read and validated on first use.
+
+        A damaged store raises ReplayError, like a block naming a node
+        the store lacks.
+        """
         graph = JustificationGraph()
         if self.nodes_path and os.path.exists(self.nodes_path):
             with open(self.nodes_path, "r", encoding="utf-8") as handle:
-                for line in handle:
-                    if not line.strip():
-                        continue
-                    node = node_from_json(line)
-                    if node.node_id not in graph:
-                        graph.add_node(node)
+                try:
+                    graph = load_graph(handle)
+                except ValueError as err:
+                    raise ReplayError(str(err)) from None
         # Every node read back is on disk already; the graph only grows,
         # so _sync_nodes writes the nodes past this count.
         self._synced = len(graph)
@@ -285,7 +289,10 @@ class Session:
         fold took) is appended only once the fold has succeeded.
         """
         formula = parse(text)
-        if not is_consistent([formula]):
+        # Extending the empty witness finds a model of most formulas
+        # without a solve; is_consistent decides the rest.
+        modelled = extend_witness(EMPTY_WITNESS, formula) is not None
+        if not modelled and not is_consistent([formula]):
             raise ConsistencyError(
                 f"observation is self-contradictory: {render_canonical(formula)}"
             )
@@ -323,12 +330,17 @@ class Session:
     # -- queries and proofs -----------------------------------------------
 
     def _minimal_support(self, formula: Formula) -> list[BeliefEntry]:
+        """The assertable entries that a minimal support of an entailed
+        formula keeps, preferring later keys, in base order."""
         support = [e for e in self.base.entries if e.assertable]
-        for entry in sorted(support, key=lambda e: e.key):
-            rest = [e.formula for e in support if e is not entry]
-            if entails(rest, formula):
-                support = [e for e in support if e is not entry]
-        return support
+        by_preference = sorted(support, key=lambda e: e.key, reverse=True)
+        kept = preferred_conflict(
+            [],
+            [e.formula for e in by_preference],
+            lambda formulas: entails(formulas, formula),
+        )
+        kept_ids = {id(f) for f in kept}
+        return [e for e in support if id(e.formula) in kept_ids]
 
     def _entailed(self, formula: Formula) -> bool:
         return entails(self.base.assertable_formulas(), formula)

@@ -31,6 +31,7 @@ from .belief import (
 from .config import EngineConfig
 from .justify import JustificationGraph, dominance
 from .logic import Formula, Not, is_consistent, parse, render_canonical
+from .logic.sat import preferred_conflict
 
 ZERO_DIGEST = b"\x00" * 32
 
@@ -112,9 +113,11 @@ class RecoveryReport:
 def detect_contradiction(base: BeliefBase) -> list[frozenset[Formula]]:
     """Minimal unsatisfiable subsets of the active formulas.
 
-    Complementary pairs f / !f are found by a syntactic scan first;
-    purely semantic conflicts fall back to deletion-based shrinking,
-    which returns a single irreducible core.
+    Complementary pairs f / !f are found by a syntactic scan first.
+    Purely semantic conflicts yield a single irreducible core: the
+    preferred conflict of sat.preferred_conflict, which keeps what a
+    deletion loop over the canonical order keeps (it drops the earliest
+    formula first), with fewer SAT checks.
     """
     if is_consistent_base(base):
         return []
@@ -128,11 +131,11 @@ def detect_contradiction(base: BeliefBase) -> list[frozenset[Formula]]:
                 pairs.append(frozenset({keys[inner], formula}))
     if pairs:
         return pairs
-    core = sorted(active, key=render_canonical)
-    for formula in list(core):
-        rest = [f for f in core if f is not formula]
-        if not is_consistent(rest):
-            core = rest
+    core = preferred_conflict(
+        [],
+        sorted(active, key=render_canonical, reverse=True),
+        lambda formulas: not is_consistent(formulas),
+    )
     return [frozenset(core)]
 
 

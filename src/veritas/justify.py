@@ -320,8 +320,34 @@ def node_to_json(node: JustificationNode) -> str:
     )
 
 
+_NODE_FIELDS = (
+    ("id", str),
+    ("conclusion", str),
+    ("rule", str),
+    ("premises", list),
+    ("source", str),
+    ("timestamp", int),
+    ("confidence", (int, float)),
+)
+
+
 def node_from_json(line: str) -> JustificationNode:
+    """The node a node_to_json line holds; ValueError if it holds none.
+
+    Bad JSON, a missing or mistyped field and a conclusion that does
+    not parse all raise ValueError.  The id is not checked against the
+    content here: JustificationGraph.add_node does that.
+    """
     obj = json.loads(line)
+    if not isinstance(obj, dict):
+        raise ValueError("node is not a JSON object")
+    for name, kind in _NODE_FIELDS:
+        if name not in obj:
+            raise ValueError(f"node lacks field {name!r}")
+        if not isinstance(obj[name], kind):
+            raise ValueError(f"node field {name!r} has the wrong type")
+    if not all(isinstance(premise, str) for premise in obj["premises"]):
+        raise ValueError("node field 'premises' has the wrong type")
     return JustificationNode(
         node_id=obj["id"],
         conclusion=parse(obj["conclusion"]),
@@ -336,9 +362,22 @@ def node_from_json(line: str) -> JustificationNode:
 
 
 def load_graph(lines: Iterable[str]) -> JustificationGraph:
+    """The graph that node-store lines hold, each node validated again.
+
+    ValueError names the first line that holds no valid node: bad JSON,
+    a missing or mistyped field, an id that does not match the content,
+    an unknown premise or an unsound step.
+    """
     graph = JustificationGraph()
-    for line in lines:
-        line = line.strip()
-        if line:
-            graph.add_node(node_from_json(line))
+    for number, line in enumerate(lines, 1):
+        if not line.strip():
+            continue
+        try:
+            node = node_from_json(line)
+            if node.node_id not in graph:
+                graph.add_node(node)
+        except UnknownPremiseError as err:
+            raise ValueError(f"node store line {number}: unknown premise {err}") from None
+        except ValueError as err:
+            raise ValueError(f"node store line {number}: {err}") from None
     return graph

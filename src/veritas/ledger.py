@@ -56,7 +56,8 @@ class LedgerCorruptionError(RuntimeError):
 
 
 class ReplayError(RuntimeError):
-    """A block cannot be re-applied (missing justification node)."""
+    """A block cannot be re-applied: it names a node the node store
+    lacks, or the node store itself is damaged."""
 
 
 class Op(enum.Enum):

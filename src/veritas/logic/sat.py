@@ -2,10 +2,11 @@
 
 The main path clausifies each formula by direct distribution (no
 auxiliary variables, so models stay over the original atoms) and runs
-DPLL with unit propagation and pure-literal elimination over the joined
-clauses.  If distribution blows past a clause budget the check falls
-back to truth table enumeration, which is only viable for small atom
-counts.
+an iterative DPLL solver over the joined clauses: unit propagation
+over two watched literals per clause, a trail that backtracking undoes,
+and branching on the smallest unassigned atom id, true first.  If
+distribution blows past a clause budget the check falls back to truth
+table enumeration, which is only viable for small atom counts.
 
 Each formula instance is compiled once, on its first check, into its
 atom set, its non-tautological clauses (or an over-budget marker) and
@@ -15,19 +16,24 @@ entails tests is compiled once per goal instance too.  Clause literals
 are integers from one process-wide atom table.  A re-parsed formula is
 a new instance and compiles afresh.
 
-Verdicts are not cached, but a satisfiable DPLL check can hand its
-model back as a Witness: the literals DPLL set true, with the query's
-atom ids and clause count.  extend_witness tests one more formula
-against a witness by checking its clauses and setting free atoms; when
-that cannot decide, or a limit may be reached, it returns None and the
-caller runs the full check, which raises where a limit is reached.  A
-truth-table verdict yields no witness.
+Verdicts are not cached, but a satisfiable DPLL check can hand a model
+back as a Witness: one true literal picked from each clause, with the
+query's atom ids and clause count.  Atoms no pick names stay free.
+extend_witness tests one more formula against a witness by checking
+its clauses and setting free atoms; when that cannot decide, or a
+limit may be reached, it returns None and the caller runs the full
+check, which raises where a limit is reached.  A truth-table verdict
+yields no witness.
+
+preferred_conflict finds the minimal subset that a deletion loop over
+a preference order keeps, asking its caller's test (built from entails
+or is_consistent) about O(k log(n/k)) subsets rather than n.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .syntax import (
     And,
@@ -98,6 +104,10 @@ class Witness(NamedTuple):
     clause_count: int
 
 
+# The witness of no formulas: extending it tests one formula alone.
+EMPTY_WITNESS = Witness(frozenset(), frozenset(), 0)
+
+
 def is_consistent(
     formulas: Iterable[Formula],
     max_atoms: int = DEFAULT_MAX_ATOMS,
@@ -129,12 +139,12 @@ def is_consistent(
             )
         atoms = set().union(*(atoms_of(formula) for formula in formulas))
         return _truth_table_satisfiable(formulas, sorted(atoms, key=_atom_key))
-    model = _dpll(clauses)
+    model = _dpll(clauses, atom_ids)
     if model is None:
         return False
     if witnesses is not None:
         witnesses.append(
-            Witness(frozenset(model), frozenset(atom_ids), len(clauses))
+            Witness(_picks(clauses, model), frozenset(atom_ids), len(clauses))
         )
     return True
 
@@ -173,6 +183,53 @@ def entails(base: Iterable[Formula], formula: Formula,
 
 def is_tautology(formula: Formula, max_atoms: int = DEFAULT_MAX_ATOMS) -> bool:
     return entails([], formula, max_atoms=max_atoms)
+
+
+def preferred_conflict(
+    hard: Sequence[Formula],
+    preferred: Sequence[Formula],
+    conflict: Callable[[list[Formula]], bool],
+) -> list[Formula]:
+    """The preferred minimal subset of preferred that conflicts with hard.
+
+    conflict(hard + subset) tells whether a subset conflicts; it must
+    be monotone (a superset of a conflicting set conflicts), as
+    entails(subset, goal) and not is_consistent(subset) are, and it
+    must hold for the whole of preferred.  preferred lists the formulas
+    most preferred first.  The result is what a deletion loop keeps
+    when it drops each formula in turn, least preferred first, while
+    the rest still conflicts.  QuickXplain (Junker, AAAI 2004) finds
+    that set with O(k log(n/k)) checks for k kept out of n, where the
+    loop needs n.  It comes back in the order of preferred.
+    """
+    hard = list(hard)
+    if conflict(hard):
+        return []
+    return _quickxplain(hard, False, list(preferred), conflict)
+
+
+def _quickxplain(
+    background: list[Formula],
+    grown: bool,
+    candidates: list[Formula],
+    conflict: Callable[[list[Formula]], bool],
+) -> list[Formula]:
+    """The preferred conflict within candidates, given background.
+
+    grown says whether the caller added formulas to a background known
+    not to conflict; only then can the background conflict on its own.
+    """
+    if grown and conflict(background):
+        return []
+    if len(candidates) <= 1:
+        return candidates
+    half = len(candidates) // 2
+    first, second = candidates[:half], candidates[half:]
+    kept_second = _quickxplain(background + first, True, second, conflict)
+    kept_first = _quickxplain(
+        background + kept_second, bool(kept_second), first, conflict
+    )
+    return kept_first + kept_second
 
 
 def _atom_key(atom: Atom) -> tuple[str, tuple[str, ...]]:
@@ -297,54 +354,142 @@ def _is_tautological_clause(clause: frozenset[int]) -> bool:
     return any(-lit in clause for lit in clause)
 
 
-def _dpll(clauses: list[frozenset[int]]) -> list[int] | None:
-    """The literals chosen to satisfy every clause, or None if none can.
+def _dpll(
+    clauses: list[frozenset[int]], atom_ids: Iterable[int]
+) -> set[int] | None:
+    """The literals true in a model of the clauses, or None if none exists.
 
-    Clauses are never empty: compiled clauses are not, and _assign
-    reports a clause it would empty as a conflict instead.
+    Iterative DPLL over two watched literals per clause.  Unit clauses
+    are assigned up front.  A binary clause watches both its literals
+    for good, so it is kept as two implications, each forcing one
+    literal once the other is false.  A longer clause keeps its watches
+    in positions 0 and 1 and moves a watch when that literal turns
+    false.  Assignments go on a trail; a conflict undoes the trail back
+    to the newest decision still untried the other way, and watches
+    need no undoing.  Decisions branch on the smallest unassigned atom
+    id, true first.  Clauses are never empty: compiled clauses are not.
     """
-    chosen: list[int] = []
-    while True:
-        if not clauses:
-            return chosen
-        unit = next((clause for clause in clauses if len(clause) == 1), None)
-        if unit is not None:
-            lit = next(iter(unit))
-            reduced = _assign(clauses, lit)
-            if reduced is None:
-                return None
-            chosen.append(lit)
-            clauses = reduced
-            continue
-        literals = {lit for clause in clauses for lit in clause}
-        pure = sorted((lit for lit in literals if -lit not in literals), key=abs)
-        if pure:
-            for lit in pure:
-                # A pure literal's complement is in no clause: no conflict.
-                clauses = _assign(clauses, lit)
-            chosen.extend(pure)
-            continue
-        branch = min(abs(lit) for clause in clauses for lit in clause)
-        for lit in (branch, -branch):
-            reduced = _assign(clauses, lit)
-            rest = None if reduced is None else _dpll(reduced)
-            if rest is not None:
-                return chosen + [lit] + rest
-        return None
-
-
-def _assign(clauses: list[frozenset[int]], lit: int) -> list[frozenset[int]] | None:
-    """Apply a literal assignment; None signals an immediate conflict."""
-    result: list[frozenset[int]] = []
+    true: set[int] = set()
+    trail: list[int] = []
+    implied: dict[int, list[int]] = {}
+    watches: dict[int, list[list[int]]] = {}
     for clause in clauses:
-        if lit in clause:
-            continue
-        if -lit in clause:
-            clause = clause - {-lit}
-            if not clause:
+        if len(clause) == 1:
+            (lit,) = clause
+            if -lit in true:
                 return None
-        result.append(clause)
-    return result
+            if lit not in true:
+                true.add(lit)
+                trail.append(lit)
+        elif len(clause) == 2:
+            first, second = clause
+            implied.setdefault(-first, []).append(second)
+            implied.setdefault(-second, []).append(first)
+        else:
+            watched = list(clause)
+            watches.setdefault(watched[0], []).append(watched)
+            watches.setdefault(watched[1], []).append(watched)
+    order = sorted(atom_ids)
+    # (trail length before, index in order, literal) per open decision;
+    # a negative literal is a decision already tried both ways.
+    decisions: list[tuple[int, int, int]] = []
+    head = 0
+    start = 0
+    while True:
+        conflict = False
+        while head < len(trail) and not conflict:
+            assigned = trail[head]
+            head += 1
+            for lit in implied.get(assigned, ()):
+                if lit not in true:
+                    if -lit in true:
+                        conflict = True
+                        break
+                    true.add(lit)
+                    trail.append(lit)
+            if not conflict:
+                conflict = _move_watches(watches, -assigned, true, trail)
+        if conflict:
+            while decisions:
+                mark, index, lit = decisions.pop()
+                true.difference_update(trail[mark:])
+                del trail[mark:]
+                if lit > 0:
+                    decisions.append((mark, index, -lit))
+                    true.add(-lit)
+                    trail.append(-lit)
+                    head = mark
+                    start = index + 1
+                    break
+            else:
+                return None
+            continue
+        # Atoms before start were assigned before the newest decision.
+        while start < len(order) and (order[start] in true or -order[start] in true):
+            start += 1
+        if start == len(order):
+            return true
+        atom = order[start]
+        decisions.append((len(trail), start, atom))
+        true.add(atom)
+        trail.append(atom)
+        start += 1
+
+
+def _move_watches(
+    watches: dict[int, list[list[int]]],
+    false: int,
+    true: set[int],
+    trail: list[int],
+) -> bool:
+    """Visit the long clauses watching a literal that just turned false.
+
+    Each one moves that watch to a literal not yet false, or else
+    assigns its other watch, or reports the conflict (True) when that
+    is false too.  Clauses that still watch the literal stay on its
+    list, which is compacted in place.
+    """
+    watching = watches.get(false)
+    if not watching:
+        return False
+    kept = 0
+    for i, clause in enumerate(watching):
+        if clause[0] == false:
+            clause[0], clause[1] = clause[1], false
+        other = clause[0]
+        if other not in true:
+            for k in range(2, len(clause)):
+                lit = clause[k]
+                if -lit not in true:
+                    clause[1], clause[k] = lit, false
+                    watches.setdefault(lit, []).append(clause)
+                    break
+            else:
+                if -other in true:
+                    # Keep this clause and every one not yet visited.
+                    watching[kept:] = watching[i:]
+                    return True
+                true.add(other)
+                trail.append(other)
+            if clause[1] != false:
+                continue
+        watching[kept] = clause
+        kept += 1
+    del watching[kept:]
+    return False
+
+
+def _picks(clauses: list[frozenset[int]], model: set[int]) -> frozenset[int]:
+    """One true literal of each clause, reusing a literal already picked.
+
+    The smallest atom id wins among a clause's true literals.  Atoms no
+    pick names stay free in the witness, for extend_witness to set.
+    """
+    picked: set[int] = set()
+    for clause in clauses:
+        if picked.isdisjoint(clause):
+            picked.add(min(clause.intersection(model), key=abs))
+    return frozenset(picked)
 
 
 def _truth_table_satisfiable(formulas: list[Formula], atoms: list[Atom]) -> bool:

@@ -2,7 +2,8 @@
 
 Everything here is written independently of the library's decision
 procedures: entailment is truth-table enumeration over the atoms, and
-the remainder and unsat-core oracles enumerate subsets directly.
+the remainder and unsat-core oracles enumerate subsets directly;
+deletion_core is the plain one-at-a-time deletion loop.
 witness_valuations only reads the solver's atom numbering, to turn a
 kept model into valuations that tt_eval can check.
 """
@@ -106,6 +107,41 @@ def minimal_unsat_cores(formulas: list[Formula]) -> list[frozenset[Formula]]:
             if not any(core < subset for core in cores):
                 cores.append(subset)
     return cores
+
+
+def deletion_core(hard, formulas, conflict):
+    """What a deletion loop keeps of formulas: each in list order is
+    dropped while hard plus the rest still conflicts.
+
+    The loop Session._minimal_support and detect_contradiction once ran
+    over key order, kept as the reference for sat.preferred_conflict.
+    """
+    core = list(formulas)
+    for formula in formulas:
+        rest = [f for f in core if f is not formula]
+        if conflict(list(hard) + rest):
+            core = rest
+    return core
+
+
+def random_cnf(rng: random.Random, atoms: int, clauses: int, width: int):
+    """Random clauses over integer literals 1..atoms, as the solver takes them."""
+    return [
+        frozenset(
+            rng.choice((1, -1)) * atom
+            for atom in rng.sample(range(1, atoms + 1), rng.randrange(1, width + 1))
+        )
+        for _ in range(clauses)
+    ]
+
+
+def cnf_satisfiable(clauses, atoms: int) -> bool:
+    """Brute force over every assignment to atoms 1..atoms."""
+    for bits in range(1 << atoms):
+        true = {a if bits >> (a - 1) & 1 else -a for a in range(1, atoms + 1)}
+        if all(not true.isdisjoint(clause) for clause in clauses):
+            return True
+    return False
 
 
 def random_formula(rng: random.Random, atoms: list[Atom], depth: int) -> Formula:

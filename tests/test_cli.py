@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
@@ -15,8 +16,11 @@ import veritas.ledger
 from veritas.belief import export
 from veritas.cli import main
 from veritas.config import load_config
+from veritas.belief import Provenance
 from veritas.engine import Session
+from veritas.justify import node_digest
 from veritas.ledger import Ledger, Op
+from veritas.logic import parse
 
 DOMAINS = Path(__file__).parent / "domains"
 
@@ -51,9 +55,9 @@ class TestObserveAndQuery:
         assert err.startswith("error\tparse\t")
 
     def test_self_contradiction_is_refused(self, cli):
-        code, _, err = cli("observe", "p & !p", "--p", "0.99")
-        assert code == 3
-        assert err.startswith("error\trefused\t")
+        code, out, err = cli("observe", "p & !p", "--p", "0.99")
+        assert (code, out) == (3, "")
+        assert err == "error\trefused\tobservation is self-contradictory: (p & (! p))\n"
 
     def test_resource_limit_has_its_own_exit_code(self, cli):
         """A revision over the remainder cap exits 7 and appends no block."""
@@ -258,6 +262,64 @@ class TestLazyOpen:
         code, out, err = cli("verify-proof", "p.proof")
         assert (code, out) == (4, "")
         assert err == "error\tledger\tledger corrupt at block 0\n"
+
+
+def drop_rule(lines: list[str]) -> list[str]:
+    node = json.loads(lines[0])
+    del node["rule"]
+    return [json.dumps(node) + "\n", *lines[1:]]
+
+
+def bad_json(lines: list[str]) -> list[str]:
+    return [lines[0][:-5] + "\n", *lines[1:]]
+
+
+def wrong_id(lines: list[str]) -> list[str]:
+    node = json.loads(lines[0])
+    node["source"] = "forged"
+    return [json.dumps(node) + "\n", *lines[1:]]
+
+
+def unknown_premise(lines: list[str]) -> list[str]:
+    return lines[1:]
+
+
+def unsound_step(lines: list[str]) -> list[str]:
+    """The entailment node concludes r instead of q, under a matching id."""
+    node = json.loads(lines[2])
+    node["conclusion"] = "r"
+    provenance = Provenance(node["source"], node["timestamp"], node["confidence"])
+    node["id"] = node_digest(parse("r"), node["rule"], node["premises"], provenance)
+    return [*lines[:2], json.dumps(node) + "\n", *lines[3:]]
+
+
+class TestNodeStoreDamage:
+    """Every malformed node-store line is ledger damage: exit 4."""
+
+    @pytest.mark.parametrize(
+        "damage, reason",
+        [
+            (drop_rule, "node store line 1: node lacks field 'rule'"),
+            (bad_json, "node store line 1: "),
+            (wrong_id, "node store line 1: node id "),
+            (unknown_premise, "node store line 2: unknown premise "),
+            (unsound_step, "node store line 3: premises do not entail r"),
+        ],
+    )
+    def test_damaged_line_exits_four(self, cli, tmp_path, damage, reason):
+        cli("observe", "p", "--p", "0.99")
+        cli("observe", "p -> q", "--p", "0.97")
+        assert cli("prove", "q", "--out", "q.proof")[0] == 0
+        nodes = tmp_path / "veritas.nodes"
+        lines = nodes.read_text().splitlines(keepends=True)
+        assert len(lines) == 3
+        nodes.write_text("".join(damage(lines)))
+        code, out, err = cli("query", "q")
+        assert (code, out) == (4, "")
+        assert err.startswith("error\tledger\t" + reason)
+        assert err.count("\n") == 1 and "Traceback" not in err
+        code, out, _ = cli("verify-proof", "q.proof")
+        assert (code, out) == (0, "ok\n")
 
 
 class TestRollbackCommand:

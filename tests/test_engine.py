@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import io
+import random
 from pathlib import Path
 
 import pytest
+from oracles import deletion_core, random_formula, tt_entails, tt_satisfiable
 
+import veritas.engine
 from veritas.belief import (
     BeliefBase,
     BeliefEntry,
@@ -29,7 +32,7 @@ from veritas.engine import (
 from veritas.guard import FailureEvent, FailureKind
 from veritas.justify import NoJustificationError, node_to_json
 from veritas.ledger import Op, replay
-from veritas.logic import ResourceLimitError, parse
+from veritas.logic import Atom, ResourceLimitError, parse, render_canonical
 from veritas.plan import PlanningError
 
 DOMAINS = Path(__file__).parent / "domains"
@@ -105,6 +108,34 @@ class TestObserve:
             with pytest.raises(ConsistencyError):
                 session.observe("p & !p", 0.99, "sensor")
             assert len(session.ledger) == 0
+
+    def test_self_contradiction_is_refused_before_the_base_is_read(self, make_config):
+        with Session(make_config()) as session:
+            session.observe("p", 0.99, "sensor")
+        with Session(make_config()) as session:
+            with pytest.raises(ConsistencyError, match="self-contradictory: \\(p & \\(! p\\)\\)"):
+                session.observe("p & !p", 0.99, "sensor")
+            assert "base" not in vars(session) and "graph" not in vars(session)
+
+    def test_a_satisfiable_observation_needs_no_solve_of_its_own(self, make_config, monkeypatch):
+        """Extending the empty witness shows most observations satisfiable;
+        only when it cannot decide does observe run the check."""
+        checked = []
+        original = veritas.engine.is_consistent
+
+        def spy(formulas, *args, **kwargs):
+            checked.append([render_canonical(f) for f in formulas])
+            return original(formulas, *args, **kwargs)
+
+        monkeypatch.setattr(veritas.engine, "is_consistent", spy)
+        with Session(make_config()) as session:
+            assert session.observe("p -> q", 0.99, "sensor") == "admitted"
+            assert session.observe("p | (q & !r)", 0.99, "sensor") == "admitted"
+            assert checked == []
+            # Ka gets the smaller fresh id, so extension picks Ka for the
+            # first clause and then has nothing left for !Ka.
+            assert session.observe("(Ka | Kb) & !Ka", 0.99, "sensor") == "admitted"
+            assert checked == [["((Ka | Kb) & (! Ka))"]]
 
     def test_reobservation_replaces_the_held_entry(self, make_config):
         with Session(make_config()) as session:
@@ -306,6 +337,62 @@ class TestQuery:
             session.observe("p -> q", 0.99, "rulebook")
             session.observe("q", 0.96, "sensor")
             assert session.query("q").probability == 0.96
+
+
+class TestMinimalSupport:
+    """The support behind a derived answer is the preferred minimal one."""
+
+    def test_random_bases_match_the_deletion_loop(self, make_config):
+        """Grafted bases over six atoms, some inconsistent, with about a
+        quarter of the entries not assertable; every entailed goal's
+        support is what the deletion loop over key order keeps, in base
+        order."""
+        rng = random.Random(27183)
+        atoms = [Atom(name) for name in "pqrstu"]
+        checked = inconsistent = 0
+        with Session(make_config(ledger_path="")) as session:
+            while checked < 300:
+                pool = [random_formula(rng, atoms, 2) for _ in range(rng.randrange(1, 9))]
+                session.base = BeliefBase()
+                graft(
+                    session,
+                    *(
+                        plain_entry(key, 0.99, assertable=rng.random() < 0.75)
+                        for key in sorted({render_canonical(f) for f in pool})
+                    ),
+                )
+                held = session.base.assertable_formulas()
+                goal = random_formula(rng, atoms, 2)
+                if not tt_entails(held, goal):
+                    continue
+                checked += 1
+                inconsistent += not tt_satisfiable(held)
+                expected = deletion_core(
+                    [], sorted(held, key=render_canonical), lambda fs: tt_entails(fs, goal)
+                )
+                support = session._minimal_support(goal)
+                assert [e.formula for e in support] == [
+                    f for f in held if any(f is kept for kept in expected)
+                ]
+        assert inconsistent > 10
+
+    def test_the_preferred_support_is_pinned(self, make_config):
+        """r follows from {p, p -> r} and from {q, q -> r}.  The loop tries
+        the earliest key first: (p -> r) goes, (q -> r) stays, p goes, q
+        stays, so the answer carries q's 0.96 rather than 0.99."""
+        with Session(make_config()) as session:
+            session.observe("p", 0.99, "sensor")
+            session.observe("q", 0.96, "sensor")
+            session.observe("p -> r", 0.99, "rulebook")
+            session.observe("q -> r", 0.99, "rulebook")
+            assert [e.key for e in session._minimal_support(parse("r"))] == [
+                "(q -> r)",
+                "q",
+            ]
+            assert session.query("r").probability == 0.96
+            proof = session.prove("r")
+            premises = [session.graph.node(n).conclusion for n in proof.chain[-1].premises]
+            assert [render_canonical(f) for f in premises] == ["(q -> r)", "q"]
 
 
 class TestProofs:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 
 import pytest
-from oracles import minimal_unsat_cores, random_formula, tt_satisfiable
+from oracles import deletion_core, minimal_unsat_cores, random_formula, tt_satisfiable
 
 from veritas.belief import (
     BeliefBase,
@@ -91,6 +91,44 @@ class TestDetectContradiction:
                 assert core in oracle
                 checked += 1
         assert checked > 10
+
+    def test_semantic_cores_match_the_deletion_loop(self):
+        """With no complementary pair, the core is what the deletion loop
+        over canonical order keeps; consistent bases have no core."""
+        rng = random.Random(11873)
+        atoms = [Atom(name) for name in "pqrs"]
+        semantic = consistent = 0
+        for _ in range(400):
+            pool = [random_formula(rng, atoms, 2) for _ in range(rng.randrange(1, 9))]
+            base = BeliefBase.from_entries(
+                entry(render_canonical(f), 0.9, ts=i)
+                for i, f in enumerate({render_canonical(f): f for f in pool}.values())
+            )
+            formulas = base.formulas()
+            keys = {render_canonical(f) for f in formulas}
+            if any(key[3:-1] in keys for key in keys if key.startswith("(! ")):
+                continue
+            cores = detect_contradiction(base)
+            if tt_satisfiable(formulas):
+                assert cores == []
+                consistent += 1
+                continue
+            in_key_order = sorted(formulas, key=render_canonical)
+            expected = deletion_core([], in_key_order, lambda fs: not tt_satisfiable(fs))
+            assert cores == [frozenset(expected)]
+            semantic += 1
+        assert semantic > 40 and consistent > 40
+
+    def test_the_preferred_core_is_pinned(self):
+        """Two minimal cores, {p, !q, p -> q} and {r, !q, r -> q}.  The
+        loop tries the earliest key first; (! q) is in both cores and
+        stays, (p -> q) and then p go, and the core left is the r one."""
+        base = BeliefBase.from_entries(
+            [entry(text, 0.9) for text in ("p", "r", "!q", "p -> q", "r -> q")]
+        )
+        assert detect_contradiction(base) == [
+            frozenset({parse("!q"), parse("r -> q"), parse("r")})
+        ]
 
 
 class TestResolveContradiction:

@@ -11,7 +11,10 @@ import random
 
 import pytest
 from oracles import (
+    cnf_satisfiable,
+    deletion_core,
     pair_disjunction,
+    random_cnf,
     random_formula,
     tt_entails,
     tt_eval,
@@ -466,3 +469,149 @@ class TestWitness:
         assert len(compilations) == 3
         # The goal keeps the negation's compiled form, not the negation.
         assert not any(isinstance(v, Not) for v in vars(goal).values())
+
+
+class TestWatchedLiteralSolver:
+    """The iterative DPLL solver against brute force."""
+
+    def test_verdicts_and_models_on_random_clause_sets(self):
+        """Clauses of one to four literals over eight atoms, around the
+        3-SAT threshold, so propagation, watch moves and backtracking all
+        run; every model satisfies every clause."""
+        rng = random.Random(52711)
+        verdicts = []
+        for _ in range(600):
+            clauses = random_cnf(rng, 8, rng.randrange(1, 45), 4)
+            atom_ids = {abs(lit) for clause in clauses for lit in clause}
+            model = sat._dpll(clauses, atom_ids)
+            verdicts.append(model is not None)
+            assert verdicts[-1] == cnf_satisfiable(clauses, 8)
+            if model is None:
+                continue
+            assert not any(-lit in model for lit in model)
+            assert {abs(lit) for lit in model} == atom_ids
+            picks = sat._picks(clauses, model)
+            assert picks <= model
+            assert all(not picks.isdisjoint(clause) for clause in clauses)
+        assert 150 < sum(verdicts) < 450
+
+    def test_witnesses_pick_literals_and_model_their_formulas(self, fallbacks):
+        rng = random.Random(9203)
+        atoms = [Atom(name) for name in "pqrstuvw"]
+        witnessed = free = 0
+        for _ in range(300):
+            formulas = [random_formula(rng, atoms, 3) for _ in range(rng.randrange(1, 7))]
+            found: list[sat.Witness] = []
+            verdict = is_consistent(formulas, witnesses=found)
+            assert verdict == tt_satisfiable(formulas)
+            if not verdict:
+                continue
+            witnessed += 1
+            witness = found[0]
+            free += len(witness.atom_ids) - len(witness.literals)
+            for valuation in witness_valuations(witness, formulas):
+                assert all(tt_eval(f, valuation) for f in formulas)
+        assert fallbacks == []
+        assert witnessed > 100
+        # One pick per clause leaves atoms free that a full model would fix.
+        assert free > witnessed
+
+    def test_a_pick_is_reused_across_clauses(self):
+        """Pa gets the smallest of these fresh ids, so the first clause
+        picks it and the others, which it satisfies, pick nothing."""
+        formulas = [parse("Pa | Pb"), parse("Pa | Pc"), parse("Pd | Pa")]
+        found: list[sat.Witness] = []
+        assert is_consistent(formulas, witnesses=found)
+        assert found[0].literals == {sat._ATOM_IDS[Atom("Pa")]}
+
+    def test_limits_still_raise(self):
+        wide = [Atom(f"x{i}") for i in range(65)]
+        with pytest.raises(ResourceLimitError):
+            entails(wide[:64], wide[64])
+        assert entails(wide[:63], wide[0])
+        over = [pair_disjunction("u"), pair_disjunction("v")]
+        with pytest.raises(ResourceLimitError):
+            entails(over, Atom("z"))
+
+
+def entailment_cases(rng: random.Random, count: int):
+    """(formulas, goal) pairs over six atoms where the formulas entail the
+    goal; some formula sets are inconsistent."""
+    atoms = [Atom(name) for name in "pqrstu"]
+    cases = []
+    while len(cases) < count:
+        formulas = list(
+            {
+                render_canonical(f): f
+                for f in (random_formula(rng, atoms, 2) for _ in range(rng.randrange(1, 9)))
+            }.values()
+        )
+        goal = random_formula(rng, atoms, 2)
+        if tt_entails(formulas, goal):
+            cases.append((formulas, goal))
+    return cases
+
+
+class TestPreferredConflict:
+    """QuickXplain keeps exactly what the key-order deletion loop keeps."""
+
+    def test_entailed_cases_match_the_deletion_loop(self):
+        inconsistent = 0
+        for formulas, goal in entailment_cases(random.Random(3301), 600):
+            in_key_order = sorted(formulas, key=render_canonical)
+            expected = deletion_core([], in_key_order, lambda fs: tt_entails(fs, goal))
+            kept = sat.preferred_conflict(
+                [], in_key_order[::-1], lambda fs: entails(fs, goal)
+            )
+            assert kept == expected[::-1]
+            inconsistent += not tt_satisfiable(formulas)
+        assert inconsistent > 30
+
+    def test_cores_with_a_hard_part_match_the_deletion_loop(self):
+        rng = random.Random(8812)
+        atoms = [Atom(name) for name in "pqrs"]
+        checked = 0
+        while checked < 300:
+            hard = [random_formula(rng, atoms, 2)]
+            formulas = list(
+                {
+                    render_canonical(f): f
+                    for f in (random_formula(rng, atoms, 2) for _ in range(rng.randrange(1, 8)))
+                }.values()
+            )
+            if tt_satisfiable(hard + formulas):
+                continue
+            checked += 1
+            expected = deletion_core(hard, formulas[::-1], lambda fs: not tt_satisfiable(fs))
+            kept = sat.preferred_conflict(hard, formulas, lambda fs: not is_consistent(fs))
+            assert kept == expected[::-1]
+
+    @pytest.mark.parametrize(
+        "needed, checks", [((0,), 7), ((40,), 9), ((63,), 13), ((3, 50), 17)]
+    )
+    def test_few_checks_for_a_small_conflict(self, needed, checks):
+        """A conflict of one or two formulas out of 64 takes a number of
+        checks logarithmic in 64, where the deletion loop takes 64; the
+        counts are pinned, so no check is repeated or skipped."""
+        atoms = [Atom(f"y{i}") for i in range(64)]
+        checked = []
+
+        def conflict(formulas):
+            checked.append(len(formulas))
+            return all(atoms[i] in formulas for i in needed)
+
+        kept = sat.preferred_conflict([], atoms, conflict)
+        assert kept == [atoms[i] for i in needed]
+        assert len(checked) == checks
+
+    def test_a_tautology_needs_no_support(self):
+        assert sat.preferred_conflict(
+            [], [parse("p"), parse("q")], lambda fs: entails(fs, parse("p | !p"))
+        ) == []
+
+    def test_limits_raise_through_the_test(self):
+        wide = [Atom(f"z{i}") for i in range(65)]
+        with pytest.raises(ResourceLimitError):
+            sat.preferred_conflict(
+                wide[:63], wide[63:], lambda fs: entails(fs, wide[64])
+            )
