@@ -1,8 +1,8 @@
 """Belief base with provenance, confidence tiers, and AGM-style change.
 
 A BeliefBase is an immutable snapshot: every operation returns a new base
-at the next epoch and records the set of active formulas for that epoch,
-so any two epochs can be diffed later.  Contraction is partial meet over
+at the next epoch and records which formulas it added and removed, so
+any two epochs can be diffed later.  Contraction is partial meet over
 relevance-restricted remainder sets: subsets are enumerated only over
 the formulas atom-connected to the target, and the rest of the base
 joins every remainder whole.  Revision follows the Levi identity, and
@@ -24,8 +24,10 @@ from __future__ import annotations
 import enum
 import math
 import warnings
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
-from typing import Iterable
+from operator import attrgetter
+from typing import Iterable, Iterator
 
 from .logic import (
     Formula,
@@ -186,9 +188,71 @@ class RetractionRecord:
     reason: str
 
 
+class _Chain:
+    """A persistent append-only sequence: a cons list with a cached length.
+
+    _Chain(item, chain) is chain with item appended; it shares every link
+    of chain, so appending costs O(1) however long the chain is.
+    Iteration runs oldest first.  Iteration and comparison walk the
+    links in a loop, so a long chain needs no deep recursion.
+    """
+
+    __slots__ = ("_last", "_rest", "_len")
+
+    def __init__(self, last: object = None, rest: _Chain | None = None) -> None:
+        self._last = last
+        self._rest = rest
+        self._len = 0 if rest is None else rest._len + 1
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __iter__(self) -> Iterator:
+        items = []
+        link = self
+        while link._rest is not None:
+            items.append(link._last)
+            link = link._rest
+        return reversed(items)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, _Chain):
+            return NotImplemented
+        if self._len != other._len:
+            return False
+        mine, theirs = self, other
+        # A shared link means the rest is shared too.
+        while mine is not theirs and mine._rest is not None:
+            if mine._last != theirs._last:
+                return False
+            mine, theirs = mine._rest, theirs._rest
+        return True
+
+    def __hash__(self) -> int:
+        return self._len
+
+    def __repr__(self) -> str:
+        return f"_Chain({list(self)!r})"
+
+
+_EMPTY = _Chain()
+# The history delta of an epoch whose set of keys did not change.
+_UNCHANGED: tuple[tuple[str, ...], tuple[str, ...]] = ((), ())
+_entry_key = attrgetter("key")
+
+
 @dataclass(frozen=True)
 class BeliefBase:
     """Immutable belief snapshot plus the trail that led to it.
+
+    entries holds the beliefs in key order, and an index maps each key
+    to its entry.  history holds one (added keys, removed keys) delta per
+    epoch, from epoch 0 on; retraction_log reads the retraction records
+    oldest first.  Both trails are persistent chains shared with the
+    parent base: an operation appends to them in O(1) and places its
+    entries by bisection, so it neither copies the past nor sorts the
+    base again.  Equality compares the epoch, the entries and both
+    trails.
 
     known_consistent is True when the operation that produced the base
     proved its formulas satisfiable; False means not known, so callers
@@ -198,8 +262,11 @@ class BeliefBase:
 
     epoch: int = 0
     entries: tuple[BeliefEntry, ...] = ()
-    retraction_log: tuple[RetractionRecord, ...] = ()
-    history: tuple[frozenset[str], ...] = (frozenset(),)
+    _by_key: dict[str, BeliefEntry] = field(
+        default_factory=dict, repr=False, compare=False
+    )
+    _log: _Chain = field(default=_EMPTY, repr=False)
+    history: _Chain = _Chain(_UNCHANGED, _EMPTY)
     known_consistent: bool = field(default=False, repr=False, compare=False)
     witness: Witness | None = field(default=None, repr=False, compare=False)
 
@@ -209,12 +276,19 @@ class BeliefBase:
 
     @classmethod
     def from_entries(cls, entries: Iterable[BeliefEntry]) -> BeliefBase:
-        ordered = _sorted_entries(entries)
+        ordered = tuple(sorted(entries, key=_entry_key))
+        by_key: dict[str, BeliefEntry] = {}
+        for entry in ordered:
+            by_key.setdefault(entry.key, entry)
         return cls(
-            epoch=0,
             entries=ordered,
-            history=(frozenset(e.key for e in ordered),),
+            _by_key=by_key,
+            history=_Chain((tuple(by_key), ()) if by_key else _UNCHANGED, _EMPTY),
         )
+
+    @property
+    def retraction_log(self) -> tuple[RetractionRecord, ...]:
+        return tuple(self._log)
 
     def formulas(self) -> list[Formula]:
         return [entry.formula for entry in self.entries]
@@ -223,25 +297,52 @@ class BeliefBase:
         return [entry.formula for entry in self.entries if entry.assertable]
 
     def find(self, formula: Formula) -> BeliefEntry | None:
-        key = render_canonical(formula)
-        for entry in self.entries:
-            if entry.key == key:
-                return entry
-        return None
+        return self._by_key.get(render_canonical(formula))
 
     def _advance(
         self,
-        entries: Iterable[BeliefEntry],
-        retractions: Iterable[RetractionRecord] = (),
+        put: BeliefEntry | None = None,
+        dropped: tuple[str, ...] = (),
+        records: Iterable[RetractionRecord] = (),
         known_consistent: bool = False,
         witness: Witness | None = None,
     ) -> BeliefBase:
-        ordered = _sorted_entries(entries)
+        """The base at the next epoch.
+
+        put replaces every entry under its key, or joins in key order;
+        dropped names held keys, in key order, whose entries leave.  Each
+        is placed by bisection and the index is copied, so no entry is
+        sorted again and no trail is copied.
+        """
+        entries = self.entries
+        added: tuple[str, ...] = ()
+        if put is None:
+            by_key = self._by_key.copy()
+        else:
+            lo = hi = bisect_left(entries, put.key, key=_entry_key)
+            if put.key in self._by_key:
+                hi = bisect_right(entries, put.key, lo, key=_entry_key)
+            else:
+                added = (put.key,)
+            entries = entries[:lo] + (put,) + entries[hi:]
+            by_key = {**self._by_key, put.key: put}
+        for key in dropped:
+            lo = bisect_left(entries, key, key=_entry_key)
+            hi = bisect_right(entries, key, lo, key=_entry_key)
+            entries = entries[:lo] + entries[hi:]
+            del by_key[key]
+        log = self._log
+        for record in records:
+            log = _Chain(record, log)
         return BeliefBase(
             epoch=self.epoch + 1,
-            entries=ordered,
-            retraction_log=self.retraction_log + tuple(retractions),
-            history=self.history + (frozenset(e.key for e in ordered),),
+            entries=entries,
+            _by_key=by_key,
+            _log=log,
+            history=_Chain(
+                (added, dropped) if added or dropped else _UNCHANGED,
+                self.history,
+            ),
             known_consistent=known_consistent,
             witness=witness,
         )
@@ -254,10 +355,6 @@ def is_consistent_base(base: BeliefBase) -> bool:
     check only when there is none.
     """
     return base.known_consistent or is_consistent(base.formulas())
-
-
-def _sorted_entries(entries: Iterable[BeliefEntry]) -> tuple[BeliefEntry, ...]:
-    return tuple(sorted(entries, key=lambda e: e.key))
 
 
 def expand(base: BeliefBase, entry: BeliefEntry) -> BeliefBase:
@@ -283,7 +380,7 @@ def _check_expansion(
     check, which also raises where a resource limit is reached.
     """
     if base.witness is not None:
-        if any(e.key == entry.key for e in base.entries):
+        if entry.key in base._by_key:
             # Same key, same formula: the witnessed set does not change.
             return True, base.witness
         witness = extend_witness(base.witness, entry.formula)
@@ -299,8 +396,7 @@ def _expand_checked(
     base: BeliefBase, entry: BeliefEntry, witness: Witness | None
 ) -> BeliefBase:
     """expand, for a caller that has just found base plus entry consistent."""
-    others = [e for e in base.entries if e.key != entry.key]
-    return base._advance(others + [entry], known_consistent=True, witness=witness)
+    return base._advance(entry, known_consistent=True, witness=witness)
 
 
 def remainders(
@@ -329,7 +425,9 @@ def remainders(
     return frozenset(found)
 
 
-def contract(base: BeliefBase, target: Formula) -> BeliefBase:
+def contract(
+    base: BeliefBase, target: Formula, *, reason: str | None = None
+) -> BeliefBase:
     """Partial meet contraction: give up the target formula.
 
     The selection function keeps the remainders with the largest total
@@ -338,7 +436,8 @@ def contract(base: BeliefBase, target: Formula) -> BeliefBase:
     _contraction_candidates), so REMAINDER_CAP bounds that component,
     not the whole base.  Contracting a tautology is impossible and
     returns the base unchanged after a warning; a target the base never
-    entailed is a no-op.
+    entailed is a no-op.  Each entry given up is logged with the reason,
+    contract(target) unless the caller names another.
     """
     if entails([], target):
         warnings.warn(
@@ -351,15 +450,13 @@ def contract(base: BeliefBase, target: Formula) -> BeliefBase:
         return base
     kept = _select_remainder(base, _contraction_candidates(active, target))
     kept_keys = {render_canonical(f) for f in kept}
-    reason = f"contract({render_canonical(target)})"
-    survivors = [e for e in base.entries if e.key in kept_keys]
-    dropped = [
-        RetractionRecord(base.epoch + 1, e.key, reason)
-        for e in base.entries
-        if e.key not in kept_keys
-    ]
+    if reason is None:
+        reason = f"contract({render_canonical(target)})"
+    dropped = [e for e in base.entries if e.key not in kept_keys]
+    records = [RetractionRecord(base.epoch + 1, e.key, reason) for e in dropped]
     # What is kept no longer entails the target, so it is satisfiable.
-    return base._advance(survivors, dropped, known_consistent=True)
+    gone = tuple(sorted({e.key for e in dropped}))
+    return base._advance(None, gone, records, known_consistent=True)
 
 
 def _contraction_candidates(
@@ -438,13 +535,9 @@ def revise(base: BeliefBase, entry: BeliefEntry) -> BeliefBase:
         raise ConsistencyError(
             f"cannot revise by unsatisfiable {entry.key}"
         )
-    contracted = contract(base, Not(entry.formula))
-    fresh = contracted.retraction_log[len(base.retraction_log):]
-    relabelled = base.retraction_log + tuple(
-        RetractionRecord(rec.epoch, rec.formula, f"revision({entry.key})")
-        for rec in fresh
+    contracted = contract(
+        base, Not(entry.formula), reason=f"revision({entry.key})"
     )
-    contracted = replace(contracted, retraction_log=relabelled)
     return expand(contracted, entry)
 
 
@@ -473,12 +566,11 @@ def retract_entry(base: BeliefBase, formula: Formula, reason: str) -> BeliefBase
     formula that is not held is a no-op, which keeps replays idempotent.
     """
     key = render_canonical(formula)
-    if base.find(formula) is None:
+    if key not in base._by_key:
         return base
-    survivors = [e for e in base.entries if e.key != key]
     record = RetractionRecord(base.epoch + 1, key, reason)
     return base._advance(
-        survivors, [record], base.known_consistent, base.witness
+        None, (key,), [record], base.known_consistent, base.witness
     )
 
 
@@ -504,9 +596,8 @@ def amend_entry(
         justification=justification if justification is not None else current.justification,
         assertable=assertable if assertable is not None else current.assertable,
     )
-    others = [e for e in base.entries if e.key != current.key]
     return base._advance(
-        others + [updated], (), base.known_consistent, base.witness
+        updated, known_consistent=base.known_consistent, witness=base.witness
     )
 
 
@@ -529,12 +620,26 @@ def status_for(rule: str, probability: float) -> StatusTag:
 def epoch_diff(
     base: BeliefBase, earlier: int, later: int
 ) -> tuple[tuple[str, str], ...]:
-    """Annotated symmetric difference between two recorded epochs."""
+    """Annotated symmetric difference between two recorded epochs.
+
+    Each epoch's set of keys is rebuilt by folding the history deltas
+    from epoch 0.
+    """
     for epoch in (earlier, later):
         if not 0 <= epoch < len(base.history):
             raise IndexError(f"epoch {epoch} not recorded (have 0..{base.epoch})")
-    before = base.history[earlier]
-    after = base.history[later]
+    held: set[str] = set()
+    snapshots: dict[int, frozenset[str]] = {}
+    last = max(earlier, later)
+    for epoch, (added, removed) in enumerate(base.history):
+        held.difference_update(removed)
+        held.update(added)
+        if epoch in (earlier, later):
+            snapshots[epoch] = frozenset(held)
+        if epoch == last:
+            break
+    before = snapshots[earlier]
+    after = snapshots[later]
     added = [("added", key) for key in sorted(after - before)]
     retracted = [("retracted", key) for key in sorted(before - after)]
     return tuple(added + retracted)

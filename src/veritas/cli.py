@@ -153,12 +153,14 @@ def _read_policy(path: str) -> tuple[list[str], float | None, float | None]:
 def _dispatch(args: argparse.Namespace, session: Session) -> int:
     out = sys.stdout
     if args.command == "observe":
-        verdict = session.observe(args.formula, args.p, args.source)
-        out.write(f"{verdict}\t{render_canonical(parse(args.formula))}\n")
+        formula = parse(args.formula)
+        verdict = session.observe(formula, args.p, args.source)
+        out.write(f"{verdict}\t{render_canonical(formula)}\n")
         return EXIT_OK
     if args.command == "contract":
-        session.contract_formula(args.formula)
-        out.write(f"contracted\t{render_canonical(parse(args.formula))}\n")
+        formula = parse(args.formula)
+        session.contract_formula(formula)
+        out.write(f"contracted\t{render_canonical(formula)}\n")
         return EXIT_OK
     if args.command == "query":
         out.write(session.query(args.formula).render() + "\n")

@@ -126,8 +126,24 @@ def proof_to_json(proof: PublicProof) -> str:
     )
 
 
+_PROOF_FIELDS = (("conclusion", str), ("digest", str), ("chain", list))
+
+
 def proof_from_json(text: str) -> PublicProof:
+    """The proof a proof_to_json file holds; ValueError if it holds none.
+
+    Bad JSON, a top level that is not an object, and a missing or
+    mistyped field all raise ValueError, as do a bad node, conclusion
+    or digest.
+    """
     payload = json.loads(text)
+    if not isinstance(payload, dict):
+        raise ValueError("proof is not a JSON object")
+    for name, kind in _PROOF_FIELDS:
+        if name not in payload:
+            raise ValueError(f"proof lacks field {name!r}")
+        if not isinstance(payload[name], kind):
+            raise ValueError(f"proof field {name!r} has the wrong type")
     chain = tuple(
         node_from_json(json.dumps(item)) for item in payload["chain"]
     )
@@ -173,11 +189,17 @@ class Session:
         self._lock_handle = None
         if config.ledger_path:
             self._acquire_lock(config.ledger_path + ".lock")
-        self.nodes_path = (
-            config.resolved_nodes_path() if config.ledger_path else ""
-        )
-        self.ledger = Ledger(config.ledger_path or None)
-        self.ledger.ensure_verified()
+        try:
+            self.nodes_path = (
+                config.resolved_nodes_path() if config.ledger_path else ""
+            )
+            self.ledger = Ledger(config.ledger_path or None)
+            self.ledger.ensure_verified()
+        except BaseException:
+            # No caller gets this session to close, and a kept exception
+            # would keep the lock held through its traceback.
+            self.close()
+            raise
         self._obs_seq = sum(
             1 for b in self.ledger.blocks if b.op in (Op.INSERT, Op.REVISE)
         )
@@ -281,14 +303,18 @@ class Session:
 
     # -- observations and contraction ------------------------------------
 
-    def observe(self, text: str, probability: float, source: str) -> str:
+    def observe(
+        self, formula: Formula | str, probability: float, source: str
+    ) -> str:
         """Admit one observation; returns which route it took.
 
-        The entry is folded into the live base exactly as replay folds
-        its block, and the block (insert or revise, by the route the
-        fold took) is appended only once the fold has succeeded.
+        The formula may be given as text or already parsed.  The entry
+        is folded into the live base exactly as replay folds its block,
+        and the block (insert or revise, by the route the fold took) is
+        appended only once the fold has succeeded.
         """
-        formula = parse(text)
+        if isinstance(formula, str):
+            formula = parse(formula)
         # Extending the empty witness finds a model of most formulas
         # without a solve; is_consistent decides the rest.
         modelled = extend_witness(EMPTY_WITNESS, formula) is not None
@@ -319,8 +345,10 @@ class Session:
             "stored-non-assertable"
         )
 
-    def contract_formula(self, text: str) -> None:
-        formula = parse(text)
+    def contract_formula(self, formula: Formula | str) -> None:
+        """Contract the formula, given as text or already parsed."""
+        if isinstance(formula, str):
+            formula = parse(formula)
         if is_tautology(formula):
             raise ConsistencyError(
                 f"refusing to contract a tautology: {render_canonical(formula)}"
@@ -695,8 +723,9 @@ class Session:
             if not stripped or stripped.startswith("#"):
                 continue
             text, probability, source = parse_observation_line(raw)
-            verdict = self.observe(text, probability, source)
-            out.write(f"{verdict}\t{render_canonical(parse(text))}\n")
+            formula = parse(text)
+            verdict = self.observe(formula, probability, source)
+            out.write(f"{verdict}\t{render_canonical(formula)}\n")
             _, reports = self.sweep_and_react()
             if any(r.escalated for r in reports):
                 diag.write("EpistemicWarning\tsweep\tescalated\n")

@@ -5,16 +5,21 @@ procedures: entailment is truth-table enumeration over the atoms, and
 the remainder and unsat-core oracles enumerate subsets directly;
 deletion_core is the plain one-at-a-time deletion loop.
 witness_valuations only reads the solver's atom numbering, to turn a
-kept model into valuations that tt_eval can check.
+kept model into valuations that tt_eval can check.  ReferenceBase keeps
+a belief base the plain way, re-sorting every entry and storing every
+epoch's full set of keys, and its operations decide by truth tables.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import math
 import random
 from itertools import combinations
 
+from veritas.belief import BeliefEntry, RetractionRecord
 from veritas.logic import And, Atom, Formula, Iff, Implies, Not, Or, atoms_of
-from veritas.logic import sat
+from veritas.logic import render_canonical, sat
 
 
 def tt_eval(f: Formula, env: dict[Atom, bool]) -> bool:
@@ -279,4 +284,134 @@ def random_domain(rng: random.Random):
         schemas=tuple(schemas),
         init=WorldState(init),
         goal=goal,
+    )
+
+
+@dataclasses.dataclass(frozen=True)
+class ReferenceBase:
+    """A belief base kept by sorting and snapshotting.
+
+    Every operation sorts the whole entry list again, copies the
+    retraction log, and appends the full set of held keys to history.
+    Equality compares the same four parts that BeliefBase equality does.
+    """
+
+    epoch: int = 0
+    entries: tuple[BeliefEntry, ...] = ()
+    retraction_log: tuple[RetractionRecord, ...] = ()
+    history: tuple[frozenset[str], ...] = (frozenset(),)
+
+    @classmethod
+    def from_entries(cls, entries) -> ReferenceBase:
+        ordered = tuple(sorted(entries, key=lambda e: e.key))
+        return cls(entries=ordered, history=(frozenset(e.key for e in ordered),))
+
+    def advance(self, entries, records=()) -> ReferenceBase:
+        ordered = tuple(sorted(entries, key=lambda e: e.key))
+        return ReferenceBase(
+            self.epoch + 1,
+            ordered,
+            self.retraction_log + tuple(records),
+            self.history + (frozenset(e.key for e in ordered),),
+        )
+
+    def formulas(self) -> list[Formula]:
+        return [e.formula for e in self.entries]
+
+    def find(self, formula: Formula) -> BeliefEntry | None:
+        key = render_canonical(formula)
+        for entry in self.entries:
+            if entry.key == key:
+                return entry
+        return None
+
+
+def reference_update(base: ReferenceBase, entry: BeliefEntry, theta: float = 0.95):
+    """update_belief_state: expand when consistent, else revise."""
+    if entry.assertable and entry.probability < theta:
+        entry = dataclasses.replace(entry, assertable=False)
+    others = [e.formula for e in base.entries if e.key != entry.key]
+    if tt_satisfiable(others + [entry.formula]):
+        return _reference_put(base, entry), "expanded"
+    return reference_revise(base, entry), "revised"
+
+
+def _reference_put(base: ReferenceBase, entry: BeliefEntry) -> ReferenceBase:
+    return base.advance([e for e in base.entries if e.key != entry.key] + [entry])
+
+
+def reference_contract(
+    base: ReferenceBase, target: Formula, reason: str | None = None
+) -> ReferenceBase:
+    """Partial meet over brute-force remainders, heaviest kept, ties met."""
+    if not tt_satisfiable([Not(target)]):
+        return base
+    formulas = base.formulas()
+    if not tt_entails(formulas, target):
+        return base
+    weight_of = {e.key: e.provenance.confidence for e in base.entries}
+
+    def weight(remainder):
+        return math.fsum(weight_of[render_canonical(f)] for f in remainder)
+
+    candidates = sorted(
+        subset_remainders(formulas, target),
+        key=lambda r: tuple(sorted(render_canonical(f) for f in r)),
+    )
+    best = max(weight(r) for r in candidates)
+    tied = [r for r in candidates if weight(r) == best]
+    kept = frozenset.intersection(*tied)
+    kept_keys = {render_canonical(f) for f in kept}
+    reason = reason or f"contract({render_canonical(target)})"
+    return base.advance(
+        [e for e in base.entries if e.key in kept_keys],
+        [
+            RetractionRecord(base.epoch + 1, e.key, reason)
+            for e in base.entries
+            if e.key not in kept_keys
+        ],
+    )
+
+
+def reference_revise(base: ReferenceBase, entry: BeliefEntry) -> ReferenceBase:
+    contracted = reference_contract(
+        base, Not(entry.formula), f"revision({entry.key})"
+    )
+    return _reference_put(contracted, entry)
+
+
+def reference_retract(
+    base: ReferenceBase, formula: Formula, reason: str
+) -> ReferenceBase:
+    key = render_canonical(formula)
+    if base.find(formula) is None:
+        return base
+    return base.advance(
+        [e for e in base.entries if e.key != key],
+        [RetractionRecord(base.epoch + 1, key, reason)],
+    )
+
+
+def reference_amend(
+    base: ReferenceBase, formula: Formula, probability: float
+) -> ReferenceBase:
+    current = base.find(formula)
+    if current is None:
+        return base
+    updated = BeliefEntry(
+        current.formula,
+        probability,
+        current.provenance,
+        current.status,
+        current.justification,
+        current.assertable,
+    )
+    return _reference_put(base, updated)
+
+
+def reference_epoch_diff(base: ReferenceBase, earlier: int, later: int):
+    before, after = base.history[earlier], base.history[later]
+    return tuple(
+        [("added", key) for key in sorted(after - before)]
+        + [("retracted", key) for key in sorted(before - after)]
     )

@@ -17,8 +17,15 @@ from pathlib import Path
 
 import pytest
 from oracles import (
+    ReferenceBase,
     pair_disjunction,
     random_formula,
+    reference_amend,
+    reference_contract,
+    reference_epoch_diff,
+    reference_retract,
+    reference_revise,
+    reference_update,
     subset_remainders,
     tt_eval,
     tt_satisfiable,
@@ -779,3 +786,155 @@ class TestWitness:
         assert len(base.witness.atom_ids) == 44
         with pytest.raises(ResourceLimitError):
             update_belief_state(base, entry("z"))
+
+
+PERSISTENT_ATOMS = [Atom(name) for name in "pqrs"]
+
+
+def persistent_start(rng: random.Random):
+    """An empty base, or a grafted one that may repeat a key or clash."""
+    if rng.random() < 0.5:
+        return BeliefBase(), ReferenceBase()
+    grafted = []
+    for n in range(rng.randrange(1, 5)):
+        formula = random_formula(rng, rng.sample(PERSISTENT_ATOMS, 2), 2)
+        p = rng.choice([0.6, 0.8, 0.97])
+        grafted.append(BeliefEntry(formula, p, Provenance("g", n, p)))
+    if rng.random() < 0.5:
+        twin = grafted[0]
+        grafted.append(BeliefEntry(twin.formula, 0.7, Provenance("twin", 9, 0.7)))
+    rng.shuffle(grafted)
+    return BeliefBase.from_entries(grafted), ReferenceBase.from_entries(grafted)
+
+
+def persistent_step(rng: random.Random, step: int, real: BeliefBase, model: ReferenceBase):
+    """One random operation applied to both bases, with its formula."""
+    kind = rng.choice(["update", "update", "contract", "revise", "retract", "amend"])
+    formula = random_formula(rng, rng.sample(PERSISTENT_ATOMS, rng.randrange(1, 4)), 2)
+    if real.entries and rng.random() < 0.5:
+        formula = rng.choice(real.entries).formula
+    p = rng.choice([0.6, 0.8, 0.97, 0.99])
+    incoming = BeliefEntry(formula, p, Provenance("s", step, p))
+    if kind in ("update", "revise") and not tt_satisfiable([formula]):
+        return real, model, formula
+    if kind == "update":
+        real, route = update_belief_state(real, incoming)
+        model, expected = reference_update(model, incoming)
+        assert route == expected
+    elif kind == "revise":
+        real, model = revise(real, incoming), reference_revise(model, incoming)
+    elif kind == "contract":
+        if not tt_satisfiable([Not(formula)]):
+            return real, model, formula
+        real, model = contract(real, formula), reference_contract(model, formula)
+    elif kind == "retract":
+        real = belief.retract_entry(real, formula, "test")
+        model = reference_retract(model, formula, "test")
+    else:
+        real = belief.amend_entry(real, formula, probability=p)
+        model = reference_amend(model, formula, p)
+    return real, model, formula
+
+
+def assert_matches_reference(real: BeliefBase, model: ReferenceBase, formulas) -> None:
+    assert real.epoch == model.epoch
+    assert real.entries == model.entries
+    assert real.retraction_log == model.retraction_log
+    assert len(real.history) == len(model.history) == real.epoch + 1
+    for i in range(len(model.history)):
+        for j in range(len(model.history)):
+            assert epoch_diff(real, i, j) == reference_epoch_diff(model, i, j)
+    assert export(real) == export(model)
+    for formula in formulas:
+        found = real.find(formula)
+        assert found == model.find(formula)
+        if found is not None:
+            first = next(e for e in real.entries if e.key == found.key)
+            assert found is first
+
+
+class TestPersistentBase:
+    """Key-indexed entries and delta history read as sorted snapshots do."""
+
+    def test_random_sequences_match_the_reference_model(self):
+        rng = random.Random(8080)
+        for _ in range(120):
+            seed = rng.randrange(1 << 30)
+            runs = []
+            for _ in range(2):
+                steps = random.Random(seed)
+                real, model = persistent_start(steps)
+                trail, formulas = [(real, model)], []
+                assert_matches_reference(real, model, formulas)
+                for step in range(10):
+                    real, model, formula = persistent_step(steps, step, real, model)
+                    formulas.append(formula)
+                    assert_matches_reference(real, model, formulas)
+                    trail.append((real, model))
+                runs.append(trail)
+            first, again = runs
+            for (real, _), (twin, _) in zip(first, again):
+                assert real == twin and hash(real) == hash(twin)
+            for real_i, model_i in first:
+                for real_j, model_j in first:
+                    assert (real_i == real_j) == (model_i == model_j)
+
+    def test_retraction_log_reads_as_a_tuple(self):
+        base = base_of(entry("p"), entry("q"))
+        assert base.retraction_log == ()
+        dropped = belief.retract_entry(base, parse("q"), "gone")
+        assert dropped.retraction_log == (RetractionRecord(1, "q", "gone"),)
+        assert dropped.retraction_log[-1].reason == "gone"
+        assert base.retraction_log == ()
+
+    def test_revision_labels_its_contraction_without_relabelling(self, monkeypatch):
+        base = base_of(entry("p", 0.8), entry("p -> q", 0.97))
+        reasons = []
+        original = belief.contract
+
+        def spy(base, target, **kwargs):
+            reasons.append(kwargs.get("reason"))
+            return original(base, target, **kwargs)
+
+        monkeypatch.setattr(belief, "contract", spy)
+        revised = revise(base, entry("!q"))
+        assert reasons == ["revision((! q))"]
+        assert [rec.reason for rec in revised.retraction_log] == ["revision((! q))"]
+        assert [e.key for e in revised.entries] == ["(! q)", "(p -> q)"]
+
+    def test_equality_compares_the_log_and_the_history(self):
+        def build(first: str, second: str, reason: str) -> BeliefBase:
+            base = BeliefBase()
+            for text in (first, second):
+                base, _ = update_belief_state(base, entry(text))
+            return belief.retract_entry(base, parse("p"), reason)
+
+        same = build("p", "q", "gone")
+        assert same == build("p", "q", "gone")
+        other_reason, other_order = build("p", "q", "lost"), build("q", "p", "gone")
+        for other in (other_reason, other_order):
+            assert other.epoch == same.epoch and other.entries == same.entries
+            assert other != same
+        assert other_order.retraction_log == same.retraction_log
+        assert other_reason.history == same.history
+
+    def test_a_fold_shares_its_parents_trails(self):
+        base = BeliefBase()
+        for step, text in enumerate(["p", "q", "r"]):
+            base, _ = update_belief_state(base, entry(text, timestamp=step))
+        grown = belief.retract_entry(base, parse("q"), "gone")
+        assert grown.history._rest is base.history
+        assert grown._log._rest is base._log
+        assert list(grown.history) == [
+            ((), ()), (("p",), ()), (("q",), ()), (("r",), ()), ((), ("q",))
+        ]
+
+    def test_long_trails_compare_and_free_without_recursion(self):
+        base, _ = update_belief_state(BeliefBase(), entry("p"))
+        twin = base
+        for _ in range(20000):
+            base = belief.amend_entry(base, parse("p"), probability=0.9)
+            twin = belief.amend_entry(twin, parse("p"), probability=0.9)
+        assert base == twin and len(base.history) == 20002
+        assert base != belief.amend_entry(twin, parse("p"), probability=0.9)
+        del base, twin

@@ -13,6 +13,7 @@ import pytest
 import veritas
 import veritas.engine
 import veritas.ledger
+import veritas.logic.parser
 from veritas.belief import export
 from veritas.cli import main
 from veritas.config import load_config
@@ -130,6 +131,37 @@ class TestJustifyAndProve:
         )
         assert code == 1
         assert out == "reject\tnot anchored\n"
+
+
+def set_field(name: str, value):
+    def edit(proof: dict):
+        proof[name] = value
+        return proof
+
+    return edit
+
+
+class TestMalformedProofFile:
+    """A proof file that is not a proof object exits 2 with one error line."""
+
+    @pytest.mark.parametrize(
+        "damage, message",
+        [
+            (lambda proof: {"digest": "00"}, "proof lacks field 'conclusion'"),
+            (lambda proof: [1], "proof is not a JSON object"),
+            (set_field("chain", 5), "proof field 'chain' has the wrong type"),
+            (set_field("conclusion", 3), "proof field 'conclusion' has the wrong type"),
+        ],
+        ids=["missing-fields", "not-an-object", "chain-not-a-list", "conclusion-not-text"],
+    )
+    def test_exits_two(self, cli, tmp_path, damage, message):
+        cli("observe", "p", "--p", "0.99")
+        cli("prove", "p", "--out", "p.proof")
+        proof = json.loads((tmp_path / "p.proof").read_text())
+        (tmp_path / "p.proof").write_text(json.dumps(damage(proof)))
+        code, out, err = cli("verify-proof", "p.proof")
+        assert (code, out) == (2, "")
+        assert err == f"error\tusage\t{message}\n"
 
 
 class TestLedgerCommands:
@@ -508,6 +540,44 @@ class TestRunCommand:
         code, _, err = cli("run", "--stream", str(stream))
         assert code == 2
         assert err.startswith("error\tusage\t")
+
+
+def count_parses(monkeypatch) -> list[str]:
+    """Record the text of every parse call, wherever a veritas module
+    binds parse."""
+    texts: list[str] = []
+    original = veritas.logic.parser.parse
+
+    def spy(text):
+        texts.append(text)
+        return original(text)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("veritas") and getattr(module, "parse", None) is original:
+            monkeypatch.setattr(module, "parse", spy)
+    return texts
+
+
+class TestParseOnce:
+    """Each observed or contracted text is parsed once, then printed canonically."""
+
+    def test_run_parses_each_line_once(self, cli, tmp_path, monkeypatch):
+        stream = tmp_path / "stream.tsv"
+        stream.write_text("p\t0.99\tsensor\n(q)\t0.6\tscout\n!p\t0.99\tsensor\n")
+        texts = count_parses(monkeypatch)
+        code, out, _ = cli("run", "--stream", str(stream))
+        assert code == 0
+        assert out == "admitted\tp\nstored-non-assertable\tq\nrevised\t(! p)\n"
+        assert texts == ["p", "(q)", "!p"]
+
+    def test_observe_and_contract_parse_their_argument_once(self, cli, monkeypatch):
+        texts = count_parses(monkeypatch)
+        assert cli("observe", "(p)", "--p", "0.99") == (0, "admitted\tp\n", "")
+        assert texts == ["(p)"]
+        cli("observe", "p -> q", "--p", "0.99")
+        texts.clear()
+        assert cli("contract", "((q))") == (0, "contracted\tq\n", "")
+        assert texts.count("((q))") == 1
 
 
 class TestConfigPlumbing:

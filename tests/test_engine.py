@@ -31,7 +31,7 @@ from veritas.engine import (
 )
 from veritas.guard import FailureEvent, FailureKind
 from veritas.justify import NoJustificationError, node_to_json
-from veritas.ledger import Op, replay
+from veritas.ledger import LedgerCorruptionError, Op, replay
 from veritas.logic import Atom, ResourceLimitError, parse, render_canonical
 from veritas.plan import PlanningError
 
@@ -250,6 +250,21 @@ class TestReplayParity:
         with Session(make_config()):
             with pytest.raises(SessionLockedError):
                 Session(make_config())
+
+    def test_a_failed_open_releases_the_lock(self, make_config):
+        """A kept corruption error does not hold the lock through its
+        traceback: the next open reports the corruption again."""
+        config = make_config()
+        with Session(config) as session:
+            session.observe("p", 0.99, "sensor")
+        path = Path(config.ledger_path)
+        raw = path.read_bytes()
+        path.write_bytes(raw[:20] + b"!" + raw[21:])
+        with pytest.raises(LedgerCorruptionError) as first:
+            Session(config)
+        with pytest.raises(LedgerCorruptionError):
+            Session(config)
+        assert first.value is not None
 
 
 class TestLazyOpen:

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import random
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -423,6 +425,44 @@ class TestReplay:
                     insert(ledger, graph, text, ts, confidence)
                 live = apply_block(live, ledger.blocks[-1], config, graph)
             assert export(replay(ledger, config, graph)) == export(live)
+
+
+def ingest_ledger(count: int) -> tuple[Ledger, JustificationGraph]:
+    """count insert blocks: 40 atoms, then implications between them,
+    shuffled, with a quarter of them below the assertion gate."""
+    rng = random.Random(2024)
+    texts = [f"S{i}" for i in range(40)]
+    pairs = [(i, j) for i in range(40) for j in range(40) if i != j]
+    texts += [f"S{i} -> S{j}" for i, j in rng.sample(pairs, count - 40)]
+    rng.shuffle(texts)
+    ledger, graph = Ledger(), JustificationGraph()
+    for ts, text in enumerate(texts):
+        insert(ledger, graph, text, ts, 0.6 if ts % 4 == 0 else 0.97)
+    return ledger, graph
+
+
+def replayed_live_bytes(count: int) -> int:
+    """Memory still allocated after replay, while the base is alive."""
+    ledger, graph = ingest_ledger(count)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = replay(ledger, EngineConfig(), graph)
+        gc.collect()
+        live = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(base.entries) == count and len(base.history) == count + 1
+    return live
+
+
+class TestReplayScale:
+    def test_replayed_base_memory_grows_linearly(self):
+        """A fold shares its parent's trail, so the base's memory is
+        linear in the blocks folded, not quadratic."""
+        half, full = replayed_live_bytes(500), replayed_live_bytes(1000)
+        assert full < 2.4 * half
+        assert full < 3_000_000
 
 
 class TestMerkle:
