@@ -81,6 +81,7 @@ from .plan import (
     abduce_policy,
     load_domain,
     parse_literal_list,
+    relevant_state,
     render_trace,
     seal_trace,
     simulate_trace,
@@ -204,6 +205,8 @@ class Session:
             1 for b in self.ledger.blocks if b.op in (Op.INSERT, Op.REVISE)
         )
         self._domain: Domain | None = None
+        # The last planning problem and its plan or error, see _abduce.
+        self._last_plan: tuple | None = None
 
     @functools.cached_property
     def graph(self) -> JustificationGraph:
@@ -521,16 +524,15 @@ class Session:
     def world_state(self) -> WorldState:
         """Domain initial facts plus the assertable ground beliefs."""
         atoms = set(self.domain().init.atoms)
-        for entry in self.base.entries:
-            if entry.assertable and isinstance(entry.formula, Atom):
-                atoms.add(entry.formula)
+        atoms.update(entry.formula for entry in self._supporting_entries())
         return WorldState(frozenset(atoms))
 
-    def _supporting_entries(self, state: WorldState) -> list[BeliefEntry]:
+    def _supporting_entries(self) -> list[BeliefEntry]:
+        """The assertable ground beliefs: the entries world_state adds."""
         return [
             entry
             for entry in self.base.entries
-            if entry.assertable and entry.formula in state.atoms
+            if entry.assertable and isinstance(entry.formula, Atom)
         ]
 
     def is_safe(self, plan: list[GroundAction]) -> tuple[bool, str]:
@@ -538,7 +540,7 @@ class Session:
         del plan
         if not is_consistent_base(self.base):
             return False, "belief base inconsistent"
-        for entry in self._supporting_entries(self.world_state()):
+        for entry in self._supporting_entries():
             depth = (
                 self.graph.depth(entry.justification)
                 if entry.justification is not None
@@ -548,6 +550,32 @@ class Session:
             if not assertion_gate(entry.probability, depth, self.config):
                 return False, f"support below gate: {entry.key}"
         return True, ""
+
+    def _abduce(
+        self, goal: tuple[Literal, ...], state: WorldState
+    ) -> list[GroundAction]:
+        """abduce_policy over the domain, planning only for a new problem.
+
+        The planner reads only the relevant state, so its answer depends
+        on the goal and that projection alone.  The session keeps the
+        last such pair with its plan or PlanningError and plans again
+        only when the pair changes.
+        """
+        domain = self.domain()
+        key = (goal, relevant_state(goal, state, domain.schemas))
+        if self._last_plan is None or self._last_plan[0] != key:
+            try:
+                answer = tuple(
+                    abduce_policy(goal, key[1], domain.schemas, domain.ontology)
+                )
+            except PlanningError as err:
+                # Kept without its traceback, whose frames hold this session.
+                answer = err.with_traceback(None)
+            self._last_plan = (key, answer)
+        answer = self._last_plan[1]
+        if isinstance(answer, PlanningError):
+            raise PlanningError(str(answer), answer.subgoal)
+        return list(answer)
 
     def plan_goal(
         self, goal_text: str | None = None
@@ -560,9 +588,7 @@ class Session:
         if not goal:
             raise PlanningError("no goal given")
         state = self.world_state()
-        plan = abduce_policy(
-            goal, state, domain.schemas, domain.ontology
-        )
+        plan = self._abduce(goal, state)
         result = simulate_trace(plan, state, goal=goal)
         seal = seal_trace(result.trace, self.ledger, timestamp=self._block_ts())
         return plan, result, seal
@@ -590,9 +616,7 @@ class Session:
 
         def replan() -> str | None:
             try:
-                alternate = abduce_policy(
-                    goal, state, domain.schemas, domain.ontology
-                )
+                alternate = self._abduce(goal, state)
             except PlanningError:
                 return None
             return ";".join(a.render() for a in alternate)
@@ -713,8 +737,16 @@ class Session:
 
         Observation lines are ``formula TAB probability TAB source``.
         Returns the process exit status: 0 on a clean run, 6 when a
-        recovery escalates with no way forward.
+        recovery escalates with no way forward.  A configured goal is
+        parsed, and its domain loaded, before anything is written, so a
+        bad one raises and leaves the ledger as it was.  Each line plans
+        only when the relevant state has changed (see _abduce).
         """
+        goal = None
+        if self.config.goal:
+            goal = parse_goal_literals(self.config.goal)
+            if self.config.domain_path:
+                self.domain()
         self.ledger.append(
             Op.META, formula="session-start", timestamp=self._block_ts()
         )
@@ -730,15 +762,11 @@ class Session:
             if any(r.escalated for r in reports):
                 diag.write("EpistemicWarning\tsweep\tescalated\n")
                 return 6
-            if not self.config.goal:
+            if goal is None:
                 continue
             try:
-                plan = abduce_policy(
-                    parse_goal_literals(self.config.goal),
-                    self.world_state(),
-                    self.domain().schemas,
-                    self.domain().ontology,
-                )
+                state = self.world_state()
+                plan = self._abduce(goal, state)
             except PlanningError as err:
                 diag.write(f"plan-failure\t{self.config.goal}\t{err}\n")
                 continue
@@ -748,11 +776,7 @@ class Session:
                     f"EpistemicWarning\t{self.config.goal}\t{reason}\n"
                 )
                 continue
-            result = simulate_trace(
-                plan,
-                self.world_state(),
-                goal=parse_goal_literals(self.config.goal),
-            )
+            result = simulate_trace(plan, state, goal=goal)
             seal = seal_trace(
                 result.trace, self.ledger, timestamp=self._block_ts()
             )

@@ -331,12 +331,16 @@ _NODE_FIELDS = (
 )
 
 
-def node_from_json(line: str) -> JustificationNode:
+def node_from_json(
+    line: str, conclusions: dict[str, Formula] | None = None
+) -> JustificationNode:
     """The node a node_to_json line holds; ValueError if it holds none.
 
     Bad JSON, a missing or mistyped field and a conclusion that does
     not parse all raise ValueError.  The id is not checked against the
-    content here: JustificationGraph.add_node does that.
+    content here: JustificationGraph.add_node does that.  Given a
+    conclusions map from text to parsed formula, a text parsed before
+    reuses that formula, and a new one is parsed and added to it.
     """
     obj = json.loads(line)
     if not isinstance(obj, dict):
@@ -348,9 +352,14 @@ def node_from_json(line: str) -> JustificationNode:
             raise ValueError(f"node field {name!r} has the wrong type")
     if not all(isinstance(premise, str) for premise in obj["premises"]):
         raise ValueError("node field 'premises' has the wrong type")
+    if conclusions is None:
+        conclusions = {}
+    text = obj["conclusion"]
+    if text not in conclusions:
+        conclusions[text] = parse(text)
     return JustificationNode(
         node_id=obj["id"],
-        conclusion=parse(obj["conclusion"]),
+        conclusion=conclusions[text],
         rule=obj["rule"],
         premises=tuple(obj["premises"]),
         provenance=Provenance(
@@ -366,14 +375,17 @@ def load_graph(lines: Iterable[str]) -> JustificationGraph:
 
     ValueError names the first line that holds no valid node: bad JSON,
     a missing or mistyped field, an id that does not match the content,
-    an unknown premise or an unsound step.
+    an unknown premise or an unsound step.  Nodes with the same
+    conclusion text share one parsed formula, so replay compiles each
+    distinct formula once.
     """
     graph = JustificationGraph()
+    conclusions: dict[str, Formula] = {}
     for number, line in enumerate(lines, 1):
         if not line.strip():
             continue
         try:
-            node = node_from_json(line)
+            node = node_from_json(line, conclusions)
             if node.node_id not in graph:
                 graph.add_node(node)
         except UnknownPremiseError as err:

@@ -9,6 +9,14 @@ lexicographic constant order, with failed (goals, state) pairs memoized
 per budget.  When regression fails inside the budget, a depth-bounded
 forward search over the same ground actions takes over, so any goal
 reachable in at most budget steps is still found.
+
+Both searches run over the relevant part of the state only: the atoms
+whose predicate the goal or some schema mentions (Nebel, Dimopoulos and
+Koehler, "Ignoring Irrelevant Facts and Operators in Plan Generation",
+ECP 1997).  Search tests only grounded goal and schema atoms and changes
+only atoms on add and delete predicates, so the other atoms would stay
+constant through it: dropping them changes neither the plan nor the
+error, and the memos hit exactly as they would on the full state.
 """
 
 from __future__ import annotations
@@ -44,6 +52,22 @@ class _Problem:
     schemas: tuple[ActionSchema, ...]
     ontology: Ontology
     entities: tuple[str, ...]
+
+
+def relevant_state(
+    goal: tuple[Literal, ...],
+    state: WorldState,
+    schemas: tuple[ActionSchema, ...],
+) -> WorldState:
+    """The atoms of state whose predicate the goal or a schema mentions."""
+    predicates = {lit.atom.predicate for lit in goal}
+    for schema in schemas:
+        predicates.update(lit.atom.predicate for lit in schema.pre)
+        predicates.update(atom.predicate for atom in schema.add)
+        predicates.update(atom.predicate for atom in schema.delete)
+    return WorldState(
+        frozenset(atom for atom in state.atoms if atom.predicate in predicates)
+    )
 
 
 def _typed_entities(problem: _Problem, concept: str) -> list[str]:
@@ -205,12 +229,15 @@ def abduce_policy(
     """Find a type-safe action sequence from state to the goal literals.
 
     Regression runs first; a bounded forward search backs it up so that
-    any plan of length at most depth_budget is within reach.  The
-    returned plan is re-simulated before being handed back.  On failure
-    the raised error carries the last subgoal that could not be met.
+    any plan of length at most depth_budget is within reach.  Both search
+    the relevant state, so atoms on predicates no schema or goal literal
+    mentions never affect the result.  The returned plan is re-simulated
+    before being handed back.  On failure the raised error carries the
+    last subgoal that could not be met.
     """
     if depth_budget < 1:
         raise ValueError(f"depth budget must be >= 1, got {depth_budget}")
+    state = relevant_state(goal, state, schemas)
     schema_names = {schema.name for schema in schemas}
     entities = tuple(
         name

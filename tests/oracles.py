@@ -8,6 +8,9 @@ witness_valuations only reads the solver's atom numbering, to turn a
 kept model into valuations that tt_eval can check.  ReferenceBase keeps
 a belief base the plain way, re-sorting every entry and storing every
 epoch's full set of keys, and its operations decide by truth tables.
+unprojected_abduce runs the planner over the whole state, without its
+relevance cut, and reference_run_loop is the run loop that plans that
+way from scratch on every line.
 """
 
 from __future__ import annotations
@@ -415,3 +418,97 @@ def reference_epoch_diff(base: ReferenceBase, earlier: int, later: int):
         [("added", key) for key in sorted(after - before)]
         + [("retracted", key) for key in sorted(before - after)]
     )
+
+
+def _whole_state(goal, state, schemas):
+    return state
+
+
+def unprojected_abduce(goal, state, schemas, ontology):
+    """abduce_policy searching the whole state, without its relevance cut."""
+    from unittest import mock
+
+    from veritas.plan import search
+
+    with mock.patch.object(search, "relevant_state", _whole_state):
+        return search.abduce_policy(goal, state, schemas, ontology)
+
+
+def reference_run_loop(session, lines, out, diag) -> int:
+    """Session.run_loop planning from scratch on the full state per line.
+
+    Every line rebuilds the world state from the domain's initial atoms
+    and the assertable ground beliefs, plans on all of it with
+    unprojected_abduce, and gates the plan on each assertable entry that
+    the state holds.  The goal and domain must be valid.
+    """
+    from veritas.belief import is_consistent_base
+    from veritas.engine import parse_goal_literals, parse_observation_line
+    from veritas.guard import assertion_gate
+    from veritas.ledger import Op
+    from veritas.logic import parse
+    from veritas.plan import (
+        PlanningError,
+        WorldState,
+        load_domain,
+        seal_trace,
+        simulate_trace,
+    )
+
+    config = session.config
+    domain = load_domain(config.domain_path)
+    session.ledger.append(
+        Op.META, formula="session-start", timestamp=session._block_ts()
+    )
+    for raw in lines:
+        stripped = raw.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        text, probability, source = parse_observation_line(raw)
+        formula = parse(text)
+        verdict = session.observe(formula, probability, source)
+        out.write(f"{verdict}\t{render_canonical(formula)}\n")
+        _, reports = session.sweep_and_react()
+        if any(r.escalated for r in reports):
+            diag.write("EpistemicWarning\tsweep\tescalated\n")
+            return 6
+        goal = parse_goal_literals(config.goal)
+        held = [e for e in session.base.entries if e.assertable]
+        state = WorldState(
+            frozenset(domain.init.atoms)
+            | {e.formula for e in held if isinstance(e.formula, Atom)}
+        )
+        try:
+            plan = unprojected_abduce(
+                goal, state, domain.schemas, domain.ontology
+            )
+        except PlanningError as err:
+            diag.write(f"plan-failure\t{config.goal}\t{err}\n")
+            continue
+        reason = ""
+        if not is_consistent_base(session.base):
+            reason = "belief base inconsistent"
+        else:
+            graph = session.graph
+            for entry in held:
+                if entry.formula not in state.atoms:
+                    continue
+                depth = (
+                    graph.depth(entry.justification)
+                    if entry.justification in graph
+                    else 0
+                )
+                if not assertion_gate(entry.probability, depth, config):
+                    reason = f"support below gate: {entry.key}"
+                    break
+        if reason:
+            diag.write(f"EpistemicWarning\t{config.goal}\t{reason}\n")
+            continue
+        result = simulate_trace(plan, state, goal=goal)
+        seal = seal_trace(
+            result.trace, session.ledger, timestamp=session._block_ts()
+        )
+        for action in plan:
+            out.write(f"executed\t{action.render()}\n")
+        out.write(f"sealed\t{seal}\n")
+    return 0

@@ -534,6 +534,27 @@ class TestRunCommand:
             blobs.append((tmp_path / f"{stem}.vlog").read_bytes())
         assert blobs[0] == blobs[1]
 
+    @pytest.mark.parametrize(
+        "goal, domain, category",
+        [
+            ("At(Drone1,", str(DOMAINS / "drone.domain"), "parse"),
+            ("At(Drone1,SiteAlpha)", "missing.domain", "usage"),
+        ],
+    )
+    def test_a_bad_goal_or_domain_is_refused_before_writing(
+        self, cli, tmp_path, goal, domain, category
+    ):
+        stream = tmp_path / "stream.tsv"
+        stream.write_text("p\t0.99\tsensor\n")
+        code, out, err = cli(
+            "run", "--stream", str(stream), "--goal", goal, "--domain", domain
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error\t{category}\t")
+        assert err.count("\n") == 1
+        assert cli("ledger", "verify") == (0, "ok\t0\n", "")
+        assert not (tmp_path / "veritas.nodes").exists()
+
     def test_malformed_stream_line_is_a_usage_error(self, cli, tmp_path):
         stream = tmp_path / "stream.tsv"
         stream.write_text("p;0.99;sensor\n")

@@ -7,7 +7,13 @@ import random
 from pathlib import Path
 
 import pytest
-from oracles import deletion_core, random_formula, tt_entails, tt_satisfiable
+from oracles import (
+    deletion_core,
+    random_formula,
+    reference_run_loop,
+    tt_entails,
+    tt_satisfiable,
+)
 
 import veritas.engine
 from veritas.belief import (
@@ -32,7 +38,13 @@ from veritas.engine import (
 from veritas.guard import FailureEvent, FailureKind
 from veritas.justify import NoJustificationError, node_to_json
 from veritas.ledger import LedgerCorruptionError, Op, replay
-from veritas.logic import Atom, ResourceLimitError, parse, render_canonical
+from veritas.logic import (
+    Atom,
+    ParseError,
+    ResourceLimitError,
+    parse,
+    render_canonical,
+)
 from veritas.plan import PlanningError
 
 DOMAINS = Path(__file__).parent / "domains"
@@ -317,6 +329,28 @@ class TestLazyOpen:
             with Session(config) as reopened:
                 assert reopened.base == live
                 assert export(reopened.base) == export(live)
+
+    def test_reopened_churn_ledger_parses_each_conclusion_once(self, make_config):
+        config = make_config()
+        rng = random.Random(31)
+        held = {f"C{i}": True for i in range(4)}
+        with Session(config) as session:
+            for _ in range(60):
+                atom = rng.choice(sorted(held))
+                if rng.random() < 0.4:
+                    held[atom] = not held[atom]
+                text = atom if held[atom] else f"!{atom}"
+                session.observe(text, rng.choice((0.97, 0.99)), "sensor")
+            live = session.base
+        with Session(config) as reopened:
+            nodes = reopened.graph.all_nodes()
+            texts = {render_canonical(node.conclusion) for node in nodes}
+            assert len(texts) < len(nodes)
+            assert len({id(node.conclusion) for node in nodes}) == len(texts)
+            assert reopened.base == live
+            for entry in reopened.base.entries:
+                node = reopened.graph.node(entry.justification)
+                assert entry.formula is node.conclusion
 
 
 class TestQuery:
@@ -746,6 +780,143 @@ class TestRunLoop:
                 session.run_loop(streams, io.StringIO(), io.StringIO())
             ledgers.append((workdir / "agent.vlog").read_bytes())
         assert ledgers[0] == ledgers[1]
+
+
+DRONE_GOALS = (
+    "At(Drone1,SiteAlpha)",
+    "At(Drone1,SiteAlpha),!FullBattery(Drone1)",
+    "Inside(Drone1,Base)",
+)
+DRONE_LINES = (
+    "At(Drone1,SiteAlpha)",
+    "At(Drone1,Base)",
+    "!At(Drone1,Base)",
+    "FullBattery(Drone1)",
+    "!FullBattery(Drone1)",
+    "LowBattery(Drone1)",
+    "!LowBattery(Drone1)",
+)
+
+
+def drone_stream(rng: random.Random, count: int) -> list[str]:
+    """Lines mixing S<i> atoms and rules with drone domain literals."""
+    lines = []
+    for _ in range(count):
+        roll = rng.random()
+        if roll < 0.3:
+            text = rng.choice(DRONE_LINES)
+        elif roll < 0.8:
+            text = f"S{rng.randrange(12)}"
+        else:
+            text = f"S{rng.randrange(12)} -> S{rng.randrange(12)}"
+        probability = rng.choice(("0.99", "0.97", "0.6"))
+        lines.append(f"{text}\t{probability}\t{rng.choice(('gps', 'scout'))}\n")
+    return lines
+
+
+class TestPlanReuse:
+    """run plans again only when the goal or the relevant state changes."""
+
+    def drone_config(self, make_config, stem="agent", goal=DRONE_GOALS[0]):
+        return make_config(
+            stem, domain_path=str(DOMAINS / "drone.domain"), goal=goal
+        )
+
+    def count_plans(self, monkeypatch) -> list:
+        calls = []
+        original = veritas.engine.abduce_policy
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(veritas.engine, "abduce_policy", spy)
+        return calls
+
+    def test_irrelevant_lines_reuse_the_plan(self, make_config, monkeypatch):
+        calls = self.count_plans(monkeypatch)
+        lines = [f"S{i}\t0.99\tsensor\n" for i in range(50)]
+        with Session(self.drone_config(make_config)) as session:
+            out = io.StringIO()
+            assert session.run_loop(lines, out, io.StringIO()) == 0
+            assert len(calls) == 1
+            assert out.getvalue().count("sealed\t") == 50
+            # A quarantined domain atom is not in the state either.
+            session.run_loop(["FullBattery(Drone1)\t0.6\tx\n"], out, io.StringIO())
+            assert len(calls) == 1
+            session.run_loop(["FullBattery(Drone1)\t0.99\tx\n"], out, io.StringIO())
+            assert len(calls) == 2
+
+    def test_a_planning_failure_is_reused_with_its_text(self, make_config, monkeypatch):
+        calls = self.count_plans(monkeypatch)
+        config = self.drone_config(make_config, goal=DRONE_GOALS[2])
+        lines = [f"S{i}\t0.99\tsensor\n" for i in range(5)]
+        with Session(config) as session:
+            diag = io.StringIO()
+            assert session.run_loop(lines, io.StringIO(), diag) == 0
+        assert len(calls) == 1
+        failures = diag.getvalue().splitlines()
+        assert len(failures) == 5 and len(set(failures)) == 1
+        assert failures[0].startswith(f"plan-failure\t{DRONE_GOALS[2]}\tno plan")
+
+    def test_plan_and_inject_share_the_last_plan(self, make_config, monkeypatch):
+        calls = self.count_plans(monkeypatch)
+        with Session(self.drone_config(make_config)) as session:
+            session.run_loop(["S1\t0.99\tsensor\n"], io.StringIO(), io.StringIO())
+            plan, _, _ = session.plan_goal()
+            assert len(calls) == 1
+            fly = resolve_action("Fly(Drone1,Base,SiteAlpha)", session.domain())
+            lines = session.inject_policy([fly])
+            assert lines[-1].startswith("t2\tFly(Drone1,Base,SiteAlpha)")
+            assert len(calls) == 1
+        assert [a.render() for a in plan] == [
+            "Recharge(Drone1)",
+            "Fly(Drone1,Base,SiteAlpha)",
+        ]
+
+    @pytest.mark.parametrize("seed", range(9))
+    def test_random_drone_streams_match_the_reference_loop(
+        self, make_config, seed
+    ):
+        rng = random.Random(seed)
+        lines = drone_stream(rng, 40)
+        goal = DRONE_GOALS[seed % len(DRONE_GOALS)]
+        results = []
+        for stem, loop in (("live", Session.run_loop), ("ref", reference_run_loop)):
+            config = self.drone_config(make_config, stem, goal)
+            out, diag = io.StringIO(), io.StringIO()
+            with Session(config) as session:
+                status = loop(session, lines, out, diag)
+            with open(config.ledger_path, "rb") as vlog:
+                with open(config.resolved_nodes_path(), "rb") as nodes:
+                    files = vlog.read(), nodes.read()
+            results.append((status, out.getvalue(), diag.getvalue(), *files))
+        assert results[0] == results[1]
+        assert "sealed\t" in results[0][1] or "plan-failure" in results[0][2]
+
+    def test_goal_without_domain_fails_each_line(self, make_config):
+        with Session(make_config(goal="At(Agent1,LocationB)")) as session:
+            diag = io.StringIO()
+            lines = ["p\t0.99\tsensor\n", "q\t0.99\tsensor\n"]
+            assert session.run_loop(lines, io.StringIO(), diag) == 0
+        assert diag.getvalue() == (
+            "plan-failure\tAt(Agent1,LocationB)\tno domain file configured\n" * 2
+        )
+
+    @pytest.mark.parametrize(
+        "overrides, error",
+        [
+            (dict(goal="At(Drone1,"), ParseError),
+            (dict(goal="At(Drone1,SiteAlpha)", domain_path="missing.domain"), OSError),
+        ],
+    )
+    def test_a_bad_goal_or_domain_writes_nothing(self, make_config, overrides, error):
+        config = make_config(**overrides)
+        with Session(config) as session:
+            with pytest.raises(error):
+                session.run_loop(["p\t0.99\tsensor\n"], io.StringIO(), io.StringIO())
+            assert len(session.ledger) == 0
+            assert len(session.graph) == 0
 
 
 class TestLineFormats:

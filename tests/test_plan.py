@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import pathlib
 import random
 
 import pytest
-from oracles import bfs_plan, random_domain
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import bfs_plan, random_domain, unprojected_abduce
 
 from veritas.guard import FailureKind
 from veritas.ledger import Ledger, Op
@@ -29,8 +32,10 @@ from veritas.plan import (
     missing_preconditions,
     parse_domain,
     parse_literal,
+    parse_literal_list,
     parse_trace,
     preconditions_met,
+    relevant_state,
     render_trace,
     repair_ontology,
     replay_trace,
@@ -493,3 +498,125 @@ class TestRandomDomains:
                     assert result.final.satisfies_all(dom.goal)
         assert solved >= 20
         assert failed >= 20
+
+
+STOCK = {name: domain(name) for name in ("drone", "navigation", "room")}
+JUNK_PREDICATES = ("Noise", "Seen", "S7")
+# A predicate that only goals use: no action changes it, but a goal on
+# it still reads it from the state.
+GOAL_ONLY = "Flag"
+
+
+def mentioned_atoms(dom) -> list[Atom]:
+    """Every ground atom, over the domain's entities, on a predicate and
+    arity that a schema, the initial state or the goal uses, or on
+    GOAL_ONLY."""
+    shapes = {(a.predicate, len(a.args)) for a in dom.init.atoms}
+    shapes.add((GOAL_ONLY, 1))
+    shapes |= {(lit.atom.predicate, len(lit.atom.args)) for lit in dom.goal}
+    for schema in dom.schemas:
+        for atom in (*(lit.atom for lit in schema.pre), *schema.add, *schema.delete):
+            shapes.add((atom.predicate, len(atom.args)))
+    names = {schema.name for schema in dom.schemas}
+    entities = [e for e in dom.ontology.entities() if e not in names]
+    return sorted(
+        (
+            Atom(predicate, args)
+            for predicate, arity in shapes
+            for args in itertools.product(entities, repeat=arity)
+        ),
+        key=render_canonical,
+    )
+
+
+def junk_atoms(dom) -> list[Atom]:
+    """Atoms on predicates that no schema or goal of the domain mentions."""
+    return [
+        Atom(predicate, args)
+        for predicate in JUNK_PREDICATES
+        for args in [(), *((e,) for e in dom.ontology.entities())]
+    ]
+
+
+def outcome(planner, goal, state, dom) -> list[str] | str:
+    """The plan as text, or the PlanningError message and subgoal."""
+    try:
+        return plan_texts(planner(goal, state, dom.schemas, dom.ontology))
+    except PlanningError as err:
+        return f"{err} / {[lit.render() for lit in err.subgoal]}"
+
+
+@st.composite
+def stock_problems(draw):
+    name = draw(st.sampled_from(sorted(STOCK)))
+    dom = STOCK[name]
+    atoms = mentioned_atoms(dom)
+    state = draw(st.frozensets(st.sampled_from(atoms), max_size=6))
+    goal = tuple(
+        Literal(atom, positive)
+        for atom, positive in draw(
+            st.lists(
+                st.tuples(st.sampled_from(atoms), st.booleans()),
+                min_size=1,
+                max_size=3,
+            )
+        )
+    )
+    junk = draw(st.frozensets(st.sampled_from(junk_atoms(dom)), min_size=1))
+    return dom, goal, WorldState(state), junk
+
+
+class TestRelevantState:
+    """Planning over the relevant state gives the plan, or the error,
+    that planning over the whole state gives."""
+
+    def test_projection_keeps_mentioned_predicates_only(self):
+        drone = STOCK["drone"]
+        junk = frozenset(junk_atoms(drone))
+        state = WorldState(drone.init.atoms | junk)
+        assert relevant_state(drone.goal, state, drone.schemas) == drone.init
+        goal = (parse_literal("Seen(Drone1)"),)
+        kept = relevant_state(goal, state, drone.schemas).atoms
+        assert kept == drone.init.atoms | {a for a in junk if a.predicate == "Seen"}
+
+    @settings(max_examples=200, deadline=None)
+    @given(stock_problems())
+    def test_junk_atoms_change_nothing_on_stock_domains(self, problem):
+        dom, goal, state, junk = problem
+        padded = WorldState(state.atoms | junk)
+        expected = outcome(abduce_policy, goal, state, dom)
+        assert outcome(abduce_policy, goal, padded, dom) == expected
+        assert outcome(unprojected_abduce, goal, padded, dom) == expected
+
+    @pytest.mark.parametrize(
+        "name, goal",
+        [
+            ("drone", "Inside(Drone1,Base)"),
+            ("drone", "At(Drone1,SiteAlpha),LowBattery(Drone1)"),
+            ("navigation", "Connected(LocationB,LocationA)"),
+            ("room", "Locked(Room101),Inside(Agent2,Room101)"),
+        ],
+    )
+    def test_unreachable_goals_fail_with_the_same_text(self, name, goal):
+        dom = STOCK[name]
+        literals = parse_literal_list(goal)
+        padded = WorldState(dom.init.atoms | frozenset(junk_atoms(dom)))
+        expected = outcome(unprojected_abduce, literals, padded, dom)
+        assert expected.startswith("no plan within depth budget")
+        assert outcome(abduce_policy, literals, dom.init, dom) == expected
+        assert outcome(abduce_policy, literals, padded, dom) == expected
+
+    def test_random_domains_agree_with_the_whole_state_search(self):
+        rng = random.Random(9090)
+        failed = 0
+        for _ in range(100):
+            dom = random_domain(rng)
+            junk = frozenset(
+                Atom(rng.choice(JUNK_PREDICATES), (f"E{rng.randrange(3)}",))
+                for _ in range(rng.randrange(1, 4))
+            )
+            padded = WorldState(dom.init.atoms | junk)
+            expected = outcome(unprojected_abduce, dom.goal, padded, dom)
+            assert outcome(abduce_policy, dom.goal, padded, dom) == expected
+            failed += isinstance(expected, str)
+        assert failed >= 15
