@@ -17,6 +17,11 @@ cannot decide.  Retraction and amendment keep the witness, because a
 model of a set is a model of any subset.  Contraction builds no model
 and drops it, as does every other producer; a revision's closing
 expansion solves its base and keeps the model it finds.
+
+The admission policy lives here too: assertion_gate (the probability
+floor theta and the epistemic-risk ceiling) decides whether an entry is
+assertable, and MARKING_RULES names the node rules that mark an entry
+for re-observation instead.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ from dataclasses import dataclass, field, replace
 from operator import attrgetter
 from typing import Iterable, Iterator
 
+from .config import EngineConfig
 from .logic import (
     Formula,
     Not,
@@ -615,6 +621,45 @@ def status_for(rule: str, probability: float) -> StatusTag:
     if rule == "approximation":
         return StatusTag.APPROXIMATE
     return StatusTag.DERIVED
+
+
+MARKING_RULES = frozenset({"demotion", "regrounding"})
+
+
+@dataclass(frozen=True)
+class RiskAssessment:
+    risk: float
+    admitted: bool
+    threshold: float
+    depth: int
+
+
+def epistemic_risk(
+    entry: BeliefEntry | float,
+    depth: int,
+    decay: float = 0.98,
+    tau_risk: float = 0.5,
+) -> RiskAssessment:
+    """Risk of admitting a belief: 1 - probability * decay ** depth."""
+    probability = entry.probability if isinstance(entry, BeliefEntry) else entry
+    risk = 1.0 - probability * decay**depth
+    return RiskAssessment(
+        risk=risk,
+        admitted=risk <= tau_risk,
+        threshold=tau_risk,
+        depth=depth,
+    )
+
+
+def assertion_gate(
+    probability: float,
+    depth: int,
+    config: EngineConfig,
+) -> bool:
+    """Both gates at once: the theta floor and the risk ceiling."""
+    if probability < config.theta:
+        return False
+    return epistemic_risk(probability, depth, config.decay, config.tau_risk).admitted
 
 
 def epoch_diff(

@@ -7,8 +7,9 @@ checking a proof against the ledger needs neither.  Every belief
 mutation is a ledger block folded by the same code replay uses, and the
 block is appended only once its fold has succeeded, so the live base and
 a fresh replay of the ledger can never drift apart and a refused change
-appends no block.  New justification nodes are persisted next to the
-ledger so later sessions can replay blocks that reference them.
+appends no block.  New justification nodes are written to the node
+store next to the ledger before any block that names them, so later
+sessions can replay every block.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .belief import (
     ConsistencyError,
     FourState,
     Provenance,
+    assertion_gate,
     classify_confidence,
     is_consistent_base,
     project_four_state,
@@ -41,7 +43,6 @@ from .guard import (
     MetaLogEntry,
     RecoveryContext,
     RecoveryReport,
-    assertion_gate,
     classify_failure,
     mscu_sweep,
     run_recovery,
@@ -60,7 +61,7 @@ from .justify import (
     node_to_json,
     verify_public_proof,
 )
-from .ledger import Ledger, Op, ReplayError, apply_block, node_entry, replay
+from .ledger import Ledger, Op, ReplayError, commit, node_entry, replay
 from .logic import (
     Atom,
     Formula,
@@ -287,21 +288,16 @@ class Session:
         A fold that raises (a resource limit, say) leaves the ledger and
         the live base as they were.
         """
-        timestamp = self._block_ts()
-        block = self.ledger.next_block(op, formula, digest, timestamp)
-        base = apply_block(self.base, block, self.config, self.graph)
-        self._append(op, formula, digest, timestamp)
-        self.base = base
-
-    def _append(
-        self, op: Op | str, formula: str, digest: bytes, timestamp: int
-    ) -> None:
-        self._sync_nodes()
-        self.ledger.append(
+        self.base = commit(
+            self.ledger,
+            self.base,
+            self.config,
+            self.graph,
             op,
-            formula=formula,
-            justification_digest=digest,
-            timestamp=timestamp,
+            formula,
+            digest,
+            self._block_ts(),
+            self._sync_nodes,
         )
 
     # -- observations and contraction ------------------------------------
@@ -335,10 +331,15 @@ class Session:
         )
         entry = node_entry(formula, node, self.config, self.graph)
         base, route = update_belief_state(self.base, entry, theta=self.config.theta)
-        # Recorded only now, so a refused fold leaves no node behind.
+        # Recorded only now, so a refused fold leaves no node behind.  The
+        # block's op is the route this fold took, so the block cannot be
+        # built before the fold, as commit would need.
         self.graph.add_node(node)
         op = Op.REVISE if route == "revised" else Op.INSERT
-        self._append(op, entry.key, bytes.fromhex(node.node_id), self._block_ts())
+        self._sync_nodes()
+        self.ledger.append(
+            op, entry.key, bytes.fromhex(node.node_id), self._block_ts()
+        )
         self.base = base
         self._obs_seq += 1
         if op == Op.REVISE:
@@ -474,10 +475,10 @@ class Session:
             ledger=self.ledger,
             clock=self._block_ts,
             replan=replan,
+            sync_nodes=self._sync_nodes,
         )
         report = run_recovery(event, context)
-        self.base = context.base
-        self._sync_nodes()
+        self.base = report.base
         return report
 
     def sweep_and_react(self) -> tuple[list[MetaLogEntry], list[RecoveryReport]]:

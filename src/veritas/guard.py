@@ -5,37 +5,35 @@ by provenance dominance, falling back to contraction on ties.  Failure
 events carry exactly one of five kinds (belief inconsistency,
 justification breakdown, approximation drift, grounding misalignment,
 policy misprojection); anything else is an explicit Unknown, never a
-silent default.  Recovery runs append their effects to the ledger so a
-replay reproduces the post-recovery base.
+silent default.  A protocol changes the base only by choosing block
+specs (op, formula, digest) and committing each with ledger.commit,
+which folds the block with apply_block and appends it only once the fold
+has succeeded, so the recovered base is, by construction, the base a
+replay of the ledger rebuilds.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import hashlib
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
 from .belief import (
     DEMOTED_PROBABILITY,
+    MARKING_RULES,
     BeliefBase,
     BeliefEntry,
     Provenance,
     StatusTag,
-    amend_entry,
-    contract,
     is_consistent_base,
-    retract_entry,
-    status_for,
 )
 from .config import EngineConfig
 from .justify import JustificationGraph, dominance
+from .ledger import ZERO_HASH, Ledger, Op, commit
 from .logic import Formula, Not, is_consistent, parse, render_canonical
 from .logic.sat import preferred_conflict
-
-ZERO_DIGEST = b"\x00" * 32
-
-MARKING_RULES = frozenset({"demotion", "regrounding"})
 
 
 class FailureKind(enum.Enum):
@@ -70,14 +68,6 @@ class Diagnostic:
 
 
 @dataclass(frozen=True)
-class RiskAssessment:
-    risk: float
-    admitted: bool
-    threshold: float
-    depth: int
-
-
-@dataclass(frozen=True)
 class MetaLogEntry:
     epoch: int
     formula: str
@@ -87,14 +77,21 @@ class MetaLogEntry:
 
 @dataclass
 class RecoveryContext:
-    """Everything a protocol may touch while repairing state."""
+    """Everything a protocol may touch while repairing state.
+
+    A protocol changes the beliefs in base only through _commit.
+    sync_nodes, when given, runs before each append; a session passes
+    its node-store sync, so every node a block names is on disk before
+    the block is.
+    """
 
     base: BeliefBase
     graph: JustificationGraph
     config: EngineConfig
-    ledger: object | None = None
+    ledger: Ledger
     clock: Callable[[], int] = lambda: 0
     replan: Callable[[], str | None] | None = None
+    sync_nodes: Callable[[], None] | None = None
 
 
 @dataclass
@@ -143,21 +140,32 @@ def resolve_contradiction(
     base: BeliefBase,
     core: frozenset[Formula],
     reliability: dict[str, float] | None = None,
+    fold: Callable[[Op, str], BeliefBase] | None = None,
 ) -> tuple[BeliefBase, list[tuple[str, str]]]:
     """Restore consistency, starting from the given core.
 
-    Within a core the provenance-dominated member is dropped; if no
-    member dominates another the lowest-confidence one is contracted.
-    Returns the new base and (method, formula) pairs for each removal,
-    where method is "retract" or "contract".
+    Within a core the provenance-dominated member is retracted (a
+    recovery block); if no member dominates another the lowest-confidence
+    one is contracted (a contract block).  fold(op, key) commits each
+    such block and returns the base after it; by default the blocks go
+    to a throwaway in-memory ledger.  Returns the new base and (method,
+    formula) pairs for each removal, where method is "retract" or
+    "contract".
     """
+    if fold is None:
+        scratch = RecoveryContext(
+            base, JustificationGraph(), EngineConfig(), Ledger()
+        )
+        fold = functools.partial(_commit, scratch)
     actions: list[tuple[str, str]] = []
     current = core
     guard_rail = len(base.entries) + 1
     while guard_rail > 0:
         guard_rail -= 1
-        base, action = _shrink_core(base, current, reliability)
+        action = _shrink_core(base, current, reliability)
         if action is not None:
+            method, key = action
+            base = fold(Op.RECOVERY if method == "retract" else Op.CONTRACT, key)
             actions.append(action)
         cores = detect_contradiction(base)
         if not cores:
@@ -172,10 +180,11 @@ def _shrink_core(
     base: BeliefBase,
     core: frozenset[Formula],
     reliability: dict[str, float] | None,
-) -> tuple[BeliefBase, tuple[str, str] | None]:
+) -> tuple[str, str] | None:
+    """The (method, key) of the core member to remove next."""
     entries = [e for e in base.entries if e.formula in core]
     if not entries:
-        return base, None
+        return None
     losers: set[str] = set()
     for i, a in enumerate(entries):
         for b in entries[i + 1:]:
@@ -186,16 +195,9 @@ def _shrink_core(
                 losers.add(a.key)
     dominated = sorted(k for k in losers)
     if dominated:
-        victim = next(e for e in entries if e.key == dominated[0])
-        return (
-            retract_entry(base, victim.formula, "recovery(dominated)"),
-            ("retract", victim.key),
-        )
+        return "retract", dominated[0]
     weakest = min(entries, key=lambda e: (e.provenance.confidence, e.key))
-    return (
-        contract(base, weakest.formula),
-        ("contract", weakest.key),
-    )
+    return "contract", weakest.key
 
 
 def classify_failure(diagnostic: Diagnostic) -> FailureEvent:
@@ -234,34 +236,6 @@ def classify_failure(diagnostic: Diagnostic) -> FailureEvent:
         diagnostic.subject,
         "no taxonomy rule matched the observed signals",
     )
-
-
-def epistemic_risk(
-    entry: BeliefEntry | float,
-    depth: int,
-    decay: float = 0.98,
-    tau_risk: float = 0.5,
-) -> RiskAssessment:
-    """Risk of admitting a belief: 1 - probability * decay ** depth."""
-    probability = entry.probability if isinstance(entry, BeliefEntry) else entry
-    risk = 1.0 - probability * decay**depth
-    return RiskAssessment(
-        risk=risk,
-        admitted=risk <= tau_risk,
-        threshold=tau_risk,
-        depth=depth,
-    )
-
-
-def assertion_gate(
-    probability: float,
-    depth: int,
-    config: EngineConfig,
-) -> bool:
-    """Both gates at once: the theta floor and the risk ceiling."""
-    if probability < config.theta:
-        return False
-    return epistemic_risk(probability, depth, config.decay, config.tau_risk).admitted
 
 
 def justification_health(
@@ -333,8 +307,10 @@ def approximation_gate(
 def run_recovery(event: FailureEvent, context: RecoveryContext) -> RecoveryReport:
     """Dispatch a failure event to its recovery protocol.
 
-    Every run appends at least one ledger block (when a ledger is
-    wired), so the post-recovery base is reproducible by replay.
+    Every change a protocol makes to the base is a block folded through
+    _commit, and every run closes with a summary recovery block whose
+    digest binds the report lines, so a replay of the ledger rebuilds the
+    post-recovery base.
     """
     protocol = {
         FailureKind.BELIEF_INCONSISTENCY: "I",
@@ -359,9 +335,27 @@ def run_recovery(event: FailureEvent, context: RecoveryContext) -> RecoveryRepor
     else:
         report.escalated = True
         _note(report, context, event, "escalated(unclassified)")
-    _append_summary_block(context, report)
-    report.base = context.base
+    digest = hashlib.sha256(report.render().encode()).digest()
+    report.base = _commit(context, Op.RECOVERY, "", digest)
     return report
+
+
+def _commit(
+    context: RecoveryContext, op: Op, formula: str, digest: bytes = ZERO_HASH
+) -> BeliefBase:
+    """Fold one block into context.base and append it; the new base."""
+    context.base = commit(
+        context.ledger,
+        context.base,
+        context.config,
+        context.graph,
+        op,
+        formula,
+        digest,
+        context.clock(),
+        context.sync_nodes,
+    )
+    return context.base
 
 
 def _note(
@@ -384,26 +378,6 @@ def _note(
     )
 
 
-def _append_block(
-    context: RecoveryContext,
-    op: str,
-    formula: str,
-    digest: bytes,
-) -> None:
-    if context.ledger is not None:
-        context.ledger.append(
-            op=op,
-            formula=formula,
-            justification_digest=digest,
-            timestamp=context.clock(),
-        )
-
-
-def _append_summary_block(context: RecoveryContext, report: RecoveryReport) -> None:
-    digest = hashlib.sha256(report.render().encode()).digest()
-    _append_block(context, "recovery", "", digest)
-
-
 def _protocol_cascade(
     event: FailureEvent, context: RecoveryContext, report: RecoveryReport
 ) -> None:
@@ -413,59 +387,63 @@ def _protocol_cascade(
         _note(report, context, event, "already-consistent")
         return
     context.base, actions = resolve_contradiction(
-        context.base, cores[0], context.config.reliability
+        context.base,
+        cores[0],
+        context.config.reliability,
+        functools.partial(_commit, context),
     )
     for method, key in actions:
-        if method == "retract":
-            _append_block(context, "recovery", key, ZERO_DIGEST)
-            _note(report, context, event, "retracted", subject=key)
-        else:
-            _append_block(context, "contract", key, ZERO_DIGEST)
-            _note(report, context, event, "contracted", subject=key)
+        outcome = "retracted" if method == "retract" else "contracted"
+        _note(report, context, event, outcome, subject=key)
     if not is_consistent_base(context.base):
         report.escalated = True
         _note(report, context, event, "escalated(unresolved)")
         return
     for entry in list(context.base.entries):
-        if _support_broken(context, entry):
+        if entry.justification is not None and not _leaves_held(
+            context, entry.justification
+        ):
             _rejustify_or_demote(entry, event, context, report)
 
 
-def _support_broken(context: RecoveryContext, entry: BeliefEntry) -> bool:
-    if entry.justification is None:
-        return False
-    if entry.justification not in context.graph:
-        return True
-    active = {e.key for e in context.base.entries}
+def _leaves_held(context: RecoveryContext, node_id: str) -> bool:
+    """Whether the node resolves and every premise-free node under it,
+    other than itself, concludes a formula the base holds."""
     try:
-        chain = context.graph.trace(entry.justification)
+        chain = context.graph.trace(node_id)
     except LookupError:
-        return True
-    for node in chain:
-        if node.premises:
-            continue
-        if node.node_id == entry.justification:
-            continue
-        if render_canonical(node.conclusion) not in active:
-            return True
-    return False
+        return False
+    return all(
+        step.premises
+        or step.node_id == node_id
+        or context.base.find(step.conclusion) is not None
+        for step in chain
+    )
+
+
+def _subject_entry(
+    event: FailureEvent, context: RecoveryContext, report: RecoveryReport
+) -> BeliefEntry | None:
+    """The held entry the event names, noting why when there is none."""
+    try:
+        formula = parse(event.subject)
+    except ValueError:
+        report.escalated = True
+        _note(report, context, event, "escalated(bad-subject)")
+        return None
+    entry = context.base.find(formula)
+    if entry is None:
+        _note(report, context, event, "no-entry")
+    return entry
 
 
 def _protocol_repair(
     event: FailureEvent, context: RecoveryContext, report: RecoveryReport
 ) -> None:
     """Protocol II: re-derive from alternate premises or demote."""
-    try:
-        formula = parse(event.subject)
-    except ValueError:
-        report.escalated = True
-        _note(report, context, event, "escalated(bad-subject)")
-        return
-    entry = context.base.find(formula)
-    if entry is None:
-        _note(report, context, event, "no-entry")
-        return
-    _rejustify_or_demote(entry, event, context, report)
+    entry = _subject_entry(event, context, report)
+    if entry is not None:
+        _rejustify_or_demote(entry, event, context, report)
 
 
 def _rejustify_or_demote(
@@ -474,77 +452,40 @@ def _rejustify_or_demote(
     context: RecoveryContext,
     report: RecoveryReport,
 ) -> None:
-    active = {e.key for e in context.base.entries}
+    """Adopt another supported node for the entry, or a demotion node.
+
+    The recovery block names the node; apply_block amends the entry
+    from it (probability, status, assertability).
+    """
     for candidate in context.graph.nodes_for(entry.formula):
-        if candidate == entry.justification:
-            continue
-        if not _candidate_supported(context.graph, candidate, active):
-            continue
-        node = context.graph.node(candidate)
-        context.base = amend_entry(
-            context.base,
-            entry.formula,
-            probability=node.provenance.confidence,
-            status=status_for(node.rule, node.provenance.confidence),
-            justification=candidate,
-            assertable=assertion_gate(
-                node.provenance.confidence,
-                context.graph.depth(candidate),
-                context.config,
-            ),
-        )
-        _append_block(context, "recovery", entry.key, bytes.fromhex(candidate))
-        _note(report, context, event, "rejustified", subject=entry.key)
-        return
+        if (
+            candidate != entry.justification
+            and context.graph.node(candidate).rule not in MARKING_RULES
+            and _leaves_held(context, candidate)
+        ):
+            _commit(context, Op.RECOVERY, entry.key, bytes.fromhex(candidate))
+            _note(report, context, event, "rejustified", subject=entry.key)
+            return
     node_id = context.graph.record_inference(
         entry.formula,
         (),
         "demotion",
         Provenance("guard", context.clock(), DEMOTED_PROBABILITY),
     )
-    context.base = amend_entry(
-        context.base,
-        entry.formula,
-        probability=DEMOTED_PROBABILITY,
-        status=StatusTag.APPROXIMATE,
-        justification=node_id,
-        assertable=False,
-    )
-    _append_block(context, "recovery", entry.key, bytes.fromhex(node_id))
+    _commit(context, Op.RECOVERY, entry.key, bytes.fromhex(node_id))
     _note(report, context, event, "demoted", subject=entry.key)
-
-
-def _candidate_supported(
-    graph: JustificationGraph, node_id: str, active: set[str]
-) -> bool:
-    node = graph.node(node_id)
-    if node.rule in MARKING_RULES:
-        return False
-    try:
-        chain = graph.trace(node_id)
-    except LookupError:
-        return False
-    for step in chain:
-        if step.premises or step.node_id == node_id:
-            continue
-        if render_canonical(step.conclusion) not in active:
-            return False
-    return True
 
 
 def _protocol_reground(
     event: FailureEvent, context: RecoveryContext, report: RecoveryReport
 ) -> None:
-    """Protocols III/IV: mark the suspect formula for re-observation."""
-    try:
-        formula = parse(event.subject)
-    except ValueError:
-        report.escalated = True
-        _note(report, context, event, "escalated(bad-subject)")
-        return
-    entry = context.base.find(formula)
+    """Protocols III/IV: mark the suspect formula for re-observation.
+
+    A regrounding node keeps the entry's probability; apply_block marks
+    the entry approximate and not assertable.
+    """
+    entry = _subject_entry(event, context, report)
     if entry is None:
-        _note(report, context, event, "no-entry")
         return
     node_id = context.graph.record_inference(
         entry.formula,
@@ -552,14 +493,7 @@ def _protocol_reground(
         "regrounding",
         Provenance("guard", context.clock(), entry.probability),
     )
-    context.base = amend_entry(
-        context.base,
-        entry.formula,
-        status=StatusTag.APPROXIMATE,
-        justification=node_id,
-        assertable=False,
-    )
-    _append_block(context, "recovery", entry.key, bytes.fromhex(node_id))
+    _commit(context, Op.RECOVERY, entry.key, bytes.fromhex(node_id))
     _note(report, context, event, "marked-for-reobservation", subject=entry.key)
 
 

@@ -5,7 +5,9 @@ justification digest, and the previous block's hash; the genesis block
 links to 32 zero bytes.  The on-disk format is one line per block: the
 hashed serialization, a unit separator, the block hash in hex, and a
 newline.  Replaying the ledger through the belief module with the same
-configuration reconstructs the live base exactly.
+configuration reconstructs the live base exactly, because commit is the
+one way to change a base: it folds the next block with apply_block and
+appends the block only once that fold has succeeded.
 """
 
 from __future__ import annotations
@@ -16,20 +18,21 @@ import os
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 from .belief import (
+    MARKING_RULES,
     BeliefBase,
     BeliefEntry,
     StatusTag,
     amend_entry,
+    assertion_gate,
     contract,
     retract_entry,
     status_for,
     update_belief_state,
 )
 from .config import EngineConfig
-from .guard import MARKING_RULES, assertion_gate
 from .justify import JustificationGraph, JustificationNode
 from .logic import Formula, parse
 
@@ -349,27 +352,51 @@ def apply_block(
             raise ReplayError(
                 f"recovery block {block.index} references unknown node"
             )
+        # A demotion or regrounding node marks the entry for re-observation:
+        # approximate and not assertable, whatever its probability.
         probability = node.provenance.confidence
-        if node.rule in MARKING_RULES:
-            assertable = False
-        else:
-            assertable = assertion_gate(
-                probability, graph.depth(node.node_id), config
-            )
-        status = (
-            StatusTag.APPROXIMATE
-            if node.rule in MARKING_RULES
-            else status_for(node.rule, probability)
-        )
+        marking = node.rule in MARKING_RULES
         return amend_entry(
             base,
             formula,
             probability=probability,
-            status=status,
+            status=(
+                StatusTag.APPROXIMATE
+                if marking
+                else status_for(node.rule, probability)
+            ),
             justification=node.node_id,
-            assertable=assertable,
+            assertable=not marking
+            and assertion_gate(probability, graph.depth(node.node_id), config),
         )
     return base
+
+
+def commit(
+    ledger: Ledger,
+    base: BeliefBase,
+    config: EngineConfig,
+    graph: JustificationGraph,
+    op: Op | str,
+    formula: str = "",
+    justification_digest: bytes = ZERO_HASH,
+    timestamp: int = 0,
+    before_append: Callable[[], None] | None = None,
+) -> BeliefBase:
+    """Fold the next block into base, then append it; the folded base.
+
+    A fold that raises (a resource limit, say) appends nothing, and the
+    base returned is the one a replay of the ledger rebuilds.
+    before_append runs between the fold and the append; a session passes
+    its node-store sync there, so the nodes a block names are on disk
+    before the block is.
+    """
+    block = ledger.next_block(op, formula, justification_digest, timestamp)
+    folded = apply_block(base, block, config, graph)
+    if before_append is not None:
+        before_append()
+    ledger.append(op, formula, justification_digest, timestamp)
+    return folded
 
 
 def replay(

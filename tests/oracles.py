@@ -442,9 +442,8 @@ def reference_run_loop(session, lines, out, diag) -> int:
     unprojected_abduce, and gates the plan on each assertable entry that
     the state holds.  The goal and domain must be valid.
     """
-    from veritas.belief import is_consistent_base
+    from veritas.belief import assertion_gate, is_consistent_base
     from veritas.engine import parse_goal_literals, parse_observation_line
-    from veritas.guard import assertion_gate
     from veritas.ledger import Op
     from veritas.logic import parse
     from veritas.plan import (

@@ -412,7 +412,11 @@ def _recovered_replay(context: RecoveryContext, marker: int, start: BeliefBase):
 
 
 def test_criterion_8_recovery_protocols_repair_and_stay_healthy():
-    """Types I-V map to protocols I-V, end consistent, replay, and settle."""
+    """Types I-V map to protocols I-V, end consistent, replay, and settle.
+
+    Replay must rebuild the recovered base in full, retraction log and
+    history included, not just its export.
+    """
     # Type I: a live contradiction resolves by dominance.
     context = _ledgered_context(_belief("q", 0.95, ts=0))
     _graft(context, _belief("p", 0.9, ts=1), _belief("!p", 0.6, ts=2))
@@ -426,9 +430,7 @@ def test_criterion_8_recovery_protocols_repair_and_stay_healthy():
     assert {e.key for e in report.base.entries} == {"p", "q"}
     assert len(context.ledger) > marker
     assert context.ledger.verify_chain() is None
-    assert export(_recovered_replay(context, marker, start)) == export(
-        report.base
-    )
+    assert _recovered_replay(context, marker, start) == report.base
     follow_up = mscu_sweep(report.base, context.graph, 0.6)
     assert all(item.action == "none" for item in follow_up)
 
@@ -455,9 +457,7 @@ def test_criterion_8_recovery_protocols_repair_and_stay_healthy():
     assert demoted.probability == pytest.approx(0.005)
     assert not demoted.assertable
     assert is_consistent(report.base.formulas())
-    assert export(_recovered_replay(context, marker, start)) == export(
-        report.base
-    )
+    assert _recovered_replay(context, marker, start) == report.base
     follow_up = mscu_sweep(report.base, context.graph, 0.6)
     assert all(item.action == "none" for item in follow_up)
 
@@ -470,9 +470,7 @@ def test_criterion_8_recovery_protocols_repair_and_stay_healthy():
     marked = report.base.find(parse("Temp(Room1)"))
     assert marked.status.value == "approximate"
     assert not marked.assertable
-    assert export(
-        replay(context.ledger, context.config, context.graph)
-    ) == export(report.base)
+    assert replay(context.ledger, context.config, context.graph) == report.base
     follow_up = mscu_sweep(report.base, context.graph, 0.6)
     assert all(item.action == "none" for item in follow_up)
 
@@ -532,7 +530,7 @@ def test_criterion_9_admission_gates_hold_under_randomization(tmp_path):
                 assert entry.probability >= theta
                 assert risk <= tau_risk
 
-    from veritas.guard import assertion_gate
+    from veritas.belief import assertion_gate
 
     for _ in range(500):
         probability = rng.random()

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+import json
 import random
 from pathlib import Path
 
@@ -37,7 +38,7 @@ from veritas.engine import (
 )
 from veritas.guard import FailureEvent, FailureKind
 from veritas.justify import NoJustificationError, node_to_json
-from veritas.ledger import LedgerCorruptionError, Op, replay
+from veritas.ledger import ZERO_HASH, Ledger, LedgerCorruptionError, Op, replay
 from veritas.logic import (
     Atom,
     ParseError,
@@ -619,6 +620,47 @@ class TestGuardIntegration:
             ops = [block.op for block in session.ledger.blocks]
             assert Op.META in ops
             assert Op.RECOVERY in ops
+
+    def test_nodes_are_stored_before_the_blocks_that_name_them(
+        self, make_config, monkeypatch
+    ):
+        """Demotion (II), regrounding (III) and human review (IV) each
+        record a node; it is in the node store before its block is."""
+        config = make_config()
+        append = Ledger.append
+        named = []
+
+        def checked_append(
+            ledger, op, formula="", justification_digest=ZERO_HASH, timestamp=0
+        ):
+            op = Op(op)
+            if op in (Op.INSERT, Op.REVISE) or (
+                op is Op.RECOVERY and formula and justification_digest != ZERO_HASH
+            ):
+                with open(config.resolved_nodes_path(), encoding="utf-8") as handle:
+                    stored = {json.loads(line)["id"] for line in handle}
+                assert justification_digest.hex() in stored, (op, formula)
+                named.append(op)
+            return append(ledger, op, formula, justification_digest, timestamp)
+
+        monkeypatch.setattr(Ledger, "append", checked_append)
+        with Session(config) as session:
+            for text in ("p", "q", "r"):
+                session.observe(text, 0.99, "sensor")
+            kinds = (
+                FailureKind.JUSTIFICATION_BREAKDOWN,
+                FailureKind.APPROXIMATION_DRIFT,
+                FailureKind.GROUNDING_MISALIGNMENT,
+            )
+            reports = [
+                session.recover(FailureEvent(kind, text))
+                for kind, text in zip(kinds, ("p", "q", "r"))
+            ]
+        assert [r.lines[0].split("\t")[-1] for r in reports] == [
+            "demoted", "marked-for-reobservation", "marked-for-reobservation"
+        ]
+        assert "human-review" in reports[2].directives
+        assert named == [Op.INSERT] * 3 + [Op.RECOVERY] * 3
 
 
 class TestWorldState:

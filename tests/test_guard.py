@@ -13,7 +13,8 @@ from veritas.belief import (
     Provenance,
     StatusTag,
     amend_entry,
-    export,
+    assertion_gate,
+    epistemic_risk,
 )
 from veritas.config import EngineConfig
 from veritas.guard import (
@@ -22,10 +23,8 @@ from veritas.guard import (
     FailureKind,
     RecoveryContext,
     approximation_gate,
-    assertion_gate,
     classify_failure,
     detect_contradiction,
-    epistemic_risk,
     justification_health,
     mscu_sweep,
     resolve_contradiction,
@@ -140,7 +139,7 @@ class TestResolveContradiction:
         resolved, actions = resolve_contradiction(base, core)
         assert [e.key for e in resolved.entries] == ["p"]
         assert actions == [("retract", "(! p)")]
-        assert resolved.retraction_log[-1].reason == "recovery(dominated)"
+        assert resolved.retraction_log[-1].reason == "recovery"
 
     def test_newer_timestamp_breaks_confidence_tie(self):
         base = BeliefBase.from_entries(
@@ -401,9 +400,9 @@ class TestRecoveryProtocols:
             recovered_only.append(
                 block.op, block.formula, block.justification_digest, block.timestamp
             )
-        assert export(
-            replay(recovered_only, context.config, context.graph, initial=start)
-        ) == export(report.base)
+        replayed = replay(recovered_only, context.config, context.graph, initial=start)
+        assert replayed == report.base
+        assert replayed.retraction_log[-1].reason == "recovery"
 
     def test_protocol_one_demotes_orphaned_derivations(self):
         """Dropping a premise demotes the conclusions that leaned on it."""

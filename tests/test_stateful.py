@@ -1,0 +1,125 @@
+"""The three ledger invariants under random sequences of session commands.
+
+After every step, refused ones included, the live base must equal a
+replay of the ledger and the base of a session reopened from the bytes
+on disk, under full BeliefBase equality (entries, epoch, retraction log
+and history).  After every block appended, the bytes on disk must
+reopen: no block may name a node the node store does not hold yet, so a
+process that dies between two appends leaves a ledger that replays.
+"""
+
+from __future__ import annotations
+
+import shutil
+import tempfile
+from pathlib import Path
+
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
+
+from veritas.belief import ConsistencyError
+from veritas.config import EngineConfig
+from veritas.engine import Session
+from veritas.guard import FailureEvent, FailureKind
+from veritas.ledger import replay
+
+# Four atoms; "p & !p" is refused as an observation and "p | !p" as a
+# contraction, so refused operations are drawn as often as the rest.
+FORMULAS = (
+    "p", "q", "r", "s", "!p", "!q", "!r", "p -> q", "q -> r", "r | s",
+    "p & !s", "p & !p", "p | !p",
+)
+PROBABILITIES = (0.3, 0.6, 0.96, 0.99)
+
+
+class SessionMachine(RuleBasedStateMachine):
+    def __init__(self) -> None:
+        super().__init__()
+        self.dir = Path(tempfile.mkdtemp(prefix="veritas-stateful-"))
+        self.config = EngineConfig(
+            ledger_path=str(self.dir / "live.vlog"), fixed_clock=True
+        )
+        self.session = self._open()
+
+    def _open(self) -> Session:
+        """A live session whose every append is followed by a reopen."""
+        session = Session(self.config)
+        append = session.ledger.append
+
+        def append_then_reopen(*args, **kwargs):
+            block = append(*args, **kwargs)
+            self._reopened()
+            return block
+
+        session.ledger.append = append_then_reopen
+        return session
+
+    def _reopened(self):
+        """The base of a session opened on a copy of the files, so the
+        live session keeps its lock."""
+        copy = EngineConfig(ledger_path=str(self.dir / "copy.vlog"), fixed_clock=True)
+        for suffix in (".vlog", ".nodes"):
+            source = self.dir / f"live{suffix}"
+            target = self.dir / f"copy{suffix}"
+            if source.exists():
+                shutil.copyfile(source, target)
+            else:
+                target.unlink(missing_ok=True)
+        with Session(copy) as reopened:
+            return reopened.base
+
+    def teardown(self) -> None:
+        self.session.close()
+        shutil.rmtree(self.dir)
+
+    @rule(
+        text=st.sampled_from(FORMULAS),
+        probability=st.sampled_from(PROBABILITIES),
+        source=st.sampled_from(("alice", "bob")),
+    )
+    def observe(self, text: str, probability: float, source: str) -> None:
+        try:
+            self.session.observe(text, probability, source)
+        except ConsistencyError:
+            assert text == "p & !p"
+
+    @rule(text=st.sampled_from(FORMULAS))
+    def contract(self, text: str) -> None:
+        try:
+            self.session.contract_formula(text)
+        except ConsistencyError:
+            assert text == "p | !p"
+
+    @rule()
+    def sweep_and_react(self) -> None:
+        self.session.sweep_and_react()
+
+    @rule(kind=st.sampled_from(list(FailureKind)), data=st.data())
+    def recover(self, kind: FailureKind, data) -> None:
+        """Mostly about a held formula, else one not held or unparsable."""
+        held = [entry.key for entry in self.session.base.entries]
+        subject = data.draw(st.sampled_from(held + ["t", "((("]))
+        self.session.recover(FailureEvent(kind, subject))
+
+    @rule(data=st.data())
+    def rollback(self, data) -> None:
+        upto = data.draw(st.integers(0, len(self.session.ledger)))
+        self.session.rollback(upto)
+
+    @rule()
+    def reopen(self) -> None:
+        self.session.close()
+        self.session = self._open()
+
+    @invariant()
+    def live_equals_replay_equals_reopened(self) -> None:
+        live = self.session.base
+        assert live == replay(self.session.ledger, self.config, self.session.graph)
+        assert self._reopened() == live
+
+
+SessionMachine.TestCase.settings = settings(
+    max_examples=40, stateful_step_count=15, deadline=None, derandomize=True
+)
+TestSessionInvariants = SessionMachine.TestCase
