@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import fcntl
 import functools
+import io
 import json
 import os
 import time
@@ -86,6 +87,7 @@ from .plan import (
     render_trace,
     seal_trace,
     simulate_trace,
+    trace_digest,
     type_check,
 )
 
@@ -208,6 +210,7 @@ class Session:
         self._domain: Domain | None = None
         # The last planning problem and its plan or error, see _abduce.
         self._last_plan: tuple | None = None
+        self._last_trace: tuple | None = None  # see _simulate_and_seal
 
     @functools.cached_property
     def graph(self) -> JustificationGraph:
@@ -299,6 +302,10 @@ class Session:
             self._block_ts(),
             self._sync_nodes,
         )
+
+    def _append_meta(self, formula: str, digest: bytes = b"\x00" * 32) -> None:
+        """Append a META block: a record with no effect on the base."""
+        self.ledger.append(Op.META, formula, digest, self._block_ts())
 
     # -- observations and contraction ------------------------------------
 
@@ -454,12 +461,7 @@ class Session:
         proof = build_public_proof(self.graph, node_id)
         self._sync_nodes()
         if not self.ledger.contains_digest(proof.digest):
-            self.ledger.append(
-                Op.META,
-                formula=render_canonical(formula),
-                justification_digest=proof.digest,
-                timestamp=self._block_ts(),
-            )
+            self._append_meta(render_canonical(formula), proof.digest)
         return proof
 
     def verify_proof(self, proof: PublicProof) -> VerifyResult:
@@ -489,11 +491,7 @@ class Session:
         for item in log:
             if item.action == "none":
                 continue
-            self.ledger.append(
-                Op.META,
-                formula=f"sweep:{item.action}:{item.formula}",
-                timestamp=self._block_ts(),
-            )
+            self._append_meta(f"sweep:{item.action}:{item.formula}")
             if item.action == "contract" and not contradiction_handled:
                 contradiction_handled = True
                 reports.append(
@@ -590,9 +588,20 @@ class Session:
             raise PlanningError("no goal given")
         state = self.world_state()
         plan = self._abduce(goal, state)
-        result = simulate_trace(plan, state, goal=goal)
-        seal = seal_trace(result.trace, self.ledger, timestamp=self._block_ts())
-        return plan, result, seal
+        return plan, *self._simulate_and_seal(plan, state, goal)
+
+    def _simulate_and_seal(self, plan, state, goal) -> tuple[SimulationResult, int]:
+        """simulate_trace and seal_trace, simulating a new problem only.
+
+        A trace depends on the plan, goal and full state alone, so the
+        session keeps the last such triple with its result and digest.
+        """
+        key = (tuple(plan), goal, state)
+        if self._last_trace is None or self._last_trace[0] != key:
+            result = simulate_trace(plan, state, goal=goal)
+            self._last_trace = (key, result, trace_digest(result.trace))
+        _, result, digest = self._last_trace
+        return result, seal_trace(result.trace, self.ledger, self._block_ts(), digest)
 
     def inject_policy(
         self,
@@ -623,10 +632,7 @@ class Session:
             return ";".join(a.render() for a in alternate)
 
         def run(plan: list[GroundAction], label: str) -> SimulationResult:
-            result = simulate_trace(plan, state, goal=goal)
-            seal = seal_trace(
-                result.trace, self.ledger, timestamp=self._block_ts()
-            )
+            result, seal = self._simulate_and_seal(plan, state, goal)
             lines.append(f"{label}\tsealed={seal}")
             lines.extend(render_trace(result.trace).splitlines())
             return result
@@ -713,22 +719,14 @@ class Session:
                 appended += 1
         if {e.key: e for e in self.base.entries} != wanted:
             raise RuntimeError("rollback reconstruction incomplete")
-        self.ledger.append(
-            Op.META,
-            formula=f"rollback:{upto}",
-            timestamp=self._block_ts(),
-        )
+        self._append_meta(f"rollback:{upto}")
         return appended + 1
 
     def audit(self) -> list[MetaLogEntry]:
         log = mscu_sweep(self.base, self.graph, self.config.theta_meta)
         for item in log:
             if item.action != "none":
-                self.ledger.append(
-                    Op.META,
-                    formula=f"sweep:{item.action}:{item.formula}",
-                    timestamp=self._block_ts(),
-                )
+                self._append_meta(f"sweep:{item.action}:{item.formula}")
         return log
 
     # -- the main loop ------------------------------------------------------
@@ -741,47 +739,54 @@ class Session:
         recovery escalates with no way forward.  A configured goal is
         parsed, and its domain loaded, before anything is written, so a
         bad one raises and leaves the ledger as it was.  Each line plans
-        only when the relevant state has changed (see _abduce).
+        only when the relevant state has changed (see _abduce).  A line
+        is the unit of durability: its blocks are written in one ledger
+        batch, and its output once that batch is on disk.  A line that
+        raises prints nothing, but the blocks it appended are written.
         """
         goal = None
         if self.config.goal:
             goal = parse_goal_literals(self.config.goal)
             if self.config.domain_path:
                 self.domain()
-        self.ledger.append(
-            Op.META, formula="session-start", timestamp=self._block_ts()
-        )
+        self._append_meta("session-start")
         for raw in lines:
-            stripped = raw.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            text, probability, source = parse_observation_line(raw)
-            formula = parse(text)
-            verdict = self.observe(formula, probability, source)
-            out.write(f"{verdict}\t{render_canonical(formula)}\n")
-            _, reports = self.sweep_and_react()
-            if any(r.escalated for r in reports):
-                diag.write("EpistemicWarning\tsweep\tescalated\n")
-                return 6
-            if goal is None:
-                continue
-            try:
-                state = self.world_state()
-                plan = self._abduce(goal, state)
-            except PlanningError as err:
-                diag.write(f"plan-failure\t{self.config.goal}\t{err}\n")
-                continue
-            safe, reason = self.is_safe(plan)
-            if not safe:
-                diag.write(
-                    f"EpistemicWarning\t{self.config.goal}\t{reason}\n"
-                )
-                continue
-            result = simulate_trace(plan, state, goal=goal)
-            seal = seal_trace(
-                result.trace, self.ledger, timestamp=self._block_ts()
-            )
-            for action in plan:
-                out.write(f"executed\t{action.render()}\n")
-            out.write(f"sealed\t{seal}\n")
+            said, warned = io.StringIO(), io.StringIO()
+            with self.ledger.batch():
+                status = self._run_line(raw, goal, said, warned)
+            out.write(said.getvalue())
+            diag.write(warned.getvalue())
+            if status:
+                return status
+        return 0
+
+    def _run_line(self, raw: str, goal, out, diag) -> int:
+        """One stream line of run_loop; 6 when a recovery escalates."""
+        stripped = raw.strip()
+        if not stripped or stripped.startswith("#"):
+            return 0
+        text, probability, source = parse_observation_line(raw)
+        formula = parse(text)
+        verdict = self.observe(formula, probability, source)
+        out.write(f"{verdict}\t{render_canonical(formula)}\n")
+        _, reports = self.sweep_and_react()
+        if any(r.escalated for r in reports):
+            diag.write("EpistemicWarning\tsweep\tescalated\n")
+            return 6
+        if goal is None:
+            return 0
+        try:
+            state = self.world_state()
+            plan = self._abduce(goal, state)
+        except PlanningError as err:
+            diag.write(f"plan-failure\t{self.config.goal}\t{err}\n")
+            return 0
+        safe, reason = self.is_safe(plan)
+        if not safe:
+            diag.write(f"EpistemicWarning\t{self.config.goal}\t{reason}\n")
+            return 0
+        _, seal = self._simulate_and_seal(plan, state, goal)
+        for action in plan:
+            out.write(f"executed\t{action.render()}\n")
+        out.write(f"sealed\t{seal}\n")
         return 0

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import enum
 import functools
-import hashlib
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -30,6 +29,7 @@ from .belief import (
     is_consistent_base,
 )
 from .config import EngineConfig
+from .hashing import sha256
 from .justify import JustificationGraph, dominance
 from .ledger import ZERO_HASH, Ledger, Op, commit
 from .logic import Formula, Not, is_consistent, parse, render_canonical
@@ -335,7 +335,7 @@ def run_recovery(event: FailureEvent, context: RecoveryContext) -> RecoveryRepor
     else:
         report.escalated = True
         _note(report, context, event, "escalated(unclassified)")
-    digest = hashlib.sha256(report.render().encode()).digest()
+    digest = sha256(report.render().encode()).digest()
     report.base = _commit(context, Op.RECOVERY, "", digest)
     return report
 

@@ -10,13 +10,13 @@ ask whether the digest is anchored, and the entailment checker.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass
 from itertools import islice
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .belief import Provenance
+from .hashing import sha256
 from .logic import Formula, entails, parse, render_canonical
 
 DEFAULT_SOURCE_RELIABILITY = 0.5
@@ -69,7 +69,7 @@ def node_digest(
             repr(provenance.confidence).encode(),
         )
     )
-    return hashlib.sha256(payload).hexdigest()
+    return sha256(payload).hexdigest()
 
 
 def hash_chain(nodes: Sequence[JustificationNode]) -> bytes:
@@ -81,7 +81,7 @@ def hash_chain(nodes: Sequence[JustificationNode]) -> bytes:
     joined = _CHAIN_SEP.join(
         render_canonical(node.conclusion).encode() for node in nodes
     )
-    return hashlib.sha256(joined).digest()
+    return sha256(joined).digest()
 
 
 @dataclass(frozen=True)

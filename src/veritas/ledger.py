@@ -7,13 +7,14 @@ hashed serialization, a unit separator, the block hash in hex, and a
 newline.  Replaying the ledger through the belief module with the same
 configuration reconstructs the live base exactly, because commit is the
 one way to change a base: it folds the next block with apply_block and
-appends the block only once that fold has succeeded.
+appends the block only once that fold has succeeded.  A batch writes the
+lines of the blocks appended inside it with one write and one fsync.
 """
 
 from __future__ import annotations
 
+import contextlib
 import enum
-import hashlib
 import os
 import re
 from dataclasses import dataclass
@@ -33,6 +34,7 @@ from .belief import (
     update_belief_state,
 )
 from .config import EngineConfig
+from .hashing import sha256
 from .justify import JustificationGraph, JustificationNode
 from .logic import Formula, parse
 
@@ -112,7 +114,7 @@ def block_hash(
     justification_digest: bytes,
     h_prev: bytes,
 ) -> bytes:
-    return hashlib.sha256(
+    return sha256(
         block_payload(index, timestamp, op, formula, justification_digest, h_prev)
     ).digest()
 
@@ -162,22 +164,24 @@ def _parse_line(raw: bytes) -> Block | None:
 class Ledger:
     """Blocks in memory, mirrored to a .vlog file when a path is given.
 
-    Each block is hashed once per ledger: ``verify_chain`` re-hashes the
-    whole chain and, when it is intact, records it as the verified
-    prefix, which ``append`` then extends by the one block it writes.
-    ``ensure_verified`` accepts a chain equal to that prefix without
-    hashing it again, so a replay after the open's check hashes nothing.
+    Each block is hashed once per ledger: ``next_block`` hashes it and
+    ``append_block``, the one method that adds blocks, does not.
+    ``verify_chain`` re-hashes the whole chain and, when it is intact,
+    records it as the verified prefix; ``ensure_verified`` accepts a
+    chain equal to that prefix without hashing it again.
     """
 
     def __init__(self, path: str | Path | None = None):
         self.path = Path(path) if path is not None else None
         self._blocks: list[Block] = []
         # The verified prefix, None until a verification succeeds.
-        # append compares it with _blocks by list equality, which
+        # ensure_verified compares it with _blocks by list equality, which
         # hashes nothing, so an in-memory edit is still caught.
         self._verified: list[Block] | None = None
         self._digests: set[bytes] = set()
         self._corrupt_at: int | None = None
+        # Lines of the blocks appended inside a batch, not yet written.
+        self._pending: list[bytes] | None = None
         if self.path is not None and self.path.exists():
             self._load()
 
@@ -264,22 +268,47 @@ class Ledger:
         justification_digest: bytes = ZERO_HASH,
         timestamp: int = 0,
     ) -> Block:
-        """Append one block, refusing to extend a corrupt chain.
+        """Build the next block from these fields and append it."""
+        block = self.next_block(op, formula, justification_digest, timestamp)
+        return self.append_block(block)
 
-        Only the new block is hashed while the chain still equals the
-        verified prefix; otherwise the whole chain is verified first.
+    def append_block(self, block: Block) -> Block:
+        """Append a block that next_block built, without hashing it again.
+
+        Refuses a corrupt chain and a block that does not extend it.
+        Outside a batch the block's line is on disk when this returns.
         """
         self.ensure_verified()
-        block = self.next_block(op, formula, justification_digest, timestamp)
+        if block.index != len(self._blocks) or block.h_prev != self.last_hash():
+            raise ValueError(f"block {block.index} does not extend the chain")
         self._blocks.append(block)
         self._verified.append(block)
         self._digests.add(block.justification_digest)
         if self.path is not None:
-            with open(self.path, "ab") as handle:
-                handle.write(block_line(block))
-                handle.flush()
-                os.fsync(handle.fileno())
+            with self.batch():
+                self._pending.append(block_line(block))
         return block
+
+    @contextlib.contextmanager
+    def batch(self):
+        """Write the blocks appended inside with one write and one fsync.
+
+        They join the chain when appended and are written on any exit,
+        by exception too.  Nested, or without a file, it adds nothing.
+        """
+        if self.path is None or self._pending is not None:
+            yield
+            return
+        self._pending = []
+        try:
+            yield
+        finally:
+            data, self._pending = b"".join(self._pending), None
+            if data:
+                with open(self.path, "ab") as handle:
+                    handle.write(data)
+                    handle.flush()
+                    os.fsync(handle.fileno())
 
     def contains_digest(self, digest: bytes) -> bool:
         """Whether any block anchors the given justification digest."""
@@ -395,7 +424,7 @@ def commit(
     folded = apply_block(base, block, config, graph)
     if before_append is not None:
         before_append()
-    ledger.append(op, formula, justification_digest, timestamp)
+    ledger.append_block(block)
     return folded
 
 
@@ -432,7 +461,7 @@ def _merkle_levels(leaves: list[bytes]) -> list[list[bytes]]:
         for i in range(0, len(level), 2):
             left = level[i]
             right = level[i + 1] if i + 1 < len(level) else left
-            parents.append(hashlib.sha256(left + right).digest())
+            parents.append(sha256(left + right).digest())
         levels.append(parents)
     return levels
 
@@ -480,11 +509,11 @@ def verify_inclusion(proof: MerkleProof, root: bytes) -> bool:
         if (proof.index >> level) & 1:
             if side != "left":
                 return False
-            current = hashlib.sha256(sibling + current).digest()
+            current = sha256(sibling + current).digest()
         else:
             if side != "right":
                 return False
-            current = hashlib.sha256(current + sibling).digest()
+            current = sha256(current + sibling).digest()
     return current == root == proof.root
 
 
@@ -497,7 +526,7 @@ class TruthRecord:
 
 
 def _record_message(formula: str, timestamp: int) -> bytes:
-    return hashlib.sha256(
+    return sha256(
         formula.encode() + _FIELD_SEP + str(timestamp).encode()
     ).digest()
 

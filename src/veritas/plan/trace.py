@@ -12,11 +12,11 @@ appends a trace-seal block.
 
 from __future__ import annotations
 
-import hashlib
 import re
 from dataclasses import dataclass
 
 from ..guard import FailureEvent, FailureKind
+from ..hashing import sha256
 from ..logic import And, Atom, Formula, Not, render_canonical
 from ..logic import parse_atom as _parse_atom
 from .domain import (
@@ -214,20 +214,21 @@ def replay_trace(trace: PlanTrace) -> list[WorldState]:
 
 
 def trace_digest(trace: PlanTrace) -> bytes:
-    return hashlib.sha256(render_trace(trace).encode()).digest()
+    return sha256(render_trace(trace).encode()).digest()
 
 
-def seal_trace(trace: PlanTrace, ledger, timestamp: int = 0) -> int:
+def seal_trace(trace: PlanTrace, ledger, timestamp: int = 0, digest=None) -> int:
     """Hash the serialized trace into a trace-seal block.
 
     Returns the block index, which is also stored on the trace.  The
     serialization is deterministic, so sealing the same trace twice
-    yields two blocks with identical digests.
+    yields two blocks with identical digests; a caller that kept its
+    trace_digest may pass it as digest, and the trace is not rendered.
     """
     block = ledger.append(
         op="trace-seal",
         formula=render_canonical(trace.goal) if trace.goal is not None else "",
-        justification_digest=trace_digest(trace),
+        justification_digest=digest or trace_digest(trace),
         timestamp=timestamp,
     )
     trace.seal = block.index

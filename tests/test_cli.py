@@ -639,26 +639,35 @@ class TestConfigPlumbing:
         assert out.endswith("\tnone\n")
 
 
+def loaded_after_import(modules: str, name: str) -> bool:
+    """Whether a fresh interpreter holds module name after importing modules."""
+    src = str(Path(veritas.__file__).resolve().parents[1])
+    env = dict(
+        os.environ,
+        PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])
+        ),
+    )
+    run = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            f"import sys, {modules}; print({name!r} in sys.modules)",
+        ],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return run.stdout.strip() == "True"
+
+
 class TestImportCost:
     def test_cli_import_leaves_cryptography_unloaded(self):
         """Only truth-record signing needs cryptography, so the CLI skips it."""
-        src = str(Path(veritas.__file__).resolve().parents[1])
-        env = dict(
-            os.environ,
-            PYTHONPATH=os.pathsep.join(
-                filter(None, [src, os.environ.get("PYTHONPATH")])
-            ),
-        )
-        run = subprocess.run(
-            [
-                sys.executable,
-                "-c",
-                "import sys, veritas.cli; "
-                "print('cryptography' in sys.modules)",
-            ],
-            env=env,
-            capture_output=True,
-            text=True,
-            check=True,
-        )
-        assert run.stdout.strip() == "False"
+        assert not loaded_after_import("veritas.cli", "cryptography")
+
+    def test_cli_and_engine_imports_leave_openssl_unloaded(self):
+        """SHA-256 comes from the interpreter's own module, so hashlib's
+        OpenSSL binding (about 3.6 MB resident) is never loaded."""
+        assert not loaded_after_import("veritas.cli, veritas.engine", "_hashlib")

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import builtins
 import io
 import json
+import os
 import random
 from pathlib import Path
 
@@ -46,7 +48,7 @@ from veritas.logic import (
     parse,
     render_canonical,
 )
-from veritas.plan import PlanningError
+from veritas.plan import PlanningError, trace_digest
 
 DOMAINS = Path(__file__).parent / "domains"
 
@@ -627,23 +629,22 @@ class TestGuardIntegration:
         """Demotion (II), regrounding (III) and human review (IV) each
         record a node; it is in the node store before its block is."""
         config = make_config()
-        append = Ledger.append
+        append_block = Ledger.append_block
         named = []
 
-        def checked_append(
-            ledger, op, formula="", justification_digest=ZERO_HASH, timestamp=0
-        ):
-            op = Op(op)
+        def checked_append(ledger, block):
+            op, digest = block.op, block.justification_digest
             if op in (Op.INSERT, Op.REVISE) or (
-                op is Op.RECOVERY and formula and justification_digest != ZERO_HASH
+                op is Op.RECOVERY and block.formula and digest != ZERO_HASH
             ):
                 with open(config.resolved_nodes_path(), encoding="utf-8") as handle:
                     stored = {json.loads(line)["id"] for line in handle}
-                assert justification_digest.hex() in stored, (op, formula)
+                assert digest.hex() in stored, (op, block.formula)
                 named.append(op)
-            return append(ledger, op, formula, justification_digest, timestamp)
+            return append_block(ledger, block)
 
-        monkeypatch.setattr(Ledger, "append", checked_append)
+        # Every block is added through append_block, commits included.
+        monkeypatch.setattr(Ledger, "append_block", checked_append)
         with Session(config) as session:
             for text in ("p", "q", "r"):
                 session.observe(text, 0.99, "sensor")
@@ -959,6 +960,126 @@ class TestPlanReuse:
                 session.run_loop(["p\t0.99\tsensor\n"], io.StringIO(), io.StringIO())
             assert len(session.ledger) == 0
             assert len(session.graph) == 0
+
+
+class TestGroupCommit:
+    """run writes each stream line's blocks with one write and one fsync."""
+
+    @pytest.fixture()
+    def calls(self, monkeypatch):
+        """Every os.fsync and open, in order, and the benchmark's inputs."""
+        monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
+        seen = []
+        fsync, opener = os.fsync, builtins.open
+
+        def spy_fsync(fd):
+            seen.append("fsync")
+            return fsync(fd)
+
+        def spy_open(*args, **kwargs):
+            seen.append("open")
+            return opener(*args, **kwargs)
+
+        monkeypatch.setattr(os, "fsync", spy_fsync)
+        monkeypatch.setattr(builtins, "open", spy_open)
+        return seen
+
+    def test_a_drone_run_fsyncs_once_per_line(self, make_config, calls):
+        from workloads import ingest_stream
+
+        lines, _ = ingest_stream(901, 200)
+        config = make_config(
+            domain_path=str(DOMAINS / "drone.domain"), goal="At(Drone1,SiteAlpha)"
+        )
+        with Session(config) as session:
+            out = io.StringIO()
+            assert session.run_loop(lines, out, io.StringIO()) == 0
+        # One for session-start, then one per line for its observation
+        # and its trace seal; the node store is not fsynced.
+        assert out.getvalue().count("sealed\t") == 200
+        assert calls.count("fsync") == 201
+
+    def test_the_cold_read_set_up_costs_no_more_than_before(self, tmp_path, calls):
+        """80 goal-less lines write one block each, then four proofs
+        anchor one META block each: 85 fsyncs and 168 opens, as when each
+        block was written on its own."""
+        from workloads import Clock, ColdRead
+
+        ColdRead(5, tmp_path, DOMAINS / "drone.domain").setup(Clock())
+        assert calls.count("fsync") == 85
+        assert calls.count("open") <= 168
+
+    @pytest.mark.parametrize("failing", ["mscu_sweep", "seal_trace"])
+    def test_a_failing_line_keeps_its_blocks_and_prints_after_fsync(
+        self, make_config, monkeypatch, failing
+    ):
+        """The third line raises after its observation block was buffered."""
+        config = make_config(
+            domain_path=str(DOMAINS / "drone.domain"), goal="At(Drone1,SiteAlpha)"
+        )
+        events = []
+        fsync, original = os.fsync, getattr(veritas.engine, failing)
+
+        def spy_fsync(fd):
+            events.append("fsync")
+            return fsync(fd)
+
+        def third_raises(*args, **kwargs):
+            if len(events) >= 5:
+                raise RuntimeError(f"{failing} failed")
+            return original(*args, **kwargs)
+
+        class Out(io.StringIO):
+            def write(self, text):
+                events.append("out")
+                return super().write(text)
+
+        monkeypatch.setattr(os, "fsync", spy_fsync)
+        monkeypatch.setattr(veritas.engine, failing, third_raises)
+        lines = [f"S{i}\t0.99\tsensor\n" for i in range(5)]
+        out = Out()
+        with Session(config) as session:
+            with pytest.raises(RuntimeError, match=f"{failing} failed"):
+                session.run_loop(lines, out, io.StringIO())
+            assert events == ["fsync", "fsync", "out", "fsync", "out", "fsync"]
+            assert out.getvalue().count("admitted\t") == 2
+            assert session.ledger.blocks[-1].formula == "S2"
+            live = session.base
+            assert live.find(parse("S2")) is not None
+            assert live == replay(session.ledger, config, session.graph)
+        with Session(config) as reopened:
+            assert reopened.ledger.blocks == session.ledger.blocks
+            assert reopened.base == live
+
+    def test_an_unchanged_plan_and_state_seal_the_kept_trace(
+        self, make_config, monkeypatch
+    ):
+        """Rules add no ground atom, so the world state stays the same and
+        the trace is simulated and rendered once; every seal is the same."""
+        simulated = []
+        simulate = veritas.engine.simulate_trace
+
+        def spy(*args, **kwargs):
+            simulated.append(args)
+            return simulate(*args, **kwargs)
+
+        monkeypatch.setattr(veritas.engine, "simulate_trace", spy)
+        config = make_config(
+            domain_path=str(DOMAINS / "drone.domain"), goal="At(Drone1,SiteAlpha)"
+        )
+        lines = [f"S{i} -> S{i + 1}\t0.99\trulebook\n" for i in range(20)]
+        goal = parse_goal_literals(config.goal)
+        with Session(config) as session:
+            assert session.run_loop(lines, io.StringIO(), io.StringIO()) == 0
+            state = session.world_state()
+            plan = session._abduce(goal, state)
+            expected = trace_digest(simulate(plan, state, goal=goal).trace)
+            seals = [b for b in session.ledger.blocks if b.op is Op.TRACE_SEAL]
+            assert len(simulated) == 1
+            assert [b.justification_digest for b in seals] == [expected] * 20
+            line = "FullBattery(Drone1)\t0.99\tx\n"
+            session.run_loop([line], io.StringIO(), io.StringIO())
+            assert len(simulated) == 2
 
 
 class TestLineFormats:

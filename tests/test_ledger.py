@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import gc
 import hashlib
+import os
 import random
 import tracemalloc
 from dataclasses import replace
@@ -13,6 +14,7 @@ import pytest
 from veritas.belief import BeliefBase, Provenance, StatusTag, export
 from veritas.config import EngineConfig
 from veritas import ledger as ledger_module
+from veritas.engine import Session
 from veritas.justify import JustificationGraph
 from veritas.ledger import (
     Ledger,
@@ -219,6 +221,30 @@ class TestVerifiedPrefix:
         assert ledger.verify_chain() is None
         assert len(hashes) == 40
 
+    def test_a_commit_hashes_its_block_once(self, tmp_path, hashes):
+        """A contraction and a rollback after three observations append
+        three committed blocks and one META block: four hashes, where
+        hashing each commit again in the append made seven."""
+        config = EngineConfig(ledger_path=str(tmp_path / "s.vlog"), fixed_clock=True)
+        with Session(config) as session:
+            for text in ("p", "q", "r"):
+                session.observe(text, 0.99, "sensor")
+            hashes.clear()
+            session.contract_formula("p")
+            session.rollback(2)
+            assert len(session.ledger) == 7
+        assert hashes == [3, 4, 5, 6]
+        assert Ledger(config.ledger_path).verify_chain() is None
+
+    def test_append_block_refuses_a_block_that_does_not_extend_the_chain(self):
+        ledger = Ledger()
+        stale = ledger.next_block(Op.META, formula="a")
+        ledger.append(Op.META, formula="b")
+        with pytest.raises(ValueError, match="does not extend"):
+            ledger.append_block(stale)
+        assert [b.formula for b in ledger.blocks] == ["b"]
+        assert ledger.verify_chain() is None
+
     def test_tampered_file_refuses_the_first_append(self, tmp_path):
         path = tmp_path / "chain.vlog"
         pristine = write_chain(path, 50)
@@ -286,6 +312,76 @@ class TestVerifiedPrefix:
 @pytest.fixture
 def engine_state():
     return Ledger(), JustificationGraph(), EngineConfig()
+
+
+@pytest.fixture()
+def fsyncs(monkeypatch):
+    """Count every fsync; the ledger calls it through the os module."""
+    calls = []
+    original = os.fsync
+
+    def spy(fd):
+        calls.append(fd)
+        return original(fd)
+
+    monkeypatch.setattr(os, "fsync", spy)
+    return calls
+
+
+class TestBatch:
+    """A batch writes the blocks appended inside it with one fsync."""
+
+    def test_blocks_join_the_chain_at_once_and_the_file_on_exit(
+        self, tmp_path, fsyncs
+    ):
+        path = tmp_path / "chain.vlog"
+        ledger = Ledger(path)
+        ledger.append(Op.META, formula="start")
+        before = path.read_bytes()
+        with ledger.batch():
+            for ts in range(3):
+                ledger.append(Op.INSERT, formula=f"s{ts}", timestamp=ts)
+                assert ledger.contains_digest(ZERO_HASH)
+            assert len(ledger) == 4
+            assert path.read_bytes() == before
+        assert len(fsyncs) == 2
+        assert path.read_bytes() == b"".join(block_line(b) for b in ledger.blocks)
+        assert Ledger(path).blocks == ledger.blocks
+
+    def test_an_exception_still_writes_the_blocks_appended(self, tmp_path, fsyncs):
+        path = tmp_path / "chain.vlog"
+        ledger = Ledger(path)
+        with pytest.raises(RuntimeError):
+            with ledger.batch():
+                ledger.append(Op.META, formula="kept")
+                raise RuntimeError("after the append")
+        assert len(fsyncs) == 1
+        assert [b.formula for b in Ledger(path).blocks] == ["kept"]
+
+    def test_an_empty_batch_opens_nothing(self, tmp_path, fsyncs):
+        path = tmp_path / "chain.vlog"
+        with Ledger(path).batch():
+            pass
+        assert fsyncs == [] and not path.exists()
+
+    def test_a_nested_batch_joins_the_outer_one(self, tmp_path, fsyncs):
+        path = tmp_path / "chain.vlog"
+        ledger = Ledger(path)
+        with ledger.batch():
+            ledger.append(Op.META, formula="outer")
+            with ledger.batch():
+                ledger.append(Op.META, formula="inner")
+            assert not path.exists()
+            ledger.append(Op.META, formula="last")
+        assert len(fsyncs) == 1
+        assert [b.formula for b in Ledger(path).blocks] == ["outer", "inner", "last"]
+
+    def test_an_in_memory_batch_only_appends(self, fsyncs):
+        ledger = Ledger()
+        with ledger.batch():
+            ledger.append(Op.META, formula="m")
+        assert len(ledger) == 1 and fsyncs == []
+        assert ledger.verify_chain() is None
 
 
 class TestReplay:

@@ -6,10 +6,13 @@ on disk, under full BeliefBase equality (entries, epoch, retraction log
 and history).  After every block appended, the bytes on disk must
 reopen: no block may name a node the node store does not hold yet, so a
 process that dies between two appends leaves a ledger that replays.
+Inside a run_loop line's batch the reopened bytes lag the live chain,
+as they would after a crash there.
 """
 
 from __future__ import annotations
 
+import io
 import shutil
 import tempfile
 from pathlib import Path
@@ -45,14 +48,14 @@ class SessionMachine(RuleBasedStateMachine):
     def _open(self) -> Session:
         """A live session whose every append is followed by a reopen."""
         session = Session(self.config)
-        append = session.ledger.append
+        append_block = session.ledger.append_block
 
-        def append_then_reopen(*args, **kwargs):
-            block = append(*args, **kwargs)
+        def append_then_reopen(block):
+            append_block(block)
             self._reopened()
             return block
 
-        session.ledger.append = append_then_reopen
+        session.ledger.append_block = append_then_reopen
         return session
 
     def _reopened(self):
@@ -83,6 +86,21 @@ class SessionMachine(RuleBasedStateMachine):
             self.session.observe(text, probability, source)
         except ConsistencyError:
             assert text == "p & !p"
+
+    @rule(
+        lines=st.lists(
+            st.tuples(st.sampled_from(FORMULAS), st.sampled_from(PROBABILITIES)),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    def run(self, lines) -> None:
+        """run_loop, one batch per line; a refused line ends the run."""
+        stream = [f"{text}\t{probability}\tcarol\n" for text, probability in lines]
+        try:
+            self.session.run_loop(stream, io.StringIO(), io.StringIO())
+        except ConsistencyError:
+            assert "p & !p" in [text for text, _ in lines]
 
     @rule(text=st.sampled_from(FORMULAS))
     def contract(self, text: str) -> None:
