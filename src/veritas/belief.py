@@ -237,6 +237,14 @@ class _Chain:
     def __hash__(self) -> int:
         return self._len
 
+    def since(self, earlier: _Chain) -> list | None:
+        """Items appended after earlier, newest first; None if not after it."""
+        items, link = [], self
+        for _ in range(self._len - earlier._len):
+            items.append(link._last)
+            link = link._rest
+        return items if link is earlier else None
+
     def __repr__(self) -> str:
         return f"_Chain({list(self)!r})"
 
@@ -254,11 +262,12 @@ class BeliefBase:
     entries holds the beliefs in key order, and an index maps each key
     to its entry.  history holds one (added keys, removed keys) delta per
     epoch, from epoch 0 on; retraction_log reads the retraction records
-    oldest first.  Both trails are persistent chains shared with the
-    parent base: an operation appends to them in O(1) and places its
-    entries by bisection, so it neither copies the past nor sorts the
-    base again.  Equality compares the epoch, the entries and both
-    trails.
+    oldest first.  _touched holds, per operation, the keys it put (added
+    or replaced) or dropped; a base not made by an operation starts its
+    own.  The trails are persistent chains shared with the parent base:
+    an operation appends to them in O(1) and places its entries by
+    bisection, so it neither copies the past nor sorts the base again.
+    Equality compares the epoch, the entries, history and the log.
 
     known_consistent is True when the operation that produced the base
     proved its formulas satisfiable; False means not known, so callers
@@ -273,6 +282,7 @@ class BeliefBase:
     )
     _log: _Chain = field(default=_EMPTY, repr=False)
     history: _Chain = _Chain(_UNCHANGED, _EMPTY)
+    _touched: _Chain = field(default_factory=_Chain, repr=False, compare=False)
     known_consistent: bool = field(default=False, repr=False, compare=False)
     witness: Witness | None = field(default=None, repr=False, compare=False)
 
@@ -348,6 +358,9 @@ class BeliefBase:
             history=_Chain(
                 (added, dropped) if added or dropped else _UNCHANGED,
                 self.history,
+            ),
+            _touched=_Chain(
+                dropped if put is None else (put.key, *dropped), self._touched
             ),
             known_consistent=known_consistent,
             witness=witness,

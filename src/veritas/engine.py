@@ -29,7 +29,6 @@ from .belief import (
     ConsistencyError,
     FourState,
     Provenance,
-    assertion_gate,
     classify_confidence,
     is_consistent_base,
     project_four_state,
@@ -44,6 +43,7 @@ from .guard import (
     MetaLogEntry,
     RecoveryContext,
     RecoveryReport,
+    SweepIndex,
     classify_failure,
     mscu_sweep,
     run_recovery,
@@ -191,6 +191,7 @@ class Session:
         config.validate()
         self.config = config
         self._lock_handle = None
+        self._nodes_handle = None
         if config.ledger_path:
             self._acquire_lock(config.ledger_path + ".lock")
         try:
@@ -211,6 +212,8 @@ class Session:
         # The last planning problem and its plan or error, see _abduce.
         self._last_plan: tuple | None = None
         self._last_trace: tuple | None = None  # see _simulate_and_seal
+        self._index = SweepIndex(config)
+        self._state: tuple | None = None  # see world_state
 
     @functools.cached_property
     def graph(self) -> JustificationGraph:
@@ -248,6 +251,9 @@ class Session:
         self._lock_handle = handle
 
     def close(self) -> None:
+        if self._nodes_handle is not None:
+            self._nodes_handle.close()
+            self._nodes_handle = None
         if self._lock_handle is not None:
             fcntl.flock(self._lock_handle.fileno(), fcntl.LOCK_UN)
             self._lock_handle.close()
@@ -274,15 +280,19 @@ class Session:
     # -- persistence ----------------------------------------------------
 
     def _sync_nodes(self) -> None:
-        """Append the nodes recorded since the last sync to the node store."""
-        if not self.nodes_path:
+        """Append the nodes recorded since the last sync to the node store,
+        kept open for appends until close, and flush them.  Inside a
+        ledger batch they wait for its exit (see run_loop)."""
+        if not self.nodes_path or self.ledger.batching:
             return
         graph = self.graph  # reading it first sets _synced
         if len(graph) == self._synced:
             return
-        with open(self.nodes_path, "a", encoding="utf-8") as handle:
-            for node in graph.nodes_since(self._synced):
-                handle.write(node_to_json(node) + "\n")
+        if self._nodes_handle is None:
+            self._nodes_handle = open(self.nodes_path, "a", encoding="utf-8")
+        for node in graph.nodes_since(self._synced):
+            self._nodes_handle.write(node_to_json(node) + "\n")
+        self._nodes_handle.flush()
         self._synced = len(graph)
 
     def _append_and_apply(self, op: Op | str, formula: str, digest: bytes) -> None:
@@ -409,11 +419,8 @@ class Session:
     def justify_formula(self, text: str):
         formula = parse(text)
         entry = self.base.find(formula)
-        if (
-            entry is None
-            or entry.justification is None
-            or entry.justification not in self.graph
-        ):
+        # No node id is None, so a missing justification is not in graph.
+        if entry is None or entry.justification not in self.graph:
             raise NoJustificationError(
                 f"no recorded justification for {render_canonical(formula)}"
             )
@@ -424,11 +431,7 @@ class Session:
         """Build an anchored public proof for a held or entailed formula."""
         formula = parse(text)
         entry = self.base.find(formula)
-        if (
-            entry is not None
-            and entry.justification is not None
-            and entry.justification in self.graph
-        ):
+        if entry is not None and entry.justification in self.graph:
             node_id = entry.justification
         else:
             if not self._entailed(formula):
@@ -438,10 +441,7 @@ class Session:
             support = self._minimal_support(formula)
             premises = []
             for supporting in support:
-                if (
-                    supporting.justification is None
-                    or supporting.justification not in self.graph
-                ):
+                if supporting.justification not in self.graph:
                     raise NoJustificationError(
                         f"support {supporting.key} has no justification node"
                     )
@@ -484,31 +484,20 @@ class Session:
         return report
 
     def sweep_and_react(self) -> tuple[list[MetaLogEntry], list[RecoveryReport]]:
-        """One MSCU pass plus the recovery reactions it calls for."""
-        log = mscu_sweep(self.base, self.graph, self.config.theta_meta)
+        """One incremental MSCU pass, its flagged items and their reactions."""
+        log = mscu_sweep(self.base, self.graph, self.config.theta_meta, self._index)
         reports: list[RecoveryReport] = []
         contradiction_handled = False
         for item in log:
-            if item.action == "none":
-                continue
             self._append_meta(f"sweep:{item.action}:{item.formula}")
             if item.action == "contract" and not contradiction_handled:
                 contradiction_handled = True
-                reports.append(
-                    self.recover(
-                        FailureEvent(
-                            FailureKind.BELIEF_INCONSISTENCY, item.formula
-                        )
-                    )
-                )
+                kind = FailureKind.BELIEF_INCONSISTENCY
             elif item.action == "reevaluate":
-                reports.append(
-                    self.recover(
-                        FailureEvent(
-                            FailureKind.JUSTIFICATION_BREAKDOWN, item.formula
-                        )
-                    )
-                )
+                kind = FailureKind.JUSTIFICATION_BREAKDOWN
+            else:
+                continue
+            reports.append(self.recover(FailureEvent(kind, item.formula)))
         return log, reports
 
     # -- planning ---------------------------------------------------------
@@ -521,33 +510,23 @@ class Session:
         return self._domain
 
     def world_state(self) -> WorldState:
-        """Domain initial facts plus the assertable ground beliefs."""
-        atoms = set(self.domain().init.atoms)
-        atoms.update(entry.formula for entry in self._supporting_entries())
-        return WorldState(frozenset(atoms))
-
-    def _supporting_entries(self) -> list[BeliefEntry]:
-        """The assertable ground beliefs: the entries world_state adds."""
-        return [
-            entry
-            for entry in self.base.entries
-            if entry.assertable and isinstance(entry.formula, Atom)
-        ]
+        """Domain initial facts plus the assertable ground beliefs: one
+        object while they stay, so the kept plan and trace match by identity."""
+        init = self.domain().init.atoms
+        self._index.sync(self.base, self.graph, self.config.theta_meta)
+        atoms = self._index.atoms()
+        if self._state is None or self._state[0] is not atoms:
+            self._state = (atoms, WorldState(init | atoms))
+        return self._state[1]
 
     def is_safe(self, plan: list[GroundAction]) -> tuple[bool, str]:
         """The IsSafe gate: consistent base, every support within risk."""
         del plan
         if not is_consistent_base(self.base):
             return False, "belief base inconsistent"
-        for entry in self._supporting_entries():
-            depth = (
-                self.graph.depth(entry.justification)
-                if entry.justification is not None
-                and entry.justification in self.graph
-                else 0
-            )
-            if not assertion_gate(entry.probability, depth, self.config):
-                return False, f"support below gate: {entry.key}"
+        self._index.sync(self.base, self.graph, self.config.theta_meta)
+        if self._index.failing:
+            return False, f"support below gate: {min(self._index.failing)}"
         return True, ""
 
     def _abduce(
@@ -558,11 +537,16 @@ class Session:
         The planner reads only the relevant state, so its answer depends
         on the goal and that projection alone.  The session keeps the
         last such pair with its plan or PlanningError and plans again
-        only when the pair changes.
+        only when the pair changes; it projects again only for a state
+        object it has not just seen.
         """
         domain = self.domain()
-        key = (goal, relevant_state(goal, state, domain.schemas))
-        if self._last_plan is None or self._last_plan[0] != key:
+        last = self._last_plan
+        if last is not None and last[0] is state and last[1][0] == goal:
+            key = last[1]
+        else:
+            key = (goal, relevant_state(goal, state, domain.schemas))
+        if last is None or last[1] != key:
             try:
                 answer = tuple(
                     abduce_policy(goal, key[1], domain.schemas, domain.ontology)
@@ -570,8 +554,9 @@ class Session:
             except PlanningError as err:
                 # Kept without its traceback, whose frames hold this session.
                 answer = err.with_traceback(None)
-            self._last_plan = (key, answer)
-        answer = self._last_plan[1]
+        else:
+            answer = last[2]
+        self._last_plan = (state, key, answer)
         if isinstance(answer, PlanningError):
             raise PlanningError(str(answer), answer.subgoal)
         return list(answer)
@@ -752,7 +737,9 @@ class Session:
         self._append_meta("session-start")
         for raw in lines:
             said, warned = io.StringIO(), io.StringIO()
-            with self.ledger.batch():
+            # The line's nodes are written at the batch's exit, before
+            # its blocks.
+            with self.ledger.batch(self._sync_nodes):
                 status = self._run_line(raw, goal, said, warned)
             out.write(said.getvalue())
             diag.write(warned.getvalue())

@@ -26,13 +26,14 @@ from .belief import (
     BeliefEntry,
     Provenance,
     StatusTag,
+    assertion_gate,
     is_consistent_base,
 )
 from .config import EngineConfig
 from .hashing import sha256
 from .justify import JustificationGraph, dominance
 from .ledger import ZERO_HASH, Ledger, Op, commit
-from .logic import Formula, Not, is_consistent, parse, render_canonical
+from .logic import Atom, Formula, Not, is_consistent, parse, render_canonical
 from .logic.sat import preferred_conflict
 
 
@@ -193,9 +194,8 @@ def _shrink_core(
                 losers.add(b.key)
             elif verdict < 0:
                 losers.add(a.key)
-    dominated = sorted(k for k in losers)
-    if dominated:
-        return "retract", dominated[0]
+    if losers:
+        return "retract", min(losers)
     weakest = min(entries, key=lambda e: (e.provenance.confidence, e.key))
     return "contract", weakest.key
 
@@ -253,37 +253,116 @@ def justification_health(
     return 1.0
 
 
+def _sweep_item(
+    base: BeliefBase, graph: JustificationGraph, theta_meta: float, entry: BeliefEntry
+) -> MetaLogEntry:
+    """The sweep's verdict on one assertable entry: contract when its
+    negation, or the formula it negates, is assertable too; else
+    reevaluate when probability times health is under theta_meta."""
+    score = entry.probability * justification_health(graph, entry)
+    held, key = base._by_key, entry.key
+    if getattr(held.get(f"(! {key})"), "assertable", False) or (
+        key.startswith("(! ") and getattr(held.get(key[3:-1]), "assertable", False)
+    ):
+        action = "contract"
+    elif score < theta_meta:
+        action = "reevaluate"
+    else:
+        action = "none"
+    return MetaLogEntry(base.epoch, key, score, action)
+
+
 def mscu_sweep(
     base: BeliefBase,
     graph: JustificationGraph,
     theta_meta: float = 0.6,
+    index: SweepIndex | None = None,
 ) -> list[MetaLogEntry]:
     """Score every assertable entry and flag the unhealthy ones.
 
-    Score is probability times justification health.  Contradictory
-    pairs are flagged for contraction, scores under theta_meta for
-    re-evaluation; a healthy base yields all-none, so a second sweep
-    right after reacting to the first is a no-op.
+    Without an index the log holds every assertable entry in key order;
+    a healthy base yields all-none, so a second sweep right after
+    reacting to the first is a no-op.  With an index, kept by the caller
+    across sweeps, only what changed since its last sweep is scored
+    again and the log holds the flagged entries alone, in key order.
     """
-    assertable = [e for e in base.entries if e.assertable]
-    keys = {e.key for e in assertable}
-    conflicted: set[str] = set()
-    for entry in assertable:
-        negation = f"(! {entry.key})"
-        if negation in keys:
-            conflicted.add(entry.key)
-            conflicted.add(negation)
-    log: list[MetaLogEntry] = []
-    for entry in assertable:
-        score = entry.probability * justification_health(graph, entry)
-        if entry.key in conflicted:
-            action = "contract"
-        elif score < theta_meta:
-            action = "reevaluate"
+    if index is None:
+        held = [e for e in base.entries if e.assertable]
+        return [_sweep_item(base, graph, theta_meta, e) for e in held]
+    index.sync(base, graph, theta_meta)
+    return [replace(index.flags[key], epoch=base.epoch) for key in sorted(index.flags)]
+
+
+class SweepIndex:
+    """The sweep's flags and the IsSafe gate's supports, kept from deltas.
+
+    sync scores again only the keys the base's trail touched after the
+    link it last saw: a touched k reaches k, (! k) and, when k is (! x),
+    x.  An entry whose node is missing is scored again whenever the
+    graph has grown, as a node can only appear.  A base that does not
+    extend that link, another graph or another theta_meta is scored in
+    full.  By key, flags holds the flagged items, supports the
+    assertable atom entries and failing the supports assertion_gate
+    refuses at their node's depth, which never changes; atoms() is one
+    frozenset object while the supports' keys stay the same.
+    """
+
+    def __init__(self, config: EngineConfig) -> None:
+        self.config = config
+        self._reset(None, None)
+
+    def _reset(self, graph: JustificationGraph | None, theta_meta: float | None):
+        self.flags: dict[str, MetaLogEntry] = {}
+        self.supports: dict[str, BeliefEntry] = {}
+        self.failing: set[str] = set()
+        self._pending: set[str] = set()
+        self._atoms: frozenset[Formula] | None = None
+        self._graph, self._theta_meta = graph, theta_meta
+
+    def sync(
+        self, base: BeliefBase, graph: JustificationGraph, theta_meta: float
+    ) -> None:
+        deltas = None
+        if graph is self._graph and theta_meta == self._theta_meta:
+            deltas = base._touched.since(self._trail)
+        if deltas is None:
+            self._reset(graph, theta_meta)
+            keys = set(base._by_key)
         else:
-            action = "none"
-        log.append(MetaLogEntry(base.epoch, entry.key, score, action))
-    return log
+            keys = set(self._pending) if len(graph) != self._nodes else set()
+            for key in (key for touched in deltas for key in touched):
+                negated = key[3:-1] if key.startswith("(! ") else key
+                keys.update((key, f"(! {key})", negated))
+        self._trail, self._nodes = base._touched, len(graph)
+        for key in keys:
+            self._score(base, key)
+
+    def _score(self, base: BeliefBase, key: str) -> None:
+        was_support = self.supports.pop(key, None) is not None
+        self.flags.pop(key, None)
+        self.failing.discard(key)
+        self._pending.discard(key)
+        entry = base._by_key.get(key)
+        if entry is not None and entry.assertable:
+            node = entry.justification
+            held = node in self._graph
+            if node is not None and not held:
+                self._pending.add(key)
+            item = _sweep_item(base, self._graph, self._theta_meta, entry)
+            if item.action != "none":
+                self.flags[key] = item
+            if isinstance(entry.formula, Atom):
+                self.supports[key] = entry
+                depth = self._graph.depth(node) if held else 0
+                if not assertion_gate(entry.probability, depth, self.config):
+                    self.failing.add(key)
+        if was_support != (key in self.supports):
+            self._atoms = None
+
+    def atoms(self) -> frozenset[Formula]:
+        if self._atoms is None:
+            self._atoms = frozenset(e.formula for e in self.supports.values())
+        return self._atoms
 
 
 def approximation_gate(
@@ -365,17 +444,9 @@ def _note(
     outcome: str,
     subject: str | None = None,
 ) -> None:
-    report.lines.append(
-        "\t".join(
-            (
-                str(context.base.epoch),
-                event.kind.value,
-                report.protocol,
-                subject if subject is not None else event.subject,
-                outcome,
-            )
-        )
-    )
+    subject = subject if subject is not None else event.subject
+    fields = (context.base.epoch, event.kind.value, report.protocol, subject, outcome)
+    report.lines.append("\t".join(map(str, fields)))
 
 
 def _protocol_cascade(
@@ -502,11 +573,7 @@ def _protocol_reselect(
 ) -> None:
     """Protocol V: block the offending policy and pick an alternate."""
     _note(report, context, event, "blocked")
-    if context.replan is None:
-        report.escalated = True
-        _note(report, context, event, "escalated(no-alternate)")
-        return
-    alternate = context.replan()
+    alternate = context.replan() if context.replan is not None else None
     if alternate is None:
         report.escalated = True
         _note(report, context, event, "escalated(no-alternate)")

@@ -289,12 +289,18 @@ class Ledger:
                 self._pending.append(block_line(block))
         return block
 
+    @property
+    def batching(self) -> bool:
+        """Whether appended blocks are being held for a batch's exit."""
+        return self._pending is not None
+
     @contextlib.contextmanager
-    def batch(self):
+    def batch(self, before_write: Callable[[], None] | None = None):
         """Write the blocks appended inside with one write and one fsync.
 
         They join the chain when appended and are written on any exit,
-        by exception too.  Nested, or without a file, it adds nothing.
+        by exception too, after before_write runs.  Nested, or without a
+        file, it adds nothing.
         """
         if self.path is None or self._pending is not None:
             yield
@@ -304,6 +310,8 @@ class Ledger:
             yield
         finally:
             data, self._pending = b"".join(self._pending), None
+            if before_write is not None:
+                before_write()
             if data:
                 with open(self.path, "ab") as handle:
                     handle.write(data)

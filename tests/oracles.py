@@ -10,7 +10,9 @@ a belief base the plain way, re-sorting every entry and storing every
 epoch's full set of keys, and its operations decide by truth tables.
 unprojected_abduce runs the planner over the whole state, without its
 relevance cut, and reference_run_loop is the run loop that plans that
-way from scratch on every line.
+way from scratch on every line.  reference_sweep scores every assertable
+entry on every call, reference_sweep_and_react reacts to that full log,
+and reference_world_state and reference_is_safe read the whole base.
 """
 
 from __future__ import annotations
@@ -434,25 +436,114 @@ def unprojected_abduce(goal, state, schemas, ontology):
         return search.abduce_policy(goal, state, schemas, ontology)
 
 
+def reference_sweep(base, graph, theta_meta: float = 0.6):
+    """mscu_sweep as one full pass over the base, on every call.
+
+    Every assertable entry is scored: probability times health (0 for a
+    missing node, 0.5 for an approximate entry, else 1).  An entry whose
+    negation is held assertable, and that negation, are flagged for
+    contraction; any other score under theta_meta for re-evaluation.
+    """
+    from veritas.belief import StatusTag
+    from veritas.guard import MetaLogEntry
+
+    assertable = [e for e in base.entries if e.assertable]
+    keys = {e.key for e in assertable}
+    conflicted: set[str] = set()
+    for entry in assertable:
+        negation = f"(! {entry.key})"
+        if negation in keys:
+            conflicted.add(entry.key)
+            conflicted.add(negation)
+    log = []
+    for entry in assertable:
+        if entry.justification is None or entry.justification not in graph:
+            health = 0.0
+        elif entry.status == StatusTag.APPROXIMATE:
+            health = 0.5
+        else:
+            health = 1.0
+        score = entry.probability * health
+        if entry.key in conflicted:
+            action = "contract"
+        elif score < theta_meta:
+            action = "reevaluate"
+        else:
+            action = "none"
+        log.append(MetaLogEntry(base.epoch, entry.key, score, action))
+    return log
+
+
+def reference_sweep_and_react(session) -> list:
+    """Session.sweep_and_react reacting to reference_sweep's full log:
+    one META block per flagged item, protocol I for the first conflict
+    and protocol II for each weak entry, in key order."""
+    from veritas.guard import FailureEvent, FailureKind
+    from veritas.ledger import Op
+
+    log = reference_sweep(session.base, session.graph, session.config.theta_meta)
+    reports = []
+    contradiction_handled = False
+    for item in log:
+        if item.action == "none":
+            continue
+        session.ledger.append(
+            Op.META,
+            formula=f"sweep:{item.action}:{item.formula}",
+            timestamp=session._block_ts(),
+        )
+        if item.action == "contract" and not contradiction_handled:
+            contradiction_handled = True
+            kind = FailureKind.BELIEF_INCONSISTENCY
+        elif item.action == "reevaluate":
+            kind = FailureKind.JUSTIFICATION_BREAKDOWN
+        else:
+            continue
+        reports.append(session.recover(FailureEvent(kind, item.formula)))
+    return reports
+
+
+def reference_world_state(domain, base):
+    """The domain's initial atoms plus every assertable ground belief."""
+    from veritas.plan import WorldState
+
+    held = [e.formula for e in base.entries if e.assertable]
+    return WorldState(
+        frozenset(domain.init.atoms) | {f for f in held if isinstance(f, Atom)}
+    )
+
+
+def reference_is_safe(session, state) -> str:
+    """The IsSafe verdict by a scan of the base: "" when safe, else the
+    reason, naming the first assertable entry in the state, in key
+    order, that the assertion gate refuses at its node's depth."""
+    from veritas.belief import assertion_gate, is_consistent_base
+
+    if not is_consistent_base(session.base):
+        return "belief base inconsistent"
+    graph = session.graph
+    for entry in session.base.entries:
+        if not entry.assertable or entry.formula not in state.atoms:
+            continue
+        depth = graph.depth(entry.justification) if entry.justification in graph else 0
+        if not assertion_gate(entry.probability, depth, session.config):
+            return f"support below gate: {entry.key}"
+    return ""
+
+
 def reference_run_loop(session, lines, out, diag) -> int:
     """Session.run_loop planning from scratch on the full state per line.
 
-    Every line rebuilds the world state from the domain's initial atoms
-    and the assertable ground beliefs, plans on all of it with
-    unprojected_abduce, and gates the plan on each assertable entry that
-    the state holds.  The goal and domain must be valid.
+    Every line reacts to reference_sweep's full log, rebuilds the world
+    state from the domain's initial atoms and the assertable ground
+    beliefs, plans on all of it with unprojected_abduce, and gates the
+    plan on each assertable entry that the state holds.  The goal and
+    domain must be valid.
     """
-    from veritas.belief import assertion_gate, is_consistent_base
     from veritas.engine import parse_goal_literals, parse_observation_line
     from veritas.ledger import Op
     from veritas.logic import parse
-    from veritas.plan import (
-        PlanningError,
-        WorldState,
-        load_domain,
-        seal_trace,
-        simulate_trace,
-    )
+    from veritas.plan import PlanningError, load_domain, seal_trace, simulate_trace
 
     config = session.config
     domain = load_domain(config.domain_path)
@@ -467,16 +558,12 @@ def reference_run_loop(session, lines, out, diag) -> int:
         formula = parse(text)
         verdict = session.observe(formula, probability, source)
         out.write(f"{verdict}\t{render_canonical(formula)}\n")
-        _, reports = session.sweep_and_react()
+        reports = reference_sweep_and_react(session)
         if any(r.escalated for r in reports):
             diag.write("EpistemicWarning\tsweep\tescalated\n")
             return 6
         goal = parse_goal_literals(config.goal)
-        held = [e for e in session.base.entries if e.assertable]
-        state = WorldState(
-            frozenset(domain.init.atoms)
-            | {e.formula for e in held if isinstance(e.formula, Atom)}
-        )
+        state = reference_world_state(domain, session.base)
         try:
             plan = unprojected_abduce(
                 goal, state, domain.schemas, domain.ontology
@@ -484,22 +571,7 @@ def reference_run_loop(session, lines, out, diag) -> int:
         except PlanningError as err:
             diag.write(f"plan-failure\t{config.goal}\t{err}\n")
             continue
-        reason = ""
-        if not is_consistent_base(session.base):
-            reason = "belief base inconsistent"
-        else:
-            graph = session.graph
-            for entry in held:
-                if entry.formula not in state.atoms:
-                    continue
-                depth = (
-                    graph.depth(entry.justification)
-                    if entry.justification in graph
-                    else 0
-                )
-                if not assertion_gate(entry.probability, depth, config):
-                    reason = f"support below gate: {entry.key}"
-                    break
+        reason = reference_is_safe(session, state)
         if reason:
             diag.write(f"EpistemicWarning\t{config.goal}\t{reason}\n")
             continue

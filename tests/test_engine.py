@@ -7,6 +7,7 @@ import io
 import json
 import os
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -683,6 +684,19 @@ class TestWorldState:
             state = session.world_state()
             assert parse("Busy(Agent1)") not in state.atoms
 
+    def test_the_state_is_one_object_while_its_beliefs_stay(self, make_config):
+        config = make_config(domain_path=str(DOMAINS / "navigation.domain"))
+        with Session(config) as session:
+            session.observe("At(Agent1,LocationB)", 0.99, "sensor")
+            state = session.world_state()
+            session.observe("p -> q", 0.99, "rulebook")
+            session.observe("Busy(Agent1)", 0.5, "x")
+            session.observe("At(Agent1,LocationB)", 0.97, "sensor")
+            assert session.world_state() is state
+            session.observe("Busy(Agent1)", 0.99, "x")
+            assert session.world_state() is not state
+            assert parse("Busy(Agent1)") in session.world_state().atoms
+
 
 class TestInjectPolicy:
     """External plans are type-gated, simulated, and repaired."""
@@ -998,6 +1012,82 @@ class TestGroupCommit:
         # and its trace seal; the node store is not fsynced.
         assert out.getvalue().count("sealed\t") == 200
         assert calls.count("fsync") == 201
+
+    def test_a_drone_run_opens_the_node_store_once(self, make_config, monkeypatch):
+        """The store stays open for appends while the session holds its
+        lock; each line's nodes are written at its batch's exit."""
+        monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
+        from workloads import ingest_stream
+
+        opened, opener = [], builtins.open
+
+        def spy_open(file, *args, **kwargs):
+            opened.append(os.fspath(file))
+            return opener(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", spy_open)
+        lines, _ = ingest_stream(901, 200)
+        config = make_config(
+            domain_path=str(DOMAINS / "drone.domain"), goal="At(Drone1,SiteAlpha)"
+        )
+        with Session(config) as session:
+            assert session.run_loop(lines, io.StringIO(), io.StringIO()) == 0
+            graph = session.graph
+        assert opened.count(config.resolved_nodes_path()) == 1
+        with Session(config) as reopened:
+            assert reopened.graph.all_nodes() == graph.all_nodes()
+
+    def test_a_line_scores_and_gates_a_bounded_number_of_entries(
+        self, make_config, monkeypatch
+    ):
+        """A 1,500-line drone-goal run: no line calls justification_health
+        or assertion_gate more than a few times, however large the base
+        has grown.  A full sweep and support scan per line made over a
+        thousand health calls on each of the last lines."""
+        monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
+        from workloads import ingest_stream
+
+        import veritas.belief
+        import veritas.guard
+
+        calls: list[str] = []
+        for home, name in (
+            (veritas.guard, "justification_health"),
+            (veritas.belief, "assertion_gate"),
+        ):
+            original = getattr(home, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            for module in list(sys.modules.values()):
+                if module.__name__.startswith("veritas") and (
+                    getattr(module, name, None) is original
+                ):
+                    monkeypatch.setattr(module, name, counted)
+        per_line = []
+        run_line = Session._run_line
+
+        def counted_line(self, *args):
+            before = len(calls)
+            status = run_line(self, *args)
+            per_line.append(len(calls) - before)
+            return status
+
+        monkeypatch.setattr(Session, "_run_line", counted_line)
+        lines, _ = ingest_stream(901, 1500)
+        config = make_config(
+            ledger_path="",
+            domain_path=str(DOMAINS / "drone.domain"),
+            goal="At(Drone1,SiteAlpha)",
+        )
+        with Session(config) as session:
+            out = io.StringIO()
+            assert session.run_loop(lines, out, io.StringIO()) == 0
+            assert len(session.base.entries) == 1500
+        assert out.getvalue().count("sealed\t") == 1500
+        assert len(per_line) == 1500 and max(per_line) <= 6
 
     def test_the_cold_read_set_up_costs_no_more_than_before(self, tmp_path, calls):
         """80 goal-less lines write one block each, then four proofs

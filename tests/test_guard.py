@@ -5,7 +5,13 @@ from __future__ import annotations
 import random
 
 import pytest
-from oracles import deletion_core, minimal_unsat_cores, random_formula, tt_satisfiable
+from oracles import (
+    deletion_core,
+    minimal_unsat_cores,
+    random_formula,
+    reference_sweep,
+    tt_satisfiable,
+)
 
 from veritas.belief import (
     BeliefBase,
@@ -27,10 +33,11 @@ from veritas.guard import (
     detect_contradiction,
     justification_health,
     mscu_sweep,
+    SweepIndex,
     resolve_contradiction,
     run_recovery,
 )
-from veritas.justify import JustificationGraph
+from veritas.justify import JustificationGraph, JustificationNode, node_digest
 from veritas.ledger import Ledger, Op, apply_block, replay
 from veritas.logic import Atom, is_consistent, parse, render_canonical
 
@@ -341,6 +348,78 @@ class TestSweep:
         assert [(m.formula, m.action) for m in first] == [
             (m.formula, m.action) for m in second
         ]
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_a_kept_index_matches_full_passes_over_random_deltas(self, seed):
+        """Puts, replacements and drops of entries that conflict, weigh
+        under the gate or name a node the graph gains only later, some
+        swept at once and some in runs, some on a regrafted base: the
+        kept index always equals a full pass over the base."""
+        rng = random.Random(seed)
+        config = EngineConfig(decay=0.5)
+        texts = ("p", "!p", "!!p", "q", "!q", "p -> q", "P(a)", "!P(a)", "Q(a,b)")
+        graph, missing = JustificationGraph(), []
+        node_ids = [None, "0" * 64]
+        for ts, text in enumerate(texts):
+            provenance = Provenance("sensor", ts, 0.99)
+            if ts % 2:
+                node_ids.append(
+                    graph.record_inference(parse(text), (), "observation", provenance)
+                )
+                continue
+            node_id = node_digest(parse(text), "observation", (), provenance)
+            missing.append(
+                JustificationNode(node_id, parse(text), "observation", (), provenance)
+            )
+            node_ids.append(node_id)
+        # Two restatements of q at depth 1, one recorded only later; with
+        # decay 0.5 the gate refuses them at any probability.
+        q, premise = parse("q"), (node_ids[5],)
+        node_ids.append(graph.record_inference(q, premise, "restated", provenance))
+        later = Provenance("deriver", 0, 0.99)
+        node_id = node_digest(q, "restated", premise, later)
+        missing.append(JustificationNode(node_id, q, "restated", premise, later))
+        node_ids.append(node_id)
+        index = SweepIndex(config)
+        base = BeliefBase()
+        for _ in range(60):
+            roll = rng.random()
+            if roll < 0.6:
+                base = base._advance(
+                    entry(
+                        rng.choice(texts),
+                        0.9,
+                        probability=rng.choice((0.99, 0.97, 0.6, 0.3)),
+                        status=rng.choice(list(StatusTag)),
+                        justification=rng.choice(node_ids),
+                        assertable=rng.random() < 0.8,
+                    )
+                )
+            elif roll < 0.8 and base.entries:
+                base = base._advance(None, (rng.choice(base.entries).key,))
+            elif roll < 0.9 and missing:
+                graph.add_node(missing.pop(rng.randrange(len(missing))))
+            else:
+                base = BeliefBase.from_entries(base.entries)
+            if rng.random() < 0.5:
+                continue
+            full = reference_sweep(base, graph, 0.6)
+            assert mscu_sweep(base, graph, 0.6) == full
+            flagged = mscu_sweep(base, graph, 0.6, index)
+            assert flagged == [m for m in full if m.action != "none"]
+            supports = [
+                e for e in base.entries if e.assertable and isinstance(e.formula, Atom)
+            ]
+            assert index.atoms() == {e.formula for e in supports}
+            assert index.failing == {
+                e.key
+                for e in supports
+                if not assertion_gate(
+                    e.probability,
+                    graph.depth(e.justification) if e.justification in graph else 0,
+                    config,
+                )
+            }
 
 
 class TestApproximationGate:

@@ -358,6 +358,24 @@ class TestBatch:
         assert len(fsyncs) == 1
         assert [b.formula for b in Ledger(path).blocks] == ["kept"]
 
+    def test_before_write_runs_at_the_exit_before_the_lines_are_written(
+        self, tmp_path, fsyncs
+    ):
+        path = tmp_path / "chain.vlog"
+        ledger = Ledger(path)
+        seen = []
+
+        def before_write():
+            seen.append((ledger.batching, path.exists(), len(fsyncs)))
+
+        with pytest.raises(RuntimeError):
+            with ledger.batch(before_write):
+                ledger.append(Op.META, formula="kept")
+                assert ledger.batching and seen == []
+                raise RuntimeError("after the append")
+        assert seen == [(False, False, 0)]
+        assert not ledger.batching and len(fsyncs) == 1
+
     def test_an_empty_batch_opens_nothing(self, tmp_path, fsyncs):
         path = tmp_path / "chain.vlog"
         with Ledger(path).batch():

@@ -7,7 +7,9 @@ and history).  After every block appended, the bytes on disk must
 reopen: no block may name a node the node store does not hold yet, so a
 process that dies between two appends leaves a ledger that replays.
 Inside a run_loop line's batch the reopened bytes lag the live chain,
-as they would after a crash there.
+as they would after a crash there.  After every step the session's
+incremental sweep, world state and IsSafe verdict must also equal the
+oracles' full passes over the base.
 """
 
 from __future__ import annotations
@@ -20,12 +22,15 @@ from pathlib import Path
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
+from oracles import reference_is_safe, reference_sweep, reference_world_state
 
 from veritas.belief import ConsistencyError
 from veritas.config import EngineConfig
 from veritas.engine import Session
-from veritas.guard import FailureEvent, FailureKind
+from veritas.guard import FailureEvent, FailureKind, mscu_sweep
 from veritas.ledger import replay
+
+DOMAIN = Path(__file__).parent / "domains" / "drone.domain"
 
 # Four atoms; "p & !p" is refused as an observation and "p | !p" as a
 # contraction, so refused operations are drawn as often as the rest.
@@ -41,7 +46,9 @@ class SessionMachine(RuleBasedStateMachine):
         super().__init__()
         self.dir = Path(tempfile.mkdtemp(prefix="veritas-stateful-"))
         self.config = EngineConfig(
-            ledger_path=str(self.dir / "live.vlog"), fixed_clock=True
+            ledger_path=str(self.dir / "live.vlog"),
+            fixed_clock=True,
+            domain_path=str(DOMAIN),
         )
         self.session = self._open()
 
@@ -135,6 +142,19 @@ class SessionMachine(RuleBasedStateMachine):
         live = self.session.base
         assert live == replay(self.session.ledger, self.config, self.session.graph)
         assert self._reopened() == live
+
+    @invariant()
+    def incremental_reads_equal_full_passes(self) -> None:
+        session = self.session
+        theta_meta = self.config.theta_meta
+        flagged = mscu_sweep(
+            session.base, session.graph, theta_meta, session._index
+        )
+        full = reference_sweep(session.base, session.graph, theta_meta)
+        assert flagged == [item for item in full if item.action != "none"]
+        state = session.world_state()
+        assert state == reference_world_state(session.domain(), session.base)
+        assert session.is_safe([])[1] == reference_is_safe(session, state)
 
 
 SessionMachine.TestCase.settings = settings(
