@@ -40,7 +40,53 @@ EXIT_ESCALATED = 6
 EXIT_LIMIT = 7
 
 
-def build_parser() -> argparse.ArgumentParser:
+_FORMULA = ("formula", {})
+_PATH = ("path", {})
+_GOAL = ("--goal", {"default": None})
+_DOMAIN = ("--domain", {"default": None})
+# Each command's help, then its arguments as (name or flag, keywords).
+_COMMANDS: dict[str, tuple] = {
+    "observe": (
+        "admit one observation",
+        _FORMULA,
+        ("--p", {"type": float, "required": True}),
+        ("--source", {"default": "cli"}),
+    ),
+    "contract": ("retract a belief and its dependents", _FORMULA),
+    "query": ("entailment with confidence read-out", _FORMULA),
+    "justify": ("print the derivation chain", _FORMULA),
+    "prove": (
+        "emit an anchored public proof",
+        _FORMULA,
+        ("--out", {"default": "proof.json"}),
+    ),
+    "verify-proof": ("check a proof file", _PATH),
+    "plan": ("abduce, simulate, and seal a plan", _GOAL, _DOMAIN),
+    "inject-policy": ("gate an external plan", _PATH, _DOMAIN),
+    "ledger": (
+        "inspect the ledger",
+        ("action", {"choices": ("verify", "replay")}),
+        ("--to", {"type": int, "default": None}),
+    ),
+    "rollback": (
+        "append blocks undoing later state",
+        ("--to", {"type": int, "required": True}),
+    ),
+    "audit": ("run one meta-cognitive sweep read-only",),
+    "run": (
+        "full loop over an observation stream",
+        ("--stream", {"default": "-"}),
+        _GOAL,
+        _DOMAIN,
+    ),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The veritas parser; given a command, with only its subparser.
+
+    Help and usage output are the same either way.
+    """
     parser = argparse.ArgumentParser(
         prog="veritas",
         description="Auditable beliefs, proofs, and plans over a hash-chained ledger.",
@@ -55,51 +101,31 @@ def build_parser() -> argparse.ArgumentParser:
         help="override one config entry (repeatable)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    observe = sub.add_parser("observe", help="admit one observation")
-    observe.add_argument("formula")
-    observe.add_argument("--p", type=float, required=True)
-    observe.add_argument("--source", default="cli")
-
-    contract = sub.add_parser("contract", help="retract a belief and its dependents")
-    contract.add_argument("formula")
-
-    query = sub.add_parser("query", help="entailment with confidence read-out")
-    query.add_argument("formula")
-
-    justify = sub.add_parser("justify", help="print the derivation chain")
-    justify.add_argument("formula")
-
-    prove = sub.add_parser("prove", help="emit an anchored public proof")
-    prove.add_argument("formula")
-    prove.add_argument("--out", default="proof.json")
-
-    verify_proof = sub.add_parser("verify-proof", help="check a proof file")
-    verify_proof.add_argument("path")
-
-    plan = sub.add_parser("plan", help="abduce, simulate, and seal a plan")
-    plan.add_argument("--goal", default=None)
-    plan.add_argument("--domain", default=None)
-
-    inject = sub.add_parser("inject-policy", help="gate an external plan")
-    inject.add_argument("path")
-    inject.add_argument("--domain", default=None)
-
-    ledger = sub.add_parser("ledger", help="inspect the ledger")
-    ledger.add_argument("action", choices=("verify", "replay"))
-    ledger.add_argument("--to", type=int, default=None)
-
-    rollback = sub.add_parser("rollback", help="append blocks undoing later state")
-    rollback.add_argument("--to", type=int, required=True)
-
-    sub.add_parser("audit", help="run one meta-cognitive sweep read-only")
-
-    run = sub.add_parser("run", help="full loop over an observation stream")
-    run.add_argument("--stream", default="-")
-    run.add_argument("--goal", default=None)
-    run.add_argument("--domain", default=None)
-
+    if command is not None:
+        # The usage line must still list every command.  Only here: a
+        # metavar also renames the argument in the errors about a missing
+        # or unknown command, which only the full parser reports.
+        sub.metavar = "{%s}" % ",".join(_COMMANDS)
+    for name in _COMMANDS if command is None else (command,):
+        help_text, *arguments = _COMMANDS[name]
+        subparser = sub.add_parser(name, help=help_text)
+        for flag, options in arguments:
+            subparser.add_argument(flag, **options)
     return parser
+
+
+def _named_command(argv: list[str]) -> str | None:
+    """The command argv names after its --config and --set pairs, if known.
+
+    Any other spelling (--set=..., an abbreviated option, -h) gives
+    None, and with it the full parser.
+    """
+    at = 0
+    while at < len(argv) and argv[at] in ("--config", "--set"):
+        at += 2
+    if at < len(argv) and argv[at] in _COMMANDS:
+        return argv[at]
+    return None
 
 
 def _build_config(args: argparse.Namespace) -> EngineConfig:
@@ -242,7 +268,9 @@ def _error(category: str, err: object) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser(_named_command(argv))
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -727,7 +727,9 @@ class Session:
         only when the relevant state has changed (see _abduce).  A line
         is the unit of durability: its blocks are written in one ledger
         batch, and its output once that batch is on disk.  A line that
-        raises prints nothing, but the blocks it appended are written.
+        raises prints nothing, but the blocks it appended are written.  If
+        writing them fails, none is kept and the session is as it was
+        before the line.
         """
         goal = None
         if self.config.goal:
@@ -737,10 +739,23 @@ class Session:
         self._append_meta("session-start")
         for raw in lines:
             said, warned = io.StringIO(), io.StringIO()
-            # The line's nodes are written at the batch's exit, before
-            # its blocks.
-            with self.ledger.batch(self._sync_nodes):
-                status = self._run_line(raw, goal, said, warned)
+            length, seq = len(self.ledger), self._obs_seq
+            base = self.__dict__.get("base")  # None until first replayed
+            try:
+                # The line's nodes are written at the batch's exit, before
+                # its blocks.
+                with self.ledger.batch(self._sync_nodes):
+                    status = self._run_line(raw, goal, said, warned)
+            except BaseException:
+                if len(self.ledger) == length:
+                    # No block of the line is in the chain (a failed write
+                    # drops them all), so neither is any change it made.
+                    self._obs_seq = seq
+                    if base is None:
+                        self.__dict__.pop("base", None)
+                    else:
+                        self.base = base
+                raise
             out.write(said.getvalue())
             diag.write(warned.getvalue())
             if status:

@@ -299,24 +299,44 @@ class Ledger:
         """Write the blocks appended inside with one write and one fsync.
 
         They join the chain when appended and are written on any exit,
-        by exception too, after before_write runs.  Nested, or without a
-        file, it adds nothing.
+        by exception too, after before_write runs.  When before_write or
+        the write raises, the file is cut back to its length before the
+        write, the blocks leave the chain again, and the error
+        propagates.  Nested, or without a file, it adds nothing.
         """
         if self.path is None or self._pending is not None:
             yield
             return
         self._pending = []
+        kept = len(self._blocks)
         try:
             yield
         finally:
             data, self._pending = b"".join(self._pending), None
-            if before_write is not None:
-                before_write()
-            if data:
-                with open(self.path, "ab") as handle:
-                    handle.write(data)
-                    handle.flush()
-                    os.fsync(handle.fileno())
+            try:
+                if before_write is not None:
+                    before_write()
+                if data:
+                    self._write(data)
+            except BaseException:
+                del self._blocks[kept:]
+                if self._verified is not None:
+                    del self._verified[kept:]
+                self._digests = {b.justification_digest for b in self._blocks}
+                raise
+
+    def _write(self, data: bytes) -> None:
+        """Append data to the file and fsync it, or leave the file as it was."""
+        with open(self.path, "ab", buffering=0) as handle:
+            end = handle.tell()
+            try:
+                view = memoryview(data)
+                while view:
+                    view = view[handle.write(view):]
+                os.fsync(handle.fileno())
+            except BaseException:
+                handle.truncate(end)
+                raise
 
     def contains_digest(self, digest: bytes) -> bool:
         """Whether any block anchors the given justification digest."""

@@ -17,7 +17,6 @@ Grammar, loosest binding first::
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .syntax import And, Atom, Formula, Iff, Implies, Not, Or
 
@@ -47,11 +46,8 @@ class ParseError(ValueError):
         self.expected = expected
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    text: str
-    offset: int
+# A token is (kind, text, offset); the last one is ("EOF", "", len(text)).
+_Token = tuple[str, str, int]
 
 
 def _tokenize(text: str) -> list[_Token]:
@@ -63,12 +59,18 @@ def _tokenize(text: str) -> list[_Token]:
             raise ParseError(
                 f"unexpected character {text[pos]!r}", pos, frozenset({"token"})
             )
-        kind = match.lastgroup or ""
+        kind = match.lastgroup
         if kind != "WS":
-            tokens.append(_Token(kind, match.group(), pos))
+            tokens.append((kind, match.group(), pos))
         pos = match.end()
-    tokens.append(_Token("EOF", "", len(text)))
+    tokens.append(("EOF", "", len(text)))
     return tokens
+
+
+def _unexpected(token: _Token, what: str, expected: frozenset[str]) -> ParseError:
+    return ParseError(
+        f"expected {what}, found {token[1] or 'end of input'!r}", token[2], expected
+    )
 
 
 class _Parser:
@@ -76,38 +78,24 @@ class _Parser:
         self.tokens = tokens
         self.index = 0
 
-    @property
-    def current(self) -> _Token:
-        return self.tokens[self.index]
-
-    def _expect(self, kind: str) -> _Token:
-        token = self.current
-        if token.kind != kind:
-            raise ParseError(
-                f"expected {kind}, found {token.text or 'end of input'!r}",
-                token.offset,
-                frozenset({kind}),
-            )
+    def _expect(self, kind: str) -> str:
+        """The text of the next token, which must be of kind."""
+        token = self.tokens[self.index]
+        if token[0] != kind:
+            raise _unexpected(token, kind, frozenset({kind}))
         self.index += 1
-        return token
+        return token[1]
 
-    def _accept(self, kind: str) -> _Token | None:
-        if self.current.kind == kind:
-            token = self.current
+    def _accept(self, kind: str) -> bool:
+        if self.tokens[self.index][0] == kind:
             self.index += 1
-            return token
-        return None
+            return True
+        return False
 
-    def parse_formula(self) -> Formula:
-        node = self.parse_iff()
-        token = self.current
-        if token.kind != "EOF":
-            raise ParseError(
-                f"trailing input {token.text!r}",
-                token.offset,
-                frozenset({"EOF"}),
-            )
-        return node
+    def expect_end(self) -> None:
+        kind, text, offset = self.tokens[self.index]
+        if kind != "EOF":
+            raise ParseError(f"trailing input {text!r}", offset, frozenset({"EOF"}))
 
     def parse_iff(self) -> Formula:
         node = self.parse_impl()
@@ -137,28 +125,28 @@ class _Parser:
         return node
 
     def parse_unary(self) -> Formula:
-        if self._accept("NOT"):
+        kind = self.tokens[self.index][0]
+        if kind == "IDENT":
+            return self.parse_atom()
+        if kind == "NOT":
+            self.index += 1
             return Not(self.parse_unary())
-        if self._accept("LPAREN"):
+        if kind == "LPAREN":
+            self.index += 1
             node = self.parse_iff()
             self._expect("RPAREN")
             return node
-        token = self.current
-        if token.kind == "IDENT":
-            return self.parse_atom()
-        raise ParseError(
-            f"expected formula, found {token.text or 'end of input'!r}",
-            token.offset,
-            frozenset({"NOT", "LPAREN", "IDENT"}),
+        raise _unexpected(
+            self.tokens[self.index], "formula", frozenset({"NOT", "LPAREN", "IDENT"})
         )
 
     def parse_atom(self) -> Atom:
-        name = self._expect("IDENT").text
+        name = self._expect("IDENT")
         if not self._accept("LPAREN"):
             return Atom(name)
-        args = [self._expect("IDENT").text]
+        args = [self._expect("IDENT")]
         while self._accept("COMMA"):
-            args.append(self._expect("IDENT").text)
+            args.append(self._expect("IDENT"))
         self._expect("RPAREN")
         return Atom(name, tuple(args))
 
@@ -169,16 +157,15 @@ def parse(text: str) -> Formula:
     Raises ParseError with the byte offset of the first offending token
     and the set of token kinds that would have been accepted there.
     """
-    return _Parser(_tokenize(text)).parse_formula()
+    parser = _Parser(_tokenize(text))
+    formula = parser.parse_iff()
+    parser.expect_end()
+    return formula
 
 
 def parse_atom(text: str) -> Atom:
     """Parse a bare atom such as ``At(Agent1,LocationA)``."""
     parser = _Parser(_tokenize(text))
     atom = parser.parse_atom()
-    token = parser.current
-    if token.kind != "EOF":
-        raise ParseError(
-            f"trailing input {token.text!r}", token.offset, frozenset({"EOF"})
-        )
+    parser.expect_end()
     return atom

@@ -285,7 +285,7 @@ def _clausify(formula: Formula) -> tuple[frozenset[int], ...] | None:
     try:
         clauses = tuple(
             clause
-            for clause in _cnf(_nnf(formula, positive=True), _ATOM_IDS)
+            for clause in _cnf(formula, True)
             if not _is_tautological_clause(clause)
         )
     except _ClauseBudgetExceeded:
@@ -305,49 +305,47 @@ def _join(compiled: list[_Compiled]) -> list[frozenset[int]] | None:
     return clauses
 
 
-def _nnf(formula: Formula, positive: bool) -> Formula:
-    """Push negations to the atoms, eliminating -> and <-> on the way."""
+def _cnf(formula: Formula, positive: bool) -> list[frozenset[int]]:
+    """Clauses over integer literals of formula, or of its negation when
+    positive is False, distributing as negation normal form would.
+
+    -> and <-> expand as (! a | b) and ((! a | b) & (! b | a)), and a
+    negation flips the polarity of its operand, so each subformula is
+    walked once per polarity without building the normal form.
+    """
     if isinstance(formula, Atom):
-        return formula if positive else Not(formula)
+        literal = _ATOM_IDS[formula]
+        return [frozenset({literal if positive else -literal})]
     if isinstance(formula, Not):
-        return _nnf(formula.operand, not positive)
-    if isinstance(formula, And):
-        left = _nnf(formula.left, positive)
-        right = _nnf(formula.right, positive)
-        return And(left, right) if positive else Or(left, right)
-    if isinstance(formula, Or):
-        left = _nnf(formula.left, positive)
-        right = _nnf(formula.right, positive)
-        return Or(left, right) if positive else And(left, right)
-    if isinstance(formula, Implies):
-        return _nnf(Or(Not(formula.left), formula.right), positive)
+        return _cnf(formula.operand, not positive)
     if isinstance(formula, Iff):
-        expanded = And(
-            Or(Not(formula.left), formula.right),
-            Or(Not(formula.right), formula.left),
+        left, right = formula.left, formula.right
+        if positive:
+            first = _distribute(_cnf(left, False), _cnf(right, True))
+            return first + _distribute(_cnf(right, False), _cnf(left, True))
+        return _distribute(
+            _cnf(left, True) + _cnf(right, False),
+            _cnf(right, True) + _cnf(left, False),
         )
-        return _nnf(expanded, positive)
-    raise TypeError(f"not a formula: {formula!r}")
+    if isinstance(formula, Implies):
+        left = _cnf(formula.left, not positive)
+        conjunction = not positive
+    elif isinstance(formula, (And, Or)):
+        left = _cnf(formula.left, positive)
+        conjunction = isinstance(formula, And) == positive
+    else:
+        raise TypeError(f"not a formula: {formula!r}")
+    right = _cnf(formula.right, positive)
+    return left + right if conjunction else _distribute(left, right)
 
 
-def _cnf(formula: Formula, index: dict[Atom, int]) -> list[frozenset[int]]:
-    """Distribute an NNF formula into clauses over integer literals."""
-    if isinstance(formula, Atom):
-        return [frozenset({index[formula]})]
-    if isinstance(formula, Not):
-        operand = formula.operand
-        if not isinstance(operand, Atom):
-            raise TypeError("negation not at atom level after NNF")
-        return [frozenset({-index[operand]})]
-    if isinstance(formula, And):
-        return _cnf(formula.left, index) + _cnf(formula.right, index)
-    if isinstance(formula, Or):
-        left = _cnf(formula.left, index)
-        right = _cnf(formula.right, index)
-        if len(left) * len(right) > _CLAUSE_BUDGET:
-            raise _ClauseBudgetExceeded
-        return [a | b for a in left for b in right]
-    raise TypeError(f"unexpected connective after NNF: {formula!r}")
+def _distribute(
+    left: list[frozenset[int]], right: list[frozenset[int]]
+) -> list[frozenset[int]]:
+    """The clauses of the disjunction of two clause lists."""
+    if len(left) * len(right) > _CLAUSE_BUDGET:
+        raise _ClauseBudgetExceeded
+    return [a | b for a in left for b in right]
 
 
 def _is_tautological_clause(clause: frozenset[int]) -> bool:

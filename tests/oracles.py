@@ -165,6 +165,53 @@ def random_formula(rng: random.Random, atoms: list[Atom], depth: int) -> Formula
     return [And, Or, Implies, Iff][kind - 1](left, right)
 
 
+def two_pass_clausify(formula: Formula):
+    """sat._clausify in two passes: build the negation normal form, then
+    distribute it, checking the clause budget at every disjunction."""
+    try:
+        clauses = tuple(
+            clause
+            for clause in _nnf_clauses(_nnf(formula, True))
+            if not any(-lit in clause for lit in clause)
+        )
+    except sat._ClauseBudgetExceeded:
+        return None
+    return clauses if len(clauses) <= sat._CLAUSE_BUDGET else None
+
+
+def _nnf(formula: Formula, positive: bool) -> Formula:
+    if isinstance(formula, Atom):
+        return formula if positive else Not(formula)
+    if isinstance(formula, Not):
+        return _nnf(formula.operand, not positive)
+    if isinstance(formula, (And, Or)):
+        left = _nnf(formula.left, positive)
+        right = _nnf(formula.right, positive)
+        same = type(formula) if positive else {And: Or, Or: And}[type(formula)]
+        return same(left, right)
+    if isinstance(formula, Implies):
+        return _nnf(Or(Not(formula.left), formula.right), positive)
+    expanded = And(
+        Or(Not(formula.left), formula.right),
+        Or(Not(formula.right), formula.left),
+    )
+    return _nnf(expanded, positive)
+
+
+def _nnf_clauses(formula: Formula) -> list[frozenset[int]]:
+    if isinstance(formula, Atom):
+        return [frozenset({sat._ATOM_IDS[formula]})]
+    if isinstance(formula, Not):
+        return [frozenset({-sat._ATOM_IDS[formula.operand]})]
+    left = _nnf_clauses(formula.left)
+    right = _nnf_clauses(formula.right)
+    if isinstance(formula, And):
+        return left + right
+    if len(left) * len(right) > sat._CLAUSE_BUDGET:
+        raise sat._ClauseBudgetExceeded
+    return [a | b for a in left for b in right]
+
+
 def bfs_plan(domain, max_depth: int):
     """Shortest plan by queue-based search over reachable states.
 

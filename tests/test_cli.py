@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import subprocess
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import veritas
+import veritas.cli
 import veritas.engine
 import veritas.ledger
 import veritas.logic.parser
@@ -671,3 +673,89 @@ class TestImportCost:
         """SHA-256 comes from the interpreter's own module, so hashlib's
         OpenSSL binding (about 3.6 MB resident) is never loaded."""
         assert not loaded_after_import("veritas.cli, veritas.engine", "_hashlib")
+
+
+COMMAND_NAMES = (
+    "observe", "contract", "query", "justify", "prove", "verify-proof",
+    "plan", "inject-policy", "ledger", "rollback", "audit", "run",
+)
+# Help, usage errors and the global options around a command, each run in
+# an empty working directory.
+SURFACE_ARGV = [
+    ["-h"],
+    ["query", "-h"],
+    [],
+    ["bogus"],
+    ["query"],
+    ["query", "p", "--bogus"],
+    ["--conf", "x.cfg", "query", "p"],
+    ["--set=fixed_clock=true", "query", "p"],
+    ["--set", "fixed_clock=true", "query", "p"],
+    ["ledger", "verify"],
+    ["ledger", "bogus"],
+    *([name, "-h"] for name in COMMAND_NAMES if name != "query"),
+]
+SURFACE_TABLE = Path(__file__).parent / "golden" / "cli_surface.json"
+
+
+def run_main(argv: list[str], capsys) -> tuple[int, str, str]:
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.fixture()
+def bare_cli(tmp_path, monkeypatch):
+    """An empty working directory, no VERITAS_* variables, 80 columns."""
+    monkeypatch.chdir(tmp_path)
+    for name in list(os.environ):
+        if name.startswith("VERITAS_"):
+            monkeypatch.delenv(name)
+    monkeypatch.setenv("COLUMNS", "80")
+
+
+class TestSurface:
+    """What the shell prints for help and for malformed command lines."""
+
+    @pytest.mark.parametrize(
+        "argv", SURFACE_ARGV, ids=lambda argv: " ".join(argv) or "no arguments"
+    )
+    def test_output_matches_the_full_parser_and_the_table(
+        self, argv, bare_cli, tmp_path, monkeypatch, capsys
+    ):
+        """argparse words its help and errors differently across Python
+        releases, so the recorded table is checked on the release that
+        recorded it; on every release the output must equal that of the
+        parser with every subcommand built."""
+        got = run_main(argv, capsys)
+        table = json.loads(SURFACE_TABLE.read_text())
+        if list(sys.version_info[:2]) == table["python"]:
+            want = next(c for c in table["cases"] if c["argv"] == argv)
+            assert got == (want["exit"], want["stdout"], want["stderr"])
+        full_parser = veritas.cli.build_parser
+        monkeypatch.setattr(
+            veritas.cli, "build_parser", lambda *args: full_parser()
+        )
+        for leftover in tmp_path.iterdir():
+            leftover.unlink()
+        assert run_main(argv, capsys) == got
+
+    @pytest.mark.parametrize(
+        "argv, built",
+        [(["query", "p"], 2), (["-h"], 1 + len(COMMAND_NAMES))],
+        ids=["query p", "-h"],
+    )
+    def test_a_command_builds_only_its_own_subparser(
+        self, argv, built, bare_cli, monkeypatch, capsys
+    ):
+        inits = []
+        original = argparse.ArgumentParser.__init__
+
+        def spy(self, *args, **kwargs):
+            inits.append(kwargs.get("prog"))
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+        code, _, _ = run_main(argv, capsys)
+        assert code == 0
+        assert len(inits) == built

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import builtins
+import errno
 import io
 import json
 import os
@@ -1140,6 +1141,74 @@ class TestGroupCommit:
         with Session(config) as reopened:
             assert reopened.ledger.blocks == session.ledger.blocks
             assert reopened.base == live
+
+    def test_a_failed_write_leaves_no_trace_of_its_line(
+        self, make_config, monkeypatch
+    ):
+        """ENOSPC halfway through writing the second of three one-line
+        runs: the file, the chain and the session go back to before that
+        line, and the ledger ends as if the line had never been read."""
+        config, reference = make_config(), make_config("reference")
+        opener, vlog_opens = builtins.open, []
+
+        class FullDisk:
+            """A file whose next write stores half its bytes, then fails."""
+
+            def __init__(self, handle):
+                self._handle = handle
+
+            def __getattr__(self, name):
+                return getattr(self._handle, name)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self._handle.close()
+
+            def write(self, data):
+                self._handle.write(bytes(data[: len(data) // 2]))
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        def flaky_open(file, mode="r", *args, **kwargs):
+            handle = opener(file, mode, *args, **kwargs)
+            if os.fspath(file) == config.ledger_path and "a" in mode:
+                vlog_opens.append(mode)
+                # Each run writes its session-start block, then its line.
+                if len(vlog_opens) == 4:
+                    return FullDisk(handle)
+            return handle
+
+        monkeypatch.setattr(builtins, "open", flaky_open)
+        lines = [f"S{i}\t0.99\tsensor\n" for i in range(3)]
+        with Session(config) as session:
+            session.run_loop(lines[:1], io.StringIO(), io.StringIO())
+            out = io.StringIO()
+            with pytest.raises(OSError) as err:
+                session.run_loop(lines[1:2], out, io.StringIO())
+            assert err.value.errno == errno.ENOSPC and out.getvalue() == ""
+            live = session.base
+            assert live.find(parse("S1")) is None
+            assert live == replay(session.ledger, config, session.graph)
+            on_disk = Ledger(config.ledger_path)
+            assert on_disk.verify_chain() is None
+            assert on_disk.blocks == session.ledger.blocks
+            assert replay(on_disk, config, session.graph) == live
+            for node in session.graph.nodes_for(parse("S1")):
+                assert not session.ledger.contains_digest(bytes.fromhex(node))
+            assert session.run_loop(lines[2:], io.StringIO(), io.StringIO()) == 0
+            live = session.base
+            assert live == replay(session.ledger, config, session.graph)
+        with Session(config) as reopened:
+            assert reopened.ledger.verify_chain() is None
+            assert reopened.base == live
+        with Session(reference) as session:
+            for stream in (lines[:1], [], lines[2:]):
+                session.run_loop(stream, io.StringIO(), io.StringIO())
+        assert (
+            Path(config.ledger_path).read_bytes()
+            == Path(reference.ledger_path).read_bytes()
+        )
 
     def test_an_unchanged_plan_and_state_seal_the_kept_trace(
         self, make_config, monkeypatch

@@ -10,6 +10,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import (
     cnf_satisfiable,
     deletion_core,
@@ -20,6 +22,7 @@ from oracles import (
     tt_eval,
     tt_models,
     tt_satisfiable,
+    two_pass_clausify,
     witness_valuations,
 )
 
@@ -113,6 +116,75 @@ class TestParser:
             parse_atom("p & q")
 
 
+FORMULA_START = frozenset({"NOT", "LPAREN", "IDENT"})
+
+
+class TestParseErrors:
+    """Every ParseError raise site: message, offset and expected kinds."""
+
+    @pytest.mark.parametrize(
+        "text, message, offset, expected",
+        [
+            ("p @ q", "unexpected character '@'", 2, {"token"}),
+            ("p\tq\n;", "unexpected character ';'", 4, {"token"}),
+            ("(p & q", "expected RPAREN, found 'end of input'", 6, {"RPAREN"}),
+            ("(p q)", "expected RPAREN, found 'q'", 3, {"RPAREN"}),
+            ("P(", "expected IDENT, found 'end of input'", 2, {"IDENT"}),
+            ("P(a,)", "expected IDENT, found ')'", 4, {"IDENT"}),
+            ("P(a b)", "expected RPAREN, found 'b'", 4, {"RPAREN"}),
+            ("p q", "trailing input 'q'", 2, {"EOF"}),
+            ("p)", "trailing input ')'", 1, {"EOF"}),
+            ("p ->", "expected formula, found 'end of input'", 4, FORMULA_START),
+            ("& p", "expected formula, found '&'", 0, FORMULA_START),
+            ("", "expected formula, found 'end of input'", 0, FORMULA_START),
+            ("a <-> (b | )", "expected formula, found ')'", 11, FORMULA_START),
+        ],
+    )
+    def test_parse(self, text, message, offset, expected):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert (str(err.value), err.value.offset, err.value.expected) == (
+            f"{message} at offset {offset}",
+            offset,
+            frozenset(expected),
+        )
+
+    @pytest.mark.parametrize(
+        "text, message, offset, expected",
+        [
+            ("P(a;b)", "unexpected character ';'", 3, {"token"}),
+            ("!p", "expected IDENT, found '!'", 0, {"IDENT"}),
+            ("", "expected IDENT, found 'end of input'", 0, {"IDENT"}),
+            ("P(a", "expected RPAREN, found 'end of input'", 3, {"RPAREN"}),
+            ("P(,a)", "expected IDENT, found ','", 2, {"IDENT"}),
+            ("p & q", "trailing input '&'", 2, {"EOF"}),
+            ("P(a)(b)", "trailing input '('", 4, {"EOF"}),
+        ],
+    )
+    def test_parse_atom(self, text, message, offset, expected):
+        with pytest.raises(ParseError) as err:
+            parse_atom(text)
+        assert (str(err.value), err.value.offset, err.value.expected) == (
+            f"{message} at offset {offset}",
+            offset,
+            frozenset(expected),
+        )
+
+
+_ident = st.from_regex(r"[A-Za-z][A-Za-z0-9_]{0,3}", fullmatch=True)
+formulas = st.recursive(
+    st.builds(Atom, _ident, st.lists(_ident, max_size=3).map(tuple)),
+    lambda sub: st.one_of(
+        st.builds(Not, sub),
+        st.builds(Iff, sub, sub),
+        st.builds(Implies, sub, sub),
+        st.builds(Or, sub, sub),
+        st.builds(And, sub, sub),
+    ),
+    max_leaves=12,
+)
+
+
 class TestCanonicalRoundTrip:
     def test_random_asts_round_trip(self):
         """1000 random trees of depth at most 6 survive parse(render(f))."""
@@ -132,6 +204,12 @@ class TestCanonicalRoundTrip:
             if text in seen:
                 assert seen[text] == f
             seen[text] = f
+
+    @settings(max_examples=200, deadline=None)
+    @given(formulas)
+    def test_generated_formulas_round_trip(self, f):
+        """Nested <->, -> and ! over atoms with arguments."""
+        assert parse(render_canonical(f)) == f
 
     def test_rendering_distinguishes_association(self):
         left = And(And(Atom("a"), Atom("b")), Atom("c"))
@@ -367,6 +445,27 @@ class TestCompiledConsistency:
             compiled = [sat._compiled(f) for f in formulas]
             assert sat._has_complementary_pair(formulas, compiled) == expected
         assert 100 < hits < 500
+
+
+class TestClausify:
+    def test_one_walk_matches_the_two_pass_oracle(self):
+        """Same clauses in the same order, and the same budget verdicts,
+        as building the negation normal form and distributing it."""
+        rng = random.Random(5150)
+        atoms = [Atom(name) for name in "pqrstu"] + [Atom("At", ("A", "B"))]
+        formulas = [random_formula(rng, atoms, 5) for _ in range(3000)]
+        # (x0 & y0) | ... | (x11 & y11) has 4096 clauses, exactly the
+        # budget; one clause more is past it without a product that is.
+        wide = And(Atom("x0"), Atom("y0"))
+        for i in range(1, 12):
+            wide = Or(And(Atom(f"x{i}"), Atom(f"y{i}")), wide)
+        formulas += [wide, And(wide, atoms[0]), Or(wide, atoms[0]), Not(wide)]
+        verdicts = set()
+        for f in formulas:
+            clauses = sat._clausify(f)
+            assert clauses == two_pass_clausify(f)
+            verdicts.add(clauses is None)
+        assert verdicts == {True, False}
 
 
 class TestWitness:
