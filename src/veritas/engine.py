@@ -4,12 +4,12 @@ A Session owns the ledger, the justification node store, and the belief
 base replayed from them.  Opening one verifies the chain; the node store
 is read, and the base replayed, only when a command first uses them, so
 checking a proof against the ledger needs neither.  Every belief
-mutation is a ledger block folded by the same code replay uses, and the
-block is appended only once its fold has succeeded, so the live base and
-a fresh replay of the ledger can never drift apart and a refused change
-appends no block.  New justification nodes are written to the node
-store next to the ledger before any block that names them, so later
-sessions can replay every block.
+mutation, an observation too, goes through ledger.commit, which folds
+the block by the same code replay uses and appends it only once the fold
+has succeeded, so the live base and a fresh replay of the ledger can
+never drift apart and a refused change appends no block.  The ledger
+writes the store's new nodes before any block line (Ledger.before_write),
+so later sessions can replay every block.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import fcntl
 import functools
 import io
 import json
-import os
 import time
 from dataclasses import dataclass
 
@@ -32,7 +31,6 @@ from .belief import (
     classify_confidence,
     is_consistent_base,
     project_four_state,
-    update_belief_state,
     weakest_link,
 )
 from .config import EngineConfig
@@ -56,13 +54,12 @@ from .justify import (
     VerifyResult,
     build_public_proof,
     hash_chain,
-    load_graph,
     node_digest,
     node_from_json,
     node_to_json,
     verify_public_proof,
 )
-from .ledger import Ledger, Op, ReplayError, commit, node_entry, replay
+from .ledger import ZERO_HASH, Block, Ledger, NodeStore, Op, commit, replay
 from .logic import (
     Atom,
     Formula,
@@ -191,14 +188,14 @@ class Session:
         config.validate()
         self.config = config
         self._lock_handle = None
-        self._nodes_handle = None
+        # The store refers to no session, so closed ones need no cyclic GC.
+        self._nodes = NodeStore(
+            config.resolved_nodes_path() if config.ledger_path else ""
+        )
         if config.ledger_path:
             self._acquire_lock(config.ledger_path + ".lock")
         try:
-            self.nodes_path = (
-                config.resolved_nodes_path() if config.ledger_path else ""
-            )
-            self.ledger = Ledger(config.ledger_path or None)
+            self.ledger = Ledger(config.ledger_path or None, self._nodes.write_new)
             self.ledger.ensure_verified()
         except BaseException:
             # No caller gets this session to close, and a kept exception
@@ -217,22 +214,8 @@ class Session:
 
     @functools.cached_property
     def graph(self) -> JustificationGraph:
-        """The node store, read and validated on first use.
-
-        A damaged store raises ReplayError, like a block naming a node
-        the store lacks.
-        """
-        graph = JustificationGraph()
-        if self.nodes_path and os.path.exists(self.nodes_path):
-            with open(self.nodes_path, "r", encoding="utf-8") as handle:
-                try:
-                    graph = load_graph(handle)
-                except ValueError as err:
-                    raise ReplayError(str(err)) from None
-        # Every node read back is on disk already; the graph only grows,
-        # so _sync_nodes writes the nodes past this count.
-        self._synced = len(graph)
-        return graph
+        """The node store, read and validated on first use (NodeStore.load)."""
+        return self._nodes.load()
 
     @functools.cached_property
     def base(self) -> BeliefBase:
@@ -251,9 +234,7 @@ class Session:
         self._lock_handle = handle
 
     def close(self) -> None:
-        if self._nodes_handle is not None:
-            self._nodes_handle.close()
-            self._nodes_handle = None
+        self._nodes.close()
         if self._lock_handle is not None:
             fcntl.flock(self._lock_handle.fileno(), fcntl.LOCK_UN)
             self._lock_handle.close()
@@ -279,29 +260,19 @@ class Session:
 
     # -- persistence ----------------------------------------------------
 
-    def _sync_nodes(self) -> None:
-        """Append the nodes recorded since the last sync to the node store,
-        kept open for appends until close, and flush them.  Inside a
-        ledger batch they wait for its exit (see run_loop)."""
-        if not self.nodes_path or self.ledger.batching:
-            return
-        graph = self.graph  # reading it first sets _synced
-        if len(graph) == self._synced:
-            return
-        if self._nodes_handle is None:
-            self._nodes_handle = open(self.nodes_path, "a", encoding="utf-8")
-        for node in graph.nodes_since(self._synced):
-            self._nodes_handle.write(node_to_json(node) + "\n")
-        self._nodes_handle.flush()
-        self._synced = len(graph)
-
-    def _append_and_apply(self, op: Op | str, formula: str, digest: bytes) -> None:
+    def _append_and_apply(
+        self,
+        op: Op | str,
+        formula: str = "",
+        digest: bytes = ZERO_HASH,
+        node: JustificationNode | None = None,
+    ) -> Block:
         """Fold the next block into the base; append it only if that worked.
 
         A fold that raises (a resource limit, say) leaves the ledger and
         the live base as they were.
         """
-        self.base = commit(
+        self.base, block = commit(
             self.ledger,
             self.base,
             self.config,
@@ -310,10 +281,11 @@ class Session:
             formula,
             digest,
             self._block_ts(),
-            self._sync_nodes,
+            node,
         )
+        return block
 
-    def _append_meta(self, formula: str, digest: bytes = b"\x00" * 32) -> None:
+    def _append_meta(self, formula: str, digest: bytes = ZERO_HASH) -> None:
         """Append a META block: a record with no effect on the base."""
         self.ledger.append(Op.META, formula, digest, self._block_ts())
 
@@ -324,10 +296,10 @@ class Session:
     ) -> str:
         """Admit one observation; returns which route it took.
 
-        The formula may be given as text or already parsed.  The entry
-        is folded into the live base exactly as replay folds its block,
-        and the block (insert or revise, by the route the fold took) is
-        appended only once the fold has succeeded.
+        The formula may be given as text or already parsed.  commit folds
+        its node's entry into the live base exactly as replay folds its
+        block, and appends the block (insert or revise, by the route the
+        fold took) only once the fold has succeeded.
         """
         if isinstance(formula, str):
             formula = parse(formula)
@@ -346,20 +318,9 @@ class Session:
             (),
             provenance,
         )
-        entry = node_entry(formula, node, self.config, self.graph)
-        base, route = update_belief_state(self.base, entry, theta=self.config.theta)
-        # Recorded only now, so a refused fold leaves no node behind.  The
-        # block's op is the route this fold took, so the block cannot be
-        # built before the fold, as commit would need.
-        self.graph.add_node(node)
-        op = Op.REVISE if route == "revised" else Op.INSERT
-        self._sync_nodes()
-        self.ledger.append(
-            op, entry.key, bytes.fromhex(node.node_id), self._block_ts()
-        )
-        self.base = base
+        block = self._append_and_apply(Op.INSERT, node=node)
         self._obs_seq += 1
-        if op == Op.REVISE:
+        if block.op == Op.REVISE:
             return "revised"
         entry = self.base.find(formula)
         return "admitted" if entry is not None and entry.assertable else (
@@ -374,7 +335,7 @@ class Session:
             raise ConsistencyError(
                 f"refusing to contract a tautology: {render_canonical(formula)}"
             )
-        self._append_and_apply(Op.CONTRACT, render_canonical(formula), b"\x00" * 32)
+        self._append_and_apply(Op.CONTRACT, render_canonical(formula))
 
     # -- queries and proofs -----------------------------------------------
 
@@ -459,7 +420,6 @@ class Session:
                 ),
             )
         proof = build_public_proof(self.graph, node_id)
-        self._sync_nodes()
         if not self.ledger.contains_digest(proof.digest):
             self._append_meta(render_canonical(formula), proof.digest)
         return proof
@@ -477,7 +437,6 @@ class Session:
             ledger=self.ledger,
             clock=self._block_ts,
             replan=replan,
-            sync_nodes=self._sync_nodes,
         )
         report = run_recovery(event, context)
         self.base = report.base
@@ -674,7 +633,7 @@ class Session:
         wanted = {e.key: e for e in target.entries}
         for key in sorted(current):
             if key not in wanted or wanted[key] != current[key]:
-                self._append_and_apply(Op.RECOVERY, key, b"\x00" * 32)
+                self._append_and_apply(Op.RECOVERY, key)
                 appended += 1
         for key in sorted(wanted):
             formula = parse(key)
@@ -742,9 +701,7 @@ class Session:
             length, seq = len(self.ledger), self._obs_seq
             base = self.__dict__.get("base")  # None until first replayed
             try:
-                # The line's nodes are written at the batch's exit, before
-                # its blocks.
-                with self.ledger.batch(self._sync_nodes):
+                with self.ledger.batch():
                     status = self._run_line(raw, goal, said, warned)
             except BaseException:
                 if len(self.ledger) == length:

@@ -78,13 +78,8 @@ class MetaLogEntry:
 
 @dataclass
 class RecoveryContext:
-    """Everything a protocol may touch while repairing state.
-
-    A protocol changes the beliefs in base only through _commit.
-    sync_nodes, when given, runs before each append; a session passes
-    its node-store sync, so every node a block names is on disk before
-    the block is.
-    """
+    """Everything a protocol may touch while repairing state; it
+    changes the beliefs in base only through _commit."""
 
     base: BeliefBase
     graph: JustificationGraph
@@ -92,7 +87,6 @@ class RecoveryContext:
     ledger: Ledger
     clock: Callable[[], int] = lambda: 0
     replan: Callable[[], str | None] | None = None
-    sync_nodes: Callable[[], None] | None = None
 
 
 @dataclass
@@ -423,7 +417,7 @@ def _commit(
     context: RecoveryContext, op: Op, formula: str, digest: bytes = ZERO_HASH
 ) -> BeliefBase:
     """Fold one block into context.base and append it; the new base."""
-    context.base = commit(
+    context.base, _ = commit(
         context.ledger,
         context.base,
         context.config,
@@ -432,7 +426,6 @@ def _commit(
         formula,
         digest,
         context.clock(),
-        context.sync_nodes,
     )
     return context.base
 

@@ -6,9 +6,11 @@ links to 32 zero bytes.  The on-disk format is one line per block: the
 hashed serialization, a unit separator, the block hash in hex, and a
 newline.  Replaying the ledger through the belief module with the same
 configuration reconstructs the live base exactly, because commit is the
-one way to change a base: it folds the next block with apply_block and
-appends the block only once that fold has succeeded.  A batch writes the
+one way to change a base: it folds the next block as apply_block does
+and appends it only once that fold has succeeded.  A batch writes the
 lines of the blocks appended inside it with one write and one fsync.
+Ledger._write runs the before_write hook, a NodeStore's write, before
+any block line, so a node is stored before a block names it.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import contextlib
 import enum
 import os
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable
 
@@ -35,8 +37,8 @@ from .belief import (
 )
 from .config import EngineConfig
 from .hashing import sha256
-from .justify import JustificationGraph, JustificationNode
-from .logic import Formula, parse
+from .justify import JustificationGraph, JustificationNode, load_graph, node_to_json
+from .logic import parse
 
 if TYPE_CHECKING:
     # cryptography is imported where a key is used: no engine or CLI
@@ -168,11 +170,17 @@ class Ledger:
     ``append_block``, the one method that adds blocks, does not.
     ``verify_chain`` re-hashes the whole chain and, when it is intact,
     records it as the verified prefix; ``ensure_verified`` accepts a
-    chain equal to that prefix without hashing it again.
+    chain equal to that prefix without hashing it again.  before_write,
+    when given, runs each time block lines are about to be written.
     """
 
-    def __init__(self, path: str | Path | None = None):
+    def __init__(
+        self,
+        path: str | Path | None = None,
+        before_write: Callable[[], None] | None = None,
+    ):
         self.path = Path(path) if path is not None else None
+        self.before_write = before_write
         self._blocks: list[Block] = []
         # The verified prefix, None until a verification succeeds.
         # ensure_verified compares it with _blocks by list equality, which
@@ -276,33 +284,28 @@ class Ledger:
         """Append a block that next_block built, without hashing it again.
 
         Refuses a corrupt chain and a block that does not extend it.
-        Outside a batch the block's line is on disk when this returns.
+        Outside a batch the block's line is on disk when this returns,
+        or the block has left the chain again.
         """
         self.ensure_verified()
         if block.index != len(self._blocks) or block.h_prev != self.last_hash():
             raise ValueError(f"block {block.index} does not extend the chain")
-        self._blocks.append(block)
-        self._verified.append(block)
-        self._digests.add(block.justification_digest)
-        if self.path is not None:
-            with self.batch():
+        with self.batch():
+            self._blocks.append(block)
+            self._verified.append(block)
+            self._digests.add(block.justification_digest)
+            if self.path is not None:
                 self._pending.append(block_line(block))
         return block
 
-    @property
-    def batching(self) -> bool:
-        """Whether appended blocks are being held for a batch's exit."""
-        return self._pending is not None
-
     @contextlib.contextmanager
-    def batch(self, before_write: Callable[[], None] | None = None):
+    def batch(self):
         """Write the blocks appended inside with one write and one fsync.
 
         They join the chain when appended and are written on any exit,
-        by exception too, after before_write runs.  When before_write or
-        the write raises, the file is cut back to its length before the
-        write, the blocks leave the chain again, and the error
-        propagates.  Nested, or without a file, it adds nothing.
+        by exception too.  When the write raises, the blocks leave the
+        chain again and the error propagates.  Nested, or without a
+        file, it adds nothing.
         """
         if self.path is None or self._pending is not None:
             yield
@@ -313,59 +316,89 @@ class Ledger:
             yield
         finally:
             data, self._pending = b"".join(self._pending), None
-            try:
-                if before_write is not None:
-                    before_write()
-                if data:
+            if data:
+                try:
                     self._write(data)
-            except BaseException:
-                del self._blocks[kept:]
-                if self._verified is not None:
-                    del self._verified[kept:]
-                self._digests = {b.justification_digest for b in self._blocks}
-                raise
+                except BaseException:
+                    del self._blocks[kept:]
+                    if self._verified is not None:
+                        del self._verified[kept:]
+                    self._digests = {b.justification_digest for b in self._blocks}
+                    raise
 
     def _write(self, data: bytes) -> None:
-        """Append data to the file and fsync it, or leave the file as it was."""
+        """Run before_write, then append the block lines and fsync them.
+
+        This is the one place that orders node lines before block lines.
+        """
+        if self.before_write is not None:
+            self.before_write()
         with open(self.path, "ab", buffering=0) as handle:
-            end = handle.tell()
-            try:
-                view = memoryview(data)
-                while view:
-                    view = view[handle.write(view):]
-                os.fsync(handle.fileno())
-            except BaseException:
-                handle.truncate(end)
-                raise
+            _append_all(handle, data, sync=True)
 
     def contains_digest(self, digest: bytes) -> bool:
         """Whether any block anchors the given justification digest."""
         return digest in self._digests
 
 
-def node_entry(
-    formula: Formula,
-    node: JustificationNode,
-    config: EngineConfig,
-    graph: JustificationGraph,
-) -> BeliefEntry:
-    """The entry an insert or revise block adds for its justification node.
+def _append_all(handle, data: bytes, sync: bool = False) -> None:
+    """Append all of data through an unbuffered binary handle, fsynced
+    when sync is set; if any of it fails, cut the file back to its
+    length before the write and re-raise."""
+    end = handle.seek(0, os.SEEK_END)
+    try:
+        view = memoryview(data)
+        while view:
+            view = view[handle.write(view):]
+        if sync:
+            os.fsync(handle.fileno())
+    except BaseException:
+        handle.truncate(end)
+        raise
 
-    Probability and provenance come from the node; the assertion gate
-    weighs the node's derivation depth.  The node itself need not be in
-    the graph yet, only its premises.
+
+class NodeStore:
+    """The justification nodes that blocks name: one JSON line each.
+
+    load reads the store into a graph; write_new appends the nodes the
+    graph gained since, through a handle kept open until close.  Before
+    load it writes nothing and reads nothing.  A session's ledger runs
+    write_new as its before_write hook.
     """
-    probability = node.provenance.confidence
-    return BeliefEntry(
-        formula=formula,
-        probability=probability,
-        provenance=node.provenance,
-        status=status_for(node.rule, probability),
-        justification=node.node_id,
-        assertable=assertion_gate(
-            probability, graph.depth_of(node), config
-        ),
-    )
+
+    def __init__(self, path: str):
+        self.path = path
+        self.graph: JustificationGraph | None = None
+        self._written = 0
+        self._handle = None
+
+    def load(self) -> JustificationGraph:
+        """The graph the store holds; a damaged store raises ReplayError,
+        like a block naming a node the store lacks."""
+        graph = JustificationGraph()
+        if self.path and os.path.exists(self.path):
+            with open(self.path, "r", encoding="utf-8") as handle:
+                try:
+                    graph = load_graph(handle)
+                except ValueError as err:
+                    raise ReplayError(str(err)) from None
+        self.graph, self._written = graph, len(graph)
+        return graph
+
+    def write_new(self) -> None:
+        graph = self.graph
+        if graph is None or len(graph) == self._written:
+            return
+        if self._handle is None:
+            self._handle = open(self.path, "ab", buffering=0)
+        lines = (node_to_json(n) + "\n" for n in graph.nodes_since(self._written))
+        _append_all(self._handle, "".join(lines).encode())
+        self._written = len(graph)
+
+    def close(self) -> None:
+        if self._handle is not None:
+            self._handle.close()
+            self._handle = None
 
 
 def apply_block(
@@ -389,13 +422,7 @@ def apply_block(
                 f"block {block.index} references unknown node "
                 f"{block.justification_digest.hex()}"
             )
-        # The node holds the formula already parsed, and compiled once
-        # it has been checked; parse again only if its text differs.
-        entry = node_entry(node.conclusion, node, config, graph)
-        if entry.key != block.formula:
-            entry = node_entry(parse(block.formula), node, config, graph)
-        new_base, _ = update_belief_state(base, entry, theta=config.theta)
-        return new_base
+        return _fold_node(base, node, config, graph, block.formula)[0]
     if block.op == Op.CONTRACT:
         return contract(base, parse(block.formula))
     if block.op == Op.RECOVERY:
@@ -429,6 +456,36 @@ def apply_block(
     return base
 
 
+def _fold_node(
+    base: BeliefBase,
+    node: JustificationNode,
+    config: EngineConfig,
+    graph: JustificationGraph,
+    key: str | None = None,
+) -> tuple[BeliefBase, str, str]:
+    """Fold in the entry an insert or revise block adds for node: the
+    new base, the route update_belief_state took, and the entry's key.
+
+    Probability and provenance come from the node, and the assertion
+    gate weighs its derivation depth; only its premises need be in
+    graph.  The node holds its formula parsed, and compiled once it has
+    been checked; key, a block's formula, is parsed only if it differs.
+    """
+    probability = node.provenance.confidence
+    entry = BeliefEntry(
+        formula=node.conclusion,
+        probability=probability,
+        provenance=node.provenance,
+        status=status_for(node.rule, probability),
+        justification=node.node_id,
+        assertable=assertion_gate(probability, graph.depth_of(node), config),
+    )
+    if key is not None and entry.key != key:
+        entry = replace(entry, formula=parse(key))
+    folded, route = update_belief_state(base, entry, theta=config.theta)
+    return folded, route, entry.key
+
+
 def commit(
     ledger: Ledger,
     base: BeliefBase,
@@ -438,22 +495,27 @@ def commit(
     formula: str = "",
     justification_digest: bytes = ZERO_HASH,
     timestamp: int = 0,
-    before_append: Callable[[], None] | None = None,
-) -> BeliefBase:
-    """Fold the next block into base, then append it; the folded base.
+    node: JustificationNode | None = None,
+) -> tuple[BeliefBase, Block]:
+    """Fold the next block into base, then append it; the folded base
+    and the block.
 
     A fold that raises (a resource limit, say) appends nothing, and the
-    base returned is the one a replay of the ledger rebuilds.
-    before_append runs between the fold and the append; a session passes
-    its node-store sync there, so the nodes a block names are on disk
-    before the block is.
+    base returned is the one a replay of the ledger rebuilds.  node is a
+    new observation, not yet in graph: its block inserts the node's
+    conclusion under the node's id, and becomes a REVISE when the fold
+    revised the base.  The node joins graph once the fold has succeeded.
     """
-    block = ledger.next_block(op, formula, justification_digest, timestamp)
-    folded = apply_block(base, block, config, graph)
-    if before_append is not None:
-        before_append()
-    ledger.append_block(block)
-    return folded
+    if node is None:
+        block = ledger.next_block(op, formula, justification_digest, timestamp)
+        folded = apply_block(base, block, config, graph)
+    else:
+        folded, route, formula = _fold_node(base, node, config, graph)
+        if route == "revised":
+            op = Op.REVISE
+        block = ledger.next_block(op, formula, bytes.fromhex(node.node_id), timestamp)
+        graph.add_node(node)
+    return folded, ledger.append_block(block)
 
 
 def replay(

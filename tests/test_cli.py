@@ -355,6 +355,18 @@ class TestNodeStoreDamage:
         code, out, _ = cli("verify-proof", "q.proof")
         assert (code, out) == (0, "ok\n")
 
+    def test_a_run_of_an_empty_stream_reads_no_node_store(self, cli, tmp_path):
+        """run on an empty stream writes only its session-start block, so
+        a damaged store is never read, even by the hook that writes new
+        nodes before block lines."""
+        cli("observe", "p", "--p", "0.99")
+        (tmp_path / "veritas.nodes").write_text("{not a node\n")
+        stream = tmp_path / "empty.tsv"
+        stream.write_text("")
+        assert cli("run", "--stream", str(stream)) == (0, "", "")
+        assert cli("ledger", "verify") == (0, "ok\t2\n", "")
+        assert cli("query", "p")[0] == 4
+
 
 class TestRollbackCommand:
     def test_rollback_to_zero_is_append_only(self, cli, tmp_path):

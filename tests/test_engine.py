@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import builtins
 import errno
+import hashlib
 import io
 import json
 import os
@@ -21,6 +22,7 @@ from oracles import (
 )
 
 import veritas.engine
+import veritas.ledger
 from veritas.belief import (
     BeliefBase,
     BeliefEntry,
@@ -629,24 +631,28 @@ class TestGuardIntegration:
         self, make_config, monkeypatch
     ):
         """Demotion (II), regrounding (III) and human review (IV) each
-        record a node; it is in the node store before its block is."""
+        record a node; it is in the node store before its block line is
+        written."""
         config = make_config()
-        append_block = Ledger.append_block
+        append_all = veritas.ledger._append_all
         named = []
 
-        def checked_append(ledger, block):
-            op, digest = block.op, block.justification_digest
-            if op in (Op.INSERT, Op.REVISE) or (
-                op is Op.RECOVERY and block.formula and digest != ZERO_HASH
-            ):
-                with open(config.resolved_nodes_path(), encoding="utf-8") as handle:
-                    stored = {json.loads(line)["id"] for line in handle}
-                assert digest.hex() in stored, (op, block.formula)
-                named.append(op)
-            return append_block(ledger, block)
+        def checked_write(handle, data, sync=False):
+            if handle.name == config.ledger_path:
+                with open(config.resolved_nodes_path(), encoding="utf-8") as nodes:
+                    stored = {json.loads(line)["id"] for line in nodes}
+                for raw in data.splitlines():
+                    block = veritas.ledger._parse_line(raw)
+                    op, digest = block.op, block.justification_digest
+                    if op in (Op.INSERT, Op.REVISE) or (
+                        op is Op.RECOVERY and block.formula and digest != ZERO_HASH
+                    ):
+                        assert digest.hex() in stored, (op, block.formula)
+                        named.append(op)
+            return append_all(handle, data, sync)
 
-        # Every block is added through append_block, commits included.
-        monkeypatch.setattr(Ledger, "append_block", checked_append)
+        # Both files are appended through this one helper.
+        monkeypatch.setattr(veritas.ledger, "_append_all", checked_write)
         with Session(config) as session:
             for text in ("p", "q", "r"):
                 session.observe(text, 0.99, "sensor")
@@ -1210,6 +1216,57 @@ class TestGroupCommit:
             == Path(reference.ledger_path).read_bytes()
         )
 
+    def test_a_failed_node_write_leaves_no_torn_line(self, make_config, monkeypatch):
+        """ENOSPC halfway through the node line of the second of three
+        one-line runs: the store is cut back and the line's blocks are
+        not written, so the store reopens and later lines replay."""
+        config = make_config()
+        nodes_path, opener = config.resolved_nodes_path(), builtins.open
+
+        class FullDisk:
+            """The store's kept handle: its second write stores half its
+            bytes, then fails."""
+
+            def __init__(self, handle):
+                self._handle, self.writes = handle, 0
+
+            def __getattr__(self, name):
+                return getattr(self._handle, name)
+
+            def write(self, data):
+                self.writes += 1
+                if self.writes != 2:
+                    return self._handle.write(data)
+                self._handle.write(data[: len(data) // 2])
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        def flaky_open(file, mode="r", *args, **kwargs):
+            handle = opener(file, mode, *args, **kwargs)
+            if os.fspath(file) == nodes_path and "a" in mode:
+                return FullDisk(handle)
+            return handle
+
+        monkeypatch.setattr(builtins, "open", flaky_open)
+        lines = [f"S{i}\t0.99\tsensor\n" for i in range(3)]
+        with Session(config) as session:
+            session.run_loop(lines[:1], io.StringIO(), io.StringIO())
+            length, out = len(session.ledger), io.StringIO()
+            with pytest.raises(OSError) as err:
+                session.run_loop(lines[1:2], out, io.StringIO())
+            assert err.value.errno == errno.ENOSPC and out.getvalue() == ""
+            # session-start is written; the line's observation is not.
+            assert len(session.ledger) == length + 1
+            assert session.base.find(parse("S1")) is None
+            assert Ledger(config.ledger_path).blocks == session.ledger.blocks
+            assert session.run_loop(lines[2:], io.StringIO(), io.StringIO()) == 0
+            live = session.base
+            assert live.find(parse("S2")) is not None
+            assert live == replay(session.ledger, config, session.graph)
+        with Session(config) as reopened:
+            assert reopened.ledger.blocks == session.ledger.blocks
+            assert reopened.graph.all_nodes() == session.graph.all_nodes()
+            assert reopened.base == live
+
     def test_an_unchanged_plan_and_state_seal_the_kept_trace(
         self, make_config, monkeypatch
     ):
@@ -1239,6 +1296,49 @@ class TestGroupCommit:
             line = "FullBattery(Drone1)\t0.99\tx\n"
             session.run_loop([line], io.StringIO(), io.StringIO())
             assert len(simulated) == 2
+
+
+class TestWrittenBytes:
+    """The bytes a fixed-clock run leaves in the ledger and node store."""
+
+    @pytest.mark.parametrize(
+        "stream, goal, revisions, digest",
+        [
+            (
+                "ingest_stream",
+                "At(Drone1,SiteAlpha)",
+                0,
+                "b06de2995938af94162fcbdb79345318731f79015c701cdce6d76ea1bb316654",
+            ),
+            (
+                "churn_stream",
+                None,
+                36,
+                "55cc732f92277005f7f1367d1548adf0420e99877a334b3a14cbbfdc3d8f9037",
+            ),
+        ],
+    )
+    def test_a_run_writes_the_recorded_files(
+        self, make_config, monkeypatch, stream, goal, revisions, digest
+    ):
+        """SHA-256 of .vlog then .nodes after 120 lines of seed 901, as
+        written when observe still folded and appended its own blocks."""
+        monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
+        import workloads
+
+        lines, _ = getattr(workloads, stream)(901, 120)
+        config = make_config(
+            domain_path=str(DOMAINS / "drone.domain") if goal else "", goal=goal
+        )
+        out = io.StringIO()
+        with Session(config) as session:
+            assert session.run_loop(lines, out, io.StringIO()) == 0
+        assert out.getvalue().count("revised\t") == revisions
+        written = b"".join(
+            Path(path).read_bytes()
+            for path in (config.ledger_path, config.resolved_nodes_path())
+        )
+        assert hashlib.sha256(written).hexdigest() == digest
 
 
 class TestLineFormats:

@@ -224,7 +224,9 @@ class TestVerifiedPrefix:
     def test_a_commit_hashes_its_block_once(self, tmp_path, hashes):
         """A contraction and a rollback after three observations append
         three committed blocks and one META block: four hashes, where
-        hashing each commit again in the append made seven."""
+        hashing each commit again in the append made seven.  An
+        observation that revises learns its op from its fold before its
+        block is hashed, so it too is hashed once."""
         config = EngineConfig(ledger_path=str(tmp_path / "s.vlog"), fixed_clock=True)
         with Session(config) as session:
             for text in ("p", "q", "r"):
@@ -233,7 +235,10 @@ class TestVerifiedPrefix:
             session.contract_formula("p")
             session.rollback(2)
             assert len(session.ledger) == 7
-        assert hashes == [3, 4, 5, 6]
+            assert hashes == [3, 4, 5, 6]
+            assert session.observe("!q", 0.99, "sensor") == "revised"
+            assert session.ledger.blocks[-1].op is Op.REVISE
+        assert hashes == [3, 4, 5, 6, 7]
         assert Ledger(config.ledger_path).verify_chain() is None
 
     def test_append_block_refuses_a_block_that_does_not_extend_the_chain(self):
@@ -359,22 +364,40 @@ class TestBatch:
         assert [b.formula for b in Ledger(path).blocks] == ["kept"]
 
     def test_before_write_runs_at_the_exit_before_the_lines_are_written(
-        self, tmp_path, fsyncs
+        self, tmp_path, fsyncs, monkeypatch
     ):
+        """The hook runs once per write of block lines, batched or not,
+        before the file write; a hook that raises writes nothing and
+        drops the batch's blocks from the chain."""
         path = tmp_path / "chain.vlog"
-        ledger = Ledger(path)
-        seen = []
+        events = []
+        append_all = ledger_module._append_all
+
+        def spy_write(handle, data, sync=False):
+            events.append(("write", data.count(b"\n")))
+            return append_all(handle, data, sync)
 
         def before_write():
-            seen.append((ledger.batching, path.exists(), len(fsyncs)))
+            events.append(("hook", path.exists(), len(fsyncs)))
+            if len(ledger) == 4:
+                raise OSError("node store full")
 
+        monkeypatch.setattr(ledger_module, "_append_all", spy_write)
+        ledger = Ledger(path, before_write)
         with pytest.raises(RuntimeError):
-            with ledger.batch(before_write):
+            with ledger.batch():
                 ledger.append(Op.META, formula="kept")
-                assert ledger.batching and seen == []
+                ledger.append(Op.META, formula="also")
+                assert events == []
                 raise RuntimeError("after the append")
-        assert seen == [(False, False, 0)]
-        assert not ledger.batching and len(fsyncs) == 1
+        assert events == [("hook", False, 0), ("write", 2)]
+        ledger.append(Op.META, formula="alone")
+        assert events[2:] == [("hook", True, 1), ("write", 1)]
+        with pytest.raises(OSError, match="node store full"):
+            ledger.append(Op.META, formula="refused")
+        assert events[4:] == [("hook", True, 2)] and len(fsyncs) == 2
+        assert [b.formula for b in ledger.blocks] == ["kept", "also", "alone"]
+        assert Ledger(path).blocks == ledger.blocks
 
     def test_an_empty_batch_opens_nothing(self, tmp_path, fsyncs):
         path = tmp_path / "chain.vlog"
