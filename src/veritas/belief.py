@@ -121,20 +121,6 @@ def project_four_state(probability: float) -> FourState:
     return FourState.COMMITTED
 
 
-def bayes_update(prior: float, likelihood: float, marginal: float) -> float:
-    """Posterior = prior * likelihood / marginal, with domain checks."""
-    _check_probability(prior)
-    _check_probability(likelihood)
-    if marginal <= 0.0 or marginal > 1.0:
-        raise DomainError(f"marginal must be in (0, 1], got {marginal}")
-    posterior = prior * likelihood / marginal
-    if posterior > 1.0 + 1e-9:
-        raise DomainError(
-            f"inconsistent inputs: posterior {posterior} exceeds 1"
-        )
-    return min(posterior, 1.0)
-
-
 def weakest_link(probabilities: Iterable[float]) -> float:
     """Probability carried by a deduction: the minimum over its premises."""
     values = list(probabilities)
@@ -623,9 +609,9 @@ def amend_entry(
 def status_for(rule: str, probability: float) -> StatusTag:
     """Status tag implied by how an entry was produced.
 
-    Observation-like leaves are operationally justified; entries from
-    the approximation gate, and anything demoted into the bottom band,
-    are approximate; everything else counts as derived.
+    Observation-like leaves are operationally justified; approximation
+    entries, and anything demoted into the bottom band, are approximate;
+    everything else counts as derived.
     """
     if probability < 0.01:
         return StatusTag.APPROXIMATE

@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from .belief import ConsistencyError, export
-from .config import ENV_PREFIX, EngineConfig, load_config
+from .config import ENV_PREFIX, EngineConfig, coerce_number, load_config
 from .engine import (
     EscalationError,
     Session,
@@ -138,7 +138,8 @@ def _build_config(args: argparse.Namespace) -> EngineConfig:
         key, _, value = item.partition("=")
         key = key.strip()
         if key.startswith("reliability."):
-            reliability_sets.append((key[len("reliability."):], float(value)))
+            source = key[len("reliability."):]
+            reliability_sets.append((source, coerce_number(key, value)))
         elif key in known:
             env[ENV_PREFIX + key.upper()] = value
         else:

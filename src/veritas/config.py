@@ -22,13 +22,11 @@ class EngineConfig:
     theta: float = 0.95
     tau_risk: float = 0.5
     decay: float = 0.98
-    epsilon_max: float = 0.05
     delta: float = 0.1
     theta_meta: float = 0.6
     fixed_clock: bool = False
     ledger_path: str = "veritas.vlog"
     nodes_path: str = ""
-    key_path: str = "veritas.key"
     domain_path: str = ""
     goal: str = ""
     reliability: dict[str, float] = field(default_factory=dict)
@@ -49,7 +47,7 @@ class EngineConfig:
                 f"theta={self.theta} sits below the recommended [0.95, 1) band",
                 ThetaRangeWarning,
             )
-        for name in ("tau_risk", "decay", "epsilon_max", "delta", "theta_meta"):
+        for name in ("tau_risk", "decay", "delta", "theta_meta"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {value}")
@@ -64,13 +62,11 @@ _FIELD_TYPES = {
     "theta": float,
     "tau_risk": float,
     "decay": float,
-    "epsilon_max": float,
     "delta": float,
     "theta_meta": float,
     "fixed_clock": bool,
     "ledger_path": str,
     "nodes_path": str,
-    "key_path": str,
     "domain_path": str,
     "goal": str,
 }
@@ -89,7 +85,15 @@ def _coerce(key: str, raw: str):
         raise ValueError(f"{key} expects a boolean, got {raw!r}")
     if kind is str:
         return raw.strip()
-    return kind(raw.strip())
+    return coerce_number(key, raw)
+
+
+def coerce_number(key: str, raw: str) -> float:
+    """raw as a float; a ValueError that names key when it is not one."""
+    try:
+        return float(raw)
+    except ValueError:
+        raise ValueError(f"{key} expects a number, got {raw.strip()!r}") from None
 
 
 def load_config(
@@ -123,7 +127,7 @@ def _apply_file(config: EngineConfig, path: Path) -> None:
         key = key.strip()
         if key.startswith("reliability."):
             source = key[len("reliability."):]
-            config.reliability[source] = float(raw.strip())
+            config.reliability[source] = coerce_number(key, raw)
         elif key in _FIELD_TYPES:
             setattr(config, key, _coerce(key, raw))
         else:
@@ -137,7 +141,8 @@ def _apply_env(config: EngineConfig, env: Mapping[str, str]) -> None:
             continue
         if name.startswith(reliability_prefix):
             source = name[len(reliability_prefix):].lower()
-            config.reliability[source] = float(raw)
+            key = f"reliability.{source}"
+            config.reliability[source] = coerce_number(key, raw)
             continue
         key = name[len(ENV_PREFIX):].lower()
         if key in _FIELD_TYPES:

@@ -359,24 +359,6 @@ class SweepIndex:
         return self._atoms
 
 
-def approximation_gate(
-    exact: Formula,
-    approximate: Formula,
-    epsilon: float,
-    epsilon_max: float = 0.05,
-) -> tuple[bool, FailureEvent | None]:
-    """Admit a surrogate formula only while its error bound holds."""
-    if epsilon < 0:
-        raise ValueError(f"epsilon must be non-negative, got {epsilon}")
-    if epsilon <= epsilon_max:
-        return True, None
-    return False, FailureEvent(
-        FailureKind.APPROXIMATION_DRIFT,
-        render_canonical(approximate),
-        f"epsilon={epsilon} exceeds {epsilon_max} for {render_canonical(exact)}",
-    )
-
-
 def run_recovery(event: FailureEvent, context: RecoveryContext) -> RecoveryReport:
     """Dispatch a failure event to its recovery protocol.
 

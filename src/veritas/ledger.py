@@ -1,4 +1,4 @@
-"""Append-only hash-chained ledger with replay, Merkle proofs, signatures.
+"""Append-only hash-chained ledger with replay and Merkle proofs.
 
 Each block commits to its index, timestamp, operation, formula text,
 justification digest, and the previous block's hash; the genesis block
@@ -21,7 +21,7 @@ import os
 import re
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
 from .belief import (
     MARKING_RULES,
@@ -39,14 +39,6 @@ from .config import EngineConfig
 from .hashing import sha256
 from .justify import JustificationGraph, JustificationNode, load_graph, node_to_json
 from .logic import parse
-
-if TYPE_CHECKING:
-    # cryptography is imported where a key is used: no engine or CLI
-    # path signs anything, and loading it costs several MB of memory.
-    from cryptography.hazmat.primitives.asymmetric.ed25519 import (
-        Ed25519PrivateKey,
-        Ed25519PublicKey,
-    )
 
 ZERO_HASH = b"\x00" * 32
 LEDGER_SUFFIX = ".vlog"
@@ -195,13 +187,15 @@ class Ledger:
 
     def _load(self) -> None:
         assert self.path is not None
-        data = self.path.read_bytes()
-        for position, raw in enumerate(data.split(b"\n")):
-            if not raw:
-                continue
+        lines = self.path.read_bytes().split(b"\n")
+        # Only the piece after the final newline may be empty; an empty
+        # line anywhere else is a corrupt block.
+        if not lines[-1]:
+            lines.pop()
+        for raw in lines:
             block = _parse_line(raw)
             if block is None:
-                self._corrupt_at = position
+                self._corrupt_at = len(self._blocks)
                 return
             self._blocks.append(block)
             self._digests.add(block.justification_digest)
@@ -605,84 +599,3 @@ def verify_inclusion(proof: MerkleProof, root: bytes) -> bool:
                 return False
             current = sha256(current + sibling).digest()
     return current == root == proof.root
-
-
-@dataclass(frozen=True)
-class TruthRecord:
-    formula: str
-    timestamp: int
-    signature: bytes
-    inclusion: MerkleProof
-
-
-def _record_message(formula: str, timestamp: int) -> bytes:
-    return sha256(
-        formula.encode() + _FIELD_SEP + str(timestamp).encode()
-    ).digest()
-
-
-def sign_truth_record(
-    ledger: Ledger,
-    formula: str,
-    timestamp: int,
-    key: Ed25519PrivateKey,
-) -> TruthRecord:
-    """Sign a held formula and prove its block is in the ledger."""
-    position = None
-    for block in ledger.blocks:
-        if block.formula == formula:
-            position = block.index
-    if position is None:
-        raise ValueError(f"no block carries formula {formula!r}")
-    signature = key.sign(_record_message(formula, timestamp))
-    return TruthRecord(
-        formula=formula,
-        timestamp=timestamp,
-        signature=signature,
-        inclusion=inclusion_proof(ledger, position),
-    )
-
-
-def verify_truth_record(
-    record: TruthRecord,
-    public_key: Ed25519PublicKey,
-    root: bytes,
-) -> tuple[bool, str | None]:
-    """Check signature then Merkle inclusion; names the failing check."""
-    from cryptography.exceptions import InvalidSignature
-
-    try:
-        public_key.verify(
-            record.signature, _record_message(record.formula, record.timestamp)
-        )
-    except InvalidSignature:
-        return False, "signature"
-    if not verify_inclusion(record.inclusion, root):
-        return False, "inclusion"
-    return True, None
-
-
-def generate_key() -> Ed25519PrivateKey:
-    from cryptography.hazmat.primitives.asymmetric.ed25519 import (
-        Ed25519PrivateKey,
-    )
-
-    return Ed25519PrivateKey.generate()
-
-
-def private_key_bytes(key: Ed25519PrivateKey) -> bytes:
-    from cryptography.hazmat.primitives import serialization
-
-    return key.private_bytes(
-        serialization.Encoding.Raw,
-        serialization.PrivateFormat.Raw,
-        serialization.NoEncryption(),
-    )
-
-
-def load_private_key(raw: bytes) -> Ed25519PrivateKey:
-    from cryptography.hazmat.primitives.asymmetric.ed25519 import (
-        Ed25519PrivateKey,
-    )
-
-    return Ed25519PrivateKey.from_private_bytes(raw)

@@ -35,9 +35,6 @@ class Literal:
         text = render_canonical(self.atom)
         return text if self.positive else f"!{text}"
 
-    def negated(self) -> Literal:
-        return Literal(self.atom, not self.positive)
-
 
 def parse_literal(text: str) -> Literal:
     text = text.strip()
@@ -133,10 +130,6 @@ class Ontology:
         return replace(
             self, concepts=concepts, subsumption=self.subsumption | {edge}
         )
-
-    def with_typing(self, name: str, concept: str) -> Ontology:
-        kept = tuple((n, c) for n, c in self.typing if n != name)
-        return replace(self, typing=kept + ((name, concept),))
 
 
 @dataclass(frozen=True)

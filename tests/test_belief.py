@@ -45,7 +45,6 @@ from veritas.belief import (
     RetractionRecord,
     StatusTag,
     TautologyContractionWarning,
-    bayes_update,
     classify_confidence,
     contract,
     epoch_diff,
@@ -135,21 +134,6 @@ class TestConfidenceTiers:
 
 
 class TestBayesUpdate:
-    def test_worked_example(self):
-        assert bayes_update(0.5, 0.8, 0.5) == pytest.approx(0.8)
-
-    def test_posterior_of_exactly_one_is_allowed(self):
-        assert bayes_update(0.5, 0.8, 0.4) == pytest.approx(1.0)
-
-    def test_zero_marginal_is_a_domain_error(self):
-        with pytest.raises(DomainError):
-            bayes_update(0.5, 0.8, 0.0)
-
-    def test_posterior_above_one_is_a_domain_error(self):
-        """0.3 * 0.9 / 0.2 = 1.35 signals inconsistent inputs."""
-        with pytest.raises(DomainError):
-            bayes_update(0.3, 0.9, 0.2)
-
     def test_weakest_link_takes_the_minimum(self):
         assert weakest_link([0.99, 0.95, 0.97]) == 0.95
         with pytest.raises(DomainError):

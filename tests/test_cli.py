@@ -615,6 +615,19 @@ class TestParseOnce:
         assert texts.count("((q))") == 1
 
 
+def setting(source: str, key: str, value: str, monkeypatch, tmp_path) -> list[str]:
+    """The global options that set key to value from source: a config
+    file, a VERITAS_ variable or --set."""
+    if source == "env":
+        monkeypatch.setenv("VERITAS_" + key.replace(".", "_").upper(), value)
+        return []
+    if source == "set":
+        return ["--set", f"{key}={value}"]
+    conf = tmp_path / "agent.conf"
+    conf.write_text(f"{key}={value}\n")
+    return ["--config", str(conf)]
+
+
 class TestConfigPlumbing:
     def test_environment_variables_configure_the_session(
         self, cli, monkeypatch
@@ -646,6 +659,37 @@ class TestConfigPlumbing:
         )
         assert code == 0
 
+    @pytest.mark.parametrize("source", ["file", "env", "set"])
+    @pytest.mark.parametrize("key", ["theta", "reliability.sensor"])
+    def test_a_bad_number_names_its_key(
+        self, cli, monkeypatch, tmp_path, source, key
+    ):
+        code, out, err = cli(
+            *setting(source, key, "abc", monkeypatch, tmp_path), "ledger", "verify"
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error\tusage\t{key} expects a number, got 'abc'\n"
+
+    @pytest.mark.parametrize(
+        "source, key",
+        [("set", "key_path"), ("set", "epsilon_max"), ("file", "epsilon_max")],
+    )
+    def test_removed_keys_are_unknown_keys(
+        self, cli, monkeypatch, tmp_path, source, key
+    ):
+        code, out, err = cli(
+            *setting(source, key, "0.1", monkeypatch, tmp_path), "ledger", "verify"
+        )
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1
+        assert err.startswith("error\tusage\t")
+        assert "unknown config key" in err
+
+    def test_removed_keys_in_the_environment_are_ignored(self, cli, monkeypatch):
+        monkeypatch.setenv("VERITAS_EPSILON_MAX", "0.1")
+        monkeypatch.setenv("VERITAS_KEY_PATH", "x")
+        assert cli("ledger", "verify") == (0, "ok\t0\n", "")
+
     def test_audit_on_a_healthy_base_prints_none_actions(self, cli):
         cli("observe", "p", "--p", "0.99")
         code, out, _ = cli("audit")
@@ -653,8 +697,9 @@ class TestConfigPlumbing:
         assert out.endswith("\tnone\n")
 
 
-def loaded_after_import(modules: str, name: str) -> bool:
-    """Whether a fresh interpreter holds module name after importing modules."""
+def run_fresh(script: str, cwd: Path | None = None) -> str:
+    """The stdout of script, run by a fresh interpreter that imports
+    veritas from this checkout."""
     src = str(Path(veritas.__file__).resolve().parents[1])
     env = dict(
         os.environ,
@@ -663,23 +708,61 @@ def loaded_after_import(modules: str, name: str) -> bool:
         ),
     )
     run = subprocess.run(
-        [
-            sys.executable,
-            "-c",
-            f"import sys, {modules}; print({name!r} in sys.modules)",
-        ],
+        [sys.executable, "-c", script],
+        cwd=cwd,
         env=env,
         capture_output=True,
         text=True,
         check=True,
     )
-    return run.stdout.strip() == "True"
+    return run.stdout
+
+
+def loaded_after_import(modules: str, name: str) -> bool:
+    """Whether a fresh interpreter holds module name after importing modules."""
+    script = f"import sys, {modules}; print({name!r} in sys.modules)"
+    return run_fresh(script).strip() == "True"
+
+
+# The README quick start; after each command's output, its exit status.
+QUICK_START = """
+import importlib, pkgutil, sys
+sys.modules["cryptography"] = None
+import veritas
+for module in pkgutil.walk_packages(veritas.__path__, "veritas."):
+    importlib.import_module(module.name)
+from veritas.cli import main
+for argv in (
+    ["observe", "p", "--p", "0.99", "--source", "sensor"],
+    ["observe", "p -> q", "--p", "0.97", "--source", "rulebook"],
+    ["query", "q"],
+    ["prove", "q", "--out", "q.proof"],
+    ["verify-proof", "q.proof"],
+    ["ledger", "verify"],
+):
+    print(main(argv), flush=True)
+"""
 
 
 class TestImportCost:
-    def test_cli_import_leaves_cryptography_unloaded(self):
-        """Only truth-record signing needs cryptography, so the CLI skips it."""
-        assert not loaded_after_import("veritas.cli", "cryptography")
+    def test_cli_import_leaves_cryptography_unloaded(self, tmp_path):
+        """Every veritas module imports, and the README quick start runs,
+        with cryptography unimportable."""
+        lines = run_fresh(QUICK_START, cwd=tmp_path).splitlines()
+        assert lines.pop(6).startswith("proof\tq.proof\tdigest\t")
+        assert lines == [
+            "admitted\tp",
+            "0",
+            "admitted\t(p -> q)",
+            "0",
+            "entailed\tp=0.97\ttier=4\tstate=Provisional",
+            "0",
+            "0",
+            "ok",
+            "0",
+            "ok\t3",
+            "0",
+        ]
 
     def test_cli_and_engine_imports_leave_openssl_unloaded(self):
         """SHA-256 comes from the interpreter's own module, so hashlib's

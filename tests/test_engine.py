@@ -63,7 +63,6 @@ def make_config(tmp_path):
         values = dict(
             fixed_clock=True,
             ledger_path=str(tmp_path / f"{stem}.vlog"),
-            key_path=str(tmp_path / f"{stem}.key"),
         )
         values.update(overrides)
         return load_config(**values)

@@ -28,7 +28,6 @@ from veritas.guard import (
     FailureEvent,
     FailureKind,
     RecoveryContext,
-    approximation_gate,
     classify_failure,
     detect_contradiction,
     justification_health,
@@ -420,22 +419,6 @@ class TestSweep:
                     config,
                 )
             }
-
-
-class TestApproximationGate:
-    def test_bound_is_closed(self):
-        accepted, event = approximation_gate(parse("p"), parse("q"), 0.05)
-        assert accepted and event is None
-
-    def test_over_bound_yields_type_three(self):
-        accepted, event = approximation_gate(parse("p"), parse("q"), 0.0501)
-        assert not accepted
-        assert event.kind == FailureKind.APPROXIMATION_DRIFT
-        assert event.subject == "q"
-
-    def test_negative_epsilon_rejected(self):
-        with pytest.raises(ValueError):
-            approximation_gate(parse("p"), parse("q"), -0.01)
 
 
 def seeded_context(*entries_: BeliefEntry) -> RecoveryContext:

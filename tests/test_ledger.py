@@ -26,15 +26,10 @@ from veritas.ledger import (
     block_hash,
     block_line,
     block_payload,
-    generate_key,
     inclusion_proof,
-    load_private_key,
     merkle_root,
-    private_key_bytes,
     replay,
-    sign_truth_record,
     verify_inclusion,
-    verify_truth_record,
 )
 from veritas.logic import parse, render_canonical
 
@@ -123,6 +118,27 @@ class TestChain:
         reloaded = Ledger(path)
         assert reloaded.blocks == ledger.blocks
         assert reloaded.verify_chain() is None
+
+    def test_blank_line_is_the_corrupt_block_at_its_index(self, tmp_path):
+        path = tmp_path / "chain.vlog"
+        ledger = Ledger(path)
+        for ts in range(10):
+            ledger.append(Op.META, formula="p", timestamp=ts)
+        lines = path.read_bytes().splitlines(keepends=True)
+        for index in range(len(lines) + 1):
+            path.write_bytes(b"".join(lines[:index] + [b"\n"] + lines[index:]))
+            assert Ledger(path).verify_chain() == index
+
+    def test_garbage_after_a_blank_line_reports_the_blank_line(self, tmp_path):
+        path = tmp_path / "chain.vlog"
+        ledger = Ledger(path)
+        for ts in range(3):
+            ledger.append(Op.META, formula="p", timestamp=ts)
+        lines = path.read_bytes().splitlines(keepends=True)
+        path.write_bytes(b"".join([lines[0], b"\n", lines[1], b"garbage\n"]))
+        assert Ledger(path).verify_chain() == 1
+        path.write_bytes(b"".join([lines[0], lines[1], b"garbage\n", b"\n"]))
+        assert Ledger(path).verify_chain() == 2
 
     def test_reloaded_ledger_extends_the_same_chain(self, tmp_path):
         path = tmp_path / "chain.vlog"
@@ -688,70 +704,3 @@ class TestMerkle:
     def test_out_of_range_index_rejected(self):
         with pytest.raises(IndexError):
             inclusion_proof(self.leaves(3), 3)
-
-
-class TestTruthRecords:
-    def test_sign_and_verify(self):
-        ledger = Ledger()
-        graph = JustificationGraph()
-        insert(ledger, graph, "p", 0)
-        key = generate_key()
-        record = sign_truth_record(ledger, "p", 0, key)
-        ok, reason = verify_truth_record(
-            record, key.public_key(), merkle_root(ledger)
-        )
-        assert (ok, reason) == (True, None)
-
-    def test_signature_covers_formula_and_timestamp(self):
-        """The signed message is sha256(formula || 0x1F || timestamp)."""
-        ledger = Ledger()
-        graph = JustificationGraph()
-        insert(ledger, graph, "p", 3)
-        key = generate_key()
-        record = sign_truth_record(ledger, "p", 3, key)
-        message = hashlib.sha256(b"p\x1f3").digest()
-        key.public_key().verify(record.signature, message)
-
-    def test_wrong_key_names_the_signature_check(self):
-        ledger = Ledger()
-        graph = JustificationGraph()
-        insert(ledger, graph, "p", 0)
-        record = sign_truth_record(ledger, "p", 0, generate_key())
-        ok, reason = verify_truth_record(
-            record, generate_key().public_key(), merkle_root(ledger)
-        )
-        assert (ok, reason) == (False, "signature")
-
-    def test_tampered_formula_breaks_the_signature(self):
-        ledger = Ledger()
-        graph = JustificationGraph()
-        insert(ledger, graph, "p", 0)
-        key = generate_key()
-        record = sign_truth_record(ledger, "p", 0, key)
-        forged = replace(record, formula="q")
-        ok, reason = verify_truth_record(
-            forged, key.public_key(), merkle_root(ledger)
-        )
-        assert (ok, reason) == (False, "signature")
-
-    def test_stale_inclusion_names_the_inclusion_check(self):
-        ledger = Ledger()
-        graph = JustificationGraph()
-        insert(ledger, graph, "p", 0)
-        key = generate_key()
-        record = sign_truth_record(ledger, "p", 0, key)
-        insert(ledger, graph, "q", 1)
-        ok, reason = verify_truth_record(
-            record, key.public_key(), merkle_root(ledger)
-        )
-        assert (ok, reason) == (False, "inclusion")
-
-    def test_unknown_formula_cannot_be_signed(self):
-        with pytest.raises(ValueError):
-            sign_truth_record(Ledger(), "p", 0, generate_key())
-
-    def test_key_bytes_round_trip(self):
-        key = generate_key()
-        clone = load_private_key(private_key_bytes(key))
-        message = hashlib.sha256(b"x").digest()
-        key.public_key().verify(clone.sign(message), message)
