@@ -14,9 +14,13 @@ consistent keeps a witness, a model of its formulas (see
 logic.sat.Witness).  The next expansion first tests only the incoming
 formula against it and solves the whole base only when that test
 cannot decide.  Retraction and amendment keep the witness, because a
-model of a set is a model of any subset.  Contraction builds no model
-and drops it, as does every other producer; a revision's closing
-expansion solves its base and keeps the model it finds.
+model of a set is a model of any subset.  Contraction keeps the part
+of the witness over the atoms it leaves alone and picks literals for
+what it keeps of the target's component, so a revision's closing
+expansion extends a witness instead of solving its base.  A revision
+that update_belief_state routes asks no question twice: its failed
+expansion has already shown that the base entails the negation of the
+entry.  Every other producer drops the witness.
 
 The admission policy lives here too: assertion_gate (the probability
 floor theta and the epistemic-risk ceiling) decides whether an entry is
@@ -38,12 +42,17 @@ from .config import EngineConfig
 from .logic import (
     Formula,
     Not,
-    atoms_of,
     entails,
     is_consistent,
     render_canonical,
 )
-from .logic.sat import ResourceLimitError, Witness, extend_witness
+from .logic.sat import (
+    EMPTY_WITNESS,
+    ResourceLimitError,
+    Witness,
+    _compiled,
+    extend_witness,
+)
 
 DEFAULT_THETA = 0.95
 REMAINDER_CAP = 16
@@ -414,7 +423,7 @@ def remainders(
     Enumerates subsets by decreasing size, skipping anything contained
     in a remainder already found, so only maximal sets survive.
     """
-    pool = sorted(set(formulas), key=render_canonical)
+    pool = sorted(set(formulas), key=lambda f: _compiled(f).key)
     if len(pool) > cap:
         raise ResourceLimitError(
             f"remainder enumeration over {len(pool)} formulas, cap is {cap}"
@@ -438,11 +447,12 @@ def contract(
     The selection function keeps the remainders with the largest total
     provenance confidence and intersects them on ties.  Remainders are
     enumerated over the target's atom component only (see
-    _contraction_candidates), so REMAINDER_CAP bounds that component,
-    not the whole base.  Contracting a tautology is impossible and
-    returns the base unchanged after a warning; a target the base never
-    entailed is a no-op.  Each entry given up is logged with the reason,
-    contract(target) unless the caller names another.
+    _contract_entailed), so REMAINDER_CAP bounds that component, not the
+    whole base.  Contracting a tautology is impossible and returns the
+    base unchanged after a warning; a target the base never entailed is
+    a no-op.  Each entry given up is logged with the reason,
+    contract(target) unless the caller names another.  A witness of the
+    base survives as a witness of what is kept.
     """
     if entails([], target):
         warnings.warn(
@@ -450,100 +460,167 @@ def contract(
             TautologyContractionWarning,
         )
         return base
-    active = base.formulas()
-    if not entails(active, target):
+    if not entails(base.formulas(), target):
         return base
-    kept = _select_remainder(base, _contraction_candidates(active, target))
-    kept_keys = {render_canonical(f) for f in kept}
-    if reason is None:
-        reason = f"contract({render_canonical(target)})"
-    dropped = [e for e in base.entries if e.key not in kept_keys]
-    records = [RetractionRecord(base.epoch + 1, e.key, reason) for e in dropped]
-    # What is kept no longer entails the target, so it is satisfiable.
-    gone = tuple(sorted({e.key for e in dropped}))
-    return base._advance(None, gone, records, known_consistent=True)
+    compiled = _compiled(target)
+    return _contract_entailed(
+        base, target, compiled.atom_ids, reason or f"contract({compiled.key})"
+    )
 
 
-def _contraction_candidates(
-    formulas: list[Formula], target: Formula
-) -> frozenset[frozenset[Formula]]:
-    """The remainders of formulas by target, enumerated over its component.
+def _contract_entailed(
+    base: BeliefBase, target: Formula, atom_ids: frozenset[int], reason: str
+) -> BeliefBase:
+    """contract, for a caller that knows the base entails the target and
+    the target is no tautology; atom_ids are the target's atoms.
 
-    Formulas sharing no atom with the target, even through other
-    formulas, form the unrelated part U.  When U is consistent, a subset
-    entails the target exactly when its relevant part does (Parikh's
-    splitting languages), so every remainder is a remainder of the
-    relevant part plus all of U: the same set brute force finds.  An
-    inconsistent U falls back to enumerating every formula.
+    Remainders, selection and the entries dropped come from the target's
+    part R alone (see _relevant_part); the unrelated part U joins every
+    remainder whole.  The kept formulas no longer entail the target, so
+    they are satisfiable; when a model of U is at hand, it is extended
+    to the kept part of R and kept as the witness.
     """
-    relevant, unrelated = _split_by_relevance(formulas, target)
-    if not is_consistent(unrelated):
-        return remainders(formulas, target)
-    whole = frozenset(unrelated)
-    return frozenset(part | whole for part in remainders(relevant, target))
+    relevant, unrelated, shared = _relevant_part(base, atom_ids)
+    kept = _select_remainder(
+        base, remainders([e.formula for e in relevant], target), unrelated
+    )
+    kept_keys = {_compiled(f).key for f in kept}
+    dropped = sorted(
+        (e for e in relevant if e.key not in kept_keys), key=_entry_key
+    )
+    records = [RetractionRecord(base.epoch + 1, e.key, reason) for e in dropped]
+    gone = tuple(sorted({e.key for e in dropped}))
+    witness = None if shared is None else _witness_of_kept(shared, kept)
+    return base._advance(None, gone, records, known_consistent=True, witness=witness)
+
+
+def _relevant_part(
+    base: BeliefBase, atom_ids: frozenset[int]
+) -> tuple[list[BeliefEntry], list[BeliefEntry], Witness | None]:
+    """The entries R that contraction by a target over atom_ids works on,
+    the unrelated rest U, and a model of U that leaves R's atoms free if
+    one is at hand.
+
+    U holds the entries sharing no atom with the target, even through
+    other entries.  When U is consistent, a subset entails the target
+    exactly when its part in R does (Parikh's splitting languages), so
+    every remainder of the base is a remainder of R plus all of U.  A
+    base known to be consistent has a consistent U, and its witness less
+    the literals over R's atoms is a model of U.  Otherwise U is solved,
+    and an inconsistent U makes R the whole base.
+    """
+    relevant, unrelated, reached = _split_by_relevance(base.entries, atom_ids)
+    if base.witness is not None:
+        return relevant, unrelated, _drop_atoms(base.witness, reached, relevant)
+    if base.known_consistent:
+        return relevant, unrelated, None
+    found: list[Witness] = []
+    if not is_consistent([e.formula for e in unrelated], witnesses=found):
+        return list(base.entries), [], None
+    return relevant, unrelated, found[0] if found else None
 
 
 def _split_by_relevance(
-    formulas: list[Formula], target: Formula
-) -> tuple[list[Formula], list[Formula]]:
-    """Split off the atom-connected closure of the target's atoms."""
-    reached = set(atoms_of(target))
-    relevant: list[Formula] = []
-    pending = [(f, atoms_of(f)) for f in formulas]
+    entries: Iterable[BeliefEntry], atom_ids: frozenset[int]
+) -> tuple[list[BeliefEntry], list[BeliefEntry], frozenset[int]]:
+    """Split off the entries atom-connected to atom_ids: those entries,
+    the rest, and every atom the connected entries and atom_ids span."""
+    reached = set(atom_ids)
+    relevant: list[BeliefEntry] = []
+    pending = [(e, _compiled(e.formula).atom_ids) for e in entries]
     grew = True
     while grew:
         grew = False
         rest = []
-        for formula, atoms in pending:
+        for entry, atoms in pending:
             if reached.isdisjoint(atoms):
-                rest.append((formula, atoms))
+                rest.append((entry, atoms))
             else:
-                relevant.append(formula)
+                relevant.append(entry)
                 reached |= atoms
                 grew = True
         pending = rest
-    return relevant, [formula for formula, _ in pending]
+    return relevant, [entry for entry, _ in pending], frozenset(reached)
+
+
+def _drop_atoms(
+    witness: Witness, atom_ids: frozenset[int], entries: list[BeliefEntry]
+) -> Witness:
+    """The witness of a set without the entries, which span atom_ids and
+    share no atom with the rest of the set: its literals over those atoms
+    go, and so do their atoms and clauses from its bounds.  A witnessed
+    base holds each key once, and each of its formulas has clauses."""
+    clause_count = witness.clause_count
+    for entry in entries:
+        clause_count -= len(_compiled(entry.formula).clauses)
+    return Witness(
+        frozenset(lit for lit in witness.literals if abs(lit) not in atom_ids),
+        witness.atom_ids - atom_ids,
+        clause_count,
+    )
+
+
+def _witness_of_kept(shared: Witness, kept: Iterable[Formula]) -> Witness | None:
+    """shared, a model that leaves the kept formulas' atoms free, extended
+    to them by picking literals formula by formula; None if that gets
+    stuck."""
+    witness = shared
+    for formula in sorted(kept, key=lambda f: _compiled(f).key):
+        witness = extend_witness(witness, formula)
+        if witness is None:
+            return None
+    return witness
 
 
 def _select_remainder(
     base: BeliefBase,
     candidates: frozenset[frozenset[Formula]],
+    unrelated: Iterable[BeliefEntry] = (),
 ) -> frozenset[Formula]:
-    if not candidates:
-        return frozenset()
+    """The meet of the candidates with the largest total confidence.
+
+    Each candidate's total also counts the unrelated entries, which join
+    every candidate.  The result is a max and an intersection, so it
+    does not depend on the order the candidates come in.
+    """
+    if len(candidates) <= 1:
+        return next(iter(candidates), frozenset())
     weight_of = {e.key: e.provenance.confidence for e in base.entries}
+    shared = [weight_of[key] for key in {e.key for e in unrelated}]
 
     def weight(remainder: frozenset[Formula]) -> float:
         # fsum is correctly rounded, so the total does not depend on the
         # set's iteration order, which varies with the hash seed.
         return math.fsum(
-            weight_of.get(render_canonical(f), 0.0) for f in remainder
+            [*(weight_of.get(_compiled(f).key, 0.0) for f in remainder), *shared]
         )
 
-    ordered = sorted(
-        candidates,
-        key=lambda r: tuple(sorted(render_canonical(f) for f in r)),
-    )
-    best = max(weight(r) for r in ordered)
-    tied = [r for r in ordered if weight(r) == best]
-    if len(tied) == 1:
-        return tied[0]
-    meet = tied[0]
-    for remainder in tied[1:]:
-        meet &= remainder
-    return meet
+    weighed = [(weight(r), r) for r in candidates]
+    best = max(w for w, _ in weighed)
+    return frozenset.intersection(*(r for w, r in weighed if w == best))
 
 
 def revise(base: BeliefBase, entry: BeliefEntry) -> BeliefBase:
-    """Levi identity: contract the negation, then expand by the entry."""
-    if not is_consistent([entry.formula]):
-        raise ConsistencyError(
-            f"cannot revise by unsatisfiable {entry.key}"
-        )
+    """Levi identity: contract the negation, then expand by the entry.
+
+    Raises ConsistencyError for an unsatisfiable entry.  When the base
+    has a witness, the contraction keeps what it can of it, and the
+    expansion extends that rather than solving the base.
+    """
+    _require_satisfiable(entry)
     contracted = contract(
         base, Not(entry.formula), reason=f"revision({entry.key})"
     )
     return expand(contracted, entry)
+
+
+def _require_satisfiable(entry: BeliefEntry) -> None:
+    # Extending the empty witness finds a model of most formulas
+    # without a solve; is_consistent decides the rest.
+    if extend_witness(EMPTY_WITNESS, entry.formula) is None and not is_consistent(
+        [entry.formula]
+    ):
+        raise ConsistencyError(f"cannot revise by unsatisfiable {entry.key}")
 
 
 def update_belief_state(
@@ -555,13 +632,23 @@ def update_belief_state(
 
     Entries below the assertion gate theta are stored at their tier but
     marked non-assertable.  Returns the new base and which route ran.
+    The revision is revise's, minus the checks the failed expansion
+    already settled: it proved that the base entails the negation of a
+    satisfiable entry, which is then no tautology.
     """
     if entry.assertable and entry.probability < theta:
         entry = replace(entry, assertable=False)
     consistent, witness = _check_expansion(base, entry)
     if consistent:
         return _expand_checked(base, entry, witness), "expanded"
-    return revise(base, entry), "revised"
+    _require_satisfiable(entry)
+    contracted = _contract_entailed(
+        base,
+        Not(entry.formula),
+        _compiled(entry.formula).atom_ids,
+        f"revision({entry.key})",
+    )
+    return expand(contracted, entry), "revised"
 
 
 def retract_entry(base: BeliefBase, formula: Formula, reason: str) -> BeliefBase:

@@ -10,13 +10,12 @@ stderr as one tab-separated ``error`` line.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import sys
 from pathlib import Path
 
 from .belief import ConsistencyError, export
-from .config import ENV_PREFIX, EngineConfig, coerce_number, load_config
+from .config import ENV_PREFIX, KEY_TYPES, EngineConfig, coerce_number, load_config
 from .engine import (
     EscalationError,
     Session,
@@ -130,7 +129,6 @@ def _named_command(argv: list[str]) -> str | None:
 
 def _build_config(args: argparse.Namespace) -> EngineConfig:
     env = dict(os.environ)
-    known = {f.name for f in dataclasses.fields(EngineConfig)} - {"reliability"}
     reliability_sets: list[tuple[str, float]] = []
     for item in args.overrides:
         if "=" not in item:
@@ -140,7 +138,7 @@ def _build_config(args: argparse.Namespace) -> EngineConfig:
         if key.startswith("reliability."):
             source = key[len("reliability."):]
             reliability_sets.append((source, coerce_number(key, value)))
-        elif key in known:
+        elif key in KEY_TYPES:
             env[ENV_PREFIX + key.upper()] = value
         else:
             raise ValueError(f"unknown config key: {key}")

@@ -8,7 +8,7 @@ scores use dotted keys in the file (``reliability.alice=0.8``).
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 from typing import Mapping
 
@@ -58,24 +58,17 @@ class EngineConfig:
                 )
 
 
-_FIELD_TYPES = {
-    "theta": float,
-    "tau_risk": float,
-    "decay": float,
-    "delta": float,
-    "theta_meta": float,
-    "fixed_clock": bool,
-    "ledger_path": str,
-    "nodes_path": str,
-    "domain_path": str,
-    "goal": str,
+# Each key set by its own name, and the type of its default value.
+# reliability, whose default is a factory, is set by dotted keys instead.
+KEY_TYPES = {
+    f.name: type(f.default) for f in fields(EngineConfig) if f.default is not MISSING
 }
 
 ENV_PREFIX = "VERITAS_"
 
 
 def _coerce(key: str, raw: str):
-    kind = _FIELD_TYPES[key]
+    kind = KEY_TYPES[key]
     if kind is bool:
         lowered = raw.strip().lower()
         if lowered in ("1", "true", "yes", "on"):
@@ -128,7 +121,7 @@ def _apply_file(config: EngineConfig, path: Path) -> None:
         if key.startswith("reliability."):
             source = key[len("reliability."):]
             config.reliability[source] = coerce_number(key, raw)
-        elif key in _FIELD_TYPES:
+        elif key in KEY_TYPES:
             setattr(config, key, _coerce(key, raw))
         else:
             raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
@@ -145,5 +138,5 @@ def _apply_env(config: EngineConfig, env: Mapping[str, str]) -> None:
             config.reliability[source] = coerce_number(key, raw)
             continue
         key = name[len(ENV_PREFIX):].lower()
-        if key in _FIELD_TYPES:
+        if key in KEY_TYPES:
             setattr(config, key, _coerce(key, raw))

@@ -687,8 +687,8 @@ class Session:
         is the unit of durability: its blocks are written in one ledger
         batch, and its output once that batch is on disk.  A line that
         raises prints nothing, but the blocks it appended are written.  If
-        writing them fails, none is kept and the session is as it was
-        before the line.
+        writing them fails, none is kept, nor is any node the line added,
+        and the session and its files are as they were before the line.
         """
         goal = None
         if self.config.goal:
@@ -700,6 +700,8 @@ class Session:
             said, warned = io.StringIO(), io.StringIO()
             length, seq = len(self.ledger), self._obs_seq
             base = self.__dict__.get("base")  # None until first replayed
+            graph = self._nodes.graph  # None until first loaded
+            nodes = None if graph is None else len(graph)
             try:
                 with self.ledger.batch():
                     status = self._run_line(raw, goal, said, warned)
@@ -708,6 +710,7 @@ class Session:
                     # No block of the line is in the chain (a failed write
                     # drops them all), so neither is any change it made.
                     self._obs_seq = seq
+                    self._nodes.truncate(nodes)
                     if base is None:
                         self.__dict__.pop("base", None)
                     else:

@@ -229,11 +229,25 @@ class JustificationGraph:
     def nodes_since(self, count: int) -> list[JustificationNode]:
         """The nodes added after the first count, oldest first.
 
-        Nodes are never removed and keep insertion order, so this walks
-        only the newest nodes, from the end.
+        Nodes keep insertion order, so this walks only the newest nodes,
+        from the end.
         """
         newest = islice(reversed(self._nodes.values()), len(self._nodes) - count)
         return list(newest)[::-1]
+
+    def truncate(self, count: int) -> None:
+        """Drop the nodes added after the first count, newest first.
+
+        A node's id is the newest under its conclusion until a later
+        node joins, so each removal pops the end of its index list.
+        """
+        while len(self._nodes) > count:
+            _, node = self._nodes.popitem()
+            key = render_canonical(node.conclusion)
+            ids = self._by_conclusion[key]
+            ids.pop()
+            if not ids:
+                del self._by_conclusion[key]
 
 
 def build_public_proof(graph: JustificationGraph, target: Formula | str) -> PublicProof:

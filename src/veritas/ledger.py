@@ -355,14 +355,16 @@ class NodeStore:
     """The justification nodes that blocks name: one JSON line each.
 
     load reads the store into a graph; write_new appends the nodes the
-    graph gained since, through a handle kept open until close.  Before
-    load it writes nothing and reads nothing.  A session's ledger runs
-    write_new as its before_write hook.
+    graph gained since, through a handle kept open until close, and
+    truncate takes nodes back out.  Before load it writes nothing and
+    reads nothing.  A session's ledger runs write_new as its
+    before_write hook.
     """
 
     def __init__(self, path: str):
         self.path = path
         self.graph: JustificationGraph | None = None
+        self._loaded = 0
         self._written = 0
         self._handle = None
 
@@ -376,7 +378,7 @@ class NodeStore:
                     graph = load_graph(handle)
                 except ValueError as err:
                     raise ReplayError(str(err)) from None
-        self.graph, self._written = graph, len(graph)
+        self.graph, self._loaded, self._written = graph, len(graph), len(graph)
         return graph
 
     def write_new(self) -> None:
@@ -388,6 +390,22 @@ class NodeStore:
         lines = (node_to_json(n) + "\n" for n in graph.nodes_since(self._written))
         _append_all(self._handle, "".join(lines).encode())
         self._written = len(graph)
+
+    def truncate(self, count: int | None) -> None:
+        """Drop the graph's nodes after the first count, or after those
+        load read when count is None, and cut the lines of the ones
+        already written off the end of the store."""
+        graph = self.graph
+        if graph is None:
+            return
+        if count is None:
+            count = self._loaded
+        if self._written > count:
+            lines = graph.nodes_since(count)[: self._written - count]
+            size = len("".join(node_to_json(n) + "\n" for n in lines).encode())
+            self._handle.truncate(self._handle.seek(0, os.SEEK_END) - size)
+            self._written = count
+        graph.truncate(count)
 
     def close(self) -> None:
         if self._handle is not None:

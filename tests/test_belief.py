@@ -504,11 +504,26 @@ def random_incoming(
     return Or(Not(rng.choice(held)), Not(rng.choice(held)))
 
 
+def atom_ids(formula: Formula) -> frozenset[int]:
+    return sat._compiled(formula).atom_ids
+
+
+def joined_remainders(relevant, unrelated, target):
+    """The remainders of the relevant entries, each joined with all of
+    the unrelated ones."""
+    whole = frozenset(e.formula for e in unrelated)
+    return frozenset(
+        part | whole for part in remainders([e.formula for e in relevant], target)
+    )
+
+
 class TestRelevanceRestriction:
     """Restricted contraction against whole-base brute force."""
 
-    def test_candidates_and_results_match_brute_force(self, monkeypatch):
-        """Same candidates as the oracle; same entries, log and epochs."""
+    def test_candidates_and_results_match_brute_force(self):
+        """R's remainders joined with U are the oracle's remainders of the
+        whole base; contract, revise and update_belief_state give the
+        reference model's entries, log and epochs."""
         rng = random.Random(2506)
         inconsistent = entailing = 0
         for _ in range(40):
@@ -518,8 +533,9 @@ class TestRelevanceRestriction:
             if not is_consistent([incoming_formula]):
                 continue
             target = Not(incoming_formula)
+            relevant, unrelated, _ = belief._relevant_part(base, atom_ids(target))
             oracle = subset_remainders(active, target)
-            assert belief._contraction_candidates(active, target) == oracle
+            assert joined_remainders(relevant, unrelated, target) == oracle
             if not is_consistent(active):
                 inconsistent += 1
             elif entails(active, target):
@@ -527,23 +543,35 @@ class TestRelevanceRestriction:
             incoming = BeliefEntry(
                 incoming_formula, 0.99, Provenance("new", 99, 0.95)
             )
-            results = [contract(base, target), revise(base, incoming)]
-            with monkeypatch.context() as patched:
-                patched.setattr(
-                    belief, "_contraction_candidates", lambda *_: oracle
-                )
-                reference = [contract(base, target), revise(base, incoming)]
-            assert results == reference
+            model = ReferenceBase.from_entries(base.entries)
+            shown = [target, incoming_formula, *active]
+            assert_matches_reference(
+                contract(base, target), reference_contract(model, target), shown
+            )
+            assert_matches_reference(
+                revise(base, incoming), reference_revise(model, incoming), shown
+            )
+            real, route = update_belief_state(base, incoming)
+            expected, expected_route = reference_update(model, incoming)
+            assert route == expected_route
+            assert_matches_reference(real, expected, shown)
         assert inconsistent >= 5 and entailing >= 5
 
     def test_component_follows_chains_of_shared_atoms(self):
         """b reaches p only through b -> c and c -> p, in any order."""
-        pool = [parse(t) for t in ("b -> c", "c -> p", "b", "d")]
+        texts = ("b -> c", "c -> p", "b", "d")
+        pool = [parse(t) for t in texts]
         target = parse("p")
         expected = subset_remainders(pool, target)
         assert all(parse("d") in r for r in expected)
-        for order in (pool, pool[::-1]):
-            assert belief._contraction_candidates(order, target) == expected
+        entries = [entry(t) for t in texts]
+        for order in (entries, entries[::-1]):
+            relevant, unrelated, reached = belief._split_by_relevance(
+                order, atom_ids(target)
+            )
+            assert [e.key for e in unrelated] == ["d"]
+            assert reached == atom_ids(parse("b & c & p"))
+            assert joined_remainders(relevant, unrelated, target) == expected
 
     def test_cap_bounds_the_target_component_only(self):
         """17 disjoint beliefs contract; 17 connected ones hit the cap."""
@@ -718,7 +746,8 @@ class TestWitness:
         assert base.witness is not None and base.known_consistent
         assert belief.retract_entry(base, parse("q"), "r").witness == base.witness
         assert belief.amend_entry(base, parse("q"), probability=0.5).witness == base.witness
-        assert contract(base, parse("q")).witness is None
+        contracted = contract(base, parse("q"))
+        assert contracted.witness is not None and witness_holds(contracted)
         revised, route = update_belief_state(base, entry("!q"))
         assert route == "revised" and witness_holds(revised)
         unrecorded = base_of(entry("p"), entry("q"))
@@ -922,3 +951,87 @@ class TestPersistentBase:
         assert base == twin and len(base.history) == 20002
         assert base != belief.amend_entry(twin, parse("p"), probability=0.9)
         del base, twin
+
+
+COMPONENTS = [[Atom(f"k{g}x{i}") for i in range(2)] for g in range(3)]
+
+
+class TestRevisionByKnownFacts:
+    """The revise route skips the checks its failed expansion settled,
+    touches only the target's component and keeps a model of what it
+    keeps; its results are the reference model's."""
+
+    def test_random_steps_match_the_reference_model(self, monkeypatch):
+        """Bases of three components, weights drawn from two values so
+        that remainders tie; entries, log, epochs and history match, and
+        every witness kept satisfies every kept formula."""
+        weighed = met = 0
+        select = belief._select_remainder
+
+        def spy(base, candidates, *rest):
+            nonlocal weighed, met
+            kept = select(base, candidates, *rest)
+            if len(candidates) > 1:
+                # A meet of tied remainders is none of them.
+                met += kept not in candidates
+                weighed += kept in candidates
+            return kept
+
+        monkeypatch.setattr(belief, "_select_remainder", spy)
+        rng = random.Random(1717)
+        revised = witnessed = 0
+        for _ in range(80):
+            real, model, seen = BeliefBase(), ReferenceBase(), []
+            for step in range(10):
+                kind = rng.choice(["update", "update", "negate", "revise", "contract"])
+                atoms = [a for g in rng.sample(COMPONENTS, rng.choice([1, 1, 2])) for a in g]
+                formula = random_formula(rng, atoms, 2)
+                if kind == "negate" and real.entries:
+                    # Not both of two held formulas: R then has a
+                    # remainder without each, and equal weights tie.
+                    first, second = (rng.choice(real.entries).formula for _ in "ab")
+                    formula = Or(Not(first), Not(second))
+                if not tt_satisfiable([Not(formula) if kind == "contract" else formula]):
+                    continue
+                p = rng.choice([0.8, 0.8, 0.9])
+                incoming = BeliefEntry(formula, p, Provenance("s", step, p))
+                if kind == "contract":
+                    real, model = contract(real, formula), reference_contract(model, formula)
+                elif kind == "revise":
+                    real, model = revise(real, incoming), reference_revise(model, incoming)
+                else:
+                    real, route = update_belief_state(real, incoming)
+                    model, expected = reference_update(model, incoming)
+                    assert route == expected
+                    if route == "revised":
+                        revised += 1
+                        witnessed += real.witness is not None
+                seen.append(formula)
+                assert_matches_reference(real, model, seen)
+                if real.witness is not None:
+                    assert witness_holds(real)
+        assert revised > 100 and witnessed > 0.9 * revised
+        assert met > 15 and weighed > 15
+
+    def test_a_churn_revision_solves_three_times(self, monkeypatch):
+        """Twelve independent literals, as revise-churn holds: a revision
+        asks the failed expansion and the two entailment checks of the
+        target's one-formula component, and no more; the closing
+        expansion extends the witness the contraction kept."""
+        base = BeliefBase()
+        for i in range(12):
+            base, _ = update_belief_state(base, entry(f"C{i}" if i % 2 else f"!C{i}"))
+        calls = []
+        solve = sat.is_consistent
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(sat, "is_consistent", counted)
+        monkeypatch.setattr(belief, "is_consistent", counted)
+        for text in ("!C3", "C3", "C4", "!C4"):
+            calls.clear()
+            base, route = update_belief_state(base, entry(text))
+            assert route == "revised" and len(calls) == 3
+            assert len(base.entries) == 12 and witness_holds(base)

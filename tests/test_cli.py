@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import subprocess
@@ -18,7 +19,7 @@ import veritas.ledger
 import veritas.logic.parser
 from veritas.belief import export
 from veritas.cli import main
-from veritas.config import load_config
+from veritas.config import EngineConfig, load_config
 from veritas.belief import Provenance
 from veritas.engine import Session
 from veritas.justify import node_digest
@@ -628,6 +629,12 @@ def setting(source: str, key: str, value: str, monkeypatch, tmp_path) -> list[st
     return ["--config", str(conf)]
 
 
+# Every field except reliability, which is set by its dotted keys.
+KEY_NAMES = {f.name for f in dataclasses.fields(EngineConfig)} - {"reliability"}
+# Per default type: a raw setting and the value it must coerce to.
+GOOD_VALUE = {float: (" 0.97", 0.97), bool: ("Yes", True), str: (" x.y ", "x.y")}
+
+
 class TestConfigPlumbing:
     def test_environment_variables_configure_the_session(
         self, cli, monkeypatch
@@ -669,6 +676,32 @@ class TestConfigPlumbing:
         )
         assert (code, out) == (2, "")
         assert err == f"error\tusage\t{key} expects a number, got 'abc'\n"
+
+    @pytest.mark.parametrize("source", ["file", "env", "set"])
+    @pytest.mark.parametrize("key", sorted(KEY_NAMES))
+    def test_every_key_is_read_from_every_source(
+        self, monkeypatch, tmp_path, source, key
+    ):
+        """Each field but reliability, coerced by the type of its default."""
+        raw, value = GOOD_VALUE[type(getattr(EngineConfig(), key))]
+        argv = setting(source, key, raw, monkeypatch, tmp_path)
+        args = veritas.cli.build_parser("query").parse_args([*argv, "query", "p"])
+        assert getattr(veritas.cli._build_config(args), key) == value
+
+    @pytest.mark.parametrize("source", ["file", "env", "set"])
+    @pytest.mark.parametrize(
+        "key", sorted(k for k in KEY_NAMES if type(getattr(EngineConfig(), k)) is not str)
+    )
+    def test_every_key_names_itself_in_its_error(
+        self, capsys, monkeypatch, tmp_path, source, key
+    ):
+        monkeypatch.chdir(tmp_path)
+        kind = "boolean" if key == "fixed_clock" else "number"
+        argv = setting(source, key, "abc", monkeypatch, tmp_path)
+        assert main([*argv, "ledger", "verify"]) == 2
+        assert capsys.readouterr() == (
+            "", f"error\tusage\t{key} expects a {kind}, got 'abc'\n"
+        )
 
     @pytest.mark.parametrize(
         "source, key",

@@ -1199,8 +1199,7 @@ class TestGroupCommit:
             assert on_disk.verify_chain() is None
             assert on_disk.blocks == session.ledger.blocks
             assert replay(on_disk, config, session.graph) == live
-            for node in session.graph.nodes_for(parse("S1")):
-                assert not session.ledger.contains_digest(bytes.fromhex(node))
+            assert session.graph.nodes_for(parse("S1")) == []
             assert session.run_loop(lines[2:], io.StringIO(), io.StringIO()) == 0
             live = session.base
             assert live == replay(session.ledger, config, session.graph)
@@ -1210,10 +1209,48 @@ class TestGroupCommit:
         with Session(reference) as session:
             for stream in (lines[:1], [], lines[2:]):
                 session.run_loop(stream, io.StringIO(), io.StringIO())
-        assert (
-            Path(config.ledger_path).read_bytes()
-            == Path(reference.ledger_path).read_bytes()
-        )
+        for mine, theirs in (
+            (config.ledger_path, reference.ledger_path),
+            (config.resolved_nodes_path(), reference.resolved_nodes_path()),
+        ):
+            assert Path(mine).read_bytes() == Path(theirs).read_bytes()
+
+    def test_a_failed_first_line_of_a_reopened_session_leaves_no_node(
+        self, make_config, monkeypatch
+    ):
+        """The line whose block write fails is the one that first loads
+        the node store, after its node line was written: the store and
+        the graph go back to what the load read."""
+        config, reference = make_config(), make_config("reference")
+        lines = [f"S{i}\t0.99\tsensor\n" for i in range(3)]
+        for each in (config, reference):
+            with Session(each) as session:
+                session.run_loop(lines[:1], io.StringIO(), io.StringIO())
+        append_all, block_writes = veritas.ledger._append_all, []
+
+        def full_on_second_block_write(handle, data, sync=False):
+            # Block lines are fsynced, node lines are not.
+            if sync:
+                block_writes.append(data)
+                if len(block_writes) == 2:
+                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return append_all(handle, data, sync)
+
+        monkeypatch.setattr(veritas.ledger, "_append_all", full_on_second_block_write)
+        with Session(config) as session:
+            with pytest.raises(OSError):
+                session.run_loop(lines[1:2], io.StringIO(), io.StringIO())
+            assert len(session.graph) == 1
+            assert session.graph.nodes_for(parse("S1")) == []
+            session.run_loop(lines[2:], io.StringIO(), io.StringIO())
+        with Session(reference) as session:
+            for stream in ([], lines[2:]):
+                session.run_loop(stream, io.StringIO(), io.StringIO())
+        for mine, theirs in (
+            (config.ledger_path, reference.ledger_path),
+            (config.resolved_nodes_path(), reference.resolved_nodes_path()),
+        ):
+            assert Path(mine).read_bytes() == Path(theirs).read_bytes()
 
     def test_a_failed_node_write_leaves_no_torn_line(self, make_config, monkeypatch):
         """ENOSPC halfway through the node line of the second of three
