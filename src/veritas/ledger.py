@@ -4,13 +4,17 @@ Each block commits to its index, timestamp, operation, formula text,
 justification digest, and the previous block's hash; the genesis block
 links to 32 zero bytes.  The on-disk format is one line per block: the
 hashed serialization, a unit separator, the block hash in hex, and a
-newline.  Replaying the ledger through the belief module with the same
-configuration reconstructs the live base exactly, because commit is the
-one way to change a base: it folds the next block as apply_block does
-and appends it only once that fold has succeeded.  A batch writes the
-lines of the blocks appended inside it with one write and one fsync.
-Ledger._write runs the before_write hook, a NodeStore's write, before
-any block line, so a node is stored before a block names it.
+newline.  A line is read back only when it is exactly that, byte for
+byte: a line whose fields would parse to the same block but are spelt
+otherwise (a zero-padded index, uppercase hex) is corrupt, since its
+bytes are not what was hashed.  Replaying the ledger through the
+belief module with the same configuration reconstructs the live base
+exactly, because commit is the one way to change a base: it folds the
+next block as apply_block does and appends it only once that fold has
+succeeded.  A batch writes the lines of the blocks appended inside it
+with one write and one fsync.  Ledger._write runs the before_write
+hook, a NodeStore's write, before any block line, so a node is stored
+before a block names it.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ import contextlib
 import enum
 import os
 import re
+from binascii import unhexlify
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable
@@ -125,34 +130,44 @@ def block_line(block: Block) -> bytes:
     return payload + _FIELD_SEP + block.h.hex().encode() + b"\n"
 
 
-_HEX_32 = re.compile(rb"[0-9a-f]{64}")
-
-
-def _strict_hex(field: bytes) -> bytes | None:
-    """Decode exactly 32 bytes of lowercase hex; int() and fromhex() are
-    whitespace-tolerant, which would let some byte flips slip through."""
-    if _HEX_32.fullmatch(field) is None:
-        return None
-    return bytes.fromhex(field.decode())
+# What block_line writes and nothing else: decimals without a sign or
+# leading zeros, a known op, lowercase hex, no trailing bytes.
+_DECIMAL = rb"(0|[1-9][0-9]*)"
+_HEX_32 = rb"([0-9a-f]{64})"
+_LINE_RE = re.compile(
+    _FIELD_SEP.join(
+        (
+            _DECIMAL,
+            _DECIMAL,
+            b"(" + b"|".join(re.escape(op.value.encode()) for op in Op) + b")",
+            rb"([^\x1f]*)",
+            _HEX_32,
+            _HEX_32,
+            _HEX_32,
+        )
+    )
+)
+_OPS = {op.value.encode(): op for op in Op}
 
 
 def _parse_line(raw: bytes) -> Block | None:
-    fields = raw.split(_FIELD_SEP)
-    if len(fields) != 7:
+    match = _LINE_RE.fullmatch(raw)
+    if match is None:
         return None
-    if not fields[0].isdigit() or not fields[1].isdigit():
-        return None
-    digest = _strict_hex(fields[4])
-    h_prev = _strict_hex(fields[5])
-    h = _strict_hex(fields[6])
-    if digest is None or h_prev is None or h is None:
-        return None
+    index, timestamp, op, formula, digest, h_prev, h = match.groups()
     try:
-        op = Op(fields[2].decode())
-        formula = fields[3].decode()
-    except (ValueError, UnicodeDecodeError):
+        text = formula.decode()
+    except UnicodeDecodeError:
         return None
-    return Block(int(fields[0]), int(fields[1]), op, formula, digest, h_prev, h)
+    return Block(
+        int(index),
+        int(timestamp),
+        _OPS[op],
+        text,
+        unhexlify(digest),
+        unhexlify(h_prev),
+        unhexlify(h),
+    )
 
 
 class Ledger:

@@ -1,4 +1,4 @@
-"""Recursive-descent parser for the propositional surface syntax.
+"""Operator-precedence parser for the propositional surface syntax.
 
 Grammar, loosest binding first::
 
@@ -10,6 +10,19 @@ Grammar, loosest binding first::
     unary   := "!" unary | "(" formula ")" | atom
     atom    := IDENT ["(" IDENT ("," IDENT)* ")"]
 
+One regex scan (findall) turns the text into token strings, whitespace
+absorbed into the token after it, and one loop over them climbs the
+four binary levels with an explicit stack (Pratt, "Top Down Operator
+Precedence", 1973), so no formula costs a call per grammar level.  Token
+offsets are found only for an error, by scanning the text again.
+
+Atoms come from a process-wide table keyed by their canonical text: a
+spelling is validated once, and every compound formula shares its atom
+instances, which are immutable leaves that keep their text.  Every
+formula parse returns is a new instance, so the compiled form sat keeps
+on it never outlives the parse: a bare atom comes back as a fresh copy
+of its shared one.
+
 ``parse(render_canonical(f))`` returns a formula structurally equal to
 ``f`` for every formula ``f``.
 """
@@ -17,24 +30,31 @@ Grammar, loosest binding first::
 from __future__ import annotations
 
 import re
+from string import ascii_letters
 
 from .syntax import And, Atom, Formula, Iff, Implies, Not, Or
 
+# One token per match, the whitespace before it absorbed: an identifier,
+# an operator or punctuation, "" at the end of the text, or else the one
+# character no token starts with.
 _TOKEN_RE = re.compile(
-    r"""
-    (?P<WS>\s+)
-  | (?P<IDENT>[A-Za-z][A-Za-z0-9_]*)
-  | (?P<IFF><->)
-  | (?P<ARROW>->)
-  | (?P<NOT>!)
-  | (?P<AND>&)
-  | (?P<OR>\|)
-  | (?P<LPAREN>\()
-  | (?P<RPAREN>\))
-  | (?P<COMMA>,)
-    """,
-    re.VERBOSE,
+    r"\s*([A-Za-z][A-Za-z0-9_]*|<->|->|[!&|(),]|\Z|.)", re.DOTALL
 )
+_LETTERS = frozenset(ascii_letters)
+_PUNCTUATION = frozenset({"<->", "->", "!", "&", "|", "(", ")", ",", ""})
+
+# Binary operator -> binding power; a larger one binds tighter.
+_POWER = {"<->": 1, "->": 2, "|": 3, "&": 4}
+_BUILD = {1: Iff, 2: Implies, 3: Or, 4: And}
+_RIGHT_ASSOCIATIVE = 2
+# Stack entries below every binding power.
+_GROUP = 0
+_NEGATION = -1
+
+_FORMULA_START = frozenset({"NOT", "LPAREN", "IDENT"})
+
+# Canonical atom text -> the one shared instance of that atom.
+_ATOMS: dict[str, Atom] = {}
 
 
 class ParseError(ValueError):
@@ -46,109 +66,126 @@ class ParseError(ValueError):
         self.expected = expected
 
 
-# A token is (kind, text, offset); the last one is ("EOF", "", len(text)).
-_Token = tuple[str, str, int]
+class _Stuck(Exception):
+    """The parse cannot go on at a token; _error turns this into a
+    ParseError, which needs the text to find the token's offset."""
+
+    def __init__(self, index: int, what: str, expected: frozenset[str]):
+        self.index = index
+        self.what = what
+        self.expected = expected
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
-        if match is None:
-            raise ParseError(
-                f"unexpected character {text[pos]!r}", pos, frozenset({"token"})
+def _error(text: str, tokens: list[str], stuck: _Stuck) -> ParseError:
+    """The ParseError for stuck: at the first character no token starts
+    with, wherever it stands, else at the token the parse stopped on."""
+    offsets = [match.start(1) for match in _TOKEN_RE.finditer(text)]
+    for token, offset in zip(tokens, offsets):
+        if token not in _PUNCTUATION and token[0] not in _LETTERS:
+            return ParseError(
+                f"unexpected character {token!r}", offset, frozenset({"token"})
             )
-        kind = match.lastgroup
-        if kind != "WS":
-            tokens.append((kind, match.group(), pos))
-        pos = match.end()
-    tokens.append(("EOF", "", len(text)))
-    return tokens
+    token = tokens[stuck.index]
+    if stuck.what == "EOF":
+        message = f"trailing input {token!r}"
+    else:
+        message = f"expected {stuck.what}, found {token or 'end of input'!r}"
+    return ParseError(message, offsets[stuck.index], stuck.expected)
 
 
-def _unexpected(token: _Token, what: str, expected: frozenset[str]) -> ParseError:
-    return ParseError(
-        f"expected {what}, found {token[1] or 'end of input'!r}", token[2], expected
-    )
+def _is_ident(token: str) -> bool:
+    return token[:1] in _LETTERS
 
 
-class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
-        self.index = 0
+def _ident(tokens: list[str], index: int) -> str:
+    token = tokens[index]
+    if not _is_ident(token):
+        raise _Stuck(index, "IDENT", frozenset({"IDENT"}))
+    return token
 
-    def _expect(self, kind: str) -> str:
-        """The text of the next token, which must be of kind."""
-        token = self.tokens[self.index]
-        if token[0] != kind:
-            raise _unexpected(token, kind, frozenset({kind}))
-        self.index += 1
-        return token[1]
 
-    def _accept(self, kind: str) -> bool:
-        if self.tokens[self.index][0] == kind:
-            self.index += 1
-            return True
-        return False
+def _rparen(tokens: list[str], index: int) -> int:
+    """The index after tokens[index], which must close a parenthesis."""
+    if tokens[index] != ")":
+        raise _Stuck(index, "RPAREN", frozenset({"RPAREN"}))
+    return index + 1
 
-    def expect_end(self) -> None:
-        kind, text, offset = self.tokens[self.index]
-        if kind != "EOF":
-            raise ParseError(f"trailing input {text!r}", offset, frozenset({"EOF"}))
 
-    def parse_iff(self) -> Formula:
-        node = self.parse_impl()
-        while self._accept("IFF"):
-            node = Iff(node, self.parse_impl())
-        return node
+def _atom(tokens: list[str], index: int) -> tuple[Atom, int]:
+    """The shared atom that the identifier at tokens[index] starts, and
+    the index after it."""
+    name = tokens[index]
+    index += 1
+    if tokens[index] != "(":
+        key = name
+        args = None
+    else:
+        args = [_ident(tokens, index + 1)]
+        index += 2
+        while tokens[index] == ",":
+            args.append(_ident(tokens, index + 1))
+            index += 2
+        index = _rparen(tokens, index)
+        key = f"{name}({','.join(args)})"
+    atom = _ATOMS.get(key)
+    if atom is None:
+        atom = Atom(name, tuple(args)) if args else Atom(name)
+        object.__setattr__(atom, "_text", key)
+        atom = _ATOMS.setdefault(key, atom)
+    return atom, index
 
-    def parse_impl(self) -> Formula:
-        parts = [self.parse_or()]
-        while self._accept("ARROW"):
-            parts.append(self.parse_or())
-        node = parts[-1]
-        for part in reversed(parts[:-1]):
-            node = Implies(part, node)
-        return node
 
-    def parse_or(self) -> Formula:
-        node = self.parse_and()
-        while self._accept("OR"):
-            node = Or(node, self.parse_and())
-        return node
+def _formula(tokens: list[str]) -> tuple[Formula, int]:
+    """The formula that starts the tokens, and the index after it.
 
-    def parse_and(self) -> Formula:
-        node = self.parse_unary()
-        while self._accept("AND"):
-            node = And(node, self.parse_unary())
-        return node
+    stack holds the binding power of each binary operator still waiting
+    for its right operand (its left one is on operands), _GROUP for an
+    open parenthesis and _NEGATION for a pending "!".
+    """
+    operands: list[Formula] = []
+    stack: list[int] = []
+    index = 0
+    while True:
+        token = tokens[index]
+        while token == "!" or token == "(":
+            stack.append(_NEGATION if token == "!" else _GROUP)
+            index += 1
+            token = tokens[index]
+        if not _is_ident(token):
+            raise _Stuck(index, "formula", _FORMULA_START)
+        node, index = _atom(tokens, index)
+        while True:
+            while stack and stack[-1] == _NEGATION:
+                stack.pop()
+                node = Not(node)
+            power = _POWER.get(tokens[index])
+            if power is not None:
+                floor = power + 1 if power == _RIGHT_ASSOCIATIVE else power
+                while stack and stack[-1] >= floor:
+                    node = _BUILD[stack.pop()](operands.pop(), node)
+                operands.append(node)
+                stack.append(power)
+                index += 1
+                break
+            while stack and stack[-1] > _GROUP:
+                node = _BUILD[stack.pop()](operands.pop(), node)
+            if not stack:
+                return node, index
+            index = _rparen(tokens, index)
+            stack.pop()
 
-    def parse_unary(self) -> Formula:
-        kind = self.tokens[self.index][0]
-        if kind == "IDENT":
-            return self.parse_atom()
-        if kind == "NOT":
-            self.index += 1
-            return Not(self.parse_unary())
-        if kind == "LPAREN":
-            self.index += 1
-            node = self.parse_iff()
-            self._expect("RPAREN")
-            return node
-        raise _unexpected(
-            self.tokens[self.index], "formula", frozenset({"NOT", "LPAREN", "IDENT"})
-        )
 
-    def parse_atom(self) -> Atom:
-        name = self._expect("IDENT")
-        if not self._accept("LPAREN"):
-            return Atom(name)
-        args = [self._expect("IDENT")]
-        while self._accept("COMMA"):
-            args.append(self._expect("IDENT"))
-        self._expect("RPAREN")
-        return Atom(name, tuple(args))
+def _end(tokens: list[str], index: int) -> None:
+    if tokens[index]:
+        raise _Stuck(index, "EOF", frozenset({"EOF"}))
+
+
+def _fresh(atom: Atom) -> Atom:
+    """A new instance equal to a shared atom, with its kept text; the
+    shared one was validated when it joined the table."""
+    fresh = object.__new__(Atom)
+    fresh.__dict__.update(predicate=atom.predicate, args=atom.args, _text=atom._text)
+    return fresh
 
 
 def parse(text: str) -> Formula:
@@ -157,15 +194,25 @@ def parse(text: str) -> Formula:
     Raises ParseError with the byte offset of the first offending token
     and the set of token kinds that would have been accepted there.
     """
-    parser = _Parser(_tokenize(text))
-    formula = parser.parse_iff()
-    parser.expect_end()
-    return formula
+    atom = _ATOMS.get(text)
+    if atom is not None:
+        return _fresh(atom)
+    tokens = _TOKEN_RE.findall(text)
+    try:
+        formula, index = _formula(tokens)
+        _end(tokens, index)
+    except _Stuck as stuck:
+        raise _error(text, tokens, stuck) from None
+    return _fresh(formula) if type(formula) is Atom else formula
 
 
 def parse_atom(text: str) -> Atom:
     """Parse a bare atom such as ``At(Agent1,LocationA)``."""
-    parser = _Parser(_tokenize(text))
-    atom = parser.parse_atom()
-    parser.expect_end()
-    return atom
+    tokens = _TOKEN_RE.findall(text)
+    try:
+        _ident(tokens, 0)
+        atom, index = _atom(tokens, 0)
+        _end(tokens, index)
+    except _Stuck as stuck:
+        raise _error(text, tokens, stuck) from None
+    return _fresh(atom)

@@ -13,8 +13,10 @@ atom set, its non-tautological clauses (or an over-budget marker) and
 its canonical rendering, and the result is kept on that instance; a
 check joins the compiled clauses of its formulas.  The negation that
 entails tests is compiled once per goal instance too.  Clause literals
-are integers from one process-wide atom table.  A re-parsed formula is
-a new instance and compiles afresh.
+are integers from one process-wide atom table.  A re-parsed compound
+formula is a new instance and compiles afresh; the parser shares atom
+instances between formulas, but hands out every bare atom it returns
+as a fresh one, so that compiles afresh too.
 
 Verdicts are not cached, but a satisfiable DPLL check can hand a model
 back as a Witness: one true literal picked from each clause, with the
@@ -254,11 +256,13 @@ def _compiled(formula: Formula) -> _Compiled:
     """The formula's atoms, clauses and key, compiled on first use and kept on it."""
     compiled = formula.__dict__.get("_sat")
     if compiled is None:
-        # Ids are handed out in sorted atom order, not set order, so they
-        # and the models DPLL finds repeat under every hash seed.
-        atom_ids = frozenset(
-            _ATOM_IDS[atom] for atom in sorted(atoms_of(formula), key=_atom_key)
-        )
+        atoms = atoms_of(formula)
+        known = [_ATOM_IDS.get(atom) for atom in atoms]
+        if None in known:
+            # Ids are handed out in sorted atom order, not set order, so
+            # they and the models DPLL finds repeat under every hash seed.
+            known = [_ATOM_IDS[atom] for atom in sorted(atoms, key=_atom_key)]
+        atom_ids = frozenset(known)
         compiled = _Compiled(
             atom_ids, _clausify(formula), render_canonical(formula)
         )

@@ -76,17 +76,32 @@ def render_canonical(formula: Formula) -> str:
 
     Atoms render as ``Pred(a,b)`` with no interior spaces, negation as
     ``(! x)`` and binary connectives as ``(x op y)`` with single spaces.
+    The text is kept on the formula, as sat keeps its compiled form
+    there, so an instance is walked once however often it is rendered;
+    equality, hashing and repr read only the fields.
     """
+    text = getattr(formula, "_text", None)
+    if text is None:
+        text = _render(formula)
+        object.__setattr__(formula, "_text", text)
+    return text
+
+
+def _render(formula: Formula) -> str:
+    """The canonical text of formula; a subformula's kept text is reused."""
+    text = getattr(formula, "_text", None)
+    if text is not None:
+        return text
     if isinstance(formula, Atom):
         if not formula.args:
             return formula.predicate
         return f"{formula.predicate}({','.join(formula.args)})"
     if isinstance(formula, Not):
-        return f"(! {render_canonical(formula.operand)})"
+        return f"(! {_render(formula.operand)})"
     op = _BINARY_OPS.get(type(formula))
     if op is not None:
-        left = render_canonical(formula.left)  # type: ignore[attr-defined]
-        right = render_canonical(formula.right)  # type: ignore[attr-defined]
+        left = _render(formula.left)  # type: ignore[attr-defined]
+        right = _render(formula.right)  # type: ignore[attr-defined]
         return f"({left} {op} {right})"
     raise TypeError(f"not a formula: {formula!r}")
 

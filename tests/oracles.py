@@ -13,6 +13,9 @@ relevance cut, and reference_run_loop is the run loop that plans that
 way from scratch on every line.  reference_sweep scores every assertable
 entry on every call, reference_sweep_and_react reacts to that full log,
 and reference_world_state and reference_is_safe read the whole base.
+reference_parse and reference_parse_atom are the recursive-descent
+parser that the operator-precedence one replaced, a descent function
+per grammar level over a token list with a separate whitespace token.
 """
 
 from __future__ import annotations
@@ -20,10 +23,11 @@ from __future__ import annotations
 import dataclasses
 import math
 import random
+import re
 from itertools import combinations
 
 from veritas.belief import BeliefEntry, RetractionRecord
-from veritas.logic import And, Atom, Formula, Iff, Implies, Not, Or, atoms_of
+from veritas.logic import And, Atom, Formula, Iff, Implies, Not, Or, ParseError, atoms_of
 from veritas.logic import render_canonical, sat
 
 
@@ -630,3 +634,148 @@ def reference_run_loop(session, lines, out, diag) -> int:
             out.write(f"executed\t{action.render()}\n")
         out.write(f"sealed\t{seal}\n")
     return 0
+
+
+# The recursive-descent parser that preceded the operator-precedence one,
+# kept verbatim but for its names, as an oracle for trees and errors.
+
+_REFERENCE_TOKEN_RE = re.compile(
+    r"""
+    (?P<WS>\s+)
+  | (?P<IDENT>[A-Za-z][A-Za-z0-9_]*)
+  | (?P<IFF><->)
+  | (?P<ARROW>->)
+  | (?P<NOT>!)
+  | (?P<AND>&)
+  | (?P<OR>\|)
+  | (?P<LPAREN>\()
+  | (?P<RPAREN>\))
+  | (?P<COMMA>,)
+    """,
+    re.VERBOSE,
+)
+
+
+# A token is (kind, text, offset); the last one is ("EOF", "", len(text)).
+_ReferenceToken = tuple[str, str, int]
+
+
+def _reference_tokenize(text: str) -> list[_ReferenceToken]:
+    tokens: list[_ReferenceToken] = []
+    pos = 0
+    while pos < len(text):
+        match = _REFERENCE_TOKEN_RE.match(text, pos)
+        if match is None:
+            raise ParseError(
+                f"unexpected character {text[pos]!r}", pos, frozenset({"token"})
+            )
+        kind = match.lastgroup
+        if kind != "WS":
+            tokens.append((kind, match.group(), pos))
+        pos = match.end()
+    tokens.append(("EOF", "", len(text)))
+    return tokens
+
+
+def _reference_unexpected(token: _ReferenceToken, what: str, expected: frozenset[str]) -> ParseError:
+    return ParseError(
+        f"expected {what}, found {token[1] or 'end of input'!r}", token[2], expected
+    )
+
+
+class _ReferenceParser:
+    def __init__(self, tokens: list[_ReferenceToken]):
+        self.tokens = tokens
+        self.index = 0
+
+    def _expect(self, kind: str) -> str:
+        """The text of the next token, which must be of kind."""
+        token = self.tokens[self.index]
+        if token[0] != kind:
+            raise _reference_unexpected(token, kind, frozenset({kind}))
+        self.index += 1
+        return token[1]
+
+    def _accept(self, kind: str) -> bool:
+        if self.tokens[self.index][0] == kind:
+            self.index += 1
+            return True
+        return False
+
+    def expect_end(self) -> None:
+        kind, text, offset = self.tokens[self.index]
+        if kind != "EOF":
+            raise ParseError(f"trailing input {text!r}", offset, frozenset({"EOF"}))
+
+    def parse_iff(self) -> Formula:
+        node = self.parse_impl()
+        while self._accept("IFF"):
+            node = Iff(node, self.parse_impl())
+        return node
+
+    def parse_impl(self) -> Formula:
+        parts = [self.parse_or()]
+        while self._accept("ARROW"):
+            parts.append(self.parse_or())
+        node = parts[-1]
+        for part in reversed(parts[:-1]):
+            node = Implies(part, node)
+        return node
+
+    def parse_or(self) -> Formula:
+        node = self.parse_and()
+        while self._accept("OR"):
+            node = Or(node, self.parse_and())
+        return node
+
+    def parse_and(self) -> Formula:
+        node = self.parse_unary()
+        while self._accept("AND"):
+            node = And(node, self.parse_unary())
+        return node
+
+    def parse_unary(self) -> Formula:
+        kind = self.tokens[self.index][0]
+        if kind == "IDENT":
+            return self.parse_atom()
+        if kind == "NOT":
+            self.index += 1
+            return Not(self.parse_unary())
+        if kind == "LPAREN":
+            self.index += 1
+            node = self.parse_iff()
+            self._expect("RPAREN")
+            return node
+        raise _reference_unexpected(
+            self.tokens[self.index], "formula", frozenset({"NOT", "LPAREN", "IDENT"})
+        )
+
+    def parse_atom(self) -> Atom:
+        name = self._expect("IDENT")
+        if not self._accept("LPAREN"):
+            return Atom(name)
+        args = [self._expect("IDENT")]
+        while self._accept("COMMA"):
+            args.append(self._expect("IDENT"))
+        self._expect("RPAREN")
+        return Atom(name, tuple(args))
+
+
+def reference_parse(text: str) -> Formula:
+    """Parse surface syntax into a formula tree.
+
+    Raises ParseError with the byte offset of the first offending token
+    and the set of token kinds that would have been accepted there.
+    """
+    parser = _ReferenceParser(_reference_tokenize(text))
+    formula = parser.parse_iff()
+    parser.expect_end()
+    return formula
+
+
+def reference_parse_atom(text: str) -> Atom:
+    """Parse a bare atom such as ``At(Agent1,LocationA)``."""
+    parser = _ReferenceParser(_reference_tokenize(text))
+    atom = parser.parse_atom()
+    parser.expect_end()
+    return atom

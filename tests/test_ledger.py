@@ -12,6 +12,7 @@ from dataclasses import replace
 import pytest
 
 from veritas.belief import BeliefBase, Provenance, StatusTag, export
+from veritas.cli import main
 from veritas.config import EngineConfig
 from veritas import ledger as ledger_module
 from veritas.engine import Session
@@ -31,7 +32,7 @@ from veritas.ledger import (
     replay,
     verify_inclusion,
 )
-from veritas.logic import parse, render_canonical
+from veritas.logic import Atom, parse, render_canonical, sat, syntax
 
 
 def observation(
@@ -324,10 +325,78 @@ class TestVerifiedPrefix:
         ],
     )
     def test_strict_hex_rejects_near_misses(self, field):
-        assert ledger_module._strict_hex(field) is None
+        """A near miss of 64 lowercase hex digits, in any of a line's three
+        hex fields, makes the line unreadable."""
+        for position in range(3):
+            fields = [b"0f" * 32] * 3
+            fields[position] = field
+            assert ledger_module._parse_line(hex_line(*fields)) is None
 
     def test_strict_hex_decodes_lowercase(self):
-        assert ledger_module._strict_hex(b"0f" * 32) == b"\x0f" * 32
+        block = ledger_module._parse_line(hex_line(b"0f" * 32, b"1e" * 32, b"2d" * 32))
+        assert block.justification_digest == b"\x0f" * 32
+        assert (block.h_prev, block.h) == (b"\x1e" * 32, b"\x2d" * 32)
+
+
+def hex_line(digest: bytes, h_prev: bytes, h: bytes) -> bytes:
+    """A META block line at index 0 with the given hex fields."""
+    return b"\x1f".join((b"0", b"0", b"meta", b"", digest, h_prev, h))
+
+
+def _swap_field(position: int, change):
+    def mutate(line: bytes) -> bytes:
+        fields = line.split(b"\x1f")
+        fields[position] = change(fields[position])
+        return b"\x1f".join(fields)
+
+    return mutate
+
+
+# Rewrites of one block line, each of which int(), fromhex() or a lenient
+# split could read back as the same block; none is its serialization.
+LINE_TAMPERS = {
+    "zero-padded index": _swap_field(0, lambda f: b"0" + f),
+    "zero-padded timestamp": _swap_field(1, lambda f: b"0" + f),
+    "plus-signed index": _swap_field(0, lambda f: b"+" + f),
+    "uppercase hex": _swap_field(6, bytes.upper),
+    "63 hex digits": _swap_field(6, lambda f: f[:-1]),
+    "65 hex digits": _swap_field(6, lambda f: f + b"0"),
+    "op Insert": _swap_field(2, bytes.capitalize),
+    "six fields": lambda line: line.rsplit(b"\x1f", 1)[0],
+    "eight fields": lambda line: line + b"\x1f" + b"0" * 64,
+    "non-UTF-8 formula": _swap_field(3, lambda f: f + b"\xff"),
+    "trailing carriage return": lambda line: line + b"\r",
+}
+
+
+class TestLineIsItsSerialization:
+    """A .vlog line is read only when its bytes are exactly what was
+    hashed; every other spelling of a block is corruption at its index."""
+
+    @pytest.fixture(scope="class")
+    def store(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("store") / "chain.vlog"
+        config = EngineConfig(ledger_path=str(path), fixed_clock=True)
+        with Session(config) as session:
+            for text in ("p", "q", "p -> r", "!s", "t"):
+                session.observe(text, 0.99, "sensor")
+        return path
+
+    @pytest.mark.parametrize("tamper", sorted(LINE_TAMPERS))
+    def test_a_respelled_line_is_corrupt(self, store, tmp_path, tamper, capsys):
+        path = tmp_path / "chain.vlog"
+        lines = store.read_bytes().split(b"\n")
+        assert lines[3].startswith(b"3\x1f3\x1finsert\x1f")
+        lines[3] = LINE_TAMPERS[tamper](lines[3])
+        path.write_bytes(b"\n".join(lines))
+        nodes = store.with_suffix(".nodes")
+        (tmp_path / nodes.name).write_bytes(nodes.read_bytes())
+        argv = ["--set", f"ledger_path={path}", "--set", "fixed_clock=true"]
+        assert main([*argv, "ledger", "verify"]) == 4
+        assert capsys.readouterr() == ("corrupt\t3\n", "")
+        assert main([*argv, "query", "p"]) == 4
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error\tledger\tledger corrupt at block 3\n"
 
 
 @pytest.fixture
@@ -616,6 +685,46 @@ class TestReplayScale:
         half, full = replayed_live_bytes(500), replayed_live_bytes(1000)
         assert full < 2.4 * half
         assert full < 3_000_000
+
+
+class TestColdLoad:
+    """Opening a store reads each node's conclusion once: one parse, at
+    most one walk of the tree to render it, one compile."""
+
+    def test_each_conclusion_renders_and_compiles_once(
+        self, tmp_path, monkeypatch
+    ):
+        path = tmp_path / "store.vlog"
+        texts = [f"S{i}" for i in range(8)]
+        texts += [f"S{i} -> S{(3 * i + 1) % 8}" for i in range(8)]
+        texts += [f"(S{i} & S{i + 1}) | !T{i}" for i in range(6)]
+        config = EngineConfig(ledger_path=str(path), fixed_clock=True)
+        with Session(config) as session:
+            for text in texts:
+                session.observe(text, 0.97, "sensor")
+            expected = export(session.base)
+
+        walks, compiles = [], []
+        render, clausify = syntax._render, sat._clausify
+
+        def spy_render(formula):
+            walks.append(formula)
+            return render(formula)
+
+        def spy_clausify(formula):
+            compiles.append(formula)
+            return clausify(formula)
+
+        monkeypatch.setattr(syntax, "_render", spy_render)
+        monkeypatch.setattr(sat, "_clausify", spy_clausify)
+        with Session(config) as session:
+            assert export(session.base) == expected
+            conclusions = [node.conclusion for node in session.graph.all_nodes()]
+        assert len({render_canonical(c) for c in conclusions}) == len(texts)
+        for conclusion in conclusions:
+            assert sum(f is conclusion for f in compiles) == 1
+            walked = sum(f is conclusion for f in walks)
+            assert walked == (0 if isinstance(conclusion, Atom) else 1)
 
 
 class TestMerkle:

@@ -18,6 +18,8 @@ from oracles import (
     pair_disjunction,
     random_cnf,
     random_formula,
+    reference_parse,
+    reference_parse_atom,
     tt_entails,
     tt_eval,
     tt_models,
@@ -215,6 +217,106 @@ class TestCanonicalRoundTrip:
         left = And(And(Atom("a"), Atom("b")), Atom("c"))
         right = And(Atom("a"), And(Atom("b"), Atom("c")))
         assert render_canonical(left) != render_canonical(right)
+
+
+# Separators the scanner must skip: \s treats the Unicode ones as
+# whitespace too.
+_SPACES = ["", " ", "  ", "\t", "\n", "\u00a0", "\u2003"]
+# Operator and binding power of each connective, as the grammar gives
+# them; only -> groups to the right.
+_SPELLED = {Iff: ("<->", 1), Implies: ("->", 2), Or: ("|", 3), And: ("&", 4)}
+
+
+def spell(formula: Formula, rng: random.Random) -> str:
+    """Surface text of formula with random spacing, parenthesised only
+    where the grammar needs it or where a coin says so."""
+
+    def gap() -> str:
+        return rng.choice(_SPACES)
+
+    def wrap(text: str, needed: bool) -> str:
+        if needed or rng.random() < 0.2:
+            return f"({gap()}{text}{gap()})"
+        return text
+
+    def walk(f: Formula) -> tuple[str, int]:
+        """The text of f and the binding power it ends up with."""
+        if isinstance(f, Atom):
+            if not f.args:
+                return f.predicate, 9
+            args = f",{gap()}".join(f.args)
+            return f"{f.predicate}{gap()}({gap()}{args}{gap()})", 9
+        if isinstance(f, Not):
+            inner, power = walk(f.operand)
+            return f"!{gap()}{wrap(inner, power < 5)}", 5
+        op, power = _SPELLED[type(f)]
+        left, left_power = walk(f.left)
+        right, right_power = walk(f.right)
+        to_right = op == "->"
+        left = wrap(left, left_power < power or (left_power == power and to_right))
+        right = wrap(right, right_power < power or (right_power == power and not to_right))
+        return f"{left}{gap()}{op}{gap()}{right}", power
+
+    return gap() + walk(formula)[0] + gap()
+
+
+def outcome(parser, text: str):
+    """The tree parser makes of text, or its error's message, offset and
+    expected kinds."""
+    try:
+        return parser(text)
+    except ParseError as err:
+        return (str(err), err.offset, err.expected)
+
+
+_SOUP = st.lists(
+    st.sampled_from(
+        [
+            "p", "Q", "At", "a1", "x_y", "7", "0a", "<", "-", ">", "<-", "->",
+            "<->", "!", "&", "|", "(", ")", ",", "é", "λx", "Ab\u00df",
+            "@", ";", *_SPACES,
+        ]
+    ),
+    max_size=14,
+).map("".join)
+
+
+class TestParserParity:
+    """The operator-precedence parser against the recursive-descent one
+    it replaced, kept in oracles as reference_parse."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(formulas, st.randoms(use_true_random=False))
+    def test_spelled_formulas_give_equal_trees(self, f, rng):
+        text = spell(f, rng)
+        assert parse(text) == reference_parse(text) == f
+
+    @settings(max_examples=600, deadline=None)
+    @given(_SOUP)
+    def test_token_soup_gives_equal_trees_or_errors(self, text):
+        assert outcome(parse, text) == outcome(reference_parse, text)
+        assert outcome(parse_atom, text) == outcome(reference_parse_atom, text)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "p\u00a0&\u2003q",
+            "\u2003At(\u00a0a ,b)",
+            "p - > q",
+            "p <- q",
+            "p <-",
+            "a & é",
+            "é & (",
+            "(p & q",
+            "a b @",
+            "P(a b",
+            "!!(p)",
+            "p -> q -> r <-> s | t & u",
+        ],
+    )
+    def test_edge_spellings_agree(self, text):
+        assert outcome(parse, text) == outcome(reference_parse, text)
+        assert outcome(parse_atom, text) == outcome(reference_parse_atom, text)
 
 
 class TestSatisfiability:
