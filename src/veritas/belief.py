@@ -728,7 +728,7 @@ def epistemic_risk(
 ) -> RiskAssessment:
     """Risk of admitting a belief: 1 - probability * decay ** depth."""
     probability = entry.probability if isinstance(entry, BeliefEntry) else entry
-    risk = 1.0 - probability * decay**depth
+    risk = _risk(probability, depth, decay)
     return RiskAssessment(
         risk=risk,
         admitted=risk <= tau_risk,
@@ -742,10 +742,18 @@ def assertion_gate(
     depth: int,
     config: EngineConfig,
 ) -> bool:
-    """Both gates at once: the theta floor and the risk ceiling."""
+    """Both gates at once: the theta floor and the risk ceiling.
+
+    The ceiling is epistemic_risk's admitted, without building its
+    assessment.
+    """
     if probability < config.theta:
         return False
-    return epistemic_risk(probability, depth, config.decay, config.tau_risk).admitted
+    return _risk(probability, depth, config.decay) <= config.tau_risk
+
+
+def _risk(probability: float, depth: int, decay: float) -> float:
+    return 1.0 - probability * decay**depth
 
 
 def epoch_diff(

@@ -11,13 +11,15 @@ ask whether the digest is anchored, and the entailment checker.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from itertools import islice
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .belief import Provenance
 from .hashing import sha256
-from .logic import Formula, entails, parse, render_canonical
+from .logic import Formula, ResourceLimitError, entails, parse, render_canonical
+from .logic.parser import NestingLimitError
 
 DEFAULT_SOURCE_RELIABILITY = 0.5
 
@@ -344,19 +346,68 @@ _NODE_FIELDS = (
     ("confidence", (int, float)),
 )
 
+# A line as node_to_json spells it: keys sorted, its separators, strings
+# without escapes, and numbers whose whole part has at most 18 digits
+# (so int() here never meets the interpreter's digit limit).  Such a
+# line is decoded and type-checked by this one match; any other line
+# goes through json and _checked_fields.
+_CHARS = r'[^"\\\x00-\x1f]*'
+_STRING = r'"(' + _CHARS + r')"'
+_NODE_LINE_RE = re.compile(
+    r'\{"conclusion": ' + _STRING
+    + r', "confidence": (-?(?:0|[1-9][0-9]{0,17}))((?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?)'
+    + r', "id": ' + _STRING
+    + r', "premises": \[((?:"' + _CHARS + r'"(?:, "' + _CHARS + r'")*)?)\]'
+    + r', "rule": ' + _STRING
+    + r', "source": ' + _STRING
+    + r', "timestamp": (-?(?:0|[1-9][0-9]{0,17}))\}\n?'
+)
+
 
 def node_from_json(
     line: str, conclusions: dict[str, Formula] | None = None
 ) -> JustificationNode:
     """The node a node_to_json line holds; ValueError if it holds none.
 
+    A line spelt as node_to_json writes it is decoded and type-checked
+    by one regex match; any other is read by json, with the same result.
     Bad JSON, a missing or mistyped field and a conclusion that does
     not parse all raise ValueError.  The id is not checked against the
     content here: JustificationGraph.add_node does that.  Given a
     conclusions map from text to parsed formula, a text parsed before
     reuses that formula, and a new one is parsed and added to it.
     """
-    obj = json.loads(line)
+    match = _NODE_LINE_RE.fullmatch(line)
+    if match is None:
+        node_id, text, rule, premises, source, timestamp, confidence = (
+            _checked_fields(json.loads(line))
+        )
+    else:
+        text, whole, part, node_id, listed, rule, source, stamp = match.groups()
+        # As json decodes a number: an int unless it has a fraction or
+        # an exponent.
+        confidence = float(whole + part) if part else int(whole)
+        premises = listed[1:-1].split('", "') if listed else ()
+        timestamp = int(stamp)
+    if conclusions is None:
+        conclusions = {}
+    conclusion = conclusions.get(text)
+    if conclusion is None:
+        conclusion = conclusions[text] = parse(text)
+    return JustificationNode(
+        node_id=node_id,
+        conclusion=conclusion,
+        rule=rule,
+        premises=tuple(premises),
+        provenance=Provenance(
+            source=source, timestamp=timestamp, confidence=confidence
+        ),
+    )
+
+
+def _checked_fields(obj: object) -> list:
+    """The node fields of a decoded line, in _NODE_FIELDS order; the
+    first one missing or of the wrong type raises ValueError."""
     if not isinstance(obj, dict):
         raise ValueError("node is not a JSON object")
     for name, kind in _NODE_FIELDS:
@@ -366,22 +417,7 @@ def node_from_json(
             raise ValueError(f"node field {name!r} has the wrong type")
     if not all(isinstance(premise, str) for premise in obj["premises"]):
         raise ValueError("node field 'premises' has the wrong type")
-    if conclusions is None:
-        conclusions = {}
-    text = obj["conclusion"]
-    if text not in conclusions:
-        conclusions[text] = parse(text)
-    return JustificationNode(
-        node_id=obj["id"],
-        conclusion=conclusions[text],
-        rule=obj["rule"],
-        premises=tuple(obj["premises"]),
-        provenance=Provenance(
-            source=obj["source"],
-            timestamp=obj["timestamp"],
-            confidence=obj["confidence"],
-        ),
-    )
+    return [obj[name] for name, _ in _NODE_FIELDS]
 
 
 def load_graph(lines: Iterable[str]) -> JustificationGraph:
@@ -389,7 +425,9 @@ def load_graph(lines: Iterable[str]) -> JustificationGraph:
 
     ValueError names the first line that holds no valid node: bad JSON,
     a missing or mistyped field, an id that does not match the content,
-    an unknown premise or an unsound step.  Nodes with the same
+    an unknown premise or an unsound step.  A conclusion nested deeper
+    than the parser's limit is not damage, so ResourceLimitError names
+    its line instead.  Nodes with the same
     conclusion text share one parsed formula, so replay compiles each
     distinct formula once.
     """
@@ -404,6 +442,8 @@ def load_graph(lines: Iterable[str]) -> JustificationGraph:
                 graph.add_node(node)
         except UnknownPremiseError as err:
             raise ValueError(f"node store line {number}: unknown premise {err}") from None
+        except NestingLimitError as err:
+            raise ResourceLimitError(f"node store line {number}: {err}") from None
         except ValueError as err:
             raise ValueError(f"node store line {number}: {err}") from None
     return graph

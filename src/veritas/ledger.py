@@ -7,14 +7,16 @@ hashed serialization, a unit separator, the block hash in hex, and a
 newline.  A line is read back only when it is exactly that, byte for
 byte: a line whose fields would parse to the same block but are spelt
 otherwise (a zero-padded index, uppercase hex) is corrupt, since its
-bytes are not what was hashed.  Replaying the ledger through the
-belief module with the same configuration reconstructs the live base
-exactly, because commit is the one way to change a base: it folds the
-next block as apply_block does and appends it only once that fold has
-succeeded.  A batch writes the lines of the blocks appended inside it
-with one write and one fsync.  Ledger._write runs the before_write
-hook, a NodeStore's write, before any block line, so a node is stored
-before a block names it.
+bytes are not what was hashed.  Opening a file hashes each line once,
+over the bytes it was read from, and checks its index and link as it
+goes, so a chain read intact needs no second pass.  Replaying the
+ledger through the belief module with the same configuration
+reconstructs the live base exactly, because commit is the one way to
+change a base: it folds the next block as apply_block does and appends
+it only once that fold has succeeded.  A batch writes the lines of the
+blocks appended inside it with one write and one fsync.  Ledger._write
+runs the before_write hook, a NodeStore's write, before any block line,
+so a node is stored before a block names it.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import enum
 import os
 import re
 from binascii import unhexlify
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
@@ -43,7 +45,9 @@ from .belief import (
 from .config import EngineConfig
 from .hashing import sha256
 from .justify import JustificationGraph, JustificationNode, load_graph, node_to_json
-from .logic import parse
+from .logic import Formula, ResourceLimitError, parse, render_canonical
+from .logic.parser import NestingLimitError
+from .logic.sat import EMPTY_WITNESS
 
 ZERO_HASH = b"\x00" * 32
 LEDGER_SUFFIX = ".vlog"
@@ -113,9 +117,14 @@ def block_hash(
     justification_digest: bytes,
     h_prev: bytes,
 ) -> bytes:
-    return sha256(
+    return payload_hash(
         block_payload(index, timestamp, op, formula, justification_digest, h_prev)
-    ).digest()
+    )
+
+
+def payload_hash(payload: bytes) -> bytes:
+    """The block hash of a payload: every block hash is computed here."""
+    return sha256(payload).digest()
 
 
 def block_line(block: Block) -> bytes:
@@ -170,15 +179,21 @@ def _parse_line(raw: bytes) -> Block | None:
     )
 
 
+# A line is its payload, the separator and 64 hex digits of hash.
+_HASH_SUFFIX = len(_FIELD_SEP) + 64
+
+
 class Ledger:
     """Blocks in memory, mirrored to a .vlog file when a path is given.
 
-    Each block is hashed once per ledger: ``next_block`` hashes it and
-    ``append_block``, the one method that adds blocks, does not.
-    ``verify_chain`` re-hashes the whole chain and, when it is intact,
-    records it as the verified prefix; ``ensure_verified`` accepts a
-    chain equal to that prefix without hashing it again.  before_write,
-    when given, runs each time block lines are about to be written.
+    Each block is hashed once per ledger: ``_load`` hashes each line it
+    reads, ``next_block`` hashes each new block and ``append_block``,
+    the one method that adds blocks, does not.  A chain read intact, or
+    begun empty, is the verified prefix; ``verify_chain`` re-hashes the
+    whole chain and, when it is intact, records it as that prefix.
+    ``ensure_verified`` accepts a chain equal to the prefix without
+    hashing it again.  before_write, when given, runs each time block
+    lines are about to be written.
     """
 
     def __init__(
@@ -189,31 +204,54 @@ class Ledger:
         self.path = Path(path) if path is not None else None
         self.before_write = before_write
         self._blocks: list[Block] = []
-        # The verified prefix, None until a verification succeeds.
-        # ensure_verified compares it with _blocks by list equality, which
-        # hashes nothing, so an in-memory edit is still caught.
+        # The verified prefix: the chain as read, if it verified, else
+        # None until verify_chain succeeds.  ensure_verified compares it
+        # with _blocks by list equality, which hashes nothing, so an
+        # in-memory edit is still caught.
         self._verified: list[Block] | None = None
         self._digests: set[bytes] = set()
         self._corrupt_at: int | None = None
         # Lines of the blocks appended inside a batch, not yet written.
         self._pending: list[bytes] | None = None
+        intact = True
         if self.path is not None and self.path.exists():
-            self._load()
+            intact = self._load()
+        if intact:
+            self._verified = list(self._blocks)
 
-    def _load(self) -> None:
+    def _load(self) -> bool:
+        """Read the file's blocks up to the first unreadable line, and
+        tell whether the chain read is intact.
+
+        Each block is checked as it is read, as verify_chain would check
+        it, until one fails: its index, its link to the block before and
+        its hash.  The hash is taken over the bytes of its line, which
+        _LINE_RE admits only as block_payload gives them, so no payload
+        is rebuilt.
+        """
         assert self.path is not None
         lines = self.path.read_bytes().split(b"\n")
         # Only the piece after the final newline may be empty; an empty
         # line anywhere else is a corrupt block.
         if not lines[-1]:
             lines.pop()
+        blocks = self._blocks
+        intact = True
+        previous = ZERO_HASH
         for raw in lines:
             block = _parse_line(raw)
             if block is None:
-                self._corrupt_at = len(self._blocks)
-                return
-            self._blocks.append(block)
+                self._corrupt_at = len(blocks)
+                return False
+            intact = intact and (
+                block.index == len(blocks)
+                and block.h_prev == previous
+                and payload_hash(raw[:-_HASH_SUFFIX]) == block.h
+            )
+            previous = block.h
+            blocks.append(block)
             self._digests.add(block.justification_digest)
+        return intact
 
     def __len__(self) -> int:
         return len(self._blocks)
@@ -451,11 +489,11 @@ def apply_block(
             )
         return _fold_node(base, node, config, graph, block.formula)[0]
     if block.op == Op.CONTRACT:
-        return contract(base, parse(block.formula))
+        return contract(base, _stored_formula(block))
     if block.op == Op.RECOVERY:
         if not block.formula:
             return base
-        formula = parse(block.formula)
+        formula = _stored_formula(block)
         if block.justification_digest == ZERO_HASH:
             return retract_entry(base, formula, "recovery")
         node = graph.get(block.justification_digest.hex())
@@ -483,6 +521,16 @@ def apply_block(
     return base
 
 
+def _stored_formula(block: Block) -> Formula:
+    """The formula a block names.  One nested deeper than the parser's
+    limit is not bad input but a limit of this reader, so it raises
+    ResourceLimitError, as a node store line does."""
+    try:
+        return parse(block.formula)
+    except NestingLimitError as err:
+        raise ResourceLimitError(f"block {block.index}: {err}") from None
+
+
 def _fold_node(
     base: BeliefBase,
     node: JustificationNode,
@@ -498,17 +546,18 @@ def _fold_node(
     graph.  The node holds its formula parsed, and compiled once it has
     been checked; key, a block's formula, is parsed only if it differs.
     """
+    formula = node.conclusion
+    if key is not None and render_canonical(formula) != key:
+        formula = parse(key)
     probability = node.provenance.confidence
     entry = BeliefEntry(
-        formula=node.conclusion,
+        formula=formula,
         probability=probability,
         provenance=node.provenance,
         status=status_for(node.rule, probability),
         justification=node.node_id,
         assertable=assertion_gate(probability, graph.depth_of(node), config),
     )
-    if key is not None and entry.key != key:
-        entry = replace(entry, formula=parse(key))
     folded, route = update_belief_state(base, entry, theta=config.theta)
     return folded, route, entry.key
 
@@ -554,7 +603,8 @@ def replay(
 ) -> BeliefBase:
     """Rebuild the belief base from blocks 0..upto (inclusive)."""
     ledger.ensure_verified()
-    base = initial if initial is not None else BeliefBase()
+    # No formulas are a consistent set, witnessed by no literals.
+    base = initial if initial is not None else BeliefBase(witness=EMPTY_WITNESS)
     for block in ledger.blocks:
         if upto is not None and block.index > upto:
             break

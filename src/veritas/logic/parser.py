@@ -23,8 +23,15 @@ formula parse returns is a new instance, so the compiled form sat keeps
 on it never outlives the parse: a bare atom comes back as a fresh copy
 of its shared one.
 
+A formula may nest at most MAX_DEPTH connectives deep: every "!" and
+every binary operator on the path from the root to an atom counts, and
+parentheses do not.  parse refuses a deeper one with NestingLimitError,
+a ParseError, so no recursive walk over a parsed formula (rendering,
+atoms, clauses, evaluation, equality) can exhaust the interpreter's
+stack.
+
 ``parse(render_canonical(f))`` returns a formula structurally equal to
-``f`` for every formula ``f``.
+``f`` for every formula ``f`` that nests at most MAX_DEPTH deep.
 """
 
 from __future__ import annotations
@@ -53,6 +60,21 @@ _NEGATION = -1
 
 _FORMULA_START = frozenset({"NOT", "LPAREN", "IDENT"})
 
+# The deepest nesting parse accepts; see the module docstring.  A
+# recursive walk over a formula takes stack per connective: one frame
+# for syntax._render, syntax._iter_atoms, syntax.evaluate and sat._cnf,
+# two for the dataclass __hash__, and three for its __eq__ and __repr__
+# on Python 3.10 and 3.11, against a default recursion limit of 1000
+# frames; on 3.12 __eq__ stops at 373 connectives wherever it starts, at
+# the interpreter's C recursion limit.  The command line enters these
+# walks at most 23 frames deep and the test suite at most 89, and
+# 3 * 256 = 768 frames fit below 1000 for a walk entered up to 229 deep.
+# Versions without the limit replayed up to 977 connectives from the
+# command line, where the recursion limit stopped sat._cnf; a ledger
+# holding a formula nested deeper than 256 now reads as reaching a
+# limit, not as damaged.
+MAX_DEPTH = 256
+
 # Canonical atom text -> the one shared instance of that atom.
 _ATOMS: dict[str, Atom] = {}
 
@@ -64,6 +86,10 @@ class ParseError(ValueError):
         super().__init__(f"{message} at offset {offset}")
         self.offset = offset
         self.expected = expected
+
+
+class NestingLimitError(ParseError):
+    """A formula nested deeper than MAX_DEPTH."""
 
 
 class _Stuck(Exception):
@@ -180,6 +206,23 @@ def _end(tokens: list[str], index: int) -> None:
         raise _Stuck(index, "EOF", frozenset({"EOF"}))
 
 
+def _depth(formula: Formula) -> int:
+    """The connectives on the longest path from the root to an atom."""
+    deepest = 0
+    stack = [(formula, 0)]
+    while stack:
+        node, depth = stack.pop()
+        kind = type(node)
+        if kind is Atom:
+            deepest = max(deepest, depth)
+        elif kind is Not:
+            stack.append((node.operand, depth + 1))
+        else:
+            stack.append((node.left, depth + 1))
+            stack.append((node.right, depth + 1))
+    return deepest
+
+
 def _fresh(atom: Atom) -> Atom:
     """A new instance equal to a shared atom, with its kept text; the
     shared one was validated when it joined the table."""
@@ -192,7 +235,9 @@ def parse(text: str) -> Formula:
     """Parse surface syntax into a formula tree.
 
     Raises ParseError with the byte offset of the first offending token
-    and the set of token kinds that would have been accepted there.
+    and the set of token kinds that would have been accepted there; a
+    formula nested deeper than MAX_DEPTH raises NestingLimitError, at
+    offset 0 and expecting nothing.
     """
     atom = _ATOMS.get(text)
     if atom is not None:
@@ -203,6 +248,12 @@ def parse(text: str) -> Formula:
         _end(tokens, index)
     except _Stuck as stuck:
         raise _error(text, tokens, stuck) from None
+    # Each connective is a token of its own, so a formula of fewer tokens
+    # cannot nest too deep.
+    if len(tokens) > MAX_DEPTH and _depth(formula) > MAX_DEPTH:
+        raise NestingLimitError(
+            f"formula nests deeper than {MAX_DEPTH}", 0, frozenset()
+        )
     return _fresh(formula) if type(formula) is Atom else formula
 
 

@@ -1,31 +1,36 @@
 """Satisfiability and entailment over sets of ground formulas.
 
-The main path clausifies each formula by direct distribution (no
-auxiliary variables, so models stay over the original atoms) and runs
-an iterative DPLL solver over the joined clauses: unit propagation
-over two watched literals per clause, a trail that backtracking undoes,
-and branching on the smallest unassigned atom id, true first.  If
-distribution blows past a clause budget the check falls back to truth
-table enumeration, which is only viable for small atom counts.
+The main path clausifies each formula (no auxiliary variables, so
+models stay over the original atoms) and runs an iterative DPLL solver
+over the joined clauses: unit propagation over two watched literals per
+clause, a trail that backtracking undoes, and branching on the smallest
+unassigned atom id, true first.  If distribution blows past a clause
+budget the check falls back to truth table enumeration, which is only
+viable for small atom counts.
 
 Each formula instance is compiled once, on its first check, into its
 atom set, its non-tautological clauses (or an over-budget marker) and
 its canonical rendering, and the result is kept on that instance; a
-check joins the compiled clauses of its formulas.  The negation that
-entails tests is compiled once per goal instance too.  Clause literals
-are integers from one process-wide atom table.  A re-parsed compound
-formula is a new instance and compiles afresh; the parser shares atom
-instances between formulas, but hands out every bare atom it returns
-as a fresh one, so that compiles afresh too.
+check joins the compiled clauses of its formulas.  Compilation goes by
+shape: a literal, or one of & | -> <-> over two literals, gets its
+clauses straight from the walk that finds its atoms, and any other
+formula is clausified by direct distribution.  Both give the same atom
+ids and the same clauses in the same order; new atoms get their ids in
+sorted order per formula.  The negation that entails tests is compiled
+once per goal instance too.  Clause literals are integers from one
+process-wide atom table.  A re-parsed compound formula is a new
+instance and compiles afresh; the parser shares atom instances between
+formulas, but hands out every bare atom it returns as a fresh one, so
+that compiles afresh too.
 
 Verdicts are not cached, but a satisfiable DPLL check can hand a model
 back as a Witness: one true literal picked from each clause, with the
 query's atom ids and clause count.  Atoms no pick names stay free.
 extend_witness tests one more formula against a witness by checking
-its clauses and setting free atoms; when that cannot decide, or a
-limit may be reached, it returns None and the caller runs the full
-check, which raises where a limit is reached.  A truth-table verdict
-yields no witness.
+its clauses and setting free atoms, true where it can; when that
+cannot decide, or a limit may be reached, it returns None and the
+caller runs the full check, which raises where a limit is reached.  A
+truth-table verdict yields no witness.
 
 preferred_conflict finds the minimal subset that a deletion loop over
 a preference order keeps, asking its caller's test (built from entails
@@ -155,7 +160,10 @@ def extend_witness(witness: Witness, formula: Formula) -> Witness | None:
     """A witness for the witnessed set plus formula, or None if undecided.
 
     Each clause of the formula that the witness leaves unsatisfied gets
-    one of its free literals set true.  None means no such literal was
+    one of its free literals set true: its smallest positive one, if it
+    has any, else the one of smallest atom id.  Observations are mostly
+    atoms and rules over them, so setting atoms true leaves the later
+    ones room to extend the witness too.  None means no such literal was
     left, or the joined query might reach is_consistent's default limits
     or need the truth table; is_consistent then decides, and raises
     where it must.
@@ -173,7 +181,8 @@ def extend_witness(witness: Witness, formula: Formula) -> Witness | None:
             free = [lit for lit in clause if -lit not in literals]
             if not free:
                 return None
-            literals = literals | {min(free, key=abs)}
+            positive = [lit for lit in free if lit > 0]
+            literals = literals | {min(positive) if positive else max(free)}
     return Witness(literals, atom_ids, clause_count)
 
 
@@ -245,29 +254,86 @@ def _has_complementary_pair(
 
     Compares canonical keys: (! f) renders as "(! " + key(f) + ")".
     """
+    negated = [
+        item.key[3:-1]
+        for formula, item in zip(formulas, compiled)
+        if isinstance(formula, Not)
+    ]
+    if not negated:
+        return False
     seen = {item.key for item in compiled}
-    for formula, item in zip(formulas, compiled):
-        if isinstance(formula, Not) and item.key[3:-1] in seen:
-            return True
-    return False
+    return any(key in seen for key in negated)
 
 
 def _compiled(formula: Formula) -> _Compiled:
     """The formula's atoms, clauses and key, compiled on first use and kept on it."""
     compiled = formula.__dict__.get("_sat")
     if compiled is None:
-        atoms = atoms_of(formula)
-        known = [_ATOM_IDS.get(atom) for atom in atoms]
-        if None in known:
-            # Ids are handed out in sorted atom order, not set order, so
-            # they and the models DPLL finds repeat under every hash seed.
-            known = [_ATOM_IDS[atom] for atom in sorted(atoms, key=_atom_key)]
-        atom_ids = frozenset(known)
-        compiled = _Compiled(
-            atom_ids, _clausify(formula), render_canonical(formula)
-        )
+        compiled = _compile(formula)
         object.__setattr__(formula, "_sat", compiled)
     return compiled
+
+
+def _compile(formula: Formula) -> _Compiled:
+    """The formula's atom ids, clauses and key, by its shape.
+
+    A literal, or a binary connective over two literals, takes its
+    clauses from the literals it is made of: what distribution gives,
+    less tautologies, in the same order.  Any other formula is
+    clausified by distribution.
+    """
+    key = render_canonical(formula)
+    kind = type(formula)
+    if kind in _BINARY:
+        left = _literal(formula.left)  # type: ignore[attr-defined]
+        right = _literal(formula.right)  # type: ignore[attr-defined]
+        if left and right:
+            (x, sign_x), (y, sign_y) = left, right
+            a, b = _ids([x, y])
+            atom_ids = frozenset((a, b))
+            a, b = sign_x * a, sign_y * b
+            # A clause that holds a literal and its negation is dropped.
+            if kind is And:
+                clauses = (frozenset((a,)), frozenset((b,)))
+            elif kind is Iff:
+                clauses = (frozenset((-a, b)), frozenset((-b, a))) if a != b else ()
+            else:
+                if kind is Implies:
+                    a = -a
+                clauses = (frozenset((a, b)),) if a != -b else ()
+            return _Compiled(atom_ids, clauses, key)
+    else:
+        literal = _literal(formula)
+        if literal:
+            atom, sign = literal
+            ident = _ATOM_IDS[atom]
+            return _Compiled(frozenset((ident,)), (frozenset((sign * ident,)),), key)
+    atom_ids = frozenset(_ids(list(atoms_of(formula))))
+    return _Compiled(atom_ids, _clausify(formula), key)
+
+
+_BINARY = frozenset({And, Or, Implies, Iff})
+
+
+def _literal(formula: Formula) -> tuple[Atom, int] | None:
+    """(atom, 1) for an atom, (atom, -1) for a negated one, else None."""
+    kind = type(formula)
+    if kind is Atom:
+        return formula, 1  # type: ignore[return-value]
+    if kind is Not and type(formula.operand) is Atom:  # type: ignore[attr-defined]
+        return formula.operand, -1  # type: ignore[attr-defined]
+    return None
+
+
+def _ids(atoms: list[Atom]) -> list[int]:
+    """Each atom's id.  New atoms get theirs in sorted atom order, not
+    set order, so ids and the models DPLL finds repeat under every hash
+    seed."""
+    ids = [_ATOM_IDS.get(atom) for atom in atoms]
+    if None in ids:
+        given = {atom: _ATOM_IDS[atom] for atom in sorted(set(atoms), key=_atom_key)}
+        ids = [given[atom] for atom in atoms]
+    return ids  # type: ignore[return-value]
 
 
 def _negation(formula: Formula) -> Not:

@@ -16,11 +16,15 @@ and reference_world_state and reference_is_safe read the whole base.
 reference_parse and reference_parse_atom are the recursive-descent
 parser that the operator-precedence one replaced, a descent function
 per grammar level over a token list with a separate whitespace token.
+reference_compile is the one distributing walk that compiled every
+formula before sat compiled by shape, and reference_first_bad_block
+checks a ledger file's bytes field by field with hashlib.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import math
 import random
 import re
@@ -214,6 +218,101 @@ def _nnf_clauses(formula: Formula) -> list[frozenset[int]]:
     if len(left) * len(right) > sat._CLAUSE_BUDGET:
         raise sat._ClauseBudgetExceeded
     return [a | b for a in left for b in right]
+
+
+def reference_compile(formula: Formula) -> sat._Compiled:
+    """What sat compiled every formula into before it compiled by shape:
+    the atoms' ids, handed out in sorted atom order, the clauses of one
+    distributing walk less tautologies (None past the clause budget),
+    and the canonical key.  Ids come from sat._ATOM_IDS as it is at the
+    call, so a test may swap in a fresh table."""
+    atoms = sorted(atoms_of(formula), key=lambda a: (a.predicate, a.args))
+    atom_ids = frozenset(sat._ATOM_IDS[atom] for atom in atoms)
+    try:
+        clauses = tuple(
+            clause
+            for clause in _reference_cnf(formula, True)
+            if not any(-lit in clause for lit in clause)
+        )
+    except sat._ClauseBudgetExceeded:
+        clauses = None
+    if clauses is not None and len(clauses) > sat._CLAUSE_BUDGET:
+        clauses = None
+    return sat._Compiled(atom_ids, clauses, render_canonical(formula))
+
+
+def _reference_cnf(formula: Formula, positive: bool) -> list[frozenset[int]]:
+    """Clauses of formula, or of its negation when positive is False,
+    each subformula walked once per polarity."""
+    if isinstance(formula, Atom):
+        literal = sat._ATOM_IDS[formula]
+        return [frozenset({literal if positive else -literal})]
+    if isinstance(formula, Not):
+        return _reference_cnf(formula.operand, not positive)
+    if isinstance(formula, Iff):
+        left, right = formula.left, formula.right
+        if positive:
+            first = _reference_or(_reference_cnf(left, False), _reference_cnf(right, True))
+            return first + _reference_or(_reference_cnf(right, False), _reference_cnf(left, True))
+        return _reference_or(
+            _reference_cnf(left, True) + _reference_cnf(right, False),
+            _reference_cnf(right, True) + _reference_cnf(left, False),
+        )
+    if isinstance(formula, Implies):
+        left = _reference_cnf(formula.left, not positive)
+        conjunction = not positive
+    else:
+        left = _reference_cnf(formula.left, positive)
+        conjunction = isinstance(formula, And) == positive
+    right = _reference_cnf(formula.right, positive)
+    return left + right if conjunction else _reference_or(left, right)
+
+
+def _reference_or(left, right):
+    if len(left) * len(right) > sat._CLAUSE_BUDGET:
+        raise sat._ClauseBudgetExceeded
+    return [a | b for a in left for b in right]
+
+
+def reference_first_bad_block(data: bytes) -> int | None:
+    """The index ledger verify names for a .vlog file's bytes, or None.
+
+    Each line must split on 0x1F into index, timestamp, op, formula,
+    justification digest, previous hash and hash, each spelt exactly as
+    a block line spells it; the hash must be the SHA-256 of the line up
+    to its last separator, and each block must name its position and
+    the previous block's hash.  Only the final newline may end an empty
+    piece.  Hashing is hashlib's, not the ledger's.
+    """
+    ops = {"insert", "contract", "revise", "recovery", "trace-seal", "meta"}
+    lines = data.split(b"\n")
+    if not lines[-1]:
+        lines.pop()
+    previous = "0" * 64
+    for position, raw in enumerate(lines):
+        fields = raw.split(b"\x1f")
+        try:
+            text = [field.decode() for field in fields]
+        except UnicodeDecodeError:
+            return position
+        if len(text) != 7:
+            return position
+        index, timestamp, op, _formula, digest, h_prev, h = text
+        numbers_ok = all(
+            n.isascii() and n.isdigit() and str(int(n)) == n for n in (index, timestamp)
+        )
+        hexes_ok = all(
+            len(x) == 64 and all(c in "0123456789abcdef" for c in x)
+            for x in (digest, h_prev, h)
+        )
+        if not (numbers_ok and hexes_ok and op in ops):
+            return position
+        if int(index) != position or h_prev != previous:
+            return position
+        if hashlib.sha256(raw[: raw.rindex(b"\x1f")]).hexdigest() != h:
+            return position
+        previous = h
+    return None
 
 
 def bfs_plan(domain, max_depth: int):

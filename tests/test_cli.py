@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
+import hashlib
+import io
 import json
 import os
 import subprocess
@@ -11,6 +14,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from oracles import reference_first_bad_block
 
 import veritas
 import veritas.cli
@@ -23,8 +27,9 @@ from veritas.config import EngineConfig, load_config
 from veritas.belief import Provenance
 from veritas.engine import Session
 from veritas.justify import node_digest
-from veritas.ledger import Ledger, Op
+from veritas.ledger import Ledger, LedgerCorruptionError, Op
 from veritas.logic import parse
+from veritas.logic.parser import MAX_DEPTH
 
 DOMAINS = Path(__file__).parent / "domains"
 
@@ -57,6 +62,43 @@ class TestObserveAndQuery:
         code, _, err = cli("observe", "p -> ", "--p", "0.9")
         assert code == 2
         assert err.startswith("error\tparse\t")
+
+    def test_formula_nested_past_the_limit_is_a_parse_error(self, cli, tmp_path):
+        """3,000 "!" before an atom: exit 2, one error line, no file
+        written, whether or not a ledger exists."""
+        deep = "!" * 3000 + "p"
+        want = f"error\tparse\tformula nests deeper than {MAX_DEPTH} at offset 0\n"
+        assert cli("observe", deep, "--p", "0.9") == (2, "", want)
+        assert not (tmp_path / "veritas.vlog").exists()
+        assert not (tmp_path / "veritas.nodes").exists()
+        cli("observe", "p", "--p", "0.99")
+        files = [(tmp_path / name).read_bytes() for name in ("veritas.vlog", "veritas.nodes")]
+        assert cli("observe", deep, "--p", "0.9") == (2, "", want)
+        assert cli("query", deep) == (2, "", want)
+        assert [(tmp_path / name).read_bytes() for name in ("veritas.vlog", "veritas.nodes")] == files
+
+    def test_stored_formula_past_the_limit_reaches_a_limit(
+        self, cli, tmp_path, monkeypatch
+    ):
+        """A ledger written without the limit (as earlier versions did)
+        that holds a formula nested deeper than MAX_DEPTH is intact, not
+        damaged: ledger verify passes, and a command that reads the
+        formula back exits 7 with one limit line, not 4."""
+        deep = "!" * (MAX_DEPTH + 1) + "p"
+        too_deep = f"formula nests deeper than {MAX_DEPTH} at offset 0"
+        with monkeypatch.context() as unlimited:
+            unlimited.setattr(veritas.logic.parser, "MAX_DEPTH", 10 * MAX_DEPTH)
+            assert cli("observe", "q", "--p", "0.9")[0] == 0
+            assert cli("contract", deep)[0] == 0
+        assert cli("ledger", "verify") == (0, "ok\t2\n", "")
+        assert cli("query", "q") == (7, "", f"error\tlimit\tblock 1: {too_deep}\n")
+        with monkeypatch.context() as unlimited:
+            unlimited.setattr(veritas.logic.parser, "MAX_DEPTH", 10 * MAX_DEPTH)
+            assert cli("observe", deep, "--p", "0.9")[0] == 0
+        assert cli("ledger", "verify") == (0, "ok\t3\n", "")
+        want = (7, "", f"error\tlimit\tnode store line 2: {too_deep}\n")
+        assert cli("query", "q") == want
+        assert cli("ledger", "replay") == want
 
     def test_self_contradiction_is_refused(self, cli):
         code, out, err = cli("observe", "p & !p", "--p", "0.99")
@@ -219,6 +261,122 @@ class TestLedgerCommands:
             assert out == export(session.base)
 
 
+# (block, field, how) for every field of three blocks, then damages to
+# the file's lines.  A field respelt is still a readable line whose hash
+# no longer matches; one made unreadable fails the line's syntax.  A
+# forged line hashes right but links to the wrong block or names the
+# wrong index.
+TAMPERS = [
+    (block, field, how)
+    for block in (0, 17, 49)
+    for field in range(7)
+    for how in ("respelt", "unreadable")
+] + [
+    (18, None, "blank line"),
+    (50, None, "garbage tail"),
+    (49, None, "cut last line"),
+    (17, None, "dropped line"),
+    (17, None, "swapped lines"),
+    (17, None, "forged link"),
+    (49, None, "forged index"),
+    (17, 3, "respelt, then garbage tail"),
+]
+
+
+def tamper(pristine: bytes, block: int, field: int | None, how: str) -> bytes:
+    lines = pristine.split(b"\n")
+    if how == "blank line":
+        return b"\n".join(lines[:block] + [b""] + lines[block:])
+    if how == "garbage tail":
+        return pristine + b"garbage"
+    if how == "cut last line":
+        return pristine[:-10]
+    if how == "dropped line":
+        return b"\n".join(lines[:block] + lines[block + 1:])
+    if how == "swapped lines":
+        lines[block], lines[block + 1] = lines[block + 1], lines[block]
+        return b"\n".join(lines)
+    if how.startswith("forged"):
+        fields = lines[block].split(b"\x1f")
+        if how == "forged link":
+            fields[5] = lines[block - 2].split(b"\x1f")[6]
+        else:
+            fields[0] = str(block + 1).encode()
+        payload = b"\x1f".join(fields[:6])
+        lines[block] = payload + b"\x1f" + hashlib.sha256(payload).hexdigest().encode()
+        return b"\n".join(lines)
+    if how == "respelt, then garbage tail":
+        return tamper(pristine, block, field, "respelt") + b"garbage"
+    fields = lines[block].split(b"\x1f")
+    value = fields[field]
+    if how == "unreadable":
+        # A letter in a number, an unknown op, bytes that are not UTF-8,
+        # a 65th hex digit.
+        value += {0: b"a", 1: b"a", 2: b"!", 3: b"\xff"}.get(field, b"0")
+    elif field == 2:
+        value = b"meta" if value != b"meta" else b"insert"
+    elif field == 3:
+        value = value[:-1] + (b"x" if value[-1:] != b"x" else b"y")
+    else:
+        digits = b"0123456789" if field < 2 else b"0123456789abcdef"
+        value = value[:-1] + bytes([digits[(digits.index(value[-1]) + 1) % len(digits)]])
+    fields[field] = value
+    lines[block] = b"\x1f".join(fields)
+    return b"\n".join(lines)
+
+
+@pytest.fixture(scope="module")
+def fifty_blocks(tmp_path_factory):
+    """A 50-block ledger, its node store and a proof of q it anchors."""
+    work = tmp_path_factory.mktemp("fifty")
+    flags = ["--set", "fixed_clock=true", "--set", f"ledger_path={work / 'veritas.vlog'}"]
+    sink = io.StringIO()
+    with contextlib.redirect_stdout(sink):
+        for text in ["p", "p -> q", *(f"s{i}" for i in range(47))]:
+            assert main([*flags, "observe", text, "--p", "0.99"]) == 0
+        assert main([*flags, "prove", "q", "--out", str(work / "q.proof")]) == 0
+    return {name: (work / name).read_bytes() for name in ("veritas.vlog", "veritas.nodes", "q.proof")}
+
+
+class TestLoadTimeHash:
+    """Opening a ledger hashes each line over the bytes it was read
+    from.  Every damage is still named at the index an independent
+    field-by-field check with hashlib names, by ledger verify and by the
+    commands that open a session."""
+
+    def test_the_ledger_has_fifty_blocks(self, fifty_blocks):
+        assert fifty_blocks["veritas.vlog"].count(b"\n") == 50
+        assert reference_first_bad_block(fifty_blocks["veritas.vlog"]) is None
+
+    @pytest.mark.parametrize("block, field, how", TAMPERS)
+    def test_damage_is_named_at_the_same_index(
+        self, cli, tmp_path, fifty_blocks, block, field, how
+    ):
+        for name, data in fifty_blocks.items():
+            (tmp_path / name).write_bytes(data)
+        damaged = tamper(fifty_blocks["veritas.vlog"], block, field, how)
+        assert damaged != fifty_blocks["veritas.vlog"]
+        (tmp_path / "veritas.vlog").write_bytes(damaged)
+        index = reference_first_bad_block(damaged)
+        assert index == block
+        assert cli("ledger", "verify") == (4, f"corrupt\t{index}\n", "")
+        error = f"error\tledger\tledger corrupt at block {index}\n"
+        assert cli("query", "q") == (4, "", error)
+        assert cli("verify-proof", "q.proof") == (4, "", error)
+        assert (tmp_path / "veritas.vlog").read_bytes() == damaged
+
+    def test_an_edit_in_memory_after_load_is_refused(self, tmp_path, fifty_blocks):
+        path = tmp_path / "veritas.vlog"
+        path.write_bytes(fifty_blocks["veritas.vlog"])
+        ledger = Ledger(path)
+        ledger._blocks[17] = dataclasses.replace(ledger._blocks[17], timestamp=99)
+        with pytest.raises(LedgerCorruptionError) as err:
+            ledger.append(Op.META)
+        assert err.value.index == 17
+        assert ledger.verify_chain() == 17
+        assert path.read_bytes() == fifty_blocks["veritas.vlog"]
+
+
 def count_calls(monkeypatch, calls: list, module, name: str) -> None:
     """Record every call of module.name in calls, by name."""
     original = getattr(module, name)
@@ -277,13 +435,13 @@ class TestLazyOpen:
         for atom in ("p", "q", "r", "s", "t"):
             cli("observe", atom, "--p", "0.99")
         hashed = []
-        original = veritas.ledger.block_hash
+        original = veritas.ledger.payload_hash
 
-        def spy(*args):
-            hashed.append(args[0])
-            return original(*args)
+        def spy(payload):
+            hashed.append(int(payload.split(b"\x1f", 1)[0]))
+            return original(payload)
 
-        monkeypatch.setattr(veritas.ledger, "block_hash", spy)
+        monkeypatch.setattr(veritas.ledger, "payload_hash", spy)
         code, out, _ = cli("query", "p")
         assert code == 0 and out.startswith("entailed\t")
         assert hashed == [0, 1, 2, 3, 4]

@@ -3,10 +3,15 @@
 from __future__ import annotations
 
 import hashlib
+import json
+import re
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from veritas import justify
 from veritas.belief import Provenance
 from veritas.justify import (
     CycleError,
@@ -291,3 +296,86 @@ class TestSerialization:
         line = node_to_json(graph.all_nodes()[0]).replace('"p"', '"q"')
         with pytest.raises(ValueError):
             load_graph([line])
+
+
+def decoded(line: str, fast: bool):
+    """The node a line holds, or the error it raises, read by the regex
+    where it matches (fast) or always by json."""
+    saved = justify._NODE_LINE_RE
+    if not fast:
+        justify._NODE_LINE_RE = re.compile(r"(?!)")
+    try:
+        node = node_from_json(line)
+    except ValueError as err:
+        return type(err), str(err)
+    finally:
+        justify._NODE_LINE_RE = saved
+    prov = node.provenance
+    return (
+        node.node_id,
+        render_canonical(node.conclusion),
+        node.rule,
+        node.premises,
+        prov.source,
+        prov.timestamp,
+        type(prov.confidence),
+        repr(prov.confidence),
+    )
+
+
+# Mostly text json writes as it is, sometimes text it must escape.
+_text = st.one_of(
+    st.text(st.sampled_from("ab é/"), max_size=4),
+    st.text(st.sampled_from('a"\\\x1f\n'), max_size=3),
+)
+_node_objects = st.fixed_dictionaries(
+    {
+        "id": _text,
+        "conclusion": st.sampled_from(["p", "(p -> q)", "(! At(a,b))", "p &", ""]),
+        "rule": _text,
+        "premises": st.lists(_text, max_size=3),
+        "source": _text,
+        "timestamp": st.one_of(st.integers(-2, 2), st.integers(10**17, 10**20)),
+        "confidence": st.one_of(
+            st.integers(-1, 2), st.floats(-0.5, 1.5), st.sampled_from([1e-07, 0.5e-300])
+        ),
+    }
+)
+# Edits that leave a line readable by json, or not: spacing, a broken
+# number, a dropped or repeated key, a stray character.
+_EDITS = [
+    ("", ""),
+    (", ", ","),
+    (": ", ":"),
+    ("}", " }"),
+    ("}", "}\r"),
+    ("0.", "00."),
+    ('"id"', '"ids"'),
+    ('{"', '{"id": "x", "'),
+    ("[", "[ "),
+    ('"', "'"),
+]
+
+
+class TestNodeLineDecode:
+    """One regex match decodes a line spelt as node_to_json writes it;
+    any other line goes through json, and both give the same node or
+    the same error."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_node_objects, st.booleans(), st.just(("", "")) | st.sampled_from(_EDITS))
+    def test_regex_and_json_agree(self, obj, ascii_only, edit):
+        text = json.dumps(obj, sort_keys=True, ensure_ascii=ascii_only)
+        line = text.replace(*edit) + "\n"
+        assert decoded(line, fast=True) == decoded(line, fast=False)
+
+    def test_stored_lines_take_the_regex(self, graph):
+        observe(graph, "p", confidence=1)
+        observe(graph, "q", confidence=1e-07)
+        for node in graph.all_nodes():
+            line = node_to_json(node)
+            assert justify._NODE_LINE_RE.fullmatch(line)
+            assert node_from_json(line) == node
+            assert repr(node_from_json(line).provenance.confidence) == repr(
+                node.provenance.confidence
+            )

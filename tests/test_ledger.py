@@ -179,15 +179,15 @@ class TestChain:
 
 @pytest.fixture()
 def hashes(monkeypatch):
-    """Count every block hash the ledger computes."""
+    """Record the index of every block hash the ledger computes."""
     calls = []
-    original = ledger_module.block_hash
+    original = ledger_module.payload_hash
 
-    def spy(*args):
-        calls.append(args[0])
-        return original(*args)
+    def spy(payload):
+        calls.append(int(payload.split(b"\x1f", 1)[0]))
+        return original(payload)
 
-    monkeypatch.setattr(ledger_module, "block_hash", spy)
+    monkeypatch.setattr(ledger_module, "payload_hash", spy)
     return calls
 
 
@@ -209,12 +209,12 @@ class TestVerifiedPrefix:
     def test_appends_hash_each_block_once(self, tmp_path, hashes):
         path = tmp_path / "chain.vlog"
         write_chain(path, 50)
-        ledger = Ledger(path)
         hashes.clear()
+        ledger = Ledger(path)
         for ts in range(50, 100):
             ledger.append(Op.META, formula=f"m{ts}", timestamp=ts)
-        # 50 to verify the loaded chain on the first append, then one
-        # per new block; re-verifying on every append would be 3,775.
+        # 50 to verify the chain as it is read, then one per new block;
+        # re-verifying on every append would be 3,775.
         assert len(hashes) == 100
         assert sorted(hashes) == sorted([*range(50), *range(50, 100)])
         assert Ledger(path).verify_chain() is None
@@ -705,18 +705,18 @@ class TestColdLoad:
             expected = export(session.base)
 
         walks, compiles = [], []
-        render, clausify = syntax._render, sat._clausify
+        render, compile_ = syntax._render, sat._compile
 
         def spy_render(formula):
             walks.append(formula)
             return render(formula)
 
-        def spy_clausify(formula):
+        def spy_compile(formula):
             compiles.append(formula)
-            return clausify(formula)
+            return compile_(formula)
 
         monkeypatch.setattr(syntax, "_render", spy_render)
-        monkeypatch.setattr(sat, "_clausify", spy_clausify)
+        monkeypatch.setattr(sat, "_compile", spy_compile)
         with Session(config) as session:
             assert export(session.base) == expected
             conclusions = [node.conclusion for node in session.graph.all_nodes()]

@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import (
     cnf_satisfiable,
@@ -18,6 +18,7 @@ from oracles import (
     pair_disjunction,
     random_cnf,
     random_formula,
+    reference_compile,
     reference_parse,
     reference_parse_atom,
     tt_entails,
@@ -48,6 +49,7 @@ from veritas.logic import (
     parse_atom,
     render_canonical,
 )
+from veritas.logic.parser import MAX_DEPTH
 
 
 class TestParser:
@@ -185,6 +187,49 @@ formulas = st.recursive(
     ),
     max_leaves=12,
 )
+
+
+def nested(depth: int, kind: str) -> str:
+    """A formula over six atoms whose longest root-to-atom path has
+    depth connectives."""
+    atoms = [f"a{i % 6}" for i in range(depth + 1)]
+    if kind == "not":
+        return "!" * depth + "p"
+    if kind == "and":  # left associative: the left spine is the long path
+        return " & ".join(atoms)
+    if kind == "implies":  # right associative
+        return " -> ".join(atoms)
+    # Parentheses nest on the right of each <->, which is left associative.
+    return "(".join(f"{a} <-> " for a in atoms[:-1]) + atoms[-1] + ")" * (depth - 1)
+
+
+class TestNestingLimit:
+    """parse refuses a formula nested deeper than MAX_DEPTH, so no
+    recursive walk over a parsed formula meets a deeper tree."""
+
+    @pytest.mark.parametrize("kind", ["not", "and", "implies", "iff"])
+    def test_limit_is_accepted_and_one_more_refused(self, kind):
+        f = parse(nested(MAX_DEPTH, kind))
+        # Every recursive walker handles the deepest accepted tree and
+        # its negation: rendering, atoms, clauses and the truth table.
+        assert parse(render_canonical(f)) == f
+        assert is_consistent([f]) == tt_satisfiable([f])
+        assert entails([f], Atom("a0")) == tt_entails([f], Atom("a0"))
+        with pytest.raises(ParseError) as err:
+            parse(nested(MAX_DEPTH + 1, kind))
+        assert (str(err.value), err.value.offset, err.value.expected) == (
+            f"formula nests deeper than {MAX_DEPTH} at offset 0",
+            0,
+            frozenset(),
+        )
+
+    def test_parentheses_do_not_count(self):
+        text = "(" * 3 * MAX_DEPTH + "p & q" + ")" * 3 * MAX_DEPTH
+        assert parse(text) == And(Atom("p"), Atom("q"))
+
+    def test_thousands_deep_is_a_parse_error(self):
+        with pytest.raises(ParseError):
+            parse("!" * 3000 + "p")
 
 
 class TestCanonicalRoundTrip:
@@ -400,15 +445,15 @@ def fallbacks(monkeypatch):
 
 @pytest.fixture()
 def compilations(monkeypatch):
-    """Record every formula the checker clausifies."""
+    """Record every formula the checker compiles."""
     compiled = []
-    original = sat._clausify
+    original = sat._compile
 
     def spy(formula):
         compiled.append(formula)
         return original(formula)
 
-    monkeypatch.setattr(sat, "_clausify", spy)
+    monkeypatch.setattr(sat, "_compile", spy)
     return compiled
 
 
@@ -547,6 +592,73 @@ class TestCompiledConsistency:
             compiled = [sat._compiled(f) for f in formulas]
             assert sat._has_complementary_pair(formulas, compiled) == expected
         assert 100 < hits < 500
+
+
+_SHAPE_ATOMS = st.builds(
+    Atom, st.sampled_from(["p", "q", "Rz"]), st.sampled_from([(), ("a",), ("a", "b")])
+)
+_SHAPE_LITERALS = _SHAPE_ATOMS | _SHAPE_ATOMS.map(Not)
+# Literals, double negations and every binary connective over two
+# literals, the same atom on both sides as often as not.
+_SHAPES = st.one_of(
+    _SHAPE_LITERALS,
+    _SHAPE_LITERALS.map(Not),
+    st.builds(
+        lambda kind, left, right: kind(left, right),
+        st.sampled_from([And, Or, Implies, Iff]),
+        _SHAPE_LITERALS,
+        _SHAPE_LITERALS,
+    ),
+)
+
+
+def compile_with_table(compile_, formula: Formula, known: list[Atom]):
+    """compile_(formula) over a fresh atom table that holds only known,
+    given ids in that order: the formula's other atoms are new to it."""
+    saved = sat._ATOM_IDS
+    sat._ATOM_IDS = sat._AtomIds()
+    try:
+        for atom in known:
+            sat._ATOM_IDS[atom]
+        return compile_(formula)
+    finally:
+        sat._ATOM_IDS = saved
+
+
+class TestCompileParity:
+    """Compiling by shape against the general clausifier it bypasses,
+    kept in oracles as reference_compile."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.one_of(_SHAPES, formulas), st.data())
+    @example(parse("p -> p"), None)
+    @example(parse("p | !p"), None)
+    @example(parse("!!p"), None)
+    @example(parse("p & p"), None)
+    @example(parse("p <-> q"), None)
+    @example(parse("!q -> !p"), None)
+    def test_same_ids_clauses_and_key(self, f, data):
+        """Same atom ids (new atoms numbered in sorted order, after the
+        known ones), the same clauses in the same order and the same key;
+        the clauses' verdict is the truth table's."""
+        known = []
+        if data is not None:
+            known = data.draw(st.permutations(sorted(atoms_of(f), key=repr)))
+            known = known[: data.draw(st.integers(0, len(known)))]
+        compiled = compile_with_table(sat._compile, f, known)
+        assert compiled == compile_with_table(reference_compile, f, known)
+        if compiled.clauses is not None:
+            model = sat._dpll(list(compiled.clauses), compiled.atom_ids)
+            assert (model is not None) == tt_satisfiable([f])
+
+    def test_new_atoms_join_the_process_table_in_sorted_order(self):
+        """A shape whose atoms the process has never seen numbers them in
+        sorted atom order, whichever side of the connective they sit on."""
+        f = Implies(Not(Atom("Zz_never_seen")), Atom("Aa_never_seen"))
+        compiled = sat._compiled(f)
+        first, second = sat._ATOM_IDS[Atom("Aa_never_seen")], sat._ATOM_IDS[Atom("Zz_never_seen")]
+        assert second == first + 1
+        assert compiled.clauses == (frozenset({first, second}),)
 
 
 class TestClausify:
