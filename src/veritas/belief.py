@@ -603,24 +603,12 @@ def _select_remainder(
 def revise(base: BeliefBase, entry: BeliefEntry) -> BeliefBase:
     """Levi identity: contract the negation, then expand by the entry.
 
-    Raises ConsistencyError for an unsatisfiable entry.  When the base
-    has a witness, the contraction keeps what it can of it, and the
-    expansion extends that rather than solving the base.
+    This is update_belief_state with the assertion gate off.  When the
+    base plus the entry is consistent, the base does not entail the
+    negation, so the contraction would change nothing and the route is
+    the expansion.  Raises ConsistencyError for an unsatisfiable entry.
     """
-    _require_satisfiable(entry)
-    contracted = contract(
-        base, Not(entry.formula), reason=f"revision({entry.key})"
-    )
-    return expand(contracted, entry)
-
-
-def _require_satisfiable(entry: BeliefEntry) -> None:
-    # Extending the empty witness finds a model of most formulas
-    # without a solve; is_consistent decides the rest.
-    if extend_witness(EMPTY_WITNESS, entry.formula) is None and not is_consistent(
-        [entry.formula]
-    ):
-        raise ConsistencyError(f"cannot revise by unsatisfiable {entry.key}")
+    return update_belief_state(base, entry, theta=0.0)[0]
 
 
 def update_belief_state(
@@ -632,16 +620,22 @@ def update_belief_state(
 
     Entries below the assertion gate theta are stored at their tier but
     marked non-assertable.  Returns the new base and which route ran.
-    The revision is revise's, minus the checks the failed expansion
-    already settled: it proved that the base entails the negation of a
-    satisfiable entry, which is then no tautology.
+    A revision contracts the entry's negation and expands by the entry,
+    skipping contract's checks, which the failed expansion settled: it
+    proved that the base entails the negation of a satisfiable entry,
+    which is then no tautology.
     """
     if entry.assertable and entry.probability < theta:
         entry = replace(entry, assertable=False)
     consistent, witness = _check_expansion(base, entry)
     if consistent:
         return _expand_checked(base, entry, witness), "expanded"
-    _require_satisfiable(entry)
+    # Extending the empty witness finds a model of most formulas
+    # without a solve; is_consistent decides the rest.
+    if extend_witness(EMPTY_WITNESS, entry.formula) is None and not is_consistent(
+        [entry.formula]
+    ):
+        raise ConsistencyError(f"cannot revise by unsatisfiable {entry.key}")
     contracted = _contract_entailed(
         base,
         Not(entry.formula),

@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from .belief import ConsistencyError, export
-from .config import ENV_PREFIX, KEY_TYPES, EngineConfig, coerce_number, load_config
+from .config import EngineConfig, apply_env, apply_file, assign
 from .engine import (
     EscalationError,
     Session,
@@ -128,23 +128,18 @@ def _named_command(argv: list[str]) -> str | None:
 
 
 def _build_config(args: argparse.Namespace) -> EngineConfig:
-    env = dict(os.environ)
-    reliability_sets: list[tuple[str, float]] = []
+    """The file, then VERITAS_ variables, then each --set, validated once."""
+    config = EngineConfig()
+    if args.config is not None:
+        apply_file(config, Path(args.config))
+    apply_env(config, os.environ)
     for item in args.overrides:
         if "=" not in item:
             raise ValueError(f"--set expects KEY=VALUE, got {item!r}")
-        key, _, value = item.partition("=")
+        key, _, raw = item.partition("=")
         key = key.strip()
-        if key.startswith("reliability."):
-            source = key[len("reliability."):]
-            reliability_sets.append((source, coerce_number(key, value)))
-        elif key in KEY_TYPES:
-            env[ENV_PREFIX + key.upper()] = value
-        else:
+        if not assign(config, key, raw):
             raise ValueError(f"unknown config key: {key}")
-    config = load_config(path=args.config, env=env)
-    for source, score in reliability_sets:
-        config.reliability[source] = score
     if getattr(args, "domain", None):
         config.domain_path = args.domain
     if getattr(args, "goal", None):

@@ -1,8 +1,8 @@
 """Engine configuration from defaults, a key=value file, and environment.
 
 Precedence, lowest to highest: built-in defaults, config file entries,
-VERITAS_* environment variables, explicit overrides.  Source reliability
-scores use dotted keys in the file (``reliability.alice=0.8``).
+VERITAS_* environment variables, explicit overrides, each set through
+assign.  Reliability scores use dotted keys (``reliability.alice=0.8``).
 """
 
 from __future__ import annotations
@@ -65,10 +65,23 @@ KEY_TYPES = {
 }
 
 ENV_PREFIX = "VERITAS_"
+_RELIABILITY_ENV = ENV_PREFIX + "RELIABILITY_"
 
 
-def _coerce(key: str, raw: str):
-    kind = KEY_TYPES[key]
+def assign(config: EngineConfig, key: str, raw: str) -> bool:
+    """Set key from its text, as every source does; False, setting
+    nothing, when no key has that name."""
+    if key.startswith("reliability."):
+        config.reliability[key[len("reliability."):]] = _coerce(float, key, raw)
+    elif key in KEY_TYPES:
+        setattr(config, key, _coerce(KEY_TYPES[key], key, raw))
+    else:
+        return False
+    return True
+
+
+def _coerce(kind: type, key: str, raw: str):
+    """raw as a value of kind; a ValueError that names key when it is not one."""
     if kind is bool:
         lowered = raw.strip().lower()
         if lowered in ("1", "true", "yes", "on"):
@@ -78,27 +91,15 @@ def _coerce(key: str, raw: str):
         raise ValueError(f"{key} expects a boolean, got {raw!r}")
     if kind is str:
         return raw.strip()
-    return coerce_number(key, raw)
-
-
-def coerce_number(key: str, raw: str) -> float:
-    """raw as a float; a ValueError that names key when it is not one."""
     try:
         return float(raw)
     except ValueError:
         raise ValueError(f"{key} expects a number, got {raw.strip()!r}") from None
 
 
-def load_config(
-    path: str | Path | None = None,
-    env: Mapping[str, str] | None = None,
-    **overrides,
-) -> EngineConfig:
+def load_config(**overrides) -> EngineConfig:
+    """The defaults with the given fields set (None keeps one), validated."""
     config = EngineConfig()
-    if path is not None:
-        _apply_file(config, Path(path))
-    if env is not None:
-        _apply_env(config, env)
     for key, value in overrides.items():
         if value is None:
             continue
@@ -109,7 +110,7 @@ def load_config(
     return config
 
 
-def _apply_file(config: EngineConfig, path: Path) -> None:
+def apply_file(config: EngineConfig, path: Path) -> None:
     for lineno, line in enumerate(path.read_text().splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -118,25 +119,22 @@ def _apply_file(config: EngineConfig, path: Path) -> None:
             raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, _, raw = stripped.partition("=")
         key = key.strip()
-        if key.startswith("reliability."):
-            source = key[len("reliability."):]
-            config.reliability[source] = coerce_number(key, raw)
-        elif key in KEY_TYPES:
-            setattr(config, key, _coerce(key, raw))
-        else:
+        if not assign(config, key, raw):
             raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
 
 
-def _apply_env(config: EngineConfig, env: Mapping[str, str]) -> None:
-    reliability_prefix = ENV_PREFIX + "RELIABILITY_"
-    for name, raw in env.items():
+def apply_env(config: EngineConfig, env: Mapping[str, str]) -> None:
+    """Assign what the VERITAS_ names in env set; no other value is read.
+
+    VERITAS_RELIABILITY_<SOURCE> sets reliability.<source> and
+    VERITAS_<KEY> a field, both lowercased; other VERITAS_ names are
+    ignored.
+    """
+    for name in env:
         if not name.startswith(ENV_PREFIX):
             continue
-        if name.startswith(reliability_prefix):
-            source = name[len(reliability_prefix):].lower()
-            key = f"reliability.{source}"
-            config.reliability[source] = coerce_number(key, raw)
-            continue
         key = name[len(ENV_PREFIX):].lower()
-        if key in KEY_TYPES:
-            setattr(config, key, _coerce(key, raw))
+        if name.startswith(_RELIABILITY_ENV):
+            assign(config, "reliability." + key[len("reliability_"):], env[name])
+        elif key in KEY_TYPES:
+            assign(config, key, env[name])

@@ -53,6 +53,7 @@ from .justify import (
     PublicProof,
     VerifyResult,
     build_public_proof,
+    checked_fields,
     hash_chain,
     node_digest,
     node_from_json,
@@ -133,25 +134,16 @@ _PROOF_FIELDS = (("conclusion", str), ("digest", str), ("chain", list))
 def proof_from_json(text: str) -> PublicProof:
     """The proof a proof_to_json file holds; ValueError if it holds none.
 
-    Bad JSON, a top level that is not an object, and a missing or
-    mistyped field all raise ValueError, as do a bad node, conclusion
-    or digest.
+    Bad JSON, a top level or field that checked_fields refuses, as it
+    refuses a node line's, and a bad node, conclusion or digest all
+    raise ValueError.
     """
-    payload = json.loads(text)
-    if not isinstance(payload, dict):
-        raise ValueError("proof is not a JSON object")
-    for name, kind in _PROOF_FIELDS:
-        if name not in payload:
-            raise ValueError(f"proof lacks field {name!r}")
-        if not isinstance(payload[name], kind):
-            raise ValueError(f"proof field {name!r} has the wrong type")
-    chain = tuple(
-        node_from_json(json.dumps(item)) for item in payload["chain"]
+    conclusion, digest, chain = checked_fields(
+        json.loads(text), _PROOF_FIELDS, "proof"
     )
+    chain = tuple(node_from_json(json.dumps(item)) for item in chain)
     return PublicProof(
-        conclusion=parse(payload["conclusion"]),
-        chain=chain,
-        digest=bytes.fromhex(payload["digest"]),
+        conclusion=parse(conclusion), chain=chain, digest=bytes.fromhex(digest)
     )
 
 

@@ -129,25 +129,17 @@ class JustificationGraph:
         rule: str,
         provenance: Provenance,
     ) -> str:
-        """Add an inference step and return its content digest."""
+        """Add an inference step and return its content digest, the id
+        of the node that add_node admits, as it admits a node read back."""
         premises = tuple(premises)
-        for premise in premises:
-            if premise not in self._nodes:
-                raise UnknownPremiseError(premise)
-        if premises:
-            support = [self._nodes[p].conclusion for p in premises]
-            if not entails(support, conclusion):
-                raise UnsoundInferenceError(
-                    f"premises do not entail {render_canonical(conclusion)}"
-                )
         node_id = node_digest(conclusion, rule, premises, provenance)
-        if node_id in premises:
-            raise CycleError(f"node {node_id} references itself")
-        node = JustificationNode(node_id, conclusion, rule, premises, provenance)
-        return self._insert(node)
+        return self.add_node(
+            JustificationNode(node_id, conclusion, rule, premises, provenance)
+        )
 
     def add_node(self, node: JustificationNode) -> str:
-        """Insert a pre-built node, re-validating id, premises, and step."""
+        """Insert a pre-built node, re-validating id, premises, and step:
+        every node joins the graph here."""
         if node.node_id in node.premises:
             raise CycleError(f"node {node.node_id} references itself")
         expected = node_digest(
@@ -166,9 +158,6 @@ class JustificationGraph:
                 raise UnsoundInferenceError(
                     f"premises do not entail {render_canonical(node.conclusion)}"
                 )
-        return self._insert(node)
-
-    def _insert(self, node: JustificationNode) -> str:
         if node.node_id not in self._nodes:
             self._nodes[node.node_id] = node
             key = render_canonical(node.conclusion)
@@ -350,7 +339,7 @@ _NODE_FIELDS = (
 # without escapes, and numbers whose whole part has at most 18 digits
 # (so int() here never meets the interpreter's digit limit).  Such a
 # line is decoded and type-checked by this one match; any other line
-# goes through json and _checked_fields.
+# goes through json and checked_fields.
 _CHARS = r'[^"\\\x00-\x1f]*'
 _STRING = r'"(' + _CHARS + r')"'
 _NODE_LINE_RE = re.compile(
@@ -380,8 +369,10 @@ def node_from_json(
     match = _NODE_LINE_RE.fullmatch(line)
     if match is None:
         node_id, text, rule, premises, source, timestamp, confidence = (
-            _checked_fields(json.loads(line))
+            checked_fields(json.loads(line), _NODE_FIELDS, "node")
         )
+        if not all(isinstance(premise, str) for premise in premises):
+            raise ValueError("node field 'premises' has the wrong type")
     else:
         text, whole, part, node_id, listed, rule, source, stamp = match.groups()
         # As json decodes a number: an int unless it has a fraction or
@@ -405,19 +396,21 @@ def node_from_json(
     )
 
 
-def _checked_fields(obj: object) -> list:
-    """The node fields of a decoded line, in _NODE_FIELDS order; the
-    first one missing or of the wrong type raises ValueError."""
+def checked_fields(
+    obj: object, fields: Sequence[tuple[str, type | tuple[type, ...]]], what: str
+) -> list:
+    """The values of fields, (name, type) pairs, in a decoded JSON
+    object, in that order.  A top level that is not an object, or the
+    first field missing or of the wrong type, raises ValueError naming
+    what was decoded: a proof or a node."""
     if not isinstance(obj, dict):
-        raise ValueError("node is not a JSON object")
-    for name, kind in _NODE_FIELDS:
+        raise ValueError(f"{what} is not a JSON object")
+    for name, kind in fields:
         if name not in obj:
-            raise ValueError(f"node lacks field {name!r}")
+            raise ValueError(f"{what} lacks field {name!r}")
         if not isinstance(obj[name], kind):
-            raise ValueError(f"node field {name!r} has the wrong type")
-    if not all(isinstance(premise, str) for premise in obj["premises"]):
-        raise ValueError("node field 'premises' has the wrong type")
-    return [obj[name] for name, _ in _NODE_FIELDS]
+            raise ValueError(f"{what} field {name!r} has the wrong type")
+    return [obj[name] for name, _ in fields]
 
 
 def load_graph(lines: Iterable[str]) -> JustificationGraph:

@@ -7,9 +7,11 @@ hashed serialization, a unit separator, the block hash in hex, and a
 newline.  A line is read back only when it is exactly that, byte for
 byte: a line whose fields would parse to the same block but are spelt
 otherwise (a zero-padded index, uppercase hex) is corrupt, since its
-bytes are not what was hashed.  Opening a file hashes each line once,
-over the bytes it was read from, and checks its index and link as it
-goes, so a chain read intact needs no second pass.  Replaying the
+bytes are not what was hashed.  One check, _extends, decides whether a
+block may follow the one before: its index, its link and its hash.
+Opening a file applies it to each line once, hashing the bytes the line
+was read from, so a chain read intact needs no second pass;
+verify_chain applies it to the blocks held in memory.  Replaying the
 ledger through the belief module with the same configuration
 reconstructs the live base exactly, because commit is the one way to
 change a base: it folds the next block as apply_block does and appends
@@ -109,19 +111,6 @@ def block_payload(
     )
 
 
-def block_hash(
-    index: int,
-    timestamp: int,
-    op: Op,
-    formula: str,
-    justification_digest: bytes,
-    h_prev: bytes,
-) -> bytes:
-    return payload_hash(
-        block_payload(index, timestamp, op, formula, justification_digest, h_prev)
-    )
-
-
 def payload_hash(payload: bytes) -> bytes:
     """The block hash of a payload: every block hash is computed here."""
     return sha256(payload).digest()
@@ -137,6 +126,17 @@ def block_line(block: Block) -> bytes:
         block.h_prev,
     )
     return payload + _FIELD_SEP + block.h.hex().encode() + b"\n"
+
+
+def _extends(block: Block, index: int, previous: bytes, payload: bytes) -> bool:
+    """Whether block, hashed over payload, may stand at index after a
+    block whose hash is previous: the one check of a block, read from a
+    file or held in memory."""
+    return (
+        block.index == index
+        and block.h_prev == previous
+        and payload_hash(payload) == block.h
+    )
 
 
 # What block_line writes and nothing else: decimals without a sign or
@@ -223,11 +223,9 @@ class Ledger:
         """Read the file's blocks up to the first unreadable line, and
         tell whether the chain read is intact.
 
-        Each block is checked as it is read, as verify_chain would check
-        it, until one fails: its index, its link to the block before and
-        its hash.  The hash is taken over the bytes of its line, which
-        _LINE_RE admits only as block_payload gives them, so no payload
-        is rebuilt.
+        Each block passes _extends as it is read, until one fails.  The
+        hash is taken over the bytes of its line, which _LINE_RE admits
+        only as block_payload gives them, so no payload is rebuilt.
         """
         assert self.path is not None
         lines = self.path.read_bytes().split(b"\n")
@@ -243,10 +241,8 @@ class Ledger:
             if block is None:
                 self._corrupt_at = len(blocks)
                 return False
-            intact = intact and (
-                block.index == len(blocks)
-                and block.h_prev == previous
-                and payload_hash(raw[:-_HASH_SUFFIX]) == block.h
+            intact = intact and _extends(
+                block, len(blocks), previous, raw[:-_HASH_SUFFIX]
             )
             previous = block.h
             blocks.append(block)
@@ -266,22 +262,15 @@ class Ledger:
     def verify_chain(self) -> int | None:
         """None when the chain is intact, else the first bad index.
 
-        Always re-hashes every block; an intact chain becomes the
-        verified prefix that append extends.
+        Always re-hashes every block, over the payload of the line its
+        fields give, so an edit in memory is caught; each block passes
+        _extends, as each line _load reads does.  An intact chain
+        becomes the verified prefix that append extends.
         """
         previous = ZERO_HASH
         for position, block in enumerate(self._blocks):
-            if block.index != position or block.h_prev != previous:
-                return position
-            expected = block_hash(
-                block.index,
-                block.timestamp,
-                block.op,
-                block.formula,
-                block.justification_digest,
-                block.h_prev,
-            )
-            if block.h != expected:
+            payload = block_line(block).rpartition(_FIELD_SEP)[0]
+            if not _extends(block, position, previous, payload):
                 return position
             previous = block.h
         if self._corrupt_at is not None:
@@ -313,7 +302,9 @@ class Ledger:
             raise ValueError("justification digest must be 32 bytes")
         index = len(self._blocks)
         h_prev = self.last_hash()
-        h = block_hash(index, timestamp, op, formula, justification_digest, h_prev)
+        h = payload_hash(
+            block_payload(index, timestamp, op, formula, justification_digest, h_prev)
+        )
         return Block(index, timestamp, op, formula, justification_digest, h_prev, h)
 
     def append(

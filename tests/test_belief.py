@@ -903,13 +903,13 @@ class TestPersistentBase:
     def test_revision_labels_its_contraction_without_relabelling(self, monkeypatch):
         base = base_of(entry("p", 0.8), entry("p -> q", 0.97))
         reasons = []
-        original = belief.contract
+        original = belief._contract_entailed
 
-        def spy(base, target, **kwargs):
-            reasons.append(kwargs.get("reason"))
-            return original(base, target, **kwargs)
+        def spy(base, target, atom_ids, reason):
+            reasons.append(reason)
+            return original(base, target, atom_ids, reason)
 
-        monkeypatch.setattr(belief, "contract", spy)
+        monkeypatch.setattr(belief, "_contract_entailed", spy)
         revised = revise(base, entry("!q"))
         assert reasons == ["revision((! q))"]
         assert [rec.reason for rec in revised.retraction_log] == ["revision((! q))"]

@@ -186,6 +186,14 @@ def set_field(name: str, value):
     return edit
 
 
+def drop_field(name: str):
+    def edit(proof: dict):
+        del proof[name]
+        return proof
+
+    return edit
+
+
 class TestMalformedProofFile:
     """A proof file that is not a proof object exits 2 with one error line."""
 
@@ -196,8 +204,19 @@ class TestMalformedProofFile:
             (lambda proof: [1], "proof is not a JSON object"),
             (set_field("chain", 5), "proof field 'chain' has the wrong type"),
             (set_field("conclusion", 3), "proof field 'conclusion' has the wrong type"),
+            (lambda proof: "proof", "proof is not a JSON object"),
+            (lambda proof: None, "proof is not a JSON object"),
+            (drop_field("conclusion"), "proof lacks field 'conclusion'"),
+            (drop_field("digest"), "proof lacks field 'digest'"),
+            (drop_field("chain"), "proof lacks field 'chain'"),
+            (set_field("digest", 7), "proof field 'digest' has the wrong type"),
+            (set_field("chain", {}), "proof field 'chain' has the wrong type"),
         ],
-        ids=["missing-fields", "not-an-object", "chain-not-a-list", "conclusion-not-text"],
+        ids=[
+            "missing-fields", "not-an-object", "chain-not-a-list",
+            "conclusion-not-text", "a-string", "null", "no-conclusion",
+            "no-digest", "no-chain", "digest-not-text", "chain-an-object",
+        ],
     )
     def test_exits_two(self, cli, tmp_path, damage, message):
         cli("observe", "p", "--p", "0.99")
@@ -325,6 +344,22 @@ def tamper(pristine: bytes, block: int, field: int | None, how: str) -> bytes:
     return b"\n".join(lines)
 
 
+def flip_last_byte(value: bytes) -> bytes:
+    return value[:-1] + bytes([value[-1] ^ 1])
+
+
+# One edit of each Block field, as a function of the block held.
+FIELD_EDITS = {
+    "index": lambda b: b.index + 1,
+    "timestamp": lambda b: b.timestamp + 1,
+    "op": lambda b: Op.META if b.op is not Op.META else Op.INSERT,
+    "formula": lambda b: b.formula + "\x1f\n",
+    "justification_digest": lambda b: flip_last_byte(b.justification_digest),
+    "h_prev": lambda b: flip_last_byte(b.h_prev),
+    "h": lambda b: flip_last_byte(b.h),
+}
+
+
 @pytest.fixture(scope="module")
 def fifty_blocks(tmp_path_factory):
     """A 50-block ledger, its node store and a proof of q it anchors."""
@@ -374,6 +409,28 @@ class TestLoadTimeHash:
             ledger.append(Op.META)
         assert err.value.index == 17
         assert ledger.verify_chain() == 17
+        assert path.read_bytes() == fifty_blocks["veritas.vlog"]
+
+    @pytest.mark.parametrize("block", [0, 17, 49])
+    @pytest.mark.parametrize("field", list(FIELD_EDITS))
+    def test_each_field_edited_in_memory_is_named(
+        self, tmp_path, fifty_blocks, block, field
+    ):
+        """An edit to any field of a loaded block, a formula with a unit
+        separator and a newline too, is named at that block by
+        verify_chain and by append, which writes nothing."""
+        path = tmp_path / "veritas.vlog"
+        path.write_bytes(fifty_blocks["veritas.vlog"])
+        ledger = Ledger(path)
+        held = ledger._blocks[block]
+        assert set(FIELD_EDITS) == {f.name for f in dataclasses.fields(held)}
+        edited = dataclasses.replace(held, **{field: FIELD_EDITS[field](held)})
+        assert edited != held
+        ledger._blocks[block] = edited
+        assert ledger.verify_chain() == block
+        with pytest.raises(LedgerCorruptionError) as err:
+            ledger.append(Op.META)
+        assert err.value.index == block
         assert path.read_bytes() == fifty_blocks["veritas.vlog"]
 
 
@@ -793,6 +850,25 @@ KEY_NAMES = {f.name for f in dataclasses.fields(EngineConfig)} - {"reliability"}
 GOOD_VALUE = {float: (" 0.97", 0.97), bool: ("Yes", True), str: (" x.y ", "x.y")}
 
 
+# Environment names and the key each sets; None when it is ignored.  The
+# reliability prefix is matched as spelt; the rest of a name is lowercased.
+ENV_NAMES = [
+    ("VERITAS_THETA", "theta"),
+    ("VERITAS_theta", "theta"),
+    ("VERITAS_TAU_RISK", "tau_risk"),
+    ("VERITAS_RELIABILITY_ALICE", "reliability.alice"),
+    ("VERITAS_RELIABILITY_Alice", "reliability.alice"),
+    ("VERITAS_reliability_alice", None),
+    ("VERITAS_Reliability_ALICE", None),
+    ("VERITAS_RELIABILITY", None),
+    ("VERITAS_BOGUS", None),
+    ("VERITAS_", None),
+    ("THETA", None),
+    ("veritas_theta", None),
+    ("XVERITAS_THETA", None),
+]
+
+
 class TestConfigPlumbing:
     def test_environment_variables_configure_the_session(
         self, cli, monkeypatch
@@ -880,6 +956,35 @@ class TestConfigPlumbing:
         monkeypatch.setenv("VERITAS_EPSILON_MAX", "0.1")
         monkeypatch.setenv("VERITAS_KEY_PATH", "x")
         assert cli("ledger", "verify") == (0, "ok\t0\n", "")
+
+    @pytest.mark.parametrize("name, key", ENV_NAMES)
+    def test_environment_names_map_to_keys(self, monkeypatch, name, key):
+        """A VERITAS_ name sets the key the table gives; any other is ignored."""
+        args = veritas.cli.build_parser("query").parse_args(["query", "p"])
+        before = dataclasses.asdict(veritas.cli._build_config(args))
+        monkeypatch.setenv(name, "0.97")
+        after = dataclasses.asdict(veritas.cli._build_config(args))
+        if key is None:
+            assert after == before
+        elif key.startswith("reliability."):
+            reliability = {**before["reliability"], key[len("reliability."):]: 0.97}
+            assert after == {**before, "reliability": reliability}
+        else:
+            assert after == {**before, key: 0.97}
+
+    @pytest.mark.parametrize("name, key", ENV_NAMES)
+    def test_a_bad_environment_value_names_its_key(
+        self, capsys, monkeypatch, tmp_path, name, key
+    ):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv(name, "abc")
+        code = main(["ledger", "verify"])
+        if key is None:
+            assert (code, capsys.readouterr()) == (0, ("ok\t0\n", ""))
+        else:
+            assert (code, capsys.readouterr()) == (
+                2, ("", f"error\tusage\t{key} expects a number, got 'abc'\n")
+            )
 
     def test_audit_on_a_healthy_base_prints_none_actions(self, cli):
         cli("observe", "p", "--p", "0.99")

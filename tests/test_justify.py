@@ -87,6 +87,30 @@ class TestRecordInference:
         with pytest.raises(UnsoundInferenceError):
             graph.record_inference(parse("q"), (p,), "mp", Provenance("s", 1, 0.9))
 
+    @pytest.mark.parametrize("step", ["unknown premise", "unsound step"])
+    def test_recording_and_adding_refuse_alike(self, graph, step):
+        """record_inference and add_node raise the same error for the
+        same step, and neither leaves a node behind."""
+        prov = Provenance("s", 1, 0.9)
+        if step == "unknown premise":
+            premises = ("0" * 64,)
+        else:
+            premises = (observe(graph, "p"),)
+        q = parse("q")
+        node_id = node_digest(q, "mp", premises, prov)
+        node = JustificationNode(node_id, q, "mp", premises, prov)
+        refusals = []
+        for admit in (
+            lambda: graph.record_inference(q, premises, "mp", prov),
+            lambda: graph.add_node(node),
+        ):
+            before = len(graph)
+            with pytest.raises((UnknownPremiseError, UnsoundInferenceError)) as err:
+                admit()
+            refusals.append((type(err.value), str(err.value)))
+            assert len(graph) == before
+        assert refusals[0] == refusals[1]
+
     def test_self_referencing_node_rejected(self, graph):
         """A node listing its own id as a premise is a cycle."""
         node = JustificationNode(

@@ -24,7 +24,6 @@ from veritas.ledger import (
     ReplayError,
     ZERO_HASH,
     apply_block,
-    block_hash,
     block_line,
     block_payload,
     inclusion_proof,
@@ -69,7 +68,7 @@ class TestBlockSerialization:
 
     def test_genesis_hash_vector(self):
         """Hash of a first block recomputed by hand from the field bytes."""
-        h = block_hash(0, 0, Op.INSERT, "p", ZERO_HASH, ZERO_HASH)
+        h = Ledger().next_block(Op.INSERT, "p").h
         manual = hashlib.sha256(
             b"0\x1f0\x1finsert\x1fp\x1f" + b"00" * 32 + b"\x1f" + b"00" * 32
         ).digest()
