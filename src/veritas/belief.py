@@ -417,24 +417,33 @@ def remainders(
     formulas: Iterable[Formula],
     target: Formula,
     cap: int = REMAINDER_CAP,
+    *,
+    entailed: bool = False,
 ) -> frozenset[frozenset[Formula]]:
     """All maximal subsets that fail to entail the target.
 
     Enumerates subsets by decreasing size, skipping anything contained
-    in a remainder already found, so only maximal sets survive.
+    in a remainder already found, so only maximal sets survive.  A
+    caller that knows the formulas entail the target and the target is
+    no tautology passes entailed=True: the whole set then entails it and
+    the empty set does not, so neither is asked, and k formulas take at
+    most 2^k - 2 entailment checks, none when k is 1.
     """
     pool = sorted(set(formulas), key=lambda f: _compiled(f).key)
     if len(pool) > cap:
         raise ResourceLimitError(
             f"remainder enumeration over {len(pool)} formulas, cap is {cap}"
         )
+    full = (1 << len(pool)) - 1
     found: list[frozenset[Formula]] = []
-    masks = sorted(range(1 << len(pool)), key=lambda m: -bin(m).count("1"))
+    masks = sorted(range(full + 1), key=lambda m: -bin(m).count("1"))
     for mask in masks:
         subset = frozenset(f for i, f in enumerate(pool) if mask >> i & 1)
         if any(subset <= bigger for bigger in found):
             continue
-        if not entails(subset, target):
+        if entailed and mask == full:
+            continue
+        if (entailed and mask == 0) or not entails(subset, target):
             found.append(subset)
     return frozenset(found)
 
@@ -476,13 +485,17 @@ def _contract_entailed(
 
     Remainders, selection and the entries dropped come from the target's
     part R alone (see _relevant_part); the unrelated part U joins every
-    remainder whole.  The kept formulas no longer entail the target, so
-    they are satisfiable; when a model of U is at hand, it is extended
-    to the kept part of R and kept as the witness.
+    remainder whole.  R entails the target too, by the same splitting
+    argument, so remainders asks neither R itself nor the empty set.
+    The kept formulas no longer entail the target, so they are
+    satisfiable; when a model of U is at hand, it is extended to the
+    kept part of R and kept as the witness.
     """
     relevant, unrelated, shared = _relevant_part(base, atom_ids)
     kept = _select_remainder(
-        base, remainders([e.formula for e in relevant], target), unrelated
+        base,
+        remainders([e.formula for e in relevant], target, entailed=True),
+        unrelated,
     )
     kept_keys = {_compiled(f).key for f in kept}
     dropped = sorted(

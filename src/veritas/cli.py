@@ -12,10 +12,11 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import warnings
 from pathlib import Path
 
 from .belief import ConsistencyError, export
-from .config import EngineConfig, apply_env, apply_file, assign
+from .config import EngineConfig, ThetaRangeWarning, apply_env, apply_file, assign
 from .engine import (
     EscalationError,
     Session,
@@ -128,7 +129,11 @@ def _named_command(argv: list[str]) -> str | None:
 
 
 def _build_config(args: argparse.Namespace) -> EngineConfig:
-    """The file, then VERITAS_ variables, then each --set, validated once."""
+    """The file, then VERITAS_ variables, then each --set, validated once.
+
+    Each warning the validation raises prints as one tab-separated line
+    on stderr: its category, ``config`` and its message.
+    """
     config = EngineConfig()
     if args.config is not None:
         apply_file(config, Path(args.config))
@@ -144,7 +149,11 @@ def _build_config(args: argparse.Namespace) -> EngineConfig:
         config.domain_path = args.domain
     if getattr(args, "goal", None):
         config.goal = args.goal
-    config.validate()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        config.validate()
+    for warning in caught:
+        sys.stderr.write(f"{warning.category.__name__}\tconfig\t{warning.message}\n")
     return config
 
 
@@ -275,8 +284,11 @@ def main(argv: list[str] | None = None) -> int:
         config = _build_config(args)
         if args.command == "ledger" and args.action == "verify":
             return _verify_only(config)
-        with Session(config) as session:
-            return _dispatch(args, session)
+        with warnings.catch_warnings():
+            # Reported above; the session validates its config again.
+            warnings.simplefilter("ignore", ThetaRangeWarning)
+            with Session(config) as session:
+                return _dispatch(args, session)
     except ParseError as err:
         _error("parse", err)
         return EXIT_USAGE

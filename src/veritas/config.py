@@ -70,8 +70,9 @@ _RELIABILITY_ENV = ENV_PREFIX + "RELIABILITY_"
 
 def assign(config: EngineConfig, key: str, raw: str) -> bool:
     """Set key from its text, as every source does; False, setting
-    nothing, when no key has that name."""
-    if key.startswith("reliability."):
+    nothing, when no key has that name.  A reliability key must name
+    its source."""
+    if key.startswith("reliability.") and key != "reliability.":
         config.reliability[key[len("reliability."):]] = _coerce(float, key, raw)
     elif key in KEY_TYPES:
         setattr(config, key, _coerce(KEY_TYPES[key], key, raw))

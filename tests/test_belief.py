@@ -16,6 +16,8 @@ from itertools import combinations
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import (
     ReferenceBase,
     pair_disjunction,
@@ -1013,11 +1015,11 @@ class TestRevisionByKnownFacts:
         assert revised > 100 and witnessed > 0.9 * revised
         assert met > 15 and weighed > 15
 
-    def test_a_churn_revision_solves_three_times(self, monkeypatch):
+    def test_a_churn_revision_solves_once(self, monkeypatch):
         """Twelve independent literals, as revise-churn holds: a revision
-        asks the failed expansion and the two entailment checks of the
-        target's one-formula component, and no more; the closing
-        expansion extends the witness the contraction kept."""
+        asks the failed expansion and no more; the target's one-formula
+        component has its remainders settled by that failure, and the
+        closing expansion extends the witness the contraction kept."""
         base = BeliefBase()
         for i in range(12):
             base, _ = update_belief_state(base, entry(f"C{i}" if i % 2 else f"!C{i}"))
@@ -1033,5 +1035,148 @@ class TestRevisionByKnownFacts:
         for text in ("!C3", "C3", "C4", "!C4"):
             calls.clear()
             base, route = update_belief_state(base, entry(text))
-            assert route == "revised" and len(calls) == 3
+            assert route == "revised" and len(calls) == 1
             assert len(base.entries) == 12 and witness_holds(base)
+
+
+def count_remainder_questions(monkeypatch) -> list[int]:
+    """Count the entails and is_consistent calls made inside
+    belief.remainders; the returned one-item list holds the count."""
+    asked, depth = [0], [0]
+    enumerate_remainders, ask, solve = belief.remainders, belief.entails, belief.is_consistent
+
+    def enumerating(*args, **kwargs):
+        depth[0] += 1
+        try:
+            return enumerate_remainders(*args, **kwargs)
+        finally:
+            depth[0] -= 1
+
+    def counted(question):
+        def call(*args, **kwargs):
+            asked[0] += depth[0] > 0
+            return question(*args, **kwargs)
+
+        return call
+
+    monkeypatch.setattr(belief, "remainders", enumerating)
+    monkeypatch.setattr(belief, "entails", counted(ask))
+    monkeypatch.setattr(belief, "is_consistent", counted(solve))
+    return asked
+
+
+def each_entails(k: int) -> list[str]:
+    """k formulas that each entail p: every nonempty subset entails it."""
+    return [f"p & x{i}" for i in range(k)]
+
+
+def chain_to(k: int) -> list[str]:
+    """x1, x1 -> x2, ..., x(k-1) -> p: only the whole chain entails p."""
+    if k == 1:
+        return ["p"]
+    links = [f"x{i} -> x{i + 1}" for i in range(1, k - 1)]
+    return ["x1", *links, f"x{k - 1} -> p"]
+
+
+# Entailment checks inside remainders for a k-formula component of each
+# shape: through the revise route and contract, and by a direct call,
+# which still asks the whole set and, when no remainder is nonempty,
+# the empty set.
+SHAPES = {
+    each_entails: (lambda k: 2**k - 2, lambda k: 2**k),
+    chain_to: (lambda k: 0 if k == 1 else k, lambda k: 2 if k == 1 else k + 1),
+}
+
+# Pieces of a target component over p, a, b, c, d: literals,
+# implications, disjunctions, and rules that share an atom.
+COMPONENT_PIECES = [
+    "a", "!b", "c", "d", "c -> p", "d -> c", "b -> c", "a | c", "p | d",
+    "!c | !d", "a -> d", "c -> d", "a & b -> p", "b | d",
+]
+
+# Chains that entail p, so that most drawn bases have something to give up.
+COMPONENT_CHAINS = [["p"], ["a", "a -> p"], ["b", "b -> a", "a -> p"]]
+
+
+class TestRemainderQuestions:
+    """Contraction asks remainders only what the caller's proof that the
+    base entails the target left open; a direct call asks everything."""
+
+    @pytest.mark.parametrize("shape", list(SHAPES), ids=lambda s: s.__name__)
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_component_of_k_formulas(self, monkeypatch, shape, k):
+        routed, direct = (count(k) for count in SHAPES[shape])
+        assert routed <= 2**k - 2
+        texts = shape(k)
+        asked = count_remainder_questions(monkeypatch)
+        base = BeliefBase()
+        for text in [*texts, "z"]:
+            base, route = update_belief_state(base, entry(text))
+            assert route == "expanded"
+        asked[0] = 0
+        revised, route = update_belief_state(base, entry("!p"))
+        assert route == "revised" and asked[0] == routed
+        assert {e.key for e in revised.entries} >= {"z", "(! p)"}
+        asked[0] = 0
+        contracted = contract(base, parse("p"))
+        assert asked[0] == routed and not entails(contracted.formulas(), parse("p"))
+        asked[0] = 0
+        pool = [parse(t) for t in texts]
+        found = belief.remainders(pool, parse("p"))
+        assert found == subset_remainders(pool, parse("p")) and asked[0] == direct
+
+    def test_a_component_past_the_cap_raises_before_any_question(self, monkeypatch):
+        """17 connected formulas: both routes refuse before remainders
+        asks the solver anything."""
+        texts = ["p", *(f"p -> q{i}" for i in range(16))]
+        base = BeliefBase()
+        for text in texts:
+            base, _ = update_belief_state(base, entry(text))
+        asked = count_remainder_questions(monkeypatch)
+        with pytest.raises(ResourceLimitError):
+            update_belief_state(base, entry("!p"))
+        with pytest.raises(ResourceLimitError):
+            contract(base, parse("p"))
+        with pytest.raises(ResourceLimitError):
+            remainders([parse(t) for t in texts], parse("p"))
+        assert asked[0] == 0
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        chain=st.sampled_from(COMPONENT_CHAINS),
+        pieces=st.lists(st.sampled_from(COMPONENT_PIECES), max_size=5, unique=True),
+        weights=st.lists(st.sampled_from([0.6, 0.8, 0.9]), min_size=9, max_size=9),
+        unrelated=st.booleans(),
+        target_text=st.sampled_from(["p", "p | d", "a -> p", "c & p"]),
+    )
+    def test_contraction_matches_partial_meet_over_subset_remainders(
+        self, chain, pieces, weights, unrelated, target_text
+    ):
+        """A component of 1-8 formulas, folded into a witnessed base and
+        built witnessless by from_entries: contract and the revise route
+        keep the entries and log the retractions that partial meet over
+        tests/oracles.py's subset_remainders gives."""
+        texts = list(dict.fromkeys([*chain, *pieces])) + ["u"] * unrelated
+        entries = [
+            BeliefEntry(parse(t), 0.99, Provenance(f"s{i}", i, weights[i]))
+            for i, t in enumerate(texts)
+        ]
+        target = parse(target_text)
+        incoming = BeliefEntry(Not(target), 0.99, Provenance("new", 99, 0.95))
+        folded, folded_model = BeliefBase(), ReferenceBase()
+        for item in entries:
+            folded, _ = update_belief_state(folded, item)
+            folded_model, _ = reference_update(folded_model, item)
+        built = BeliefBase.from_entries(entries)
+        built_model = ReferenceBase.from_entries(entries)
+        assert built.witness is None
+        shown = [target, Not(target), *(e.formula for e in entries)]
+        for real, model in ((folded, folded_model), (built, built_model)):
+            assert_matches_reference(real, model, shown)
+            assert_matches_reference(
+                contract(real, target), reference_contract(model, target), shown
+            )
+            revised, route = update_belief_state(real, incoming)
+            expected, expected_route = reference_update(model, incoming)
+            assert route == expected_route
+            assert_matches_reference(revised, expected, shown)

@@ -23,7 +23,7 @@ import veritas.ledger
 import veritas.logic.parser
 from veritas.belief import export
 from veritas.cli import main
-from veritas.config import EngineConfig, load_config
+from veritas.config import EngineConfig, ThetaRangeWarning, load_config
 from veritas.belief import Provenance
 from veritas.engine import Session
 from veritas.justify import node_digest
@@ -861,6 +861,7 @@ ENV_NAMES = [
     ("VERITAS_reliability_alice", None),
     ("VERITAS_Reliability_ALICE", None),
     ("VERITAS_RELIABILITY", None),
+    ("VERITAS_RELIABILITY_", None),
     ("VERITAS_BOGUS", None),
     ("VERITAS_", None),
     ("THETA", None),
@@ -939,7 +940,13 @@ class TestConfigPlumbing:
 
     @pytest.mark.parametrize(
         "source, key",
-        [("set", "key_path"), ("set", "epsilon_max"), ("file", "epsilon_max")],
+        [
+            ("set", "key_path"),
+            ("set", "epsilon_max"),
+            ("file", "epsilon_max"),
+            ("set", "reliability."),
+            ("file", "reliability."),
+        ],
     )
     def test_removed_keys_are_unknown_keys(
         self, cli, monkeypatch, tmp_path, source, key
@@ -951,6 +958,24 @@ class TestConfigPlumbing:
         assert err.count("\n") == 1
         assert err.startswith("error\tusage\t")
         assert "unknown config key" in err
+
+    @pytest.mark.parametrize("source", ["file", "env", "set"])
+    def test_a_low_theta_warns_in_one_line(self, cli, monkeypatch, tmp_path, source):
+        """The warning is one tab-separated stderr line; the verdict and
+        the exit status are those of theta 0.9."""
+        code, out, err = cli(
+            *setting(source, "theta", "0.9", monkeypatch, tmp_path),
+            "observe", "q", "--p", "0.975",
+        )
+        assert (code, out) == (0, "admitted\tq\n")
+        assert err == (
+            "ThetaRangeWarning\tconfig\t"
+            "theta=0.9 sits below the recommended [0.95, 1) band\n"
+        )
+
+    def test_a_low_theta_still_warns_library_callers(self):
+        with pytest.warns(ThetaRangeWarning):
+            load_config(theta=0.9)
 
     def test_removed_keys_in_the_environment_are_ignored(self, cli, monkeypatch):
         monkeypatch.setenv("VERITAS_EPSILON_MAX", "0.1")
