@@ -515,8 +515,13 @@ class Session:
     def plan_goal(
         self, goal_text: str | None = None
     ) -> tuple[list[GroundAction], SimulationResult, int]:
-        """Abduce, simulate, and seal a plan for the goal literals."""
+        """Abduce, simulate, and seal a plan for the goal literals.
+
+        The goal is goal_text, else the configured goal, else the
+        domain's goal.
+        """
         domain = self.domain()
+        goal_text = goal_text or self.config.goal
         goal = (
             parse_goal_literals(goal_text) if goal_text else domain.goal
         )

@@ -162,7 +162,13 @@ class ActionSchema:
 
 @dataclass(frozen=True)
 class GroundAction:
-    """An action schema with every parameter bound to an entity."""
+    """An action schema with every parameter bound to an entity.
+
+    Its ground preconditions, add set and delete set are computed on
+    first use and kept on the instance, as formulas keep their text, so
+    an action is grounded once however often it is tested or applied;
+    equality, hashing and repr read only the fields.
+    """
 
     schema: ActionSchema
     args: tuple[str, ...]
@@ -183,23 +189,35 @@ class GroundAction:
             return self.schema.name
         return f"{self.schema.name}({','.join(self.args)})"
 
-    def _binding(self) -> dict[str, str]:
-        return dict(zip(self.schema.param_names, self.args))
-
-    def _ground(self, atom: Atom) -> Atom:
-        binding = self._binding()
+    def _ground(self, atom: Atom, binding: dict[str, str]) -> Atom:
         return Atom(atom.predicate, tuple(binding.get(a, a) for a in atom.args))
 
+    def _grounding(
+        self,
+    ) -> tuple[tuple[Literal, ...], frozenset[Atom], frozenset[Atom]]:
+        """The ground preconditions, add set and delete set, kept."""
+        kept = self.__dict__.get("_kept")
+        if kept is None:
+            binding = dict(zip(self.schema.param_names, self.args))
+            kept = (
+                tuple(
+                    Literal(self._ground(lit.atom, binding), lit.positive)
+                    for lit in self.schema.pre
+                ),
+                frozenset(self._ground(a, binding) for a in self.schema.add),
+                frozenset(self._ground(a, binding) for a in self.schema.delete),
+            )
+            object.__setattr__(self, "_kept", kept)
+        return kept
+
     def preconditions(self) -> tuple[Literal, ...]:
-        return tuple(
-            Literal(self._ground(lit.atom), lit.positive) for lit in self.schema.pre
-        )
+        return self._grounding()[0]
 
     def add_atoms(self) -> frozenset[Atom]:
-        return frozenset(self._ground(a) for a in self.schema.add)
+        return self._grounding()[1]
 
     def delete_atoms(self) -> frozenset[Atom]:
-        return frozenset(self._ground(a) for a in self.schema.delete)
+        return self._grounding()[2]
 
 
 @dataclass(frozen=True)

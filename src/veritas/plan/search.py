@@ -6,9 +6,11 @@ literal), recursively plan for that action's missing preconditions,
 apply it, and re-attack the full goal set.  Choices are explored
 deterministically: schemas in declaration order, bindings in
 lexicographic constant order, with failed (goals, state) pairs memoized
-per budget.  When regression fails inside the budget, a depth-bounded
-forward search over the same ground actions takes over, so any goal
-reachable in at most budget steps is still found.
+per budget.  A goal literal's achievers are grounded on the search's
+first ask for them; every later step gets the same actions, which keep
+their ground atoms.  When regression fails inside the budget, a
+depth-bounded forward search over the same ground actions takes over,
+so any goal reachable in at most budget steps is still found.
 
 Both searches run over the relevant part of the state only: the atoms
 whose predicate the goal or some schema mentions (Nebel, Dimopoulos and
@@ -22,7 +24,7 @@ error, and the memos hit exactly as they would on the full state.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .domain import (
     ActionSchema,
@@ -49,9 +51,15 @@ class PlanningError(Exception):
 
 @dataclass(frozen=True)
 class _Problem:
+    """One search's inputs, with the achievers it has grounded so far
+    for each goal literal."""
+
     schemas: tuple[ActionSchema, ...]
     ontology: Ontology
     entities: tuple[str, ...]
+    achievers: dict[Literal, tuple[GroundAction, ...]] = field(
+        default_factory=dict, compare=False, repr=False
+    )
 
 
 def relevant_state(
@@ -84,7 +92,17 @@ def _goal_key(goals: tuple[Literal, ...]) -> tuple[str, ...]:
     return tuple(sorted(lit.render() for lit in goals))
 
 
-def _achievers(problem: _Problem, goal: Literal) -> list[GroundAction]:
+def _achievers(problem: _Problem, goal: Literal) -> tuple[GroundAction, ...]:
+    """The literal's achievers, built on the search's first ask."""
+    found = problem.achievers.get(goal)
+    if found is None:
+        found = problem.achievers[goal] = _ground_achievers(problem, goal)
+    return found
+
+
+def _ground_achievers(
+    problem: _Problem, goal: Literal
+) -> tuple[GroundAction, ...]:
     """Ground actions whose effects satisfy the literal, in order.
 
     A positive literal is achieved by an add effect, a negative one by a
@@ -134,7 +152,7 @@ def _achievers(problem: _Problem, goal: Literal) -> list[GroundAction]:
         if text not in seen:
             seen.add(text)
             unique.append(action)
-    return unique
+    return tuple(unique)
 
 
 def _regress(

@@ -319,19 +319,20 @@ def bfs_plan(domain, max_depth: int):
     """Shortest plan by queue-based search over reachable states.
 
     Independent of the planner: enumerates every type-correct ground
-    action up front and walks the state graph breadth first.  Returns
-    the action list, or None when the goal is out of reach within
-    max_depth steps.
+    action up front, substituting each schema's parameters itself, and
+    walks the state graph breadth first.  Returns the action list, or
+    None when the goal is out of reach within max_depth steps.
     """
     from collections import deque
 
-    from veritas.plan import (
-        GroundAction,
-        WorldState,
-        preconditions_met,
-        type_check,
-    )
+    from veritas.plan import GroundAction, type_check
     from itertools import product
+
+    def ground(atom, binding):
+        return Atom(atom.predicate, tuple(binding.get(a, a) for a in atom.args))
+
+    def holds(literals, atoms):
+        return all((atom in atoms) == positive for atom, positive in literals)
 
     schema_names = {s.name for s in domain.schemas}
     entities = sorted(
@@ -352,21 +353,27 @@ def bfs_plan(domain, max_depth: int):
             )
         for combo in product(*pools):
             action = GroundAction(schema, tuple(combo))
-            if type_check(action, domain.ontology) is None:
-                actions.append(action)
+            if type_check(action, domain.ontology) is not None:
+                continue
+            binding = {name: arg for (name, _), arg in zip(schema.params, combo)}
+            pre = [(ground(lit.atom, binding), lit.positive) for lit in schema.pre]
+            add = frozenset(ground(atom, binding) for atom in schema.add)
+            delete = frozenset(ground(atom, binding) for atom in schema.delete)
+            actions.append((action, pre, add, delete))
+    goal = [(lit.atom, lit.positive) for lit in domain.goal]
     start = domain.init.atoms
     queue = deque([(start, [])])
     seen = {start}
     while queue:
         atoms, path = queue.popleft()
-        if WorldState(atoms).satisfies_all(domain.goal):
+        if holds(goal, atoms):
             return path
         if len(path) >= max_depth:
             continue
-        for action in actions:
-            if not preconditions_met(action, WorldState(atoms)):
+        for action, pre, add, delete in actions:
+            if not holds(pre, atoms):
                 continue
-            nxt = (atoms - action.delete_atoms()) | action.add_atoms()
+            nxt = (atoms - delete) | add
             if nxt in seen:
                 continue
             seen.add(nxt)

@@ -648,6 +648,23 @@ class TestPlanCommand:
         assert [b.op for b in ledger.blocks] == [Op.TRACE_SEAL]
         assert ledger.blocks[0].formula == "At(Agent1,LocationB)"
 
+    @pytest.mark.parametrize("source", ["file", "env", "set"])
+    def test_plan_follows_the_configured_goal(
+        self, cli, source, monkeypatch, tmp_path
+    ):
+        options = setting(source, "goal", "FullBattery(Drone1)", monkeypatch, tmp_path)
+        drone = ["plan", "--domain", str(DOMAINS / "drone.domain")]
+        code, out, err = cli(*options, *drone)
+        assert (code, err) == (0, "")
+        assert [line for line in out.splitlines() if line.startswith("plan\t")] == [
+            "plan\tRecharge(Drone1)"
+        ]
+        ledger = Ledger(tmp_path / "veritas.vlog")
+        assert ledger.blocks[-1].formula == "FullBattery(Drone1)"
+        code, out, _ = cli(*options, *drone, "--goal", "At(Drone1,SiteAlpha)")
+        assert code == 0
+        assert "plan\tFly(Drone1,Base,SiteAlpha)" in out
+
 
 class TestInjectPolicyCommand:
     def test_failed_injection_recovers_with_a_new_plan(self, cli, tmp_path):
