@@ -226,6 +226,10 @@ class Session:
         self._lock_handle = handle
 
     def close(self) -> None:
+        """Close both files' append handles, then release the lock."""
+        # No ledger is set when opening it failed.
+        if hasattr(self, "ledger"):
+            self.ledger.close()
         self._nodes.close()
         if self._lock_handle is not None:
             fcntl.flock(self._lock_handle.fileno(), fcntl.LOCK_UN)
@@ -515,21 +519,20 @@ class Session:
     def plan_goal(
         self, goal_text: str | None = None
     ) -> tuple[list[GroundAction], SimulationResult, int]:
-        """Abduce, simulate, and seal a plan for the goal literals.
-
-        The goal is goal_text, else the configured goal, else the
-        domain's goal.
-        """
-        domain = self.domain()
-        goal_text = goal_text or self.config.goal
-        goal = (
-            parse_goal_literals(goal_text) if goal_text else domain.goal
-        )
+        """Abduce, simulate, and seal a plan for the goal literals that
+        _goal resolves from goal_text."""
+        goal = self._goal(goal_text)
         if not goal:
             raise PlanningError("no goal given")
         state = self.world_state()
         plan = self._abduce(goal, state)
         return plan, *self._simulate_and_seal(plan, state, goal)
+
+    def _goal(self, goal_text: str | None = None) -> tuple[Literal, ...]:
+        """goal_text, else the configured goal, else the domain's goal."""
+        domain = self.domain()
+        goal_text = goal_text or self.config.goal
+        return parse_goal_literals(goal_text) if goal_text else domain.goal
 
     def _simulate_and_seal(self, plan, state, goal) -> tuple[SimulationResult, int]:
         """simulate_trace and seal_trace, simulating a new problem only.
@@ -550,7 +553,8 @@ class Session:
         expected_utility: float | None = None,
         actual_utility: float | None = None,
     ) -> list[str]:
-        """Gate an externally supplied plan, then simulate and seal it.
+        """Gate an externally supplied plan, then simulate and seal it
+        toward the goal that _goal resolves.
 
         A utility gap beyond delta, or a mid-plan precondition failure,
         hands a TypeV event to recovery, which replans from the current
@@ -562,7 +566,7 @@ class Session:
             violation = type_check(action, domain.ontology)
             if violation is not None:
                 raise PlanningError(violation.render())
-        goal = domain.goal
+        goal = self._goal()
         state = self.world_state()
 
         def replan() -> str | None:

@@ -310,18 +310,35 @@ def dominance(
     return 0
 
 
+# The line json.dumps(..., sort_keys=True) writes for a node, spelt by
+# hand: json's own escaper quotes each string, and _json_number spells
+# each number as json does.  _NODE_LINE_RE below reads it back.
+_NODE_LINE = (
+    '{"conclusion": %s, "confidence": %s, "id": %s, "premises": [%s],'
+    ' "rule": %s, "source": %s, "timestamp": %s}'
+)
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _json_number(value: float) -> str:
+    """A bool, int or finite float as json.dumps spells it."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return int.__repr__(value) if isinstance(value, int) else float.__repr__(value)
+
+
 def node_to_json(node: JustificationNode) -> str:
-    return json.dumps(
-        {
-            "id": node.node_id,
-            "conclusion": render_canonical(node.conclusion),
-            "rule": node.rule,
-            "premises": list(node.premises),
-            "source": node.provenance.source,
-            "timestamp": node.provenance.timestamp,
-            "confidence": node.provenance.confidence,
-        },
-        sort_keys=True,
+    """The node's store line, without its newline: a JSON object with
+    sorted keys, byte for byte what json.dumps gives."""
+    provenance = node.provenance
+    return _NODE_LINE % (
+        _quote(render_canonical(node.conclusion)),
+        _json_number(provenance.confidence),
+        _quote(node.node_id),
+        ", ".join(map(_quote, node.premises)),
+        _quote(node.rule),
+        _quote(provenance.source),
+        _json_number(provenance.timestamp),
     )
 
 

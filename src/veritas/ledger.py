@@ -18,7 +18,11 @@ change a base: it folds the next block as apply_block does and appends
 it only once that fold has succeeded.  A batch writes the lines of the
 blocks appended inside it with one write and one fsync.  Ledger._write
 runs the before_write hook, a NodeStore's write, before any block line,
-so a node is stored before a block names it.
+so a node is stored before a block names it.  The ledger and the node
+store each open their file for appending on their first write, keep
+that handle until close, and learn where the file ends by one seek at
+that open; from then on they track it, so a write neither reopens the
+file nor seeks.
 """
 
 from __future__ import annotations
@@ -193,7 +197,9 @@ class Ledger:
     whole chain and, when it is intact, records it as that prefix.
     ``ensure_verified`` accepts a chain equal to the prefix without
     hashing it again.  before_write, when given, runs each time block
-    lines are about to be written.
+    lines are about to be written.  The first write opens the file for
+    appending; the handle stays open until ``close``, which a file-backed
+    ledger that has written needs, directly or as a context manager.
     """
 
     def __init__(
@@ -213,6 +219,9 @@ class Ledger:
         self._corrupt_at: int | None = None
         # Lines of the blocks appended inside a batch, not yet written.
         self._pending: list[bytes] | None = None
+        # The append handle, once a write opened it, and the file's length.
+        self._handle = None
+        self._end = 0
         intact = True
         if self.path is not None and self.path.exists():
             intact = self._load()
@@ -365,25 +374,47 @@ class Ledger:
                     raise
 
     def _write(self, data: bytes) -> None:
-        """Run before_write, then append the block lines and fsync them.
+        """Run before_write, then append the block lines through the kept
+        handle and fsync them.
 
         This is the one place that orders node lines before block lines.
+        A write that fails leaves the file, and the length tracked for
+        it, as they were before it.
         """
         if self.before_write is not None:
             self.before_write()
-        with open(self.path, "ab", buffering=0) as handle:
-            _append_all(handle, data, sync=True)
+        if self._handle is None:
+            self._handle, self._end = _open_append(self.path)
+        self._end = _append_all(self._handle, data, self._end, sync=True)
+
+    def close(self) -> None:
+        """Close the append handle, if a write opened it."""
+        if self._handle is not None:
+            self._handle.close()
+            self._handle = None
+
+    def __enter__(self) -> Ledger:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
     def contains_digest(self, digest: bytes) -> bool:
         """Whether any block anchors the given justification digest."""
         return digest in self._digests
 
 
-def _append_all(handle, data: bytes, sync: bool = False) -> None:
-    """Append all of data through an unbuffered binary handle, fsynced
-    when sync is set; if any of it fails, cut the file back to its
-    length before the write and re-raise."""
-    end = handle.seek(0, os.SEEK_END)
+def _open_append(path):
+    """An unbuffered binary append handle on path, and the file's length."""
+    handle = open(path, "ab", buffering=0)
+    return handle, handle.seek(0, os.SEEK_END)
+
+
+def _append_all(handle, data: bytes, end: int, sync: bool = False) -> int:
+    """Append all of data through an unbuffered binary append handle on
+    a file end bytes long, fsynced when sync is set, and return the
+    file's new length.  If any of it fails, cut the file back to end and
+    re-raise."""
     try:
         view = memoryview(data)
         while view:
@@ -393,15 +424,17 @@ def _append_all(handle, data: bytes, sync: bool = False) -> None:
     except BaseException:
         handle.truncate(end)
         raise
+    return end + len(data)
 
 
 class NodeStore:
     """The justification nodes that blocks name: one JSON line each.
 
     load reads the store into a graph; write_new appends the nodes the
-    graph gained since, through a handle kept open until close, and
-    truncate takes nodes back out.  Before load it writes nothing and
-    reads nothing.  A session's ledger runs write_new as its
+    graph gained since, through a handle that its first write opens and
+    close closes, and truncate takes nodes back out.  Both track the
+    file's length instead of asking for it.  Before load it writes
+    nothing and reads nothing.  A session's ledger runs write_new as its
     before_write hook.
     """
 
@@ -410,7 +443,9 @@ class NodeStore:
         self.graph: JustificationGraph | None = None
         self._loaded = 0
         self._written = 0
+        # The append handle, once a write opened it, and the file's length.
         self._handle = None
+        self._end = 0
 
     def load(self) -> JustificationGraph:
         """The graph the store holds; a damaged store raises ReplayError,
@@ -430,9 +465,9 @@ class NodeStore:
         if graph is None or len(graph) == self._written:
             return
         if self._handle is None:
-            self._handle = open(self.path, "ab", buffering=0)
+            self._handle, self._end = _open_append(self.path)
         lines = (node_to_json(n) + "\n" for n in graph.nodes_since(self._written))
-        _append_all(self._handle, "".join(lines).encode())
+        self._end = _append_all(self._handle, "".join(lines).encode(), self._end)
         self._written = len(graph)
 
     def truncate(self, count: int | None) -> None:
@@ -447,7 +482,8 @@ class NodeStore:
         if self._written > count:
             lines = graph.nodes_since(count)[: self._written - count]
             size = len("".join(node_to_json(n) + "\n" for n in lines).encode())
-            self._handle.truncate(self._handle.seek(0, os.SEEK_END) - size)
+            self._handle.truncate(self._end - size)
+            self._end -= size
             self._written = count
         graph.truncate(count)
 

@@ -209,14 +209,14 @@ def test_criterion_4_ledger_replay_tamper_and_merkle(tmp_path):
             )
             assert live == replayed, f"sequence {index} diverged"
 
-    fixture = Ledger(tmp_path / "fixture.vlog")
-    for index in range(50):
-        fixture.append(
-            Op.INSERT if index % 3 else Op.META,
-            formula=f"s{index}",
-            justification_digest=bytes([index]) * 32,
-            timestamp=index,
-        )
+    with Ledger(tmp_path / "fixture.vlog") as fixture:
+        for index in range(50):
+            fixture.append(
+                Op.INSERT if index % 3 else Op.META,
+                formula=f"s{index}",
+                justification_digest=bytes([index]) * 32,
+                timestamp=index,
+            )
     assert fixture.verify_chain() is None
     original = (tmp_path / "fixture.vlog").read_bytes()
     tampered_path = tmp_path / "tampered.vlog"

@@ -678,6 +678,22 @@ class TestInjectPolicyCommand:
         assert "PreconditionFailure(Fly(Drone1,Base,SiteAlpha),FullBattery)" in out
         assert "reselected(Recharge(Drone1);Fly(Drone1,Base,SiteAlpha))" in out
 
+    @pytest.mark.parametrize("source", ["file", "env", "set"])
+    def test_recovery_replans_toward_the_configured_goal(
+        self, cli, source, monkeypatch, tmp_path
+    ):
+        options = setting(source, "goal", "FullBattery(Drone1)", monkeypatch, tmp_path)
+        policy = tmp_path / "policy.txt"
+        policy.write_text("action Fly(Drone1,Base,SiteAlpha)\n")
+        code, out, err = cli(
+            *options, "inject-policy", str(policy),
+            "--domain", str(DOMAINS / "drone.domain"),
+        )
+        assert (code, err) == (0, "")
+        assert "reselected(Recharge(Drone1))" in out
+        ledger = Ledger(tmp_path / "veritas.vlog")
+        assert ledger.blocks[-1].formula == "FullBattery(Drone1)"
+
     def test_utility_gap_reports_reselection(self, cli, tmp_path):
         policy = tmp_path / "policy.txt"
         policy.write_text(

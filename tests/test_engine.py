@@ -636,7 +636,7 @@ class TestGuardIntegration:
         append_all = veritas.ledger._append_all
         named = []
 
-        def checked_write(handle, data, sync=False):
+        def checked_write(handle, data, end, sync=False):
             if handle.name == config.ledger_path:
                 with open(config.resolved_nodes_path(), encoding="utf-8") as nodes:
                     stored = {json.loads(line)["id"] for line in nodes}
@@ -648,7 +648,7 @@ class TestGuardIntegration:
                     ):
                         assert digest.hex() in stored, (op, block.formula)
                         named.append(op)
-            return append_all(handle, data, sync)
+            return append_all(handle, data, end, sync)
 
         # Both files are appended through this one helper.
         monkeypatch.setattr(veritas.ledger, "_append_all", checked_write)
@@ -1020,8 +1020,9 @@ class TestGroupCommit:
         assert calls.count("fsync") == 201
 
     def test_a_drone_run_opens_the_node_store_once(self, make_config, monkeypatch):
-        """The store stays open for appends while the session holds its
-        lock; each line's nodes are written at its batch's exit."""
+        """The store, and the ledger too, stays open for appends while the
+        session holds its lock; each line's nodes are written at its
+        batch's exit."""
         monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
         from workloads import ingest_stream
 
@@ -1040,6 +1041,7 @@ class TestGroupCommit:
             assert session.run_loop(lines, io.StringIO(), io.StringIO()) == 0
             graph = session.graph
         assert opened.count(config.resolved_nodes_path()) == 1
+        assert opened.count(config.ledger_path) == 1
         with Session(config) as reopened:
             assert reopened.graph.all_nodes() == graph.all_nodes()
 
@@ -1154,34 +1156,30 @@ class TestGroupCommit:
         runs: the file, the chain and the session go back to before that
         line, and the ledger ends as if the line had never been read."""
         config, reference = make_config(), make_config("reference")
-        opener, vlog_opens = builtins.open, []
+        opener = builtins.open
 
         class FullDisk:
-            """A file whose next write stores half its bytes, then fails."""
+            """The ledger's kept handle: its fourth write stores half its
+            bytes, then fails."""
 
             def __init__(self, handle):
-                self._handle = handle
+                self._handle, self.writes = handle, 0
 
             def __getattr__(self, name):
                 return getattr(self._handle, name)
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                self._handle.close()
-
             def write(self, data):
+                self.writes += 1
+                # Each run writes its session-start block, then its line.
+                if self.writes != 4:
+                    return self._handle.write(data)
                 self._handle.write(bytes(data[: len(data) // 2]))
                 raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
         def flaky_open(file, mode="r", *args, **kwargs):
             handle = opener(file, mode, *args, **kwargs)
             if os.fspath(file) == config.ledger_path and "a" in mode:
-                vlog_opens.append(mode)
-                # Each run writes its session-start block, then its line.
-                if len(vlog_opens) == 4:
-                    return FullDisk(handle)
+                return FullDisk(handle)
             return handle
 
         monkeypatch.setattr(builtins, "open", flaky_open)
@@ -1215,6 +1213,69 @@ class TestGroupCommit:
         ):
             assert Path(mine).read_bytes() == Path(theirs).read_bytes()
 
+    @pytest.mark.parametrize("failed", range(3))
+    def test_a_failed_block_write_at_any_line_is_cut_back(
+        self, make_config, monkeypatch, failed
+    ):
+        """ENOSPC halfway through the block write of one of three one-line
+        runs in one session: each file is cut back to where it ended, every
+        later write starts where its file really ends, and both files end
+        byte for byte as a run that skipped the line."""
+        config, reference = make_config(), make_config("reference")
+        opener, append_all, ends = builtins.open, veritas.ledger._append_all, []
+
+        class FullDisk:
+            """The ledger's kept handle: the write of line failed stores
+            half its bytes, then fails."""
+
+            def __init__(self, handle):
+                self._handle, self.writes = handle, 0
+
+            def __getattr__(self, name):
+                return getattr(self._handle, name)
+
+            def write(self, data):
+                self.writes += 1
+                # Each run writes its session-start block, then its line.
+                if self.writes != 2 * failed + 2:
+                    return self._handle.write(data)
+                self._handle.write(bytes(data[: len(data) // 2]))
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        def flaky_open(file, mode="r", *args, **kwargs):
+            handle = opener(file, mode, *args, **kwargs)
+            if os.fspath(file) == config.ledger_path and "a" in mode:
+                return FullDisk(handle)
+            return handle
+
+        def tracked_append(handle, data, end, sync=False):
+            ends.append((end, os.fstat(handle.fileno()).st_size))
+            return append_all(handle, data, end, sync)
+
+        monkeypatch.setattr(builtins, "open", flaky_open)
+        monkeypatch.setattr(veritas.ledger, "_append_all", tracked_append)
+        lines = [f"S{i}\t0.99\tsensor\n" for i in range(3)]
+        with Session(config) as session:
+            for index, line in enumerate(lines):
+                if index != failed:
+                    assert session.run_loop([line], io.StringIO(), io.StringIO()) == 0
+                    continue
+                with pytest.raises(OSError) as err:
+                    session.run_loop([line], io.StringIO(), io.StringIO())
+                assert err.value.errno == errno.ENOSPC
+        # Six block writes, each line's node write before its block's.
+        assert len(ends) == 9
+        assert all(end == size for end, size in ends)
+        with Session(reference) as session:
+            for index, line in enumerate(lines):
+                stream = [] if index == failed else [line]
+                session.run_loop(stream, io.StringIO(), io.StringIO())
+        for mine, theirs in (
+            (config.ledger_path, reference.ledger_path),
+            (config.resolved_nodes_path(), reference.resolved_nodes_path()),
+        ):
+            assert Path(mine).read_bytes() == Path(theirs).read_bytes()
+
     def test_a_failed_first_line_of_a_reopened_session_leaves_no_node(
         self, make_config, monkeypatch
     ):
@@ -1228,13 +1289,13 @@ class TestGroupCommit:
                 session.run_loop(lines[:1], io.StringIO(), io.StringIO())
         append_all, block_writes = veritas.ledger._append_all, []
 
-        def full_on_second_block_write(handle, data, sync=False):
+        def full_on_second_block_write(handle, data, end, sync=False):
             # Block lines are fsynced, node lines are not.
             if sync:
                 block_writes.append(data)
                 if len(block_writes) == 2:
                     raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-            return append_all(handle, data, sync)
+            return append_all(handle, data, end, sync)
 
         monkeypatch.setattr(veritas.ledger, "_append_all", full_on_second_block_write)
         with Session(config) as session:

@@ -30,7 +30,7 @@ from veritas.justify import (
     node_to_json,
     verify_public_proof,
 )
-from veritas.logic import parse, render_canonical
+from veritas.logic import Atom, parse, render_canonical
 
 
 @pytest.fixture
@@ -379,6 +379,56 @@ _EDITS = [
     ("[", "[ "),
     ('"', "'"),
 ]
+
+
+# Any text, often with what json must escape: quotes, backslashes,
+# control characters, non-ASCII and lone surrogates.
+_any_text = st.one_of(
+    st.text(max_size=6),
+    st.text(st.sampled_from('a"\\\x00\x1f\x7fé\u2028\ud800\U0001f600'), max_size=6),
+)
+
+
+class TestNodeLineEncode:
+    """node_to_json spells a node as json.dumps(..., sort_keys=True)
+    does, and node_from_json reads the same node back from it."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        _any_text,
+        _any_text,
+        _any_text,
+        st.lists(_any_text, max_size=3),
+        _any_text,
+        st.one_of(st.integers(0, 10**18), st.integers(10**18, 10**40)),
+        st.one_of(st.booleans(), st.integers(0, 1), st.floats(0, 1)),
+    )
+    def test_json_dumps_parity_and_round_trip(
+        self, node_id, text, rule, premises, source, timestamp, confidence
+    ):
+        # No formula renders with quotes or non-ASCII, so the text a
+        # formula keeps for render_canonical stands in for any text.
+        conclusion = Atom("p")
+        object.__setattr__(conclusion, "_text", text)
+        provenance = Provenance(source, timestamp, confidence)
+        node = JustificationNode(node_id, conclusion, rule, tuple(premises), provenance)
+        line = node_to_json(node)
+        assert line == json.dumps(
+            {
+                "id": node_id,
+                "conclusion": text,
+                "rule": rule,
+                "premises": premises,
+                "source": source,
+                "timestamp": timestamp,
+                "confidence": confidence,
+            },
+            sort_keys=True,
+        )
+        read = node_from_json(line + "\n", {text: conclusion})
+        assert read == node
+        assert type(read.provenance.confidence) is type(confidence)
+        assert repr(read.provenance.confidence) == repr(confidence)
 
 
 class TestNodeLineDecode:

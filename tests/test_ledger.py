@@ -112,18 +112,18 @@ class TestChain:
 
     def test_file_round_trip(self, tmp_path):
         path = tmp_path / "chain.vlog"
-        ledger = Ledger(path)
-        for ts in range(5):
-            ledger.append(Op.META, formula="p", timestamp=ts)
+        with Ledger(path) as ledger:
+            for ts in range(5):
+                ledger.append(Op.META, formula="p", timestamp=ts)
         reloaded = Ledger(path)
         assert reloaded.blocks == ledger.blocks
         assert reloaded.verify_chain() is None
 
     def test_blank_line_is_the_corrupt_block_at_its_index(self, tmp_path):
         path = tmp_path / "chain.vlog"
-        ledger = Ledger(path)
-        for ts in range(10):
-            ledger.append(Op.META, formula="p", timestamp=ts)
+        with Ledger(path) as ledger:
+            for ts in range(10):
+                ledger.append(Op.META, formula="p", timestamp=ts)
         lines = path.read_bytes().splitlines(keepends=True)
         for index in range(len(lines) + 1):
             path.write_bytes(b"".join(lines[:index] + [b"\n"] + lines[index:]))
@@ -131,9 +131,9 @@ class TestChain:
 
     def test_garbage_after_a_blank_line_reports_the_blank_line(self, tmp_path):
         path = tmp_path / "chain.vlog"
-        ledger = Ledger(path)
-        for ts in range(3):
-            ledger.append(Op.META, formula="p", timestamp=ts)
+        with Ledger(path) as ledger:
+            for ts in range(3):
+                ledger.append(Op.META, formula="p", timestamp=ts)
         lines = path.read_bytes().splitlines(keepends=True)
         path.write_bytes(b"".join([lines[0], b"\n", lines[1], b"garbage\n"]))
         assert Ledger(path).verify_chain() == 1
@@ -142,19 +142,19 @@ class TestChain:
 
     def test_reloaded_ledger_extends_the_same_chain(self, tmp_path):
         path = tmp_path / "chain.vlog"
-        first = Ledger(path)
-        first.append(Op.META, timestamp=0)
-        second = Ledger(path)
-        block = second.append(Op.META, timestamp=1)
+        with Ledger(path) as first:
+            first.append(Op.META, timestamp=0)
+        with Ledger(path) as second:
+            block = second.append(Op.META, timestamp=1)
         assert block.h_prev == first.blocks[0].h
         assert Ledger(path).verify_chain() is None
 
     def test_every_single_byte_flip_is_caught_at_the_right_block(self, tmp_path):
         """Flip each byte of a 10-block file; sample positions densely."""
         path = tmp_path / "chain.vlog"
-        ledger = Ledger(path)
-        for ts in range(10):
-            ledger.append(Op.INSERT, formula=f"p{ts}", timestamp=ts)
+        with Ledger(path) as ledger:
+            for ts in range(10):
+                ledger.append(Op.INSERT, formula=f"p{ts}", timestamp=ts)
         pristine = path.read_bytes()
         line_starts = [0]
         for i, byte in enumerate(pristine):
@@ -191,14 +191,14 @@ def hashes(monkeypatch):
 
 
 def write_chain(path, count: int) -> bytes:
-    ledger = Ledger(path)
-    for index in range(count):
-        ledger.append(
-            Op.INSERT,
-            formula=f"s{index}",
-            justification_digest=bytes([index]) * 32,
-            timestamp=index,
-        )
+    with Ledger(path) as ledger:
+        for index in range(count):
+            ledger.append(
+                Op.INSERT,
+                formula=f"s{index}",
+                justification_digest=bytes([index]) * 32,
+                timestamp=index,
+            )
     return path.read_bytes()
 
 
@@ -209,9 +209,9 @@ class TestVerifiedPrefix:
         path = tmp_path / "chain.vlog"
         write_chain(path, 50)
         hashes.clear()
-        ledger = Ledger(path)
-        for ts in range(50, 100):
-            ledger.append(Op.META, formula=f"m{ts}", timestamp=ts)
+        with Ledger(path) as ledger:
+            for ts in range(50, 100):
+                ledger.append(Op.META, formula=f"m{ts}", timestamp=ts)
         # 50 to verify the chain as it is read, then one per new block;
         # re-verifying on every append would be 3,775.
         assert len(hashes) == 100
@@ -221,11 +221,11 @@ class TestVerifiedPrefix:
     def test_verified_ledger_appends_without_rehashing(self, tmp_path, hashes):
         path = tmp_path / "chain.vlog"
         write_chain(path, 50)
-        ledger = Ledger(path)
-        assert ledger.verify_chain() is None
-        hashes.clear()
-        for ts in range(50, 60):
-            ledger.append(Op.META, timestamp=ts)
+        with Ledger(path) as ledger:
+            assert ledger.verify_chain() is None
+            hashes.clear()
+            for ts in range(50, 60):
+                ledger.append(Op.META, timestamp=ts)
         assert hashes == list(range(50, 60))
 
     def test_verify_chain_always_rehashes(self, tmp_path, hashes):
@@ -303,11 +303,11 @@ class TestVerifiedPrefix:
     def test_contains_digest_sees_loaded_and_appended_blocks(self, tmp_path):
         path = tmp_path / "chain.vlog"
         write_chain(path, 5)
-        ledger = Ledger(path)
-        assert all(ledger.contains_digest(bytes([i]) * 32) for i in range(5))
-        assert not ledger.contains_digest(b"\x77" * 32)
-        ledger.append(Op.META, justification_digest=b"\x77" * 32)
-        assert ledger.contains_digest(b"\x77" * 32)
+        with Ledger(path) as ledger:
+            assert all(ledger.contains_digest(bytes([i]) * 32) for i in range(5))
+            assert not ledger.contains_digest(b"\x77" * 32)
+            ledger.append(Op.META, justification_digest=b"\x77" * 32)
+            assert ledger.contains_digest(b"\x77" * 32)
 
     @pytest.mark.parametrize(
         "field",
@@ -424,23 +424,22 @@ class TestBatch:
         self, tmp_path, fsyncs
     ):
         path = tmp_path / "chain.vlog"
-        ledger = Ledger(path)
-        ledger.append(Op.META, formula="start")
-        before = path.read_bytes()
-        with ledger.batch():
-            for ts in range(3):
-                ledger.append(Op.INSERT, formula=f"s{ts}", timestamp=ts)
-                assert ledger.contains_digest(ZERO_HASH)
-            assert len(ledger) == 4
-            assert path.read_bytes() == before
+        with Ledger(path) as ledger:
+            ledger.append(Op.META, formula="start")
+            before = path.read_bytes()
+            with ledger.batch():
+                for ts in range(3):
+                    ledger.append(Op.INSERT, formula=f"s{ts}", timestamp=ts)
+                    assert ledger.contains_digest(ZERO_HASH)
+                assert len(ledger) == 4
+                assert path.read_bytes() == before
         assert len(fsyncs) == 2
         assert path.read_bytes() == b"".join(block_line(b) for b in ledger.blocks)
         assert Ledger(path).blocks == ledger.blocks
 
     def test_an_exception_still_writes_the_blocks_appended(self, tmp_path, fsyncs):
         path = tmp_path / "chain.vlog"
-        ledger = Ledger(path)
-        with pytest.raises(RuntimeError):
+        with Ledger(path) as ledger, pytest.raises(RuntimeError):
             with ledger.batch():
                 ledger.append(Op.META, formula="kept")
                 raise RuntimeError("after the append")
@@ -457,9 +456,9 @@ class TestBatch:
         events = []
         append_all = ledger_module._append_all
 
-        def spy_write(handle, data, sync=False):
+        def spy_write(handle, data, end, sync=False):
             events.append(("write", data.count(b"\n")))
-            return append_all(handle, data, sync)
+            return append_all(handle, data, end, sync)
 
         def before_write():
             events.append(("hook", path.exists(), len(fsyncs)))
@@ -468,17 +467,18 @@ class TestBatch:
 
         monkeypatch.setattr(ledger_module, "_append_all", spy_write)
         ledger = Ledger(path, before_write)
-        with pytest.raises(RuntimeError):
-            with ledger.batch():
-                ledger.append(Op.META, formula="kept")
-                ledger.append(Op.META, formula="also")
-                assert events == []
-                raise RuntimeError("after the append")
-        assert events == [("hook", False, 0), ("write", 2)]
-        ledger.append(Op.META, formula="alone")
-        assert events[2:] == [("hook", True, 1), ("write", 1)]
-        with pytest.raises(OSError, match="node store full"):
-            ledger.append(Op.META, formula="refused")
+        with ledger:
+            with pytest.raises(RuntimeError):
+                with ledger.batch():
+                    ledger.append(Op.META, formula="kept")
+                    ledger.append(Op.META, formula="also")
+                    assert events == []
+                    raise RuntimeError("after the append")
+            assert events == [("hook", False, 0), ("write", 2)]
+            ledger.append(Op.META, formula="alone")
+            assert events[2:] == [("hook", True, 1), ("write", 1)]
+            with pytest.raises(OSError, match="node store full"):
+                ledger.append(Op.META, formula="refused")
         assert events[4:] == [("hook", True, 2)] and len(fsyncs) == 2
         assert [b.formula for b in ledger.blocks] == ["kept", "also", "alone"]
         assert Ledger(path).blocks == ledger.blocks
@@ -491,8 +491,7 @@ class TestBatch:
 
     def test_a_nested_batch_joins_the_outer_one(self, tmp_path, fsyncs):
         path = tmp_path / "chain.vlog"
-        ledger = Ledger(path)
-        with ledger.batch():
+        with Ledger(path) as ledger, ledger.batch():
             ledger.append(Op.META, formula="outer")
             with ledger.batch():
                 ledger.append(Op.META, formula="inner")
@@ -619,9 +618,9 @@ class TestReplay:
 
     def test_corrupt_ledger_refuses_replay(self, engine_state, tmp_path):
         path = tmp_path / "c.vlog"
-        ledger = Ledger(path)
         graph = JustificationGraph()
-        insert(ledger, graph, "p", 0)
+        with Ledger(path) as ledger:
+            insert(ledger, graph, "p", 0)
         data = bytearray(path.read_bytes())
         data[0] ^= 0x01
         path.write_bytes(bytes(data))
