@@ -47,11 +47,11 @@ from .logic import (
     render_canonical,
 )
 from .logic.sat import (
-    EMPTY_WITNESS,
     ResourceLimitError,
     Witness,
     _compiled,
     extend_witness,
+    is_satisfiable,
 )
 
 DEFAULT_THETA = 0.95
@@ -429,7 +429,7 @@ def remainders(
     the empty set does not, so neither is asked, and k formulas take at
     most 2^k - 2 entailment checks, none when k is 1.
     """
-    pool = sorted(set(formulas), key=lambda f: _compiled(f).key)
+    pool = sorted(set(formulas), key=render_canonical)
     if len(pool) > cap:
         raise ResourceLimitError(
             f"remainder enumeration over {len(pool)} formulas, cap is {cap}"
@@ -471,9 +471,11 @@ def contract(
         return base
     if not entails(base.formulas(), target):
         return base
-    compiled = _compiled(target)
     return _contract_entailed(
-        base, target, compiled.atom_ids, reason or f"contract({compiled.key})"
+        base,
+        target,
+        _compiled(target).atom_ids,
+        reason or f"contract({render_canonical(target)})",
     )
 
 
@@ -497,7 +499,7 @@ def _contract_entailed(
         remainders([e.formula for e in relevant], target, entailed=True),
         unrelated,
     )
-    kept_keys = {_compiled(f).key for f in kept}
+    kept_keys = {render_canonical(f) for f in kept}
     dropped = sorted(
         (e for e in relevant if e.key not in kept_keys), key=_entry_key
     )
@@ -524,7 +526,7 @@ def _relevant_part(
     """
     relevant, unrelated, reached = _split_by_relevance(base.entries, atom_ids)
     if base.witness is not None:
-        return relevant, unrelated, _drop_atoms(base.witness, reached, relevant)
+        return relevant, unrelated, _drop_atoms(base.witness, reached)
     if base.known_consistent:
         return relevant, unrelated, None
     found: list[Witness] = []
@@ -556,20 +558,14 @@ def _split_by_relevance(
     return relevant, [entry for entry, _ in pending], frozenset(reached)
 
 
-def _drop_atoms(
-    witness: Witness, atom_ids: frozenset[int], entries: list[BeliefEntry]
-) -> Witness:
-    """The witness of a set without the entries, which span atom_ids and
-    share no atom with the rest of the set: its literals over those atoms
-    go, and so do their atoms and clauses from its bounds.  A witnessed
-    base holds each key once, and each of its formulas has clauses."""
-    clause_count = witness.clause_count
-    for entry in entries:
-        clause_count -= len(_compiled(entry.formula).clauses)
+def _drop_atoms(witness: Witness, atom_ids: frozenset[int]) -> Witness:
+    """The witness of a set without the entries that span atom_ids and
+    share no atom with the rest of the set: its literals and bound over
+    those atoms go.  Literals over the variables naming the entries'
+    subformulas may stay, as no other formula's clauses name them."""
     return Witness(
         frozenset(lit for lit in witness.literals if abs(lit) not in atom_ids),
         witness.atom_ids - atom_ids,
-        clause_count,
     )
 
 
@@ -578,7 +574,7 @@ def _witness_of_kept(shared: Witness, kept: Iterable[Formula]) -> Witness | None
     to them by picking literals formula by formula; None if that gets
     stuck."""
     witness = shared
-    for formula in sorted(kept, key=lambda f: _compiled(f).key):
+    for formula in sorted(kept, key=render_canonical):
         witness = extend_witness(witness, formula)
         if witness is None:
             return None
@@ -605,7 +601,7 @@ def _select_remainder(
         # fsum is correctly rounded, so the total does not depend on the
         # set's iteration order, which varies with the hash seed.
         return math.fsum(
-            [*(weight_of.get(_compiled(f).key, 0.0) for f in remainder), *shared]
+            [*(weight_of.get(render_canonical(f), 0.0) for f in remainder), *shared]
         )
 
     weighed = [(weight(r), r) for r in candidates]
@@ -643,11 +639,7 @@ def update_belief_state(
     consistent, witness = _check_expansion(base, entry)
     if consistent:
         return _expand_checked(base, entry, witness), "expanded"
-    # Extending the empty witness finds a model of most formulas
-    # without a solve; is_consistent decides the rest.
-    if extend_witness(EMPTY_WITNESS, entry.formula) is None and not is_consistent(
-        [entry.formula]
-    ):
+    if not is_satisfiable(entry.formula):
         raise ConsistencyError(f"cannot revise by unsatisfiable {entry.key}")
     contracted = _contract_entailed(
         base,

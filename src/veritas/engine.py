@@ -65,12 +65,11 @@ from .logic import (
     Atom,
     Formula,
     entails,
-    is_consistent,
     is_tautology,
     parse,
     render_canonical,
 )
-from .logic.sat import EMPTY_WITNESS, extend_witness, preferred_conflict
+from .logic.sat import is_satisfiable, preferred_conflict
 from .plan import (
     Domain,
     GroundAction,
@@ -299,10 +298,7 @@ class Session:
         """
         if isinstance(formula, str):
             formula = parse(formula)
-        # Extending the empty witness finds a model of most formulas
-        # without a solve; is_consistent decides the rest.
-        modelled = extend_witness(EMPTY_WITNESS, formula) is not None
-        if not modelled and not is_consistent([formula]):
+        if not is_satisfiable(formula):
             raise ConsistencyError(
                 f"observation is self-contradictory: {render_canonical(formula)}"
             )

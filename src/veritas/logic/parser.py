@@ -62,17 +62,18 @@ _FORMULA_START = frozenset({"NOT", "LPAREN", "IDENT"})
 
 # The deepest nesting parse accepts; see the module docstring.  A
 # recursive walk over a formula takes stack per connective: one frame
-# for syntax._render, syntax._iter_atoms, syntax.evaluate and sat._cnf,
-# two for the dataclass __hash__, and three for its __eq__ and __repr__
-# on Python 3.10 and 3.11, against a default recursion limit of 1000
-# frames; on 3.12 __eq__ stops at 373 connectives wherever it starts, at
-# the interpreter's C recursion limit.  The command line enters these
-# walks at most 23 frames deep and the test suite at most 89, and
-# 3 * 256 = 768 frames fit below 1000 for a walk entered up to 229 deep.
-# Versions without the limit replayed up to 977 connectives from the
-# command line, where the recursion limit stopped sat._cnf; a ledger
-# holding a formula nested deeper than 256 now reads as reaching a
-# limit, not as damaged.
+# for syntax._render, syntax._iter_atoms and syntax.evaluate, one for
+# sat's clausifying walk (_Walk.clauses) or two at a <->, whose operand
+# it names through _Walk._end, two for the dataclass __hash__, and
+# three for its __eq__ and __repr__ on Python 3.10 and 3.11, against a
+# default recursion limit of 1000 frames; on 3.12 __eq__ stops at 373
+# connectives wherever it starts, at the interpreter's C recursion
+# limit.  The command line enters these walks at most 23 frames deep
+# and the test suite at most 89, and 3 * 256 = 768 frames fit below
+# 1000 for a walk entered up to 229 deep.  Versions without the limit
+# replayed up to 977 connectives from the command line, where the
+# recursion limit stopped the clausifier; a ledger holding a formula
+# nested deeper than 256 now reads as reaching a limit, not as damaged.
 MAX_DEPTH = 256
 
 # Canonical atom text -> the one shared instance of that atom.

@@ -1,36 +1,38 @@
 """Satisfiability and entailment over sets of ground formulas.
 
-The main path clausifies each formula (no auxiliary variables, so
-models stay over the original atoms) and runs an iterative DPLL solver
-over the joined clauses: unit propagation over two watched literals per
-clause, a trail that backtracking undoes, and branching on the smallest
-unassigned atom id, true first.  If distribution blows past a clause
-budget the check falls back to truth table enumeration, which is only
-viable for small atom counts.
-
 Each formula instance is compiled once, on its first check, into its
-atom set, its non-tautological clauses (or an over-budget marker) and
-its canonical rendering, and the result is kept on that instance; a
-check joins the compiled clauses of its formulas.  Compilation goes by
-shape: a literal, or one of & | -> <-> over two literals, gets its
-clauses straight from the walk that finds its atoms, and any other
-formula is clausified by direct distribution.  Both give the same atom
-ids and the same clauses in the same order; new atoms get their ids in
-sorted order per formula.  The negation that entails tests is compiled
-once per goal instance too.  Clause literals are integers from one
-process-wide atom table.  A re-parsed compound formula is a new
-instance and compiles afresh; the parser shares atom instances between
-formulas, but hands out every bare atom it returns as a fresh one, so
-that compiles afresh too.
+atom ids and its clauses, and the result is kept on that instance.  A
+check joins the compiled clauses of its formulas and runs an iterative
+DPLL solver over them: unit propagation over two watched literals per
+clause, a trail that backtracking undoes, and branching on the smallest
+unassigned variable id, true first.
 
-Verdicts are not cached, but a satisfiable DPLL check can hand a model
-back as a Witness: one true literal picked from each clause, with the
-query's atom ids and clause count.  Atoms no pick names stay free.
-extend_witness tests one more formula against a witness by checking
-its clauses and setting free atoms, true where it can; when that
-cannot decide, or a limit may be reached, it returns None and the
-caller runs the full check, which raises where a limit is reached.  A
-truth-table verdict yields no witness.
+Compilation is one recursive walk.  It distributes a disjunction as
+negation normal form would while one side is a single clause; past
+that, it names the larger side with a fresh variable x and adds the
+definition clauses c | {! x} for each clause c of that side.  It names
+each <-> operand that is not a literal with a variable defined both
+ways (Tseitin 1968; Plaisted & Greenbaum 1986).  Within one compile
+each subformula is walked at most once per polarity, so the clauses
+grow linearly with the formula.  A formula whose walk names nothing
+gets the clauses of plain distribution in the same order, less those
+that hold a literal and its negation.  Clause literals are integers.
+Atom ids come from one process-wide table, and new atoms get theirs in
+sorted order per formula.  Fresh variables take ids from a process-wide
+counter that starts above any atom id; they never count toward an atom
+limit, and DPLL branches on them after every atom.  The negation that
+entails tests is compiled once per goal instance too.  A re-parsed
+compound formula is a new instance and compiles afresh; the parser
+shares atom instances between formulas, but hands out every bare atom
+it returns as a fresh one, so that compiles afresh too.
+
+Verdicts are not cached, but a satisfiable check can hand a model back
+as a Witness: one true literal picked from each clause, with the
+query's atom ids.  Variables no pick names stay free.  extend_witness
+tests one more formula against a witness by checking its clauses and
+setting free variables, true where it can; when that cannot decide, or
+the atom limit may be reached, it returns None and the caller runs the
+full check, which raises where the limit is reached.
 
 preferred_conflict finds the minimal subset that a deletion loop over
 a preference order keeps, asking its caller's test (built from entails
@@ -39,6 +41,7 @@ or is_consistent) about O(k log(n/k)) subsets rather than n.
 
 from __future__ import annotations
 
+import itertools
 import threading
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -51,22 +54,14 @@ from .syntax import (
     Not,
     Or,
     atoms_of,
-    evaluate,
     render_canonical,
 )
 
 DEFAULT_MAX_ATOMS = 64
 
-_CLAUSE_BUDGET = 4096
-_TRUTH_TABLE_MAX_ATOMS = 20
-
 
 class ResourceLimitError(RuntimeError):
     """Raised when a query exceeds the configured atom budget."""
-
-
-class _ClauseBudgetExceeded(Exception):
-    pass
 
 
 class _AtomIds(dict):
@@ -85,34 +80,35 @@ class _AtomIds(dict):
 
 _ATOM_IDS = _AtomIds()
 
+# Ids of the variables that name subformulas, each handed out once.  An
+# atom table would need 2**32 entries to reach them.
+_FRESH_IDS = itertools.count(1 << 32)
+
 
 class _Compiled(NamedTuple):
     # Atom ids rather than atoms: an atom's own compiled form would
     # otherwise refer back to it, a cycle only the collector frees.
     atom_ids: frozenset[int]
-    # None when clausifying this formula alone exceeds the clause budget.
-    clauses: tuple[frozenset[int], ...] | None
-    # render_canonical of the formula: injective, so equal keys mean
-    # structurally equal formulas, and hashing a string is not a walk.
-    key: str
+    clauses: tuple[frozenset[int], ...]
+    # The variables the walk introduced, in the order it named them.
+    fresh_ids: tuple[int, ...]
 
 
 class Witness(NamedTuple):
-    """A model of a satisfiable set, and upper bounds on its size.
+    """A model of a satisfiable set, and an upper bound on its atoms.
 
-    Every clause of the set holds a literal of literals; atoms no
-    literal names are free.  atom_ids and clause_count cover the set, so
-    a limit check need not recompute them; for a subset they still bound
-    it from above.
+    Every clause of the set holds a literal of literals; variables no
+    literal names are free.  atom_ids covers the set's atoms, so a limit
+    check need not recompute them; for a subset it still bounds them
+    from above.
     """
 
     literals: frozenset[int]
     atom_ids: frozenset[int]
-    clause_count: int
 
 
 # The witness of no formulas: extending it tests one formula alone.
-EMPTY_WITNESS = Witness(frozenset(), frozenset(), 0)
+EMPTY_WITNESS = Witness(frozenset(), frozenset())
 
 
 def is_consistent(
@@ -123,8 +119,8 @@ def is_consistent(
 ) -> bool:
     """Decide whether the formulas are jointly satisfiable.
 
-    When witnesses is a list and DPLL finds the formulas satisfiable,
-    the Witness of its model is appended to it.
+    When witnesses is a list and the formulas are satisfiable, the
+    Witness of the model found is appended to it.
     """
     formulas = list(formulas)
     compiled = [_compiled(formula) for formula in formulas]
@@ -135,25 +131,31 @@ def is_consistent(
         raise ResourceLimitError(
             f"query spans {len(atom_ids)} atoms, limit is {max_atoms}"
         )
-    if _has_complementary_pair(formulas, compiled):
+    if _has_complementary_pair(formulas):
         return False
-    clauses = _join(compiled)
-    if clauses is None:
-        if len(atom_ids) > _TRUTH_TABLE_MAX_ATOMS:
-            raise ResourceLimitError(
-                f"clause budget exceeded and {len(atom_ids)} atoms is too many "
-                "for truth-table fallback"
-            )
-        atoms = set().union(*(atoms_of(formula) for formula in formulas))
-        return _truth_table_satisfiable(formulas, sorted(atoms, key=_atom_key))
-    model = _dpll(clauses, atom_ids)
+    clauses: list[frozenset[int]] = []
+    variables = list(atom_ids)
+    for item in compiled:
+        clauses.extend(item.clauses)
+        variables.extend(item.fresh_ids)
+    model = _dpll(clauses, variables)
     if model is None:
         return False
     if witnesses is not None:
-        witnesses.append(
-            Witness(_picks(clauses, model), frozenset(atom_ids), len(clauses))
-        )
+        witnesses.append(Witness(_picks(clauses, model), frozenset(atom_ids)))
     return True
+
+
+def is_satisfiable(formula: Formula) -> bool:
+    """Decide whether the formula alone is satisfiable.
+
+    Extending the empty witness finds a model of most formulas without
+    a solve; is_consistent decides the rest, and raises where the atom
+    limit is reached.
+    """
+    return extend_witness(EMPTY_WITNESS, formula) is not None or is_consistent(
+        [formula]
+    )
 
 
 def extend_witness(witness: Witness, formula: Formula) -> Witness | None:
@@ -161,19 +163,16 @@ def extend_witness(witness: Witness, formula: Formula) -> Witness | None:
 
     Each clause of the formula that the witness leaves unsatisfied gets
     one of its free literals set true: its smallest positive one, if it
-    has any, else the one of smallest atom id.  Observations are mostly
-    atoms and rules over them, so setting atoms true leaves the later
-    ones room to extend the witness too.  None means no such literal was
-    left, or the joined query might reach is_consistent's default limits
-    or need the truth table; is_consistent then decides, and raises
-    where it must.
+    has any, else the one of smallest variable id.  Observations are
+    mostly atoms and rules over them, so setting atoms true leaves the
+    later ones room to extend the witness too.  None means no such
+    literal was left, or the joined query might reach is_consistent's
+    default atom limit; is_consistent then decides, and raises where it
+    must.
     """
     compiled = _compiled(formula)
-    if compiled.clauses is None:
-        return None
     atom_ids = witness.atom_ids | compiled.atom_ids
-    clause_count = witness.clause_count + len(compiled.clauses)
-    if len(atom_ids) > DEFAULT_MAX_ATOMS or clause_count > _CLAUSE_BUDGET:
+    if len(atom_ids) > DEFAULT_MAX_ATOMS:
         return None
     literals = witness.literals
     for clause in compiled.clauses:
@@ -183,7 +182,7 @@ def extend_witness(witness: Witness, formula: Formula) -> Witness | None:
                 return None
             positive = [lit for lit in free if lit > 0]
             literals = literals | {min(positive) if positive else max(free)}
-    return Witness(literals, atom_ids, clause_count)
+    return Witness(literals, atom_ids)
 
 
 def entails(base: Iterable[Formula], formula: Formula,
@@ -247,26 +246,21 @@ def _atom_key(atom: Atom) -> tuple[str, tuple[str, ...]]:
     return (atom.predicate, atom.args)
 
 
-def _has_complementary_pair(
-    formulas: list[Formula], compiled: list[_Compiled]
-) -> bool:
-    """Cheap pre-filter: look for some f together with (! f).
-
-    Compares canonical keys: (! f) renders as "(! " + key(f) + ")".
-    """
+def _has_complementary_pair(formulas: list[Formula]) -> bool:
+    """Cheap pre-filter: look for some f together with (! f), by
+    comparing canonical texts."""
     negated = [
-        item.key[3:-1]
-        for formula, item in zip(formulas, compiled)
+        render_canonical(formula.operand)
+        for formula in formulas
         if isinstance(formula, Not)
     ]
     if not negated:
         return False
-    seen = {item.key for item in compiled}
-    return any(key in seen for key in negated)
+    return not set(map(render_canonical, formulas)).isdisjoint(negated)
 
 
 def _compiled(formula: Formula) -> _Compiled:
-    """The formula's atoms, clauses and key, compiled on first use and kept on it."""
+    """The formula's compiled form, compiled on first use and kept on it."""
     compiled = formula.__dict__.get("_sat")
     if compiled is None:
         compiled = _compile(formula)
@@ -275,65 +269,126 @@ def _compiled(formula: Formula) -> _Compiled:
 
 
 def _compile(formula: Formula) -> _Compiled:
-    """The formula's atom ids, clauses and key, by its shape.
+    """The formula's atom ids, clauses and fresh variables, from one _Walk.
 
-    A literal, or a binary connective over two literals, takes its
-    clauses from the literals it is made of: what distribution gives,
-    less tautologies, in the same order.  Any other formula is
-    clausified by distribution.
+    A walk that meets an atom without an id stops; the formula's new
+    atoms then get ids in sorted atom order, not walk or set order, so
+    ids and the models DPLL finds repeat under every hash seed, and the
+    walk starts again.
     """
-    key = render_canonical(formula)
-    kind = type(formula)
-    if kind in _BINARY:
-        left = _literal(formula.left)  # type: ignore[attr-defined]
-        right = _literal(formula.right)  # type: ignore[attr-defined]
-        if left and right:
-            (x, sign_x), (y, sign_y) = left, right
-            a, b = _ids([x, y])
-            atom_ids = frozenset((a, b))
-            a, b = sign_x * a, sign_y * b
-            # A clause that holds a literal and its negation is dropped.
-            if kind is And:
-                clauses = (frozenset((a,)), frozenset((b,)))
-            elif kind is Iff:
-                clauses = (frozenset((-a, b)), frozenset((-b, a))) if a != b else ()
+    try:
+        walk = _Walk(formula)
+    except _NewAtom:
+        for atom in sorted(atoms_of(formula), key=_atom_key):
+            _ATOM_IDS[atom]
+        walk = _Walk(formula)
+    return _Compiled(frozenset(walk.atom_ids), tuple(walk.result), tuple(walk.fresh))
+
+
+class _NewAtom(Exception):
+    """The walk met an atom that has no id yet."""
+
+
+class _Walk:
+    """One compile's clausifying walk, and what it has named.
+
+    clauses(f, positive) gives the clauses of f, or of its negation when
+    positive is False: -> and <-> expand as (! a | b) and
+    ((! a | b) & (! b | a)), and a negation flips the polarity of its
+    operand.  A conjunction joins its sides' clauses.  A disjunction
+    distributes while one side is a single clause, and past that names
+    the larger side.  Every clause list the walk returns holds in each
+    model of the result, so a variable x naming one needs only the
+    clauses c | {! x}.  A <-> operand that is not a literal is named by
+    a variable defined both ways, so each <-> gives two clauses over two
+    literals.  A clause that would hold a literal and its negation is
+    never made, and each compound subformula is walked at most once per
+    polarity.  result holds the formula's clauses, then the definitions.
+    """
+
+    __slots__ = ("atom_ids", "fresh", "definitions", "walked", "named", "result")
+
+    def __init__(self, formula: Formula) -> None:
+        self.atom_ids: set[int] = set()
+        self.fresh: list[int] = []
+        self.definitions: list[frozenset[int]] = []
+        # (id of a compound subformula, polarity) -> its clauses.
+        self.walked: dict[tuple[int, bool], list[frozenset[int]]] = {}
+        # id of a <-> operand -> the variable naming it.
+        self.named: dict[int, int] = {}
+        self.result = self.clauses(formula, True) + self.definitions
+
+    def clauses(self, f: Formula, positive: bool) -> list[frozenset[int]]:
+        kind = type(f)
+        if kind is Atom:
+            literal = _ATOM_IDS.get(f)
+            if literal is None:
+                raise _NewAtom
+            self.atom_ids.add(literal)
+            return [frozenset((literal if positive else -literal,))]
+        if kind is Not:
+            return self.clauses(f.operand, not positive)  # type: ignore[attr-defined]
+        key = (id(f), positive)
+        clauses = self.walked.get(key)
+        if clauses is not None:
+            return clauses
+        if kind is Iff:
+            a = self._end(f.left)  # type: ignore[attr-defined]
+            b = self._end(f.right)  # type: ignore[attr-defined]
+            if positive:
+                clauses = [frozenset((-a, b)), frozenset((-b, a))] if a != b else []
             else:
-                if kind is Implies:
-                    a = -a
-                clauses = (frozenset((a, b)),) if a != -b else ()
-            return _Compiled(atom_ids, clauses, key)
-    else:
-        literal = _literal(formula)
-        if literal:
-            atom, sign = literal
-            ident = _ATOM_IDS[atom]
-            return _Compiled(frozenset((ident,)), (frozenset((sign * ident,)),), key)
-    atom_ids = frozenset(_ids(list(atoms_of(formula))))
-    return _Compiled(atom_ids, _clausify(formula), key)
+                clauses = [frozenset((a, b)), frozenset((-b, -a))] if a != -b else []
+        else:
+            if kind is Implies:
+                left = self.clauses(f.left, not positive)  # type: ignore[attr-defined]
+                conjunction = not positive
+            elif kind is And or kind is Or:
+                left = self.clauses(f.left, positive)  # type: ignore[attr-defined]
+                conjunction = (kind is And) == positive
+            else:
+                raise TypeError(f"not a formula: {f!r}")
+            right = self.clauses(f.right, positive)  # type: ignore[attr-defined]
+            if conjunction:
+                clauses = left + right
+            elif not left or not right:
+                clauses = []  # a side that always holds
+            else:
+                if len(left) > 1 and len(right) > 1:
+                    if len(left) >= len(right):
+                        left = [frozenset((self._variable(left),))]
+                    else:
+                        right = [frozenset((self._variable(right),))]
+                (one,), many = (left, right) if len(left) == 1 else (right, left)
+                not_one = [-lit for lit in one]
+                clauses = [one | c for c in many if c.isdisjoint(not_one)]
+        self.walked[key] = clauses
+        return clauses
 
+    def _end(self, side: Formula) -> int:
+        """The literal side is, or the variable naming it both ways."""
+        core, sign = side, 1
+        while type(core) is Not:
+            core, sign = core.operand, -sign  # type: ignore[attr-defined]
+        if type(core) is Atom:
+            (literal,) = self.clauses(core, sign > 0)[0]
+            return literal
+        x = self.named.get(id(side))
+        if x is None:
+            x = self.named[id(side)] = self._variable(self.clauses(side, True))
+            self._imply(-x, self.clauses(side, False))
+        return x
 
-_BINARY = frozenset({And, Or, Implies, Iff})
+    def _variable(self, clauses: list[frozenset[int]]) -> int:
+        """A fresh variable x, with x -> each of the clauses."""
+        x = next(_FRESH_IDS)
+        self.fresh.append(x)
+        self._imply(x, clauses)
+        return x
 
-
-def _literal(formula: Formula) -> tuple[Atom, int] | None:
-    """(atom, 1) for an atom, (atom, -1) for a negated one, else None."""
-    kind = type(formula)
-    if kind is Atom:
-        return formula, 1  # type: ignore[return-value]
-    if kind is Not and type(formula.operand) is Atom:  # type: ignore[attr-defined]
-        return formula.operand, -1  # type: ignore[attr-defined]
-    return None
-
-
-def _ids(atoms: list[Atom]) -> list[int]:
-    """Each atom's id.  New atoms get theirs in sorted atom order, not
-    set order, so ids and the models DPLL finds repeat under every hash
-    seed."""
-    ids = [_ATOM_IDS.get(atom) for atom in atoms]
-    if None in ids:
-        given = {atom: _ATOM_IDS[atom] for atom in sorted(set(atoms), key=_atom_key)}
-        ids = [given[atom] for atom in atoms]
-    return ids  # type: ignore[return-value]
+    def _imply(self, literal: int, clauses: list[frozenset[int]]) -> None:
+        unless = frozenset((-literal,))
+        self.definitions.extend(clause | unless for clause in clauses)
 
 
 def _negation(formula: Formula) -> Not:
@@ -349,77 +404,6 @@ def _negation(formula: Formula) -> Not:
     else:
         object.__setattr__(negation, "_sat", compiled)
     return negation
-
-
-def _clausify(formula: Formula) -> tuple[frozenset[int], ...] | None:
-    try:
-        clauses = tuple(
-            clause
-            for clause in _cnf(formula, True)
-            if not _is_tautological_clause(clause)
-        )
-    except _ClauseBudgetExceeded:
-        return None
-    return clauses if len(clauses) <= _CLAUSE_BUDGET else None
-
-
-def _join(compiled: list[_Compiled]) -> list[frozenset[int]] | None:
-    """All clauses of a query, or None past the clause budget."""
-    clauses: list[frozenset[int]] = []
-    for item in compiled:
-        if item.clauses is None:
-            return None
-        clauses.extend(item.clauses)
-        if len(clauses) > _CLAUSE_BUDGET:
-            return None
-    return clauses
-
-
-def _cnf(formula: Formula, positive: bool) -> list[frozenset[int]]:
-    """Clauses over integer literals of formula, or of its negation when
-    positive is False, distributing as negation normal form would.
-
-    -> and <-> expand as (! a | b) and ((! a | b) & (! b | a)), and a
-    negation flips the polarity of its operand, so each subformula is
-    walked once per polarity without building the normal form.
-    """
-    if isinstance(formula, Atom):
-        literal = _ATOM_IDS[formula]
-        return [frozenset({literal if positive else -literal})]
-    if isinstance(formula, Not):
-        return _cnf(formula.operand, not positive)
-    if isinstance(formula, Iff):
-        left, right = formula.left, formula.right
-        if positive:
-            first = _distribute(_cnf(left, False), _cnf(right, True))
-            return first + _distribute(_cnf(right, False), _cnf(left, True))
-        return _distribute(
-            _cnf(left, True) + _cnf(right, False),
-            _cnf(right, True) + _cnf(left, False),
-        )
-    if isinstance(formula, Implies):
-        left = _cnf(formula.left, not positive)
-        conjunction = not positive
-    elif isinstance(formula, (And, Or)):
-        left = _cnf(formula.left, positive)
-        conjunction = isinstance(formula, And) == positive
-    else:
-        raise TypeError(f"not a formula: {formula!r}")
-    right = _cnf(formula.right, positive)
-    return left + right if conjunction else _distribute(left, right)
-
-
-def _distribute(
-    left: list[frozenset[int]], right: list[frozenset[int]]
-) -> list[frozenset[int]]:
-    """The clauses of the disjunction of two clause lists."""
-    if len(left) * len(right) > _CLAUSE_BUDGET:
-        raise _ClauseBudgetExceeded
-    return [a | b for a in left for b in right]
-
-
-def _is_tautological_clause(clause: frozenset[int]) -> bool:
-    return any(-lit in clause for lit in clause)
 
 
 def _dpll(
@@ -558,11 +542,3 @@ def _picks(clauses: list[frozenset[int]], model: set[int]) -> frozenset[int]:
         if picked.isdisjoint(clause):
             picked.add(min(clause.intersection(model), key=abs))
     return frozenset(picked)
-
-
-def _truth_table_satisfiable(formulas: list[Formula], atoms: list[Atom]) -> bool:
-    for bits in range(1 << len(atoms)):
-        valuation = {atom: bool(bits >> i & 1) for i, atom in enumerate(atoms)}
-        if all(evaluate(formula, valuation) for formula in formulas):
-            return True
-    return False

@@ -17,7 +17,7 @@ reference_parse and reference_parse_atom are the recursive-descent
 parser that the operator-precedence one replaced, a descent function
 per grammar level over a token list with a separate whitespace token.
 reference_compile is the one distributing walk that compiled every
-formula before sat compiled by shape, and reference_first_bad_block
+formula before sat named subformulas, and reference_first_bad_block
 checks a ledger file's bytes field by field with hashlib.
 """
 
@@ -80,7 +80,8 @@ def witness_valuations(witness: sat.Witness, formulas: list[Formula]):
 
 
 def pair_disjunction(prefix: str) -> Formula:
-    """(x0 & y0) | ... | (x10 & y10): 2^11 = 2048 clauses over 22 atoms."""
+    """(x0 & y0) | ... | (x10 & y10) over 22 atoms, whose plain
+    distribution has 2^11 = 2048 clauses."""
     pairs = [And(Atom(f"{prefix}x{i}"), Atom(f"{prefix}y{i}")) for i in range(11)]
     formula = pairs[0]
     for pair in pairs[1:]:
@@ -174,17 +175,14 @@ def random_formula(rng: random.Random, atoms: list[Atom], depth: int) -> Formula
 
 
 def two_pass_clausify(formula: Formula):
-    """sat._clausify in two passes: build the negation normal form, then
-    distribute it, checking the clause budget at every disjunction."""
-    try:
-        clauses = tuple(
-            clause
-            for clause in _nnf_clauses(_nnf(formula, True))
-            if not any(-lit in clause for lit in clause)
-        )
-    except sat._ClauseBudgetExceeded:
-        return None
-    return clauses if len(clauses) <= sat._CLAUSE_BUDGET else None
+    """Plain distribution in two passes: build the negation normal form,
+    then distribute it, less tautologies.  Its size is exponential in
+    the worst case."""
+    return tuple(
+        clause
+        for clause in _nnf_clauses(_nnf(formula, True))
+        if not any(-lit in clause for lit in clause)
+    )
 
 
 def _nnf(formula: Formula, positive: bool) -> Formula:
@@ -215,30 +213,23 @@ def _nnf_clauses(formula: Formula) -> list[frozenset[int]]:
     right = _nnf_clauses(formula.right)
     if isinstance(formula, And):
         return left + right
-    if len(left) * len(right) > sat._CLAUSE_BUDGET:
-        raise sat._ClauseBudgetExceeded
     return [a | b for a in left for b in right]
 
 
 def reference_compile(formula: Formula) -> sat._Compiled:
-    """What sat compiled every formula into before it compiled by shape:
-    the atoms' ids, handed out in sorted atom order, the clauses of one
-    distributing walk less tautologies (None past the clause budget),
-    and the canonical key.  Ids come from sat._ATOM_IDS as it is at the
-    call, so a test may swap in a fresh table."""
+    """What sat compiled every formula into before it named subformulas:
+    the atoms' ids, handed out in sorted atom order, and the clauses of
+    one distributing walk less tautologies, with no fresh variables.
+    Ids come from sat._ATOM_IDS as it is at the call, so a test may swap
+    in a fresh table."""
     atoms = sorted(atoms_of(formula), key=lambda a: (a.predicate, a.args))
     atom_ids = frozenset(sat._ATOM_IDS[atom] for atom in atoms)
-    try:
-        clauses = tuple(
-            clause
-            for clause in _reference_cnf(formula, True)
-            if not any(-lit in clause for lit in clause)
-        )
-    except sat._ClauseBudgetExceeded:
-        clauses = None
-    if clauses is not None and len(clauses) > sat._CLAUSE_BUDGET:
-        clauses = None
-    return sat._Compiled(atom_ids, clauses, render_canonical(formula))
+    clauses = tuple(
+        clause
+        for clause in _reference_cnf(formula, True)
+        if not any(-lit in clause for lit in clause)
+    )
+    return sat._Compiled(atom_ids, clauses, ())
 
 
 def _reference_cnf(formula: Formula, positive: bool) -> list[frozenset[int]]:
@@ -269,8 +260,6 @@ def _reference_cnf(formula: Formula, positive: bool) -> list[frozenset[int]]:
 
 
 def _reference_or(left, right):
-    if len(left) * len(right) > sat._CLAUSE_BUDGET:
-        raise sat._ClauseBudgetExceeded
     return [a | b for a in left for b in right]
 
 

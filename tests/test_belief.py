@@ -791,16 +791,18 @@ class TestWitness:
         inside = BeliefEntry(Or(wide[0], wide[9]), 0.99, Provenance("s", 2, 0.99))
         assert update_belief_state(base, inside)[1] == "expanded"
 
-    def test_clause_budget_still_raises_on_a_witnessed_base(self):
+    def test_wide_disjunctions_extend_a_witnessed_base(self):
+        """Two disjunctions of eleven pairs, 4,096 clauses by plain
+        distribution, then z: each expansion keeps a witness."""
         base = BeliefBase()
         for k, prefix in enumerate("uv"):
             incoming = BeliefEntry(pair_disjunction(prefix), 0.99, Provenance("s", k, 0.99))
             base, route = update_belief_state(base, incoming)
             assert route == "expanded"
-        assert base.witness.clause_count == sat._CLAUSE_BUDGET
         assert len(base.witness.atom_ids) == 44
-        with pytest.raises(ResourceLimitError):
-            update_belief_state(base, entry("z"))
+        base, route = update_belief_state(base, entry("z"))
+        assert route == "expanded" and len(base.witness.atom_ids) == 45
+        assert witness_holds(base)
 
 
 PERSISTENT_ATOMS = [Atom(name) for name in "pqrs"]

@@ -23,6 +23,7 @@ from oracles import (
 
 import veritas.engine
 import veritas.ledger
+import veritas.logic.sat
 from veritas.belief import (
     BeliefBase,
     BeliefEntry,
@@ -139,13 +140,13 @@ class TestObserve:
         """Extending the empty witness shows most observations satisfiable;
         only when it cannot decide does observe run the check."""
         checked = []
-        original = veritas.engine.is_consistent
+        original = veritas.logic.sat.is_consistent
 
         def spy(formulas, *args, **kwargs):
             checked.append([render_canonical(f) for f in formulas])
             return original(formulas, *args, **kwargs)
 
-        monkeypatch.setattr(veritas.engine, "is_consistent", spy)
+        monkeypatch.setattr(veritas.logic.sat, "is_consistent", spy)
         with Session(make_config()) as session:
             assert session.observe("p -> q", 0.99, "sensor") == "admitted"
             assert session.observe("p | (q & !r)", 0.99, "sensor") == "admitted"

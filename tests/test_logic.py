@@ -8,6 +8,7 @@ beyond the formula classes themselves.
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 from hypothesis import example, given, settings
@@ -430,20 +431,6 @@ def parity(atoms: list[Atom]) -> Formula:
 
 
 @pytest.fixture()
-def fallbacks(monkeypatch):
-    """Count the checks that fell back to truth-table enumeration."""
-    calls = []
-    original = sat._truth_table_satisfiable
-
-    def spy(formulas, atoms):
-        calls.append(len(atoms))
-        return original(formulas, atoms)
-
-    monkeypatch.setattr(sat, "_truth_table_satisfiable", spy)
-    return calls
-
-
-@pytest.fixture()
 def compilations(monkeypatch):
     """Record every formula the checker compiles."""
     compiled = []
@@ -483,18 +470,21 @@ class TestCompiledConsistency:
                 assert is_consistent([f, g]) == tt_satisfiable([f, g])
                 assert entails([f], g) == tt_entails([f], g)
 
-    def test_deep_formula_over_the_clause_budget_falls_back(self, fallbacks):
+    def test_deep_parity_agrees_with_truth_table(self):
+        """14-atom parity, whose plain distribution has 2^13 clauses,
+        compiles by naming subformulas."""
         atoms = [Atom(f"x{i}") for i in range(14)]
         odd = parity(atoms)
+        assert sat._compiled(odd).fresh_ids
         assert is_consistent([odd]) == tt_satisfiable([odd])
         assert is_consistent([odd, Not(odd)]) is False
         flipped = Iff(Not(atoms[0]), parity(atoms[1:]))
         assert is_consistent([odd, flipped]) == tt_satisfiable([odd, flipped])
         assert entails([odd], Or(odd, atoms[3]))
-        assert fallbacks and max(fallbacks) == 14
 
-    def test_joined_clauses_over_the_budget_fall_back(self, fallbacks):
-        """Three formulas under the budget alone exceed it together."""
+    def test_joined_disjunctions_of_pairs_agree_with_truth_table(self):
+        """Three formulas whose plain distributions hold 6,144 clauses
+        together."""
         atoms = [Atom(f"y{i}") for i in range(12)]
 
         def disjunction_of_pairs(step: int) -> Formula:
@@ -508,19 +498,26 @@ class TestCompiledConsistency:
         parts = [disjunction_of_pairs(step) for step in (1, 3, 5)]
         for part in parts:
             assert is_consistent([part])
-        assert fallbacks == []
         assert is_consistent(parts) == tt_satisfiable(parts)
         negated = parts[:2] + [Not(parts[2])]
         assert is_consistent(negated) == tt_satisfiable(negated)
-        assert fallbacks == [12, 12]
 
-    def test_over_budget_beyond_truth_table_size_raises(self):
+    def test_wide_disjunction_of_pairs_is_decided(self):
+        """(a0 & b0) | ... | (a12 & b12), 2^13 clauses by plain
+        distribution over 26 atoms: too many atoms for a truth table, so
+        the witness is checked, and the refutation follows from each
+        pair losing its a."""
         pairs = [And(Atom(f"a{i}"), Atom(f"b{i}")) for i in range(13)]
         wide = pairs[0]
         for pair in pairs[1:]:
             wide = Or(wide, pair)
-        with pytest.raises(ResourceLimitError):
-            is_consistent([wide])
+        found: list[sat.Witness] = []
+        assert is_consistent([wide], witnesses=found)
+        for valuation in witness_valuations(found[0], [wide]):
+            assert tt_eval(wide, valuation)
+        blocked = [Not(Atom(f"a{i}")) for i in range(13)]
+        assert not is_consistent([wide, *blocked])
+        assert entails([wide, *blocked[:12]], Atom("b12"))
 
     def test_atom_limit_holds_for_a_compiled_formula(self):
         wide = [Atom(f"w{i}") for i in range(65)]
@@ -589,8 +586,7 @@ class TestCompiledConsistency:
             rng.shuffle(formulas)
             expected = structural(formulas)
             hits += expected
-            compiled = [sat._compiled(f) for f in formulas]
-            assert sat._has_complementary_pair(formulas, compiled) == expected
+            assert sat._has_complementary_pair(formulas) == expected
         assert 100 < hits < 500
 
 
@@ -625,9 +621,22 @@ def compile_with_table(compile_, formula: Formula, known: list[Atom]):
         sat._ATOM_IDS = saved
 
 
+def is_shape(f: Formula) -> bool:
+    """A literal, its negation, or a binary connective over two literals."""
+
+    def literal(g: Formula) -> bool:
+        return isinstance(g, Atom) or isinstance(g, Not) and isinstance(g.operand, Atom)
+
+    if isinstance(f, Not):
+        return literal(f) or literal(f.operand)
+    if isinstance(f, (And, Or, Implies, Iff)):
+        return literal(f.left) and literal(f.right)
+    return isinstance(f, Atom)
+
+
 class TestCompileParity:
-    """Compiling by shape against the general clausifier it bypasses,
-    kept in oracles as reference_compile."""
+    """The definitional walk against plain distribution, kept in oracles
+    as reference_compile."""
 
     @settings(max_examples=400, deadline=None)
     @given(st.one_of(_SHAPES, formulas), st.data())
@@ -638,18 +647,24 @@ class TestCompileParity:
     @example(parse("p <-> q"), None)
     @example(parse("!q -> !p"), None)
     def test_same_ids_clauses_and_key(self, f, data):
-        """Same atom ids (new atoms numbered in sorted order, after the
-        known ones), the same clauses in the same order and the same key;
-        the clauses' verdict is the truth table's."""
+        """A shape names nothing.  A formula that names nothing has the
+        same atom ids (new atoms numbered in sorted order, after the
+        known ones) and the same clauses in the same order as plain
+        distribution.  Every formula's clauses have the truth table's
+        verdict."""
         known = []
         if data is not None:
             known = data.draw(st.permutations(sorted(atoms_of(f), key=repr)))
             known = known[: data.draw(st.integers(0, len(known)))]
         compiled = compile_with_table(sat._compile, f, known)
-        assert compiled == compile_with_table(reference_compile, f, known)
-        if compiled.clauses is not None:
-            model = sat._dpll(list(compiled.clauses), compiled.atom_ids)
-            assert (model is not None) == tt_satisfiable([f])
+        if is_shape(f):
+            assert compiled.fresh_ids == ()
+        if not compiled.fresh_ids:
+            assert compiled == compile_with_table(reference_compile, f, known)
+        model = sat._dpll(
+            list(compiled.clauses), [*compiled.atom_ids, *compiled.fresh_ids]
+        )
+        assert (model is not None) == tt_satisfiable([f])
 
     def test_new_atoms_join_the_process_table_in_sorted_order(self):
         """A shape whose atoms the process has never seen numbers them in
@@ -663,29 +678,102 @@ class TestCompileParity:
 
 class TestClausify:
     def test_one_walk_matches_the_two_pass_oracle(self):
-        """Same clauses in the same order, and the same budget verdicts,
-        as building the negation normal form and distributing it."""
+        """A walk that names nothing gives the clauses, in order, of
+        building the negation normal form and distributing it.  Every
+        formula gets the truth table's verdict, and past 14 atoms a
+        witness that models it."""
         rng = random.Random(5150)
         atoms = [Atom(name) for name in "pqrstu"] + [Atom("At", ("A", "B"))]
         formulas = [random_formula(rng, atoms, 5) for _ in range(3000)]
-        # (x0 & y0) | ... | (x11 & y11) has 4096 clauses, exactly the
-        # budget; one clause more is past it without a product that is.
+        # (x0 & y0) | ... | (x11 & y11) has 4096 clauses by plain
+        # distribution, over 24 atoms.
         wide = And(Atom("x0"), Atom("y0"))
         for i in range(1, 12):
             wide = Or(And(Atom(f"x{i}"), Atom(f"y{i}")), wide)
         formulas += [wide, And(wide, atoms[0]), Or(wide, atoms[0]), Not(wide)]
-        verdicts = set()
+        named = set()
         for f in formulas:
-            clauses = sat._clausify(f)
-            assert clauses == two_pass_clausify(f)
-            verdicts.add(clauses is None)
-        assert verdicts == {True, False}
+            compiled = sat._compiled(f)
+            named.add(bool(compiled.fresh_ids))
+            if not compiled.fresh_ids:
+                assert compiled.clauses == two_pass_clausify(f)
+            found: list[sat.Witness] = []
+            verdict = is_consistent([f], witnesses=found)
+            if len(compiled.atom_ids) <= 14:
+                assert verdict == tt_satisfiable([f])
+            else:
+                assert verdict
+            for valuation in witness_valuations(found[0], [f]) if verdict else ():
+                assert tt_eval(f, valuation)
+        assert named == {True, False}
+
+
+_WALK_ATOMS = [Atom(name) for name in ("p", "q", "r", "s", "Tv")]
+
+
+def formulas_to_depth(depth: int):
+    """Formulas over _WALK_ATOMS nested at most depth connectives deep."""
+    if depth == 0:
+        return st.sampled_from(_WALK_ATOMS)
+    sub = formulas_to_depth(depth - 1)
+    return st.one_of(
+        st.sampled_from(_WALK_ATOMS),
+        st.builds(Not, sub),
+        *(st.builds(kind, sub, sub) for kind in (And, Or, Implies, Iff)),
+    )
+
+
+def iff_chain(atoms: list[Atom], connectives: int, nesting: str) -> Formula:
+    """atoms[0] <-> atoms[1] <-> ..., cycling through atoms, nested to
+    the left or to the right."""
+    chain: Formula = atoms[0]
+    for i in range(1, connectives + 1):
+        atom = atoms[i % len(atoms)]
+        chain = Iff(chain, atom) if nesting == "left" else Iff(atom, chain)
+    return chain
+
+
+class TestDefinitionalWalk:
+    """Named subformulas against truth tables and witnesses."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(formulas_to_depth(6), min_size=1, max_size=3), formulas_to_depth(6))
+    def test_random_formulas_agree_with_truth_tables(self, base, goal):
+        found: list[sat.Witness] = []
+        verdict = is_consistent(base, witnesses=found)
+        assert verdict == tt_satisfiable(base)
+        for valuation in witness_valuations(found[0], base) if verdict else ():
+            assert all(tt_eval(f, valuation) for f in base)
+        assert entails(base, goal) == tt_entails(base, goal)
+
+    @pytest.mark.parametrize("nesting", ["left", "right"])
+    @pytest.mark.parametrize("atom_count", [2, 40])
+    def test_deepest_iff_chain_compiles_and_solves(self, atom_count, nesting):
+        """A chain as deep as the parser allows: at most 8 clauses per
+        connective, and both it and its negation decided within 1 s."""
+        atoms = [Atom(f"c{i}") for i in range(atom_count)]
+        chain = iff_chain(atoms, MAX_DEPTH, nesting)
+        start = time.perf_counter()
+        compiled = sat._compiled(chain)
+        verdicts, found = [], []
+        for formula in (chain, Not(chain)):
+            verdicts.append(is_consistent([formula], witnesses=found))
+        elapsed = time.perf_counter() - start
+        assert len(compiled.clauses) <= 8 * MAX_DEPTH
+        assert elapsed < 1.0
+        if atom_count <= 14:
+            assert verdicts == [tt_satisfiable([chain]), tt_satisfiable([Not(chain)])]
+        # Some atom occurs an odd number of times, so both are satisfiable.
+        assert verdicts == [True, True]
+        for witness, formula in zip(found, (chain, Not(chain))):
+            for valuation in witness_valuations(witness, [formula]):
+                assert tt_eval(formula, valuation)
 
 
 class TestWitness:
     """Models kept from DPLL, and their one-formula extension."""
 
-    def test_dpll_models_satisfy_their_formulas(self, fallbacks):
+    def test_dpll_models_satisfy_their_formulas(self):
         rng = random.Random(61447)
         atoms = [Atom(name) for name in "pqrstu"]
         witnessed = 0
@@ -701,11 +789,9 @@ class TestWitness:
             witness = found[0]
             compiled = [sat._compiled(f) for f in formulas]
             assert witness.atom_ids == frozenset().union(*(c.atom_ids for c in compiled))
-            assert witness.clause_count == sum(len(c.clauses) for c in compiled)
             assert not any(-lit in witness.literals for lit in witness.literals)
             for valuation in witness_valuations(witness, formulas):
                 assert all(tt_eval(f, valuation) for f in formulas)
-        assert fallbacks == []
         assert 100 < witnessed < 400
 
     def test_extension_is_a_model_or_undecided(self):
@@ -725,18 +811,19 @@ class TestWitness:
             extended += 1
             joined = formulas + [incoming]
             assert found[0].literals <= witness.literals
-            assert witness.clause_count == (
-                found[0].clause_count + len(sat._compiled(incoming).clauses)
-            )
             for valuation in witness_valuations(witness, joined):
                 assert all(tt_eval(f, valuation) for f in joined)
         assert extended > 100 and undecided > 20
 
-    def test_truth_table_verdicts_keep_no_witness(self, fallbacks):
+    def test_parity_verdicts_keep_a_witness(self):
+        """A witness's literals may name fresh variables, but its atom
+        ids are the formulas' atoms alone."""
         odd = parity([Atom(f"x{i}") for i in range(14)])
         found: list[sat.Witness] = []
         assert is_consistent([odd], witnesses=found)
-        assert fallbacks == [14] and found == []
+        assert found[0].atom_ids == sat._compiled(odd).atom_ids
+        for valuation in witness_valuations(found[0], [odd]):
+            assert tt_eval(odd, valuation)
 
     def test_extension_past_the_atom_limit_is_undecided(self):
         wide = [Atom(f"w{i}") for i in range(65)]
@@ -751,14 +838,25 @@ class TestWitness:
             is_consistent([big, wide[64]])
         assert sat.extend_witness(found[0], Or(wide[3], Not(wide[7]))) is not None
 
-    def test_extension_past_the_clause_budget_is_undecided(self):
+    def test_wide_disjunctions_are_extended_and_decided(self):
+        """Two disjunctions of eleven pairs each, 4,096 clauses by plain
+        distribution, and then z: 45 atoms, so witnesses are checked."""
         parts = [pair_disjunction("u"), pair_disjunction("v")]
         found: list[sat.Witness] = []
         assert is_consistent(parts, witnesses=found)
-        assert found[0].clause_count == sat._CLAUSE_BUDGET
-        assert sat.extend_witness(found[0], Atom("z")) is None
-        with pytest.raises(ResourceLimitError):
-            is_consistent(parts + [Atom("z")])
+        joined = parts + [Atom("z")]
+        witness = sat.extend_witness(found[0], Atom("z"))
+        assert witness is not None
+        for valuation in witness_valuations(witness, joined):
+            assert all(tt_eval(f, valuation) for f in joined)
+        assert is_consistent(joined)
+        # The parts do not entail z: a witness models them with z false.
+        refuting = parts + [Not(Atom("z"))]
+        found.clear()
+        assert is_consistent(refuting, witnesses=found)
+        for valuation in witness_valuations(found[0], refuting):
+            assert all(tt_eval(f, valuation) for f in refuting)
+        assert not entails(parts, Atom("z"))
 
     def test_atom_ids_follow_sorted_atom_order(self):
         """New atoms get ids in sorted order, not set order.
@@ -808,7 +906,7 @@ class TestWatchedLiteralSolver:
             assert all(not picks.isdisjoint(clause) for clause in clauses)
         assert 150 < sum(verdicts) < 450
 
-    def test_witnesses_pick_literals_and_model_their_formulas(self, fallbacks):
+    def test_witnesses_pick_literals_and_model_their_formulas(self):
         rng = random.Random(9203)
         atoms = [Atom(name) for name in "pqrstuvw"]
         witnessed = free = 0
@@ -821,10 +919,9 @@ class TestWatchedLiteralSolver:
                 continue
             witnessed += 1
             witness = found[0]
-            free += len(witness.atom_ids) - len(witness.literals)
+            free += len(witness.atom_ids - {abs(lit) for lit in witness.literals})
             for valuation in witness_valuations(witness, formulas):
                 assert all(tt_eval(f, valuation) for f in formulas)
-        assert fallbacks == []
         assert witnessed > 100
         # One pick per clause leaves atoms free that a full model would fix.
         assert free > witnessed
@@ -842,9 +939,6 @@ class TestWatchedLiteralSolver:
         with pytest.raises(ResourceLimitError):
             entails(wide[:64], wide[64])
         assert entails(wide[:63], wide[0])
-        over = [pair_disjunction("u"), pair_disjunction("v")]
-        with pytest.raises(ResourceLimitError):
-            entails(over, Atom("z"))
 
 
 def entailment_cases(rng: random.Random, count: int):
