@@ -1,26 +1,27 @@
 """Belief base with provenance, confidence tiers, and AGM-style change.
 
 A BeliefBase is an immutable snapshot: every operation returns a new base
-at the next epoch and records which formulas it added and removed, so
-any two epochs can be diffed later.  Contraction is partial meet over
-relevance-restricted remainder sets: subsets are enumerated only over
-the formulas atom-connected to the target, and the rest of the base
-joins every remainder whole.  Revision follows the Levi identity, and
-nothing is ever silently dropped: every removal lands in the retraction
-log with a reason.
+at the next epoch and appends one item to its trail, the keys it put,
+the keys it dropped and why, so any two epochs can be diffed later and
+every removal can be read back with its reason.  Contraction is partial
+meet over relevance-restricted remainder sets: subsets are enumerated
+only over the formulas atom-connected to the target, and the rest of
+the base joins every remainder whole.  Revision follows the Levi
+identity, and nothing is ever silently dropped: every removal lands in
+the trail, which retraction_log reads as records.
 
-Consistency verdicts are not cached, but a base that expansion found
-consistent keeps a witness, a model of its formulas (see
-logic.sat.Witness).  The next expansion first tests only the incoming
-formula against it and solves the whole base only when that test
-cannot decide.  Retraction and amendment keep the witness, because a
-model of a set is a model of any subset.  Contraction keeps the part
-of the witness over the atoms it leaves alone and picks literals for
-what it keeps of the target's component, so a revision's closing
-expansion extends a witness instead of solving its base.  A revision
-that update_belief_state routes asks no question twice: its failed
-expansion has already shown that the base entails the negation of the
-entry.  Every other producer drops the witness.
+Consistency verdicts are not cached, but a base known to be consistent
+keeps a witness, a model of its formulas (see logic.sat.Witness), and
+the witness is its only consistency record.  The next expansion first
+tests only the incoming formula against it and solves the whole base
+only when that test cannot decide.  Retraction and amendment keep the
+witness, because a model of a set is a model of any subset.
+Contraction keeps the part of the witness over the atoms it leaves
+alone and picks literals for what it keeps of the target's component,
+so a revision's closing expansion extends a witness instead of solving
+its base.  A revision that update_belief_state routes asks no question
+twice: its failed expansion has already shown that the base entails the
+negation of the entry.  Every other producer drops the witness.
 
 The admission policy lives here too: assertion_gate (the probability
 floor theta and the epistemic-risk ceiling) decides whether an entry is
@@ -245,8 +246,8 @@ class _Chain:
 
 
 _EMPTY = _Chain()
-# The history delta of an epoch whose set of keys did not change.
-_UNCHANGED: tuple[tuple[str, ...], tuple[str, ...]] = ((), ())
+# The trail item of an epoch that put and dropped nothing.
+_UNCHANGED: tuple[tuple[str, ...], tuple[str, ...], str] = ((), (), "")
 _entry_key = attrgetter("key")
 
 
@@ -255,35 +256,29 @@ class BeliefBase:
     """Immutable belief snapshot plus the trail that led to it.
 
     entries holds the beliefs in key order, and an index maps each key
-    to its entry.  history holds one (added keys, removed keys) delta per
-    epoch, from epoch 0 on; retraction_log reads the retraction records
-    oldest first.  _touched holds, per operation, the keys it put (added
-    or replaced) or dropped; a base not made by an operation starts its
-    own.  The trails are persistent chains shared with the parent base:
-    an operation appends to them in O(1) and places its entries by
-    bisection, so it neither copies the past nor sorts the base again.
-    Equality compares the epoch, the entries, history and the log.
+    to its entry.  history, the trail, holds one (put keys, dropped
+    keys, reason) item per epoch, from epoch 0 on: an expansion or an
+    amendment puts a key, added or replaced; a contraction or a
+    retraction drops keys, one per entry given up, for the reason it
+    names.  epoch, retraction_log and epoch_diff are read from it, and
+    a SweepIndex reads it for the keys to score again.  The trail is a
+    persistent chain shared with the parent base: an operation appends
+    to it in O(1) and places its entries by bisection, so it neither
+    copies the past nor sorts the base again.  A base not made by an
+    operation starts a trail of its own.  Equality compares the entries
+    and the trail.
 
-    known_consistent is True when the operation that produced the base
-    proved its formulas satisfiable; False means not known, so callers
-    fall back to a SAT check (see is_consistent_base).  witness, when
-    set, is a model of the formulas, and implies known_consistent.
+    witness, when set, is a model of the formulas and records that they
+    are consistent; None means not known, so callers fall back to a SAT
+    check (see is_consistent_base).
     """
 
-    epoch: int = 0
     entries: tuple[BeliefEntry, ...] = ()
     _by_key: dict[str, BeliefEntry] = field(
         default_factory=dict, repr=False, compare=False
     )
-    _log: _Chain = field(default=_EMPTY, repr=False)
-    history: _Chain = _Chain(_UNCHANGED, _EMPTY)
-    _touched: _Chain = field(default_factory=_Chain, repr=False, compare=False)
-    known_consistent: bool = field(default=False, repr=False, compare=False)
+    history: _Chain = field(default_factory=lambda: _Chain(_UNCHANGED, _EMPTY))
     witness: Witness | None = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        if self.witness is not None:
-            object.__setattr__(self, "known_consistent", True)
 
     @classmethod
     def from_entries(cls, entries: Iterable[BeliefEntry]) -> BeliefBase:
@@ -294,12 +289,20 @@ class BeliefBase:
         return cls(
             entries=ordered,
             _by_key=by_key,
-            history=_Chain((tuple(by_key), ()) if by_key else _UNCHANGED, _EMPTY),
+            history=_Chain((tuple(by_key), (), ""), _EMPTY),
         )
 
     @property
+    def epoch(self) -> int:
+        return len(self.history) - 1
+
+    @property
     def retraction_log(self) -> tuple[RetractionRecord, ...]:
-        return tuple(self._log)
+        return tuple(
+            RetractionRecord(epoch, key, reason)
+            for epoch, (_, dropped, reason) in enumerate(self.history)
+            for key in dropped
+        )
 
     def formulas(self) -> list[Formula]:
         return [entry.formula for entry in self.entries]
@@ -314,61 +317,42 @@ class BeliefBase:
         self,
         put: BeliefEntry | None = None,
         dropped: tuple[str, ...] = (),
-        records: Iterable[RetractionRecord] = (),
-        known_consistent: bool = False,
+        reason: str = "",
         witness: Witness | None = None,
     ) -> BeliefBase:
         """The base at the next epoch.
 
         put replaces every entry under its key, or joins in key order;
-        dropped names held keys, in key order, whose entries leave.  Each
-        is placed by bisection and the index is copied, so no entry is
-        sorted again and no trail is copied.
+        dropped names held keys, in key order, whose entries leave, once
+        each however often a key is named.  Each is placed by bisection
+        and the index is copied, so no entry is sorted again and the
+        trail is not copied.
         """
         entries = self.entries
-        added: tuple[str, ...] = ()
         if put is None:
             by_key = self._by_key.copy()
         else:
             lo = hi = bisect_left(entries, put.key, key=_entry_key)
             if put.key in self._by_key:
                 hi = bisect_right(entries, put.key, lo, key=_entry_key)
-            else:
-                added = (put.key,)
             entries = entries[:lo] + (put,) + entries[hi:]
             by_key = {**self._by_key, put.key: put}
         for key in dropped:
+            if by_key.pop(key, None) is None:
+                continue
             lo = bisect_left(entries, key, key=_entry_key)
             hi = bisect_right(entries, key, lo, key=_entry_key)
             entries = entries[:lo] + entries[hi:]
-            del by_key[key]
-        log = self._log
-        for record in records:
-            log = _Chain(record, log)
-        return BeliefBase(
-            epoch=self.epoch + 1,
-            entries=entries,
-            _by_key=by_key,
-            _log=log,
-            history=_Chain(
-                (added, dropped) if added or dropped else _UNCHANGED,
-                self.history,
-            ),
-            _touched=_Chain(
-                dropped if put is None else (put.key, *dropped), self._touched
-            ),
-            known_consistent=known_consistent,
-            witness=witness,
-        )
+        item = (() if put is None else (put.key,), dropped, reason)
+        return BeliefBase(entries, by_key, _Chain(item, self.history), witness)
 
 
 def is_consistent_base(base: BeliefBase) -> bool:
     """Whether the base's formulas are jointly satisfiable.
 
-    Reads the record its producing operation left and runs the SAT
-    check only when there is none.
+    Reads the witness and runs the SAT check only when there is none.
     """
-    return base.known_consistent or is_consistent(base.formulas())
+    return base.witness is not None or is_consistent(base.formulas())
 
 
 def expand(base: BeliefBase, entry: BeliefEntry) -> BeliefBase:
@@ -382,7 +366,7 @@ def expand(base: BeliefBase, entry: BeliefEntry) -> BeliefBase:
         raise ConsistencyError(
             f"expansion by {entry.key} would make the base inconsistent"
         )
-    return _expand_checked(base, entry, witness)
+    return base._advance(entry, witness=witness)
 
 
 def _check_expansion(
@@ -406,17 +390,9 @@ def _check_expansion(
     return consistent, found[0] if found else None
 
 
-def _expand_checked(
-    base: BeliefBase, entry: BeliefEntry, witness: Witness | None
-) -> BeliefBase:
-    """expand, for a caller that has just found base plus entry consistent."""
-    return base._advance(entry, known_consistent=True, witness=witness)
-
-
 def remainders(
     formulas: Iterable[Formula],
     target: Formula,
-    cap: int = REMAINDER_CAP,
     *,
     entailed: bool = False,
 ) -> frozenset[frozenset[Formula]]:
@@ -430,9 +406,10 @@ def remainders(
     most 2^k - 2 entailment checks, none when k is 1.
     """
     pool = sorted(set(formulas), key=render_canonical)
-    if len(pool) > cap:
+    if len(pool) > REMAINDER_CAP:
         raise ResourceLimitError(
-            f"remainder enumeration over {len(pool)} formulas, cap is {cap}"
+            f"remainder enumeration over {len(pool)} formulas,"
+            f" cap is {REMAINDER_CAP}"
         )
     full = (1 << len(pool)) - 1
     found: list[frozenset[Formula]] = []
@@ -500,13 +477,9 @@ def _contract_entailed(
         unrelated,
     )
     kept_keys = {render_canonical(f) for f in kept}
-    dropped = sorted(
-        (e for e in relevant if e.key not in kept_keys), key=_entry_key
-    )
-    records = [RetractionRecord(base.epoch + 1, e.key, reason) for e in dropped]
-    gone = tuple(sorted({e.key for e in dropped}))
+    dropped = sorted(e.key for e in relevant if e.key not in kept_keys)
     witness = None if shared is None else _witness_of_kept(shared, kept)
-    return base._advance(None, gone, records, known_consistent=True, witness=witness)
+    return base._advance(None, tuple(dropped), reason, witness)
 
 
 def _relevant_part(
@@ -520,15 +493,13 @@ def _relevant_part(
     other entries.  When U is consistent, a subset entails the target
     exactly when its part in R does (Parikh's splitting languages), so
     every remainder of the base is a remainder of R plus all of U.  A
-    base known to be consistent has a consistent U, and its witness less
-    the literals over R's atoms is a model of U.  Otherwise U is solved,
-    and an inconsistent U makes R the whole base.
+    witnessed base has a consistent U, and its witness less the literals
+    over R's atoms is a model of U.  Otherwise U is solved, and an
+    inconsistent U makes R the whole base.
     """
     relevant, unrelated, reached = _split_by_relevance(base.entries, atom_ids)
     if base.witness is not None:
         return relevant, unrelated, _drop_atoms(base.witness, reached)
-    if base.known_consistent:
-        return relevant, unrelated, None
     found: list[Witness] = []
     if not is_consistent([e.formula for e in unrelated], witnesses=found):
         return list(base.entries), [], None
@@ -638,7 +609,7 @@ def update_belief_state(
         entry = replace(entry, assertable=False)
     consistent, witness = _check_expansion(base, entry)
     if consistent:
-        return _expand_checked(base, entry, witness), "expanded"
+        return base._advance(entry, witness=witness), "expanded"
     if not is_satisfiable(entry.formula):
         raise ConsistencyError(f"cannot revise by unsatisfiable {entry.key}")
     contracted = _contract_entailed(
@@ -659,10 +630,7 @@ def retract_entry(base: BeliefBase, formula: Formula, reason: str) -> BeliefBase
     key = render_canonical(formula)
     if key not in base._by_key:
         return base
-    record = RetractionRecord(base.epoch + 1, key, reason)
-    return base._advance(
-        None, (key,), [record], base.known_consistent, base.witness
-    )
+    return base._advance(None, (key,), reason, base.witness)
 
 
 def amend_entry(
@@ -687,9 +655,7 @@ def amend_entry(
         justification=justification if justification is not None else current.justification,
         assertable=assertable if assertable is not None else current.assertable,
     )
-    return base._advance(
-        updated, known_consistent=base.known_consistent, witness=base.witness
-    )
+    return base._advance(updated, witness=base.witness)
 
 
 def status_for(rule: str, probability: float) -> StatusTag:
@@ -760,8 +726,8 @@ def epoch_diff(
 ) -> tuple[tuple[str, str], ...]:
     """Annotated symmetric difference between two recorded epochs.
 
-    Each epoch's set of keys is rebuilt by folding the history deltas
-    from epoch 0.
+    Each epoch's set of keys is rebuilt by folding the trail from epoch
+    0; a put of a key already held changes nothing.
     """
     for epoch in (earlier, later):
         if not 0 <= epoch < len(base.history):
@@ -769,9 +735,9 @@ def epoch_diff(
     held: set[str] = set()
     snapshots: dict[int, frozenset[str]] = {}
     last = max(earlier, later)
-    for epoch, (added, removed) in enumerate(base.history):
-        held.difference_update(removed)
-        held.update(added)
+    for epoch, (put, dropped, _) in enumerate(base.history):
+        held.difference_update(dropped)
+        held.update(put)
         if epoch in (earlier, later):
             snapshots[epoch] = frozenset(held)
         if epoch == last:

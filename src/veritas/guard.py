@@ -34,7 +34,7 @@ from .hashing import sha256
 from .justify import JustificationGraph, dominance
 from .ledger import ZERO_HASH, Ledger, Op, commit
 from .logic import Atom, Formula, Not, is_consistent, parse, render_canonical
-from .logic.sat import preferred_conflict
+from .logic.sat import Witness, preferred_conflict
 
 
 class FailureKind(enum.Enum):
@@ -113,6 +113,11 @@ def detect_contradiction(base: BeliefBase) -> list[frozenset[Formula]]:
     """
     if is_consistent_base(base):
         return []
+    return _cores(base)
+
+
+def _cores(base: BeliefBase) -> list[frozenset[Formula]]:
+    """detect_contradiction, for a base known to be inconsistent."""
     active = base.formulas()
     keys = {render_canonical(f): f for f in active}
     pairs = []
@@ -145,7 +150,8 @@ def resolve_contradiction(
     such block and returns the base after it; by default the blocks go
     to a throwaway in-memory ledger.  Returns the new base and (method,
     formula) pairs for each removal, where method is "retract" or
-    "contract".
+    "contract".  A base returned consistent carries a witness: its own,
+    or the model of the solve that found it consistent.
     """
     if fold is None:
         scratch = RecoveryContext(
@@ -162,12 +168,12 @@ def resolve_contradiction(
             method, key = action
             base = fold(Op.RECOVERY if method == "retract" else Op.CONTRACT, key)
             actions.append(action)
-        cores = detect_contradiction(base)
-        if not cores:
-            # detect_contradiction has just found the base satisfiable,
-            # without keeping a model of it.
-            return replace(base, known_consistent=True, witness=None), actions
-        current = cores[0]
+        if base.witness is not None:
+            return base, actions
+        found: list[Witness] = []
+        if is_consistent(base.formulas(), witnesses=found):
+            return replace(base, witness=found[0]), actions
+        current = _cores(base)[0]
     return base, actions
 
 
@@ -290,15 +296,17 @@ def mscu_sweep(
 class SweepIndex:
     """The sweep's flags and the IsSafe gate's supports, kept from deltas.
 
-    sync scores again only the keys the base's trail touched after the
-    link it last saw: a touched k reaches k, (! k) and, when k is (! x),
-    x.  An entry whose node is missing is scored again whenever the
-    graph has grown, as a node can only appear.  A base that does not
-    extend that link, another graph or another theta_meta is scored in
-    full.  By key, flags holds the flagged items, supports the
-    assertable atom entries and failing the supports assertion_gate
-    refuses at their node's depth, which never changes; atoms() is one
-    frozenset object while the supports' keys stay the same.
+    sync scores again only the keys that the base's trail put or dropped
+    after the link it last saw: such a key k reaches k, (! k) and, when
+    k is (! x), x.  An entry whose node is missing is scored again
+    whenever the graph has grown, as a node can only appear.  A base
+    whose trail does not extend that link, another graph or another
+    theta_meta is scored in full; a base not made by an operation starts
+    a trail of its own, so it is always scored in full.  By key, flags
+    holds the flagged items, supports the assertable atom entries and
+    failing the supports assertion_gate refuses at their node's depth,
+    which never changes; atoms() is one frozenset object while the
+    supports' keys stay the same.
     """
 
     def __init__(self, config: EngineConfig) -> None:
@@ -318,16 +326,16 @@ class SweepIndex:
     ) -> None:
         deltas = None
         if graph is self._graph and theta_meta == self._theta_meta:
-            deltas = base._touched.since(self._trail)
+            deltas = base.history.since(self._trail)
         if deltas is None:
             self._reset(graph, theta_meta)
             keys = set(base._by_key)
         else:
             keys = set(self._pending) if len(graph) != self._nodes else set()
-            for key in (key for touched in deltas for key in touched):
+            for key in (k for put, dropped, _ in deltas for k in (*put, *dropped)):
                 negated = key[3:-1] if key.startswith("(! ") else key
                 keys.update((key, f"(! {key})", negated))
-        self._trail, self._nodes = base._touched, len(graph)
+        self._trail, self._nodes = base.history, len(graph)
         for key in keys:
             self._score(base, key)
 

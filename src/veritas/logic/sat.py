@@ -185,14 +185,13 @@ def extend_witness(witness: Witness, formula: Formula) -> Witness | None:
     return Witness(literals, atom_ids)
 
 
-def entails(base: Iterable[Formula], formula: Formula,
-            max_atoms: int = DEFAULT_MAX_ATOMS) -> bool:
+def entails(base: Iterable[Formula], formula: Formula) -> bool:
     """Decide whether the base logically entails the formula."""
-    return not is_consistent([*base, _negation(formula)], max_atoms=max_atoms)
+    return not is_consistent([*base, _negation(formula)])
 
 
-def is_tautology(formula: Formula, max_atoms: int = DEFAULT_MAX_ATOMS) -> bool:
-    return entails([], formula, max_atoms=max_atoms)
+def is_tautology(formula: Formula) -> bool:
+    return entails([], formula)
 
 
 def preferred_conflict(

@@ -64,7 +64,6 @@ class TraceStep:
 class PlanTrace:
     entries: tuple[TraceStep, ...] = ()
     goal: Formula | None = None
-    supporting_beliefs: tuple[Formula, ...] = ()
     seal: int | None = None
 
     def __post_init__(self) -> None:
@@ -101,7 +100,6 @@ def simulate_trace(
     plan: list[GroundAction],
     s0: WorldState,
     goal: tuple[Literal, ...] = (),
-    supporting_beliefs: tuple[Formula, ...] = (),
 ) -> SimulationResult:
     """Execute the plan step by step, recording snapshots and deltas.
 
@@ -133,11 +131,7 @@ def simulate_trace(
                     deleted=frozenset(),
                 )
             )
-            trace = PlanTrace(
-                entries=tuple(steps),
-                goal=goal_formula(goal),
-                supporting_beliefs=supporting_beliefs,
-            )
+            trace = PlanTrace(entries=tuple(steps), goal=goal_formula(goal))
             event = FailureEvent(
                 FailureKind.POLICY_MISPROJECTION, action.render(), label
             )
@@ -154,11 +148,7 @@ def simulate_trace(
             )
         )
         state = WorldState((state.atoms - deleted) | added)
-    trace = PlanTrace(
-        entries=tuple(steps),
-        goal=goal_formula(goal),
-        supporting_beliefs=supporting_beliefs,
-    )
+    trace = PlanTrace(entries=tuple(steps), goal=goal_formula(goal))
     return SimulationResult(trace=trace, final=state)
 
 

@@ -432,20 +432,23 @@ class TestStoredKey:
 
 
 class TestConsistencyRecord:
-    """Bases that expand, revise or contract produce carry their verdict."""
+    """Bases that expand, revise or contract produce carry a witness."""
 
     def test_changed_bases_record_consistency(self):
         base, route = update_belief_state(BeliefBase(), entry("p"))
-        assert route == "expanded" and base.known_consistent
+        assert route == "expanded" and witness_holds(base)
         base, route = update_belief_state(base, entry("!p"))
-        assert route == "revised" and base.known_consistent
-        assert expand(base, entry("q")).known_consistent
-        assert contract(expand(base, entry("q")), parse("q")).known_consistent
+        assert route == "revised" and witness_holds(base)
+        assert witness_holds(expand(base, entry("q")))
+        assert witness_holds(contract(expand(base, entry("q")), parse("q")))
 
     def test_record_is_not_part_of_identity(self):
         built = base_of(entry("p"), entry("q"))
-        assert not built.known_consistent
-        assert dataclasses.replace(built, known_consistent=True) == built
+        assert built.witness is None
+        found = []
+        assert is_consistent(built.formulas(), witnesses=found)
+        witnessed = dataclasses.replace(built, witness=found[0])
+        assert witnessed == built and hash(witnessed) == hash(built)
 
     def test_recorded_base_skips_the_sat_check(self, monkeypatch):
         base, _ = update_belief_state(BeliefBase(), entry("p"))
@@ -706,8 +709,6 @@ def run_witness_steps(steps: list[tuple]) -> tuple[list[str], list[str]]:
             base = belief.retract_entry(base, held.formula, "test")
         elif kind == "amend" and held is not None:
             base = belief.amend_entry(base, held.formula, probability=probability)
-        if base.known_consistent:
-            assert tt_satisfiable(base.formulas())
         if base.witness is not None:
             assert witness_holds(base)
         exports.append(export(base))
@@ -745,7 +746,7 @@ class TestWitness:
     def test_producers_keep_or_drop_the_witness(self):
         base, _ = update_belief_state(BeliefBase(), entry("p"))
         base, _ = update_belief_state(base, entry("q"))
-        assert base.witness is not None and base.known_consistent
+        assert base.witness is not None
         assert belief.retract_entry(base, parse("q"), "r").witness == base.witness
         assert belief.amend_entry(base, parse("q"), probability=0.5).witness == base.witness
         contracted = contract(base, parse("q"))
@@ -755,15 +756,17 @@ class TestWitness:
         unrecorded = base_of(entry("p"), entry("q"))
         assert unrecorded.witness is None
         assert dataclasses.replace(unrecorded, witness=base.witness) == unrecorded
-        assert dataclasses.replace(unrecorded, witness=base.witness).known_consistent
+        assert belief.is_consistent_base(
+            dataclasses.replace(unrecorded, witness=base.witness)
+        )
 
-    def test_resolved_contradiction_keeps_no_witness(self):
+    def test_resolved_contradiction_keeps_a_witness(self):
         from veritas.guard import detect_contradiction, resolve_contradiction
 
         clash = base_of(entry("p"), entry("q"), entry("!p", 0.6))
         core = detect_contradiction(clash)[0]
         resolved, _ = resolve_contradiction(clash, core)
-        assert resolved.known_consistent and resolved.witness is None
+        assert resolved.witness is not None and witness_holds(resolved)
 
     def test_re_observation_keeps_the_witness_without_solving(self, monkeypatch):
         base, _ = update_belief_state(BeliefBase(), entry("p | q"))
@@ -933,7 +936,9 @@ class TestPersistentBase:
             assert other.epoch == same.epoch and other.entries == same.entries
             assert other != same
         assert other_order.retraction_log == same.retraction_log
-        assert other_reason.history == same.history
+        for i in range(same.epoch + 1):
+            for j in range(same.epoch + 1):
+                assert epoch_diff(other_reason, i, j) == epoch_diff(same, i, j)
 
     def test_a_fold_shares_its_parents_trails(self):
         base = BeliefBase()
@@ -941,10 +946,17 @@ class TestPersistentBase:
             base, _ = update_belief_state(base, entry(text, timestamp=step))
         grown = belief.retract_entry(base, parse("q"), "gone")
         assert grown.history._rest is base.history
-        assert grown._log._rest is base._log
         assert list(grown.history) == [
-            ((), ()), (("p",), ()), (("q",), ()), (("r",), ()), ((), ("q",))
+            ((), (), ""),
+            (("p",), (), ""),
+            (("q",), (), ""),
+            (("r",), (), ""),
+            ((), ("q",), "gone"),
         ]
+
+    def test_each_base_not_made_by_an_operation_starts_its_own_trail(self):
+        assert BeliefBase().history is not BeliefBase().history
+        assert BeliefBase() == BeliefBase() and BeliefBase().epoch == 0
 
     def test_long_trails_compare_and_free_without_recursion(self):
         base, _ = update_belief_state(BeliefBase(), entry("p"))

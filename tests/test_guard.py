@@ -420,6 +420,31 @@ class TestSweep:
                 )
             }
 
+    def test_a_base_from_entries_is_scored_in_full(self, monkeypatch):
+        """A base not made by an operation shares no trail with the base
+        the index last saw, even when both trails are one link long or
+        both bases are empty, so every entry is scored again."""
+        graph, ids = self.build_graph("p", "q")
+        index = SweepIndex(EngineConfig())
+        scored = []
+        score = SweepIndex._score
+
+        def spy(self, base, key):
+            scored.append(key)
+            return score(self, base, key)
+
+        monkeypatch.setattr(SweepIndex, "_score", spy)
+        assert mscu_sweep(BeliefBase(), graph, 0.6, index) == []
+        clash = [entry("p", 0.99, justification=ids["p"]), entry("!p", 0.99)]
+        for entries_ in (clash, clash, [entry("q", 0.5, justification=ids["q"])], []):
+            base = BeliefBase.from_entries(entries_)
+            scored.clear()
+            full = reference_sweep(base, graph, 0.6)
+            flagged = mscu_sweep(base, graph, 0.6, index)
+            assert flagged == [m for m in full if m.action != "none"]
+            assert set(scored) >= {e.key for e in base.entries}
+        assert index.flags == {}
+
 
 def seeded_context(*entries_: BeliefEntry) -> RecoveryContext:
     graph = JustificationGraph()

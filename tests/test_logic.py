@@ -589,6 +589,19 @@ class TestCompiledConsistency:
             assert sat._has_complementary_pair(formulas) == expected
         assert 100 < hits < 500
 
+    def test_complementary_pair_is_decided_without_a_solve(self, monkeypatch):
+        """f and (! f) for a 16-atom parity chain: DPLL without clause
+        learning refutes the pair only by search, which took hundreds
+        of milliseconds where the pre-filter takes microseconds."""
+        f = parity([Atom(f"w{i}") for i in range(16)])
+
+        def refuse(clauses, variables):
+            raise AssertionError("solved a complementary pair")
+
+        monkeypatch.setattr(sat, "_dpll", refuse)
+        assert not is_consistent([f, Not(f)])
+        assert not is_consistent([Not(f), Atom("z"), f])
+
 
 _SHAPE_ATOMS = st.builds(
     Atom, st.sampled_from(["p", "q", "Rz"]), st.sampled_from([(), ("a",), ("a", "b")])
