@@ -54,6 +54,7 @@ from .logic.sat import (
     extend_witness,
     is_satisfiable,
 )
+from .record import record
 
 DEFAULT_THETA = 0.95
 REMAINDER_CAP = 16
@@ -146,7 +147,7 @@ def _check_probability(value: float) -> None:
         raise DomainError(f"probability out of range: {value}")
 
 
-@dataclass(frozen=True)
+@record
 class Provenance:
     """Where a belief came from: source label, timestamp, confidence."""
 
@@ -160,7 +161,7 @@ class Provenance:
             raise ValueError(f"negative timestamp: {self.timestamp}")
 
 
-@dataclass(frozen=True)
+@record
 class BeliefEntry:
     """One held formula with its probability and bookkeeping.
 
@@ -251,7 +252,7 @@ _UNCHANGED: tuple[tuple[str, ...], tuple[str, ...], str] = ((), (), "")
 _entry_key = attrgetter("key")
 
 
-@dataclass(frozen=True)
+@record
 class BeliefBase:
     """Immutable belief snapshot plus the trail that led to it.
 

@@ -4,7 +4,10 @@ Exit status doubles as a machine-readable verdict: 0 success, 2 bad
 input, 3 consistency refusal, 4 ledger corruption (or a damaged node
 store, or a block naming a node the store lacks), 5 planning failure,
 6 recovery escalation, 7 resource limit, 1 anything else.  Errors go to
-stderr as one tab-separated ``error`` line.
+stderr as one tab-separated ``error`` line.  A reader that closes stdout
+early is not an error: the command stops at its first failed write,
+prints nothing more and exits 141, as a shell reports a command that
+SIGPIPE ended.
 """
 
 from __future__ import annotations
@@ -38,6 +41,8 @@ EXIT_CORRUPT = 4
 EXIT_NO_PLAN = 5
 EXIT_ESCALATED = 6
 EXIT_LIMIT = 7
+# 128 + SIGPIPE: the reader closed stdout before the output was written.
+EXIT_CLOSED_STDOUT = 141
 
 
 _FORMULA = ("formula", {})
@@ -283,12 +288,23 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = _build_config(args)
         if args.command == "ledger" and args.action == "verify":
-            return _verify_only(config)
-        with warnings.catch_warnings():
-            # Reported above; the session validates its config again.
-            warnings.simplefilter("ignore", ThetaRangeWarning)
-            with Session(config) as session:
-                return _dispatch(args, session)
+            code = _verify_only(config)
+        else:
+            with warnings.catch_warnings():
+                # Reported above; the session validates its config again.
+                warnings.simplefilter("ignore", ThetaRangeWarning)
+                with Session(config) as session:
+                    code = _dispatch(args, session)
+        # A closed stdout shows here, not in the interpreter's last flush.
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # What is still buffered goes to /dev/null when the interpreter
+        # flushes stdout at exit (Python's "Note on SIGPIPE").
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_CLOSED_STDOUT
     except ParseError as err:
         _error("parse", err)
         return EXIT_USAGE

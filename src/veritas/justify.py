@@ -20,6 +20,7 @@ from .belief import Provenance
 from .hashing import sha256
 from .logic import Formula, ResourceLimitError, entails, parse, render_canonical
 from .logic.parser import NestingLimitError
+from .record import record
 
 DEFAULT_SOURCE_RELIABILITY = 0.5
 
@@ -45,7 +46,7 @@ class NoJustificationError(LookupError):
     """No node concludes the requested formula."""
 
 
-@dataclass(frozen=True)
+@record
 class JustificationNode:
     node_id: str
     conclusion: Formula

@@ -54,6 +54,7 @@ from .justify import JustificationGraph, JustificationNode, load_graph, node_to_
 from .logic import Formula, ResourceLimitError, parse, render_canonical
 from .logic.parser import NestingLimitError
 from .logic.sat import EMPTY_WITNESS
+from .record import record
 
 ZERO_HASH = b"\x00" * 32
 LEDGER_SUFFIX = ".vlog"
@@ -83,7 +84,7 @@ class Op(enum.Enum):
     META = "meta"
 
 
-@dataclass(frozen=True)
+@record
 class Block:
     index: int
     timestamp: int

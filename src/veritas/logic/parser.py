@@ -228,7 +228,9 @@ def _fresh(atom: Atom) -> Atom:
     """A new instance equal to a shared atom, with its kept text; the
     shared one was validated when it joined the table."""
     fresh = object.__new__(Atom)
-    fresh.__dict__.update(predicate=atom.predicate, args=atom.args, _text=atom._text)
+    object.__setattr__(fresh, "predicate", atom.predicate)
+    object.__setattr__(fresh, "args", atom.args)
+    object.__setattr__(fresh, "_text", atom._text)
     return fresh
 
 

@@ -260,7 +260,7 @@ def _has_complementary_pair(formulas: list[Formula]) -> bool:
 
 def _compiled(formula: Formula) -> _Compiled:
     """The formula's compiled form, compiled on first use and kept on it."""
-    compiled = formula.__dict__.get("_sat")
+    compiled = formula._sat
     if compiled is None:
         compiled = _compile(formula)
         object.__setattr__(formula, "_sat", compiled)
@@ -397,7 +397,7 @@ def _negation(formula: Formula) -> Not:
     would refer back to it.
     """
     negation = Not(formula)
-    compiled = formula.__dict__.get("_sat_negation")
+    compiled = formula._sat_negation
     if compiled is None:
         object.__setattr__(formula, "_sat_negation", _compiled(negation))
     else:

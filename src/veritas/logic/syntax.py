@@ -17,9 +17,18 @@ IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 
 
 class Formula:
-    """Base class for all formula nodes."""
+    """Base class for all formula nodes.
+
+    A node keeps its canonical text (_text) and sat keeps its compiled
+    form and its negation's (_sat, _sat_negation) on it once computed.
+    Each reads None here until then, so a cache is a plain attribute
+    read and a node never needs its instance dict looked up.
+    """
 
     __slots__ = ()
+    _text: str | None = None
+    _sat: object = None
+    _sat_negation: object = None
 
 
 @dataclass(frozen=True)
@@ -80,7 +89,7 @@ def render_canonical(formula: Formula) -> str:
     there, so an instance is walked once however often it is rendered;
     equality, hashing and repr read only the fields.
     """
-    text = getattr(formula, "_text", None)
+    text = formula._text
     if text is None:
         text = _render(formula)
         object.__setattr__(formula, "_text", text)
@@ -89,7 +98,7 @@ def render_canonical(formula: Formula) -> str:
 
 def _render(formula: Formula) -> str:
     """The canonical text of formula; a subformula's kept text is reused."""
-    text = getattr(formula, "_text", None)
+    text = formula._text
     if text is not None:
         return text
     if isinstance(formula, Atom):

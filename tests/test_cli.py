@@ -1208,3 +1208,44 @@ class TestSurface:
         code, _, _ = run_main(argv, capsys)
         assert code == 0
         assert len(inits) == built
+
+
+class TestClosedStdout:
+    def test_run_stops_at_its_first_failed_print_and_exits_141(
+        self, cli, tmp_path
+    ):
+        # 8,000 re-observations print about 97 KB, more than a pipe and
+        # stdout's buffer hold, so writes fail once the reader is gone.
+        lines = 8000
+        stream = tmp_path / "stream.tsv"
+        stream.write_text(
+            "".join(f"a{i % 12}\t0.99\tsensor\n" for i in range(lines))
+        )
+        src = str(Path(veritas.__file__).resolve().parents[1])
+        env = dict(
+            os.environ,
+            PYTHONPATH=os.pathsep.join(
+                filter(None, [src, os.environ.get("PYTHONPATH")])
+            ),
+        )
+        with stream.open("rb") as stdin, subprocess.Popen(
+            [sys.executable, "-m", "veritas.cli", "--set", "fixed_clock=1", "run"],
+            cwd=tmp_path,
+            env=env,
+            stdin=stdin,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        ) as proc:
+            first = proc.stdout.readline()
+            proc.stdout.close()
+            err = proc.stderr.read()
+            code = proc.wait(timeout=120)
+        assert first == b"admitted\ta0\n"
+        assert (code, err) == (veritas.cli.EXIT_CLOSED_STDOUT, b"")
+        # Each line's blocks are on disk before its output is written, so
+        # the chain it stopped in verifies and replays.
+        code, out, _ = cli("ledger", "verify")
+        assert code == 0
+        status, blocks = out.split()
+        assert status == "ok" and 2 < int(blocks) < lines + 2
+        assert cli("ledger", "replay")[0] == 0
