@@ -30,7 +30,7 @@ from .engine import (
 )
 from .justify import NoJustificationError
 from .ledger import Ledger, LedgerCorruptionError, ReplayError, replay
-from .logic import ParseError, ResourceLimitError, parse, render_canonical
+from .logic import ParseError, ResourceLimitError, render_canonical
 from .plan import PlanningError, render_trace
 
 EXIT_OK = 0
@@ -187,12 +187,12 @@ def _read_policy(path: str) -> tuple[list[str], float | None, float | None]:
 def _dispatch(args: argparse.Namespace, session: Session) -> int:
     out = sys.stdout
     if args.command == "observe":
-        formula = parse(args.formula)
+        formula = session.formula(args.formula)
         verdict = session.observe(formula, args.p, args.source)
         out.write(f"{verdict}\t{render_canonical(formula)}\n")
         return EXIT_OK
     if args.command == "contract":
-        formula = parse(args.formula)
+        formula = session.formula(args.formula)
         session.contract_formula(formula)
         out.write(f"contracted\t{render_canonical(formula)}\n")
         return EXIT_OK

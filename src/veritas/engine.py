@@ -208,6 +208,12 @@ class Session:
         """The node store, read and validated on first use (NodeStore.load)."""
         return self._nodes.load()
 
+    def formula(self, text: str) -> Formula:
+        """The session's one formula for text, from its graph's formula
+        table (JustificationGraph.formula), which serves before the node
+        store is read and does not read it."""
+        return self._nodes.graph.formula(text)
+
     @functools.cached_property
     def base(self) -> BeliefBase:
         """The base replayed from the ledger on first use."""
@@ -291,13 +297,14 @@ class Session:
     ) -> str:
         """Admit one observation; returns which route it took.
 
-        The formula may be given as text or already parsed.  commit folds
+        The formula may be given as text, which formula resolves, or
+        already parsed.  commit folds
         its node's entry into the live base exactly as replay folds its
         block, and appends the block (insert or revise, by the route the
         fold took) only once the fold has succeeded.
         """
         if isinstance(formula, str):
-            formula = parse(formula)
+            formula = self.formula(formula)
         if not is_satisfiable(formula):
             raise ConsistencyError(
                 f"observation is self-contradictory: {render_canonical(formula)}"
@@ -322,7 +329,7 @@ class Session:
     def contract_formula(self, formula: Formula | str) -> None:
         """Contract the formula, given as text or already parsed."""
         if isinstance(formula, str):
-            formula = parse(formula)
+            formula = self.formula(formula)
         if is_tautology(formula):
             raise ConsistencyError(
                 f"refusing to contract a tautology: {render_canonical(formula)}"
@@ -348,9 +355,12 @@ class Session:
         return entails(self.base.assertable_formulas(), formula)
 
     def query(self, text: str) -> QueryResult:
-        formula = parse(text)
-        entailed = self._entailed(formula)
+        formula = self.formula(text)
         entry = self.base.find(formula)
+        # A base entails each formula it holds, so a held, assertable
+        # formula needs no solve.
+        held = entry is not None and entry.assertable
+        entailed = held or self._entailed(formula)
         if entry is not None:
             probability = entry.probability
         elif entailed:
@@ -370,7 +380,7 @@ class Session:
         )
 
     def justify_formula(self, text: str):
-        formula = parse(text)
+        formula = self.formula(text)
         entry = self.base.find(formula)
         # No node id is None, so a missing justification is not in graph.
         if entry is None or entry.justification not in self.graph:
@@ -382,7 +392,7 @@ class Session:
 
     def prove(self, text: str) -> PublicProof:
         """Build an anchored public proof for a held or entailed formula."""
-        formula = parse(text)
+        formula = self.formula(text)
         entry = self.base.find(formula)
         if entry is not None and entry.justification in self.graph:
             node_id = entry.justification
@@ -633,7 +643,7 @@ class Session:
                 self._append_and_apply(Op.RECOVERY, key)
                 appended += 1
         for key in sorted(wanted):
-            formula = parse(key)
+            formula = self.formula(key)
             if self.base.find(formula) is not None:
                 continue
             entry = wanted[key]
@@ -697,7 +707,7 @@ class Session:
             said, warned = io.StringIO(), io.StringIO()
             length, seq = len(self.ledger), self._obs_seq
             base = self.__dict__.get("base")  # None until first replayed
-            graph = self._nodes.graph  # None until first loaded
+            graph = self.__dict__.get("graph")  # None until first loaded
             nodes = None if graph is None else len(graph)
             try:
                 with self.ledger.batch():
@@ -725,7 +735,7 @@ class Session:
         if not stripped or stripped.startswith("#"):
             return 0
         text, probability, source = parse_observation_line(raw)
-        formula = parse(text)
+        formula = self.formula(text)
         verdict = self.observe(formula, probability, source)
         out.write(f"{verdict}\t{render_canonical(formula)}\n")
         _, reports = self.sweep_and_react()

@@ -33,7 +33,7 @@ from .config import EngineConfig
 from .hashing import sha256
 from .justify import JustificationGraph, dominance
 from .ledger import ZERO_HASH, Ledger, Op, commit
-from .logic import Atom, Formula, Not, is_consistent, parse, render_canonical
+from .logic import Atom, Formula, Not, is_consistent, render_canonical
 from .logic.sat import Witness, preferred_conflict
 
 
@@ -480,7 +480,7 @@ def _subject_entry(
 ) -> BeliefEntry | None:
     """The held entry the event names, noting why when there is none."""
     try:
-        formula = parse(event.subject)
+        formula = context.graph.formula(event.subject)
     except ValueError:
         report.escalated = True
         _note(report, context, event, "escalated(bad-subject)")

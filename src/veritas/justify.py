@@ -102,11 +102,20 @@ class VerifyResult:
 
 
 class JustificationGraph:
-    """Append-only store of justification nodes."""
+    """Append-only store of justification nodes, and a formula table.
+
+    The table maps each text that formula was asked for, as given and
+    in canonical form, to one parsed formula, so a session parses,
+    renders and compiles each distinct text once however often it is
+    observed, queried or read back (hash-consing: Filliatre & Conchon,
+    "Type-Safe Modular Hash-Consing", 2006).  Nodes leave the graph
+    only by truncate, and their formulas stay in the table.
+    """
 
     def __init__(self) -> None:
         self._nodes: dict[str, JustificationNode] = {}
         self._by_conclusion: dict[str, list[str]] = {}
+        self._formulas: dict[str, Formula] = {}
 
     def __contains__(self, node_id: str) -> bool:
         return node_id in self._nodes
@@ -116,6 +125,24 @@ class JustificationGraph:
 
     def get(self, node_id: str) -> JustificationNode | None:
         return self._nodes.get(node_id)
+
+    def formula(self, text: str) -> Formula:
+        """The graph's one formula for text, parsed on its first request.
+
+        A text not seen before is parsed and then looked up by its
+        canonical text, so every spelling of one formula, and the
+        conclusion of a node read back, share one instance, which keeps
+        its text and compiled form.  parse's errors propagate and a
+        failed parse stores nothing.
+        """
+        formula = self._formulas.get(text)
+        if formula is None:
+            parsed = parse(text)
+            canonical = render_canonical(parsed)
+            formula = self._formulas.setdefault(canonical, parsed)
+            if text != canonical:
+                self._formulas[text] = formula
+        return formula
 
     def node(self, node_id: str) -> JustificationNode:
         try:
@@ -150,6 +177,10 @@ class JustificationGraph:
             raise ValueError(
                 f"node id {node.node_id} does not match content digest"
             )
+        # The id is a digest of the content, so that node was checked
+        # when it joined.
+        if node.node_id in self._nodes:
+            return node.node_id
         for premise in node.premises:
             if premise not in self._nodes:
                 raise UnknownPremiseError(premise)
@@ -159,10 +190,9 @@ class JustificationGraph:
                 raise UnsoundInferenceError(
                     f"premises do not entail {render_canonical(node.conclusion)}"
                 )
-        if node.node_id not in self._nodes:
-            self._nodes[node.node_id] = node
-            key = render_canonical(node.conclusion)
-            self._by_conclusion.setdefault(key, []).append(node.node_id)
+        self._nodes[node.node_id] = node
+        key = render_canonical(node.conclusion)
+        self._by_conclusion.setdefault(key, []).append(node.node_id)
         return node.node_id
 
     def nodes_for(self, formula: Formula) -> list[str]:
@@ -372,7 +402,7 @@ _NODE_LINE_RE = re.compile(
 
 
 def node_from_json(
-    line: str, conclusions: dict[str, Formula] | None = None
+    line: str, formula_for: Callable[[str], Formula] | None = None
 ) -> JustificationNode:
     """The node a node_to_json line holds; ValueError if it holds none.
 
@@ -380,9 +410,9 @@ def node_from_json(
     by one regex match; any other is read by json, with the same result.
     Bad JSON, a missing or mistyped field and a conclusion that does
     not parse all raise ValueError.  The id is not checked against the
-    content here: JustificationGraph.add_node does that.  Given a
-    conclusions map from text to parsed formula, a text parsed before
-    reuses that formula, and a new one is parsed and added to it.
+    content here: JustificationGraph.add_node does that.  The
+    conclusion is formula_for(text), such as a graph's formula for the
+    text (JustificationGraph.formula), else a fresh parse.
     """
     match = _NODE_LINE_RE.fullmatch(line)
     if match is None:
@@ -398,14 +428,9 @@ def node_from_json(
         confidence = float(whole + part) if part else int(whole)
         premises = listed[1:-1].split('", "') if listed else ()
         timestamp = int(stamp)
-    if conclusions is None:
-        conclusions = {}
-    conclusion = conclusions.get(text)
-    if conclusion is None:
-        conclusion = conclusions[text] = parse(text)
     return JustificationNode(
         node_id=node_id,
-        conclusion=conclusion,
+        conclusion=parse(text) if formula_for is None else formula_for(text),
         rule=rule,
         premises=tuple(premises),
         provenance=Provenance(
@@ -431,26 +456,30 @@ def checked_fields(
     return [obj[name] for name, _ in fields]
 
 
-def load_graph(lines: Iterable[str]) -> JustificationGraph:
-    """The graph that node-store lines hold, each node validated again.
+def load_graph(
+    lines: Iterable[str], graph: JustificationGraph | None = None
+) -> JustificationGraph:
+    """graph, a new one by default, with the nodes that node-store lines
+    hold added, each validated again.
 
     ValueError names the first line that holds no valid node: bad JSON,
     a missing or mistyped field, an id that does not match the content,
-    an unknown premise or an unsound step.  A conclusion nested deeper
-    than the parser's limit is not damage, so ResourceLimitError names
-    its line instead.  Nodes with the same
-    conclusion text share one parsed formula, so replay compiles each
-    distinct formula once.
+    an unknown premise or an unsound step.  A line repeating a node
+    adds nothing.  A conclusion nested deeper than the parser's limit is
+    not damage, so ResourceLimitError names its line instead.  Each
+    conclusion comes from graph's formula table, which graph keeps:
+    nodes with the same conclusion text share one parsed formula with
+    each other and with every other request for that text, so a session
+    compiles each distinct formula once.
     """
-    graph = JustificationGraph()
-    conclusions: dict[str, Formula] = {}
+    if graph is None:
+        graph = JustificationGraph()
+    formula_for = graph.formula
     for number, line in enumerate(lines, 1):
         if not line.strip():
             continue
         try:
-            node = node_from_json(line, conclusions)
-            if node.node_id not in graph:
-                graph.add_node(node)
+            graph.add_node(node_from_json(line, formula_for))
         except UnknownPremiseError as err:
             raise ValueError(f"node store line {number}: unknown premise {err}") from None
         except NestingLimitError as err:

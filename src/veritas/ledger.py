@@ -51,7 +51,7 @@ from .belief import (
 from .config import EngineConfig
 from .hashing import sha256
 from .justify import JustificationGraph, JustificationNode, load_graph, node_to_json
-from .logic import Formula, ResourceLimitError, parse, render_canonical
+from .logic import Formula, ResourceLimitError, render_canonical
 from .logic.parser import NestingLimitError
 from .logic.sat import EMPTY_WITNESS
 from .record import record
@@ -431,17 +431,18 @@ def _append_all(handle, data: bytes, end: int, sync: bool = False) -> int:
 class NodeStore:
     """The justification nodes that blocks name: one JSON line each.
 
-    load reads the store into a graph; write_new appends the nodes the
+    load reads the store into graph; write_new appends the nodes the
     graph gained since, through a handle that its first write opens and
     close closes, and truncate takes nodes back out.  Both track the
     file's length instead of asking for it.  Before load it writes
-    nothing and reads nothing.  A session's ledger runs write_new as its
+    nothing and reads nothing, and graph holds no node: it serves only
+    its formula table.  A session's ledger runs write_new as its
     before_write hook.
     """
 
     def __init__(self, path: str):
         self.path = path
-        self.graph: JustificationGraph | None = None
+        self.graph = JustificationGraph()
         self._loaded = 0
         self._written = 0
         # The append handle, once a write opened it, and the file's length.
@@ -449,21 +450,27 @@ class NodeStore:
         self._end = 0
 
     def load(self) -> JustificationGraph:
-        """The graph the store holds; a damaged store raises ReplayError,
-        like a block naming a node the store lacks."""
-        graph = JustificationGraph()
+        """graph, with the nodes the store holds read into it.  A damaged
+        store raises ReplayError, like a block naming a node the store
+        lacks; a read that raises leaves graph without nodes."""
+        graph = self.graph
         if self.path and os.path.exists(self.path):
             with open(self.path, "r", encoding="utf-8") as handle:
+                # No node of a failed read stays for write_new to write.
                 try:
-                    graph = load_graph(handle)
+                    load_graph(handle, graph)
                 except ValueError as err:
+                    graph.truncate(0)
                     raise ReplayError(str(err)) from None
-        self.graph, self._loaded, self._written = graph, len(graph), len(graph)
+                except BaseException:
+                    graph.truncate(0)
+                    raise
+        self._loaded = self._written = len(graph)
         return graph
 
     def write_new(self) -> None:
         graph = self.graph
-        if graph is None or len(graph) == self._written:
+        if len(graph) == self._written:
             return
         if self._handle is None:
             self._handle, self._end = _open_append(self.path)
@@ -476,8 +483,6 @@ class NodeStore:
         load read when count is None, and cut the lines of the ones
         already written off the end of the store."""
         graph = self.graph
-        if graph is None:
-            return
         if count is None:
             count = self._loaded
         if self._written > count:
@@ -517,11 +522,11 @@ def apply_block(
             )
         return _fold_node(base, node, config, graph, block.formula)[0]
     if block.op == Op.CONTRACT:
-        return contract(base, _stored_formula(block))
+        return contract(base, _stored_formula(block, graph))
     if block.op == Op.RECOVERY:
         if not block.formula:
             return base
-        formula = _stored_formula(block)
+        formula = _stored_formula(block, graph)
         if block.justification_digest == ZERO_HASH:
             return retract_entry(base, formula, "recovery")
         node = graph.get(block.justification_digest.hex())
@@ -549,12 +554,13 @@ def apply_block(
     return base
 
 
-def _stored_formula(block: Block) -> Formula:
-    """The formula a block names.  One nested deeper than the parser's
-    limit is not bad input but a limit of this reader, so it raises
-    ResourceLimitError, as a node store line does."""
+def _stored_formula(block: Block, graph: JustificationGraph) -> Formula:
+    """The formula a block names, from graph's formula table.  One
+    nested deeper than the parser's limit is not bad input but a limit
+    of this reader, so it raises ResourceLimitError, as a node store
+    line does."""
     try:
-        return parse(block.formula)
+        return graph.formula(block.formula)
     except NestingLimitError as err:
         raise ResourceLimitError(f"block {block.index}: {err}") from None
 
@@ -572,11 +578,12 @@ def _fold_node(
     Probability and provenance come from the node, and the assertion
     gate weighs its derivation depth; only its premises need be in
     graph.  The node holds its formula parsed, and compiled once it has
-    been checked; key, a block's formula, is parsed only if it differs.
+    been checked; key, a block's formula, is looked up in graph's
+    formula table only if it differs.
     """
     formula = node.conclusion
     if key is not None and render_canonical(formula) != key:
-        formula = parse(key)
+        formula = graph.formula(key)
     probability = node.provenance.confidence
     entry = BeliefEntry(
         formula=formula,

@@ -19,9 +19,12 @@ offsets are found only for an error, by scanning the text again.
 Atoms come from a process-wide table keyed by their canonical text: a
 spelling is validated once, and every compound formula shares its atom
 instances, which are immutable leaves that keep their text.  Every
-formula parse returns is a new instance, so the compiled form sat keeps
-on it never outlives the parse: a bare atom comes back as a fresh copy
-of its shared one.
+formula parse returns is a new instance, a bare atom a fresh copy of
+its shared one, so the compiled form sat keeps on it lives as long as
+that instance.  A session parses through its justification graph's
+formula table (JustificationGraph.formula), which keeps one parsed
+instance per distinct text, so there a formula and its compiled form
+serve every later request for the text.
 
 A formula may nest at most MAX_DEPTH connectives deep: every "!" and
 every binary operator on the path from the root to an atom counts, and

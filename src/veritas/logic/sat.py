@@ -22,9 +22,11 @@ sorted order per formula.  Fresh variables take ids from a process-wide
 counter that starts above any atom id; they never count toward an atom
 limit, and DPLL branches on them after every atom.  The negation that
 entails tests is compiled once per goal instance too.  A re-parsed
-compound formula is a new instance and compiles afresh; the parser
-shares atom instances between formulas, but hands out every bare atom
-it returns as a fresh one, so that compiles afresh too.
+formula is a new instance and compiles afresh: the parser shares atom
+instances between formulas, but hands out every bare atom it returns
+as a fresh one.  A session shares more: its justification graph's
+formula table hands out one instance per distinct text, so there each
+distinct formula compiles once.
 
 Verdicts are not cached, but a satisfiable check can hand a model back
 as a Witness: one true literal picked from each clause, with the

@@ -22,7 +22,9 @@ from oracles import (
 )
 
 import veritas.engine
+import veritas.justify
 import veritas.ledger
+import veritas.logic.parser
 import veritas.logic.sat
 from veritas.belief import (
     BeliefBase,
@@ -45,7 +47,14 @@ from veritas.engine import (
 )
 from veritas.guard import FailureEvent, FailureKind
 from veritas.justify import NoJustificationError, node_to_json
-from veritas.ledger import ZERO_HASH, Ledger, LedgerCorruptionError, Op, replay
+from veritas.ledger import (
+    ZERO_HASH,
+    Ledger,
+    LedgerCorruptionError,
+    Op,
+    ReplayError,
+    replay,
+)
 from veritas.logic import (
     Atom,
     ParseError,
@@ -69,6 +78,34 @@ def make_config(tmp_path):
         return load_config(**values)
 
     return factory
+
+
+def spy_parse_and_compile(monkeypatch) -> tuple[list[str], list]:
+    """The text of every parse call, wherever a veritas module binds
+    parse, and every formula sat compiles."""
+    texts, compiled = [], []
+    parse_, compile_ = veritas.logic.parser.parse, veritas.logic.sat._compile
+
+    def spy_parse(text):
+        texts.append(text)
+        return parse_(text)
+
+    def spy_compile(formula):
+        compiled.append(formula)
+        return compile_(formula)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("veritas") and getattr(module, "parse", None) is parse_:
+            monkeypatch.setattr(module, "parse", spy_parse)
+    monkeypatch.setattr(veritas.logic.sat, "_compile", spy_compile)
+    return texts, compiled
+
+
+def churn_lines(monkeypatch, count: int) -> list[str]:
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
+    import workloads
+
+    return workloads.churn_stream(901, count)[0]
 
 
 def replay_export(session: Session) -> str:
@@ -337,6 +374,22 @@ class TestLazyOpen:
                 assert reopened.base == live
                 assert export(reopened.base) == export(live)
 
+    def test_a_failed_store_read_leaves_no_node_to_write(self, make_config):
+        """The graph a failed read filled part way is emptied again, so
+        the next block write appends none of its nodes to the store."""
+        config = make_config()
+        with Session(config) as session:
+            session.observe("p", 0.99, "sensor")
+            session.observe("q", 0.99, "sensor")
+        store = Path(config.resolved_nodes_path())
+        damaged = store.read_text().splitlines(True)[0] + "not json\n"
+        store.write_text(damaged)
+        with Session(config) as session:
+            with pytest.raises(ReplayError, match="node store line 2"):
+                session.graph
+            session.ledger.append(Op.META, formula="after", timestamp=0)
+        assert store.read_text() == damaged
+
     def test_reopened_churn_ledger_parses_each_conclusion_once(self, make_config):
         config = make_config()
         rng = random.Random(31)
@@ -358,6 +411,106 @@ class TestLazyOpen:
             for entry in reopened.base.entries:
                 node = reopened.graph.node(entry.justification)
                 assert entry.formula is node.conclusion
+
+
+class TestFormulaTable:
+    """A session parses, renders and compiles each distinct formula text
+    once, through its graph's formula table."""
+
+    def test_a_churn_run_parses_each_text_once(self, make_config, monkeypatch):
+        lines = churn_lines(monkeypatch, 300)
+        texts, compiled = spy_parse_and_compile(monkeypatch)
+        with Session(make_config()) as session:
+            assert session.run_loop(lines, io.StringIO(), io.StringIO()) == 0
+            live = session.base
+        raw = {parse_observation_line(line)[0] for line in lines}
+        assert sorted(texts) == sorted(raw)
+        keys = [render_canonical(f) for f in compiled]
+        assert len(keys) == len(set(keys))
+        with Session(make_config()) as reopened:
+            assert reopened.base == live
+
+    def test_observing_a_stored_conclusion_compiles_nothing_new(
+        self, make_config, monkeypatch
+    ):
+        """After a reopen, a text equal to a stored conclusion, in any
+        spelling, is that node's formula and compiles nothing new.
+        Observed before the store is read, it is the formula that the
+        stored node then concludes."""
+        config = make_config()
+        with Session(config) as session:
+            session.observe("p", 0.99, "sensor")
+            session.observe("p -> q", 0.97, "rulebook")
+        texts, compiled = spy_parse_and_compile(monkeypatch)
+        with Session(config) as reopened:
+            assert reopened.query("q").entailed
+            texts.clear()
+            compiled.clear()
+            assert reopened.observe("(p) -> (q)", 0.98, "scout") == "admitted"
+            assert texts == ["(p) -> (q)"] and compiled == []
+            stored = reopened.graph.nodes_for(parse("p -> q"))[0]
+            assert reopened.formula("p -> q") is reopened.graph.node(stored).conclusion
+        compiled.clear()
+        with Session(config) as reopened:
+            assert reopened.observe("p", 0.96, "scout") == "admitted"
+            observed = reopened.formula("p")
+            stored = [reopened.graph.node(n) for n in reopened.graph.nodes_for(observed)]
+            assert len(stored) == 2
+            assert all(node.conclusion is observed for node in stored)
+            keys = [render_canonical(f) for f in compiled]
+            assert len(keys) == len(set(keys))
+
+    def test_a_failed_write_leaves_live_replay_and_reopened_equal(
+        self, make_config, monkeypatch
+    ):
+        """ENOSPC halfway through the block write of a revising line: the
+        line leaves no trace but its formula in the table, which a later
+        line of that text, spelt another way, then observes."""
+        config, opener = make_config(), builtins.open
+
+        class FullDisk:
+            """The ledger's kept handle: its fourth write stores half its
+            bytes, then fails."""
+
+            def __init__(self, handle):
+                self._handle, self.writes = handle, 0
+
+            def __getattr__(self, name):
+                return getattr(self._handle, name)
+
+            def write(self, data):
+                self.writes += 1
+                # Each run writes its session-start block, then its line.
+                if self.writes != 4:
+                    return self._handle.write(data)
+                self._handle.write(bytes(data[: len(data) // 2]))
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        def flaky_open(file, mode="r", *args, **kwargs):
+            handle = opener(file, mode, *args, **kwargs)
+            if os.fspath(file) == config.ledger_path and "a" in mode:
+                return FullDisk(handle)
+            return handle
+
+        monkeypatch.setattr(builtins, "open", flaky_open)
+        with Session(config) as session:
+            session.run_loop(["p\t0.99\tsensor\n"], io.StringIO(), io.StringIO())
+            with pytest.raises(OSError):
+                session.run_loop(["!p\t0.99\tsensor\n"], io.StringIO(), io.StringIO())
+            kept = session.formula("!p")
+            live = session.base
+            assert live.find(kept) is None and live.find(parse("p")) is not None
+            assert live == replay(session.ledger, config, session.graph)
+            assert Ledger(config.ledger_path).blocks == session.ledger.blocks
+            out = io.StringIO()
+            line = "(! p)\t0.99\tsensor\n"
+            assert session.run_loop([line], out, io.StringIO()) == 0
+            assert out.getvalue() == "revised\t(! p)\n"
+            assert session.base.find(kept).formula is kept
+            live = session.base
+            assert live == replay(session.ledger, config, session.graph)
+        with Session(config) as reopened:
+            assert reopened.base == live
 
 
 class TestQuery:
@@ -393,6 +546,32 @@ class TestQuery:
             session.observe("p -> q", 0.99, "rulebook")
             session.observe("q", 0.96, "sensor")
             assert session.query("q").probability == 0.96
+
+    def test_a_held_assertable_formula_needs_no_solve(self, make_config, monkeypatch):
+        """phi in B entails phi; a held formula below the gate is still
+        asked about, and the base may entail it all the same."""
+        solves = []
+        entails = veritas.engine.entails
+
+        def spy(base, formula):
+            solves.append(render_canonical(formula))
+            return entails(base, formula)
+
+        monkeypatch.setattr(veritas.engine, "entails", spy)
+        with Session(make_config()) as session:
+            session.observe("p", 0.99, "sensor")
+            session.observe("p -> q", 0.97, "rulebook")
+            session.observe("q", 0.6, "scout")
+            session.observe("r", 0.6, "scout")
+            assert session.query("(p -> q)").render() == (
+                "entailed\tp=0.97\ttier=4\tstate=Provisional"
+            )
+            assert session.query("p").entailed and solves == []
+            assert session.query("q").render() == (
+                "entailed\tp=0.6\ttier=2\tstate=Uncertain"
+            )
+            assert not session.query("r").entailed
+            assert solves == ["q", "r"]
 
 
 class TestMinimalSupport:
@@ -450,6 +629,26 @@ class TestMinimalSupport:
             premises = [session.graph.node(n).conclusion for n in proof.chain[-1].premises]
             assert [render_canonical(f) for f in premises] == ["(q -> r)", "q"]
 
+    def test_a_held_text_maps_back_to_the_same_entries(self, make_config):
+        """_minimal_support matches kept formulas to entries by identity;
+        the goal may now be a held entry's own instance."""
+        with Session(make_config()) as session:
+            session.observe("p", 0.99, "sensor")
+            session.observe("p -> q", 0.97, "rulebook")
+            session.observe("q", 0.96, "sensor")
+            session.observe("p -> r", 0.98, "rulebook")
+            for text in ("q", "p -> q", "p", "q | r"):
+                held = session.formula(text)
+                fresh = parse(text)
+                assert held is not fresh
+                support = session._minimal_support(held)
+                assert support == session._minimal_support(fresh)
+                assert support and all(
+                    any(e is kept for kept in session.base.entries) for e in support
+                )
+            keys = [e.key for e in session._minimal_support(session.formula("q"))]
+            assert keys == ["q"]
+
 
 class TestProofs:
     """Public proofs round-trip through JSON and anchor in the ledger."""
@@ -468,6 +667,24 @@ class TestProofs:
             assert session.verify_proof(proof).ok
             assert proof.chain[-1].rule == "entailment"
             assert session.ledger.contains_digest(proof.digest)
+
+    def test_proving_a_derived_formula_again_solves_no_step(
+        self, make_config, monkeypatch
+    ):
+        """The second prove records the same entailment node, which the
+        graph holds already, so add_node asks no entailment."""
+        with Session(make_config()) as session:
+            session.observe("p", 0.99, "sensor")
+            session.observe("p -> q", 0.97, "rulebook")
+            first = session.prove("q")
+            solves = []
+            entails = veritas.justify.entails
+            monkeypatch.setattr(
+                veritas.justify,
+                "entails",
+                lambda *args: solves.append(args) or entails(*args),
+            )
+            assert session.prove("q") == first and solves == []
 
     def test_proving_twice_reuses_the_anchor(self, make_config):
         with Session(make_config()) as session:

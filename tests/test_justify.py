@@ -30,7 +30,8 @@ from veritas.justify import (
     node_to_json,
     verify_public_proof,
 )
-from veritas.logic import Atom, parse, render_canonical
+from veritas.logic import Atom, ParseError, parse, render_canonical
+from veritas.logic.parser import MAX_DEPTH, NestingLimitError
 
 
 @pytest.fixture
@@ -129,6 +130,80 @@ class TestRecordInference:
         tampered = replace(node, node_id="0" * 64)
         with pytest.raises(ValueError):
             JustificationGraph().add_node(tampered)
+
+    def test_a_known_node_joins_again_without_a_solve(self, graph, monkeypatch):
+        """A node whose id the graph holds was checked when it joined, so
+        adding it again asks no entailment; one whose content does not
+        match that id is still refused."""
+        p = observe(graph, "p")
+        rule = observe(graph, "p -> q", ts=1)
+        prov = Provenance("engine", 2, 0.99)
+        derived = graph.record_inference(parse("q"), (p, rule), "mp", prov)
+        solves = []
+        monkeypatch.setattr(
+            justify, "entails", lambda *args: solves.append(args) or True
+        )
+        assert graph.record_inference(parse("q"), (p, rule), "mp", prov) == derived
+        assert graph.add_node(graph.node(derived)) == derived
+        assert solves == [] and len(graph) == 3
+        forged = replace(graph.node(derived), conclusion=parse("r"))
+        with pytest.raises(ValueError, match="does not match content digest"):
+            graph.add_node(forged)
+        assert graph.node(derived).conclusion == parse("q")
+
+
+class TestFormulaTable:
+    """A graph hands out one formula per formula text, parsed once."""
+
+    def test_every_spelling_resolves_to_one_instance(self, graph):
+        negated = graph.formula("!C3")
+        assert graph.formula("(! C3)") is negated
+        assert graph.formula("!C3") is negated
+        assert graph.formula(" ! ( C3 ) ") is negated
+        assert negated._text == "(! C3)" and negated == parse("!C3")
+        assert graph.formula("C3") is not negated.operand
+
+    def test_parse_still_returns_a_fresh_instance(self, graph):
+        kept = graph.formula("p -> q")
+        assert parse("p -> q") is not kept and parse("p -> q") == kept
+
+    def test_a_failed_parse_stores_nothing(self, graph, monkeypatch):
+        with pytest.raises(ParseError):
+            graph.formula("p &")
+        deep = "!" * (MAX_DEPTH + 1) + "p"
+        with pytest.raises(NestingLimitError):
+            graph.formula(deep)
+        texts = []
+        monkeypatch.setattr(
+            justify, "parse", lambda text: texts.append(text) or parse(text)
+        )
+        with pytest.raises(ParseError):
+            graph.formula("p &")
+        with pytest.raises(NestingLimitError):
+            graph.formula(deep)
+        assert texts == ["p &", deep]
+
+    def test_loaded_conclusions_are_the_table_formulas(self, graph):
+        """load_graph keeps its table in the graph it returns: a node's
+        conclusion is the instance a later request for the text gets,
+        compiled form included."""
+        observe(graph, "p -> q")
+        observe(graph, "(p -> q)", ts=1)
+        loaded = load_graph([node_to_json(n) for n in graph.all_nodes()])
+        first, second = (node.conclusion for node in loaded.all_nodes())
+        assert first is second
+        assert loaded.formula("p -> q") is first
+        assert loaded.formula("(p -> q)") is first
+
+    def test_load_graph_extends_a_given_graph(self, graph):
+        """A formula handed out before the load is the one the loaded
+        nodes conclude."""
+        observe(graph, "!p")
+        lines = [node_to_json(n) for n in graph.all_nodes()]
+        target = JustificationGraph()
+        early = target.formula("!p")
+        assert load_graph(lines, target) is target
+        assert target.all_nodes()[0].conclusion is early
 
 
 class TestTrace:
@@ -321,6 +396,14 @@ class TestSerialization:
         with pytest.raises(ValueError):
             load_graph([line])
 
+    def test_a_repeated_line_adds_nothing_and_is_still_checked(self, graph):
+        observe(graph, "p")
+        line = node_to_json(graph.all_nodes()[0])
+        assert load_graph([line, line]).all_nodes() == graph.all_nodes()
+        tampered = line.replace('"p"', '"q"')
+        with pytest.raises(ValueError, match="line 2: node id"):
+            load_graph([line, tampered])
+
 
 def decoded(line: str, fast: bool):
     """The node a line holds, or the error it raises, read by the regex
@@ -425,7 +508,7 @@ class TestNodeLineEncode:
             },
             sort_keys=True,
         )
-        read = node_from_json(line + "\n", {text: conclusion})
+        read = node_from_json(line + "\n", {text: conclusion}.__getitem__)
         assert read == node
         assert type(read.provenance.confidence) is type(confidence)
         assert repr(read.provenance.confidence) == repr(confidence)

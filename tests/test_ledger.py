@@ -14,6 +14,7 @@ import pytest
 from veritas.belief import BeliefBase, Provenance, StatusTag, export
 from veritas.cli import main
 from veritas.config import EngineConfig
+from veritas import justify as justify_module
 from veritas import ledger as ledger_module
 from veritas.engine import Session
 from veritas.justify import JustificationGraph
@@ -520,14 +521,16 @@ class TestReplay:
         assert replayed.epoch == 3
 
     def test_insert_blocks_reuse_the_node_formula(self, engine_state, monkeypatch):
-        """Replay folds each node's parsed conclusion instead of re-parsing."""
+        """Replay folds each node's parsed conclusion instead of re-parsing:
+        the graph's formula table, which parses a block's text, parses
+        nothing."""
         ledger, graph, config = engine_state
         for ts, text in enumerate(["p", "p -> q", "!q", "r | s"]):
             insert(ledger, graph, text, ts)
         expected = export(replay(ledger, config, graph))
         parsed = []
         monkeypatch.setattr(
-            ledger_module, "parse", lambda text: parsed.append(text) or parse(text)
+            justify_module, "parse", lambda text: parsed.append(text) or parse(text)
         )
         base = replay(ledger, config, graph)
         assert parsed == [] and export(base) == expected
