@@ -135,14 +135,16 @@ def proof_from_json(text: str) -> PublicProof:
 
     Bad JSON, a top level or field that checked_fields refuses, as it
     refuses a node line's, and a bad node, conclusion or digest all
-    raise ValueError.
+    raise ValueError.  The conclusions share one formula table, so the
+    proof's conclusion, its last step's too, is parsed once.
     """
     conclusion, digest, chain = checked_fields(
         json.loads(text), _PROOF_FIELDS, "proof"
     )
-    chain = tuple(node_from_json(json.dumps(item)) for item in chain)
+    formula = JustificationGraph().formula
+    chain = tuple(node_from_json(json.dumps(item), formula) for item in chain)
     return PublicProof(
-        conclusion=parse(conclusion), chain=chain, digest=bytes.fromhex(digest)
+        conclusion=formula(conclusion), chain=chain, digest=bytes.fromhex(digest)
     )
 
 
@@ -588,6 +590,15 @@ class Session:
             lines.extend(render_trace(result.trace).splitlines())
             return result
 
+        def rerun(event: FailureEvent, label: str, detail: str) -> SimulationResult:
+            """Recover from event, then run the alternate plan that
+            replan rendered, which _abduce keeps as a list of actions."""
+            report = self.recover(event, replan=replan)
+            lines.extend(report.lines)
+            if report.escalated:
+                raise EscalationError(detail)
+            return run(self._abduce(goal, state), label)
+
         if expected_utility is not None and actual_utility is not None:
             event = classify_failure(
                 Diagnostic(
@@ -598,26 +609,11 @@ class Session:
                 )
             )
             if event.kind == FailureKind.POLICY_MISPROJECTION:
-                report = self.recover(event, replan=replan)
-                lines.extend(report.lines)
-                if report.escalated:
-                    raise EscalationError("no alternate policy available")
-                alternate = [
-                    resolve_action(text, domain)
-                    for text in replan().split(";")
-                ]
-                run(alternate, "reselected")
+                rerun(event, "reselected", "no alternate policy available")
                 return lines
         result = run(actions, "injected")
         if result.failure is not None:
-            report = self.recover(result.failure, replan=replan)
-            lines.extend(report.lines)
-            if report.escalated:
-                raise EscalationError(result.failure.detail)
-            alternate = [
-                resolve_action(text, domain) for text in replan().split(";")
-            ]
-            recovered = run(alternate, "recovered")
+            recovered = rerun(result.failure, "recovered", result.failure.detail)
             if recovered.failure is not None:
                 raise EscalationError(recovered.failure.detail)
         return lines

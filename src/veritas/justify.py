@@ -4,8 +4,8 @@ Every inference is a node whose id is the SHA-256 of its own content
 (conclusion, rule, premise ids, provenance), so the graph is acyclic by
 construction and any mutation is detectable.  A public proof packages
 the sub-DAG supporting one formula together with a chain digest over
-the conclusion formulas; verification needs only the proof, a way to
-ask whether the digest is anchored, and the entailment checker.
+the conclusion formulas; verification needs only the proof and a way to
+ask whether the digest is anchored, and admits each step by add_node.
 """
 
 from __future__ import annotations
@@ -78,8 +78,10 @@ def node_digest(
 def hash_chain(nodes: Sequence[JustificationNode]) -> bytes:
     """Digest over the chain's conclusions, in order, joined by 0x1E.
 
-    Rule labels are hashed into node ids but deliberately not into the
-    chain digest, which commits to the formula sequence alone.
+    Rule labels, premises and provenance are not hashed into it: the
+    node ids bind them, and verify_public_proof checks each id against
+    its step, but a chain whose ids were recomputed after an edit still
+    matches this digest.
     """
     joined = _CHAIN_SEP.join(
         render_canonical(node.conclusion).encode() for node in nodes
@@ -288,8 +290,9 @@ def verify_public_proof(
     """Check a proof against its digest, the ledger, and each step.
 
     The digest is recomputed first, so any post-hoc edit to a chain
-    formula reports as a digest mismatch; an intact, anchored chain with
-    an invalid inference reports the offending step instead.
+    formula reports as a digest mismatch.  An intact, anchored chain is
+    admitted step by step into a graph of its own by add_node, as a
+    store line is; the first step it refuses is the bad step.
     """
     if not proof.chain:
         return VerifyResult(False, "bad step", None)
@@ -301,16 +304,12 @@ def verify_public_proof(
         proof.conclusion
     ):
         return VerifyResult(False, "bad step", len(proof.chain) - 1)
-    seen: dict[str, JustificationNode] = {}
+    graph = JustificationGraph()
     for index, node in enumerate(proof.chain):
-        for premise in node.premises:
-            if premise == node.node_id or premise not in seen:
-                return VerifyResult(False, "bad step", index)
-        if node.premises:
-            support = [seen[p].conclusion for p in node.premises]
-            if not entails(support, node.conclusion):
-                return VerifyResult(False, "bad step", index)
-        seen[node.node_id] = node
+        try:
+            graph.add_node(node)
+        except (ValueError, UnknownPremiseError):
+            return VerifyResult(False, "bad step", index)
     return VerifyResult(True)
 
 
@@ -462,22 +461,20 @@ def load_graph(
     """graph, a new one by default, with the nodes that node-store lines
     hold added, each validated again.
 
-    ValueError names the first line that holds no valid node: bad JSON,
-    a missing or mistyped field, an id that does not match the content,
-    an unknown premise or an unsound step.  A line repeating a node
-    adds nothing.  A conclusion nested deeper than the parser's limit is
-    not damage, so ResourceLimitError names its line instead.  Each
-    conclusion comes from graph's formula table, which graph keeps:
-    nodes with the same conclusion text share one parsed formula with
-    each other and with every other request for that text, so a session
-    compiles each distinct formula once.
+    ValueError names the first line that holds no valid node: a blank
+    line (as in a ledger), bad JSON, a missing or mistyped field, an id
+    that does not match the content, an unknown premise or an unsound
+    step.  A line repeating a node adds nothing.  A conclusion nested
+    deeper than the parser's limit is not damage, so ResourceLimitError
+    names its line instead.  Each conclusion comes from graph's formula
+    table, which graph keeps: nodes with the same conclusion text share
+    one parsed formula with each other and with every other request for
+    that text, so a session compiles each distinct formula once.
     """
     if graph is None:
         graph = JustificationGraph()
     formula_for = graph.formula
     for number, line in enumerate(lines, 1):
-        if not line.strip():
-            continue
         try:
             graph.add_node(node_from_json(line, formula_for))
         except UnknownPremiseError as err:

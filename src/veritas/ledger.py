@@ -72,7 +72,8 @@ class LedgerCorruptionError(RuntimeError):
 
 class ReplayError(RuntimeError):
     """A block cannot be re-applied: it names a node the node store
-    lacks, or the node store itself is damaged."""
+    lacks or one concluding another formula, or the node store itself
+    is damaged."""
 
 
 class Op(enum.Enum):
@@ -507,40 +508,29 @@ def apply_block(
 ) -> BeliefBase:
     """Re-apply one block's operation to a belief base.
 
-    insert/revise route through update_belief_state using the linked
-    justification node for probability and provenance; contract runs
-    partial meet contraction; recovery blocks encode one retraction
-    (zero digest) or one amendment (digest of the node to adopt);
-    trace-seal and meta blocks carry no belief effect.
+    insert/revise fold the node the block names (see _named_node)
+    through update_belief_state; contract runs partial meet contraction;
+    recovery blocks encode one retraction (zero digest) or one amendment
+    to the named node's conclusion; trace-seal and meta blocks carry no
+    belief effect.
     """
     if block.op in (Op.INSERT, Op.REVISE):
-        node = graph.get(block.justification_digest.hex())
-        if node is None:
-            raise ReplayError(
-                f"block {block.index} references unknown node "
-                f"{block.justification_digest.hex()}"
-            )
-        return _fold_node(base, node, config, graph, block.formula)[0]
+        return _fold_node(base, _named_node(block, graph), config, graph)[0]
     if block.op == Op.CONTRACT:
         return contract(base, _stored_formula(block, graph))
     if block.op == Op.RECOVERY:
         if not block.formula:
             return base
-        formula = _stored_formula(block, graph)
         if block.justification_digest == ZERO_HASH:
-            return retract_entry(base, formula, "recovery")
-        node = graph.get(block.justification_digest.hex())
-        if node is None:
-            raise ReplayError(
-                f"recovery block {block.index} references unknown node"
-            )
+            return retract_entry(base, _stored_formula(block, graph), "recovery")
+        node = _named_node(block, graph)
         # A demotion or regrounding node marks the entry for re-observation:
         # approximate and not assertable, whatever its probability.
         probability = node.provenance.confidence
         marking = node.rule in MARKING_RULES
         return amend_entry(
             base,
-            formula,
+            node.conclusion,
             probability=probability,
             status=(
                 StatusTag.APPROXIMATE
@@ -552,6 +542,25 @@ def apply_block(
             and assertion_gate(probability, graph.depth(node.node_id), config),
         )
     return base
+
+
+def _named_node(block: Block, graph: JustificationGraph) -> JustificationNode:
+    """The node an insert, revise or amending recovery block names.
+
+    Every writer gives the block the canonical text of the node's
+    conclusion, so a node graph lacks, or one that concludes another
+    formula, raises ReplayError.
+    """
+    node_id = block.justification_digest.hex()
+    node = graph.get(node_id)
+    if node is None:
+        raise ReplayError(f"block {block.index} references unknown node {node_id}")
+    if render_canonical(node.conclusion) != block.formula:
+        raise ReplayError(
+            f"block {block.index} names node {node_id}, which does not"
+            f" conclude {block.formula!r}"
+        )
+    return node
 
 
 def _stored_formula(block: Block, graph: JustificationGraph) -> Formula:
@@ -570,23 +579,17 @@ def _fold_node(
     node: JustificationNode,
     config: EngineConfig,
     graph: JustificationGraph,
-    key: str | None = None,
 ) -> tuple[BeliefBase, str, str]:
     """Fold in the entry an insert or revise block adds for node: the
     new base, the route update_belief_state took, and the entry's key.
 
-    Probability and provenance come from the node, and the assertion
-    gate weighs its derivation depth; only its premises need be in
-    graph.  The node holds its formula parsed, and compiled once it has
-    been checked; key, a block's formula, is looked up in graph's
-    formula table only if it differs.
+    The entry's formula, probability and provenance come from the node,
+    and the assertion gate weighs its derivation depth; only its
+    premises need be in graph.
     """
-    formula = node.conclusion
-    if key is not None and render_canonical(formula) != key:
-        formula = graph.formula(key)
     probability = node.provenance.confidence
     entry = BeliefEntry(
-        formula=formula,
+        formula=node.conclusion,
         probability=probability,
         provenance=node.provenance,
         status=status_for(node.rule, probability),

@@ -11,6 +11,7 @@ to get one pass/fail line per criterion.
 from __future__ import annotations
 
 import dataclasses
+import json
 import random
 import time
 from itertools import combinations
@@ -30,7 +31,7 @@ from veritas.belief import (
     revise,
 )
 from veritas.config import EngineConfig, load_config
-from veritas.engine import Session
+from veritas.engine import Session, proof_from_json, proof_to_json
 from veritas.guard import (
     FailureEvent,
     FailureKind,
@@ -308,6 +309,45 @@ def test_criterion_5_public_proofs_accept_and_reject_correctly(tmp_path):
         unsound = PublicProof(parse("r"), (leaf, bogus), digest)
         result = session.verify_proof(unsound)
         assert (result.ok, result.reason, result.step) == (False, "bad step", 1)
+
+        # Every field of every store line of a multi-step proof, set to
+        # another value of its type: a conclusion edit breaks the digest,
+        # any other edit is the bad step it was made in.
+        session.observe("q0 -> r", 0.95, "kb")
+        pristine = json.loads(proof_to_json(session.prove("r")))
+        chain = pristine["chain"]
+        assert sorted(step["conclusion"] for step in chain) == [
+            "(p -> q0)", "(q0 -> r)", "p", "r"
+        ]
+        verdicts, expected = {}, {}
+        for index, step in enumerate(chain):
+            neighbour = chain[index - 1 if index else 1]["id"]
+            others = {
+                "id": [neighbour, step["id"][::-1]],
+                "conclusion": ["s", chain[index - 1]["conclusion"]],
+                "rule": [step["rule"] + "-forged"],
+                "premises": [step["premises"][1:], [step["id"]]]
+                if step["premises"]
+                else [[neighbour]],
+                "source": ["forged"],
+                "timestamp": [step["timestamp"] + 1],
+                "confidence": [step["confidence"] / 2],
+            }
+            for field, values in others.items():
+                for value in values:
+                    assert value != step[field]
+                    mutated = json.loads(json.dumps(pristine))
+                    mutated["chain"][index][field] = value
+                    proof = proof_from_json(json.dumps(mutated))
+                    result = session.verify_proof(proof)
+                    key = (index, field, repr(value))
+                    verdicts[key] = (result.ok, result.reason, result.step)
+                    expected[key] = (
+                        (False, "digest mismatch", None)
+                        if field == "conclusion"
+                        else (False, "bad step", index)
+                    )
+        assert verdicts == expected
 
 
 def test_criterion_6_golden_traces_are_byte_identical():

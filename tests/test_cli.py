@@ -534,6 +534,10 @@ def unknown_premise(lines: list[str]) -> list[str]:
     return lines[1:]
 
 
+def blank_line(lines: list[str]) -> list[str]:
+    return [*lines, "\n"]
+
+
 def unsound_step(lines: list[str]) -> list[str]:
     """The entailment node concludes r instead of q, under a matching id."""
     node = json.loads(lines[2])
@@ -554,6 +558,7 @@ class TestNodeStoreDamage:
             (wrong_id, "node store line 1: node id "),
             (unknown_premise, "node store line 2: unknown premise "),
             (unsound_step, "node store line 3: premises do not entail r"),
+            (blank_line, "node store line 4: "),
         ],
     )
     def test_damaged_line_exits_four(self, cli, tmp_path, damage, reason):
@@ -693,6 +698,20 @@ class TestInjectPolicyCommand:
         assert "reselected(Recharge(Drone1))" in out
         ledger = Ledger(tmp_path / "veritas.vlog")
         assert ledger.blocks[-1].formula == "FullBattery(Drone1)"
+
+    def test_an_empty_alternate_plan_recovers(self, cli, tmp_path):
+        """A goal the initial state holds replans to no actions, which
+        run as an empty plan, as plan runs it."""
+        policy = tmp_path / "policy.txt"
+        policy.write_text("action Fly(Drone1,Base,SiteAlpha)\n")
+        code, out, err = cli(
+            "--set", "goal=At(Drone1,Base)", "inject-policy", str(policy),
+            "--domain", str(DOMAINS / "drone.domain"),
+        )
+        assert (code, err) == (0, "")
+        recovered = out.split("recovered\tsealed=2\n")[1].splitlines()
+        assert [line.split("\t")[0] for line in recovered] == ["t0"]
+        assert cli("ledger", "verify") == (0, "ok\t3\n", "")
 
     def test_utility_gap_reports_reselection(self, cli, tmp_path):
         policy = tmp_path / "policy.txt"

@@ -539,17 +539,22 @@ class TestReplay:
             for e in base.entries
         )
 
-    def test_block_text_unlike_its_node_is_parsed(self, engine_state):
+    @pytest.mark.parametrize(
+        "op", [Op.INSERT, Op.RECOVERY], ids=["insert", "recovery"]
+    )
+    def test_block_text_unlike_its_node_is_refused(self, engine_state, op):
+        """A block folds its node's conclusion, so a block whose text
+        is another formula's names the wrong node."""
         ledger, graph, config = engine_state
         node_id = observation(graph, "p", 0)
         ledger.append(
-            Op.INSERT,
+            op,
             formula="q",
             justification_digest=bytes.fromhex(node_id),
             timestamp=0,
         )
-        base = replay(ledger, config, graph)
-        assert [e.key for e in base.entries] == ["q"]
+        with pytest.raises(ReplayError, match=f"block 0 names node {node_id}"):
+            replay(ledger, config, graph)
 
     def test_replay_honours_upto(self, engine_state):
         ledger, graph, config = engine_state
