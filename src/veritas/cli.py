@@ -77,7 +77,7 @@ _COMMANDS: dict[str, tuple] = {
         "append blocks undoing later state",
         ("--to", {"type": int, "required": True}),
     ),
-    "audit": ("run one meta-cognitive sweep read-only",),
+    "audit": ("run one meta-cognitive sweep and log what it flags",),
     "run": (
         "full loop over an observation stream",
         ("--stream", {"default": "-"}),

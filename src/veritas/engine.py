@@ -7,9 +7,13 @@ checking a proof against the ledger needs neither.  Every belief
 mutation, an observation too, goes through ledger.commit, which folds
 the block by the same code replay uses and appends it only once the fold
 has succeeded, so the live base and a fresh replay of the ledger can
-never drift apart and a refused change appends no block.  The ledger
-writes the store's new nodes before any block line (Ledger.before_write),
-so later sessions can replay every block.
+never drift apart and a refused change appends no block.  A ledger
+batch is the write unit for both the ledger and the node store: it
+writes the store's new nodes before any block line, so later sessions
+can replay every block, and a write that fails leaves both files and
+the graph as they were, for every command.  commit, prove and a
+recovery open their batch before they record a node; a run line is one
+batch, and a failed one also gives the session back its base.
 """
 
 from __future__ import annotations
@@ -188,7 +192,7 @@ class Session:
         if config.ledger_path:
             self._acquire_lock(config.ledger_path + ".lock")
         try:
-            self.ledger = Ledger(config.ledger_path or None, self._nodes.write_new)
+            self.ledger = Ledger(config.ledger_path or None, self._nodes)
             self.ledger.ensure_verified()
         except BaseException:
             # No caller gets this session to close, and a kept exception
@@ -396,36 +400,37 @@ class Session:
         """Build an anchored public proof for a held or entailed formula."""
         formula = self.formula(text)
         entry = self.base.find(formula)
-        if entry is not None and entry.justification in self.graph:
-            node_id = entry.justification
-        else:
-            if not self._entailed(formula):
-                raise NoJustificationError(
-                    f"not entailed: {render_canonical(formula)}"
-                )
-            support = self._minimal_support(formula)
-            premises = []
-            for supporting in support:
-                if supporting.justification not in self.graph:
+        with self.ledger.batch():
+            if entry is not None and entry.justification in self.graph:
+                node_id = entry.justification
+            else:
+                if not self._entailed(formula):
                     raise NoJustificationError(
-                        f"support {supporting.key} has no justification node"
+                        f"not entailed: {render_canonical(formula)}"
                     )
-                premises.append(supporting.justification)
-            node_id = self.graph.record_inference(
-                formula,
-                tuple(premises),
-                "entailment",
-                Provenance(
-                    "engine",
-                    self._prov_ts(),
-                    weakest_link([e.probability for e in support])
-                    if support
-                    else 1.0,
-                ),
-            )
-        proof = build_public_proof(self.graph, node_id)
-        if not self.ledger.contains_digest(proof.digest):
-            self._append_meta(render_canonical(formula), proof.digest)
+                support = self._minimal_support(formula)
+                premises = []
+                for supporting in support:
+                    if supporting.justification not in self.graph:
+                        raise NoJustificationError(
+                            f"support {supporting.key} has no justification node"
+                        )
+                    premises.append(supporting.justification)
+                node_id = self.graph.record_inference(
+                    formula,
+                    tuple(premises),
+                    "entailment",
+                    Provenance(
+                        "engine",
+                        self._prov_ts(),
+                        weakest_link([e.probability for e in support])
+                        if support
+                        else 1.0,
+                    ),
+                )
+            proof = build_public_proof(self.graph, node_id)
+            if not self.ledger.contains_digest(proof.digest):
+                self._append_meta(render_canonical(formula), proof.digest)
         return proof
 
     def verify_proof(self, proof: PublicProof) -> VerifyResult:
@@ -703,17 +708,15 @@ class Session:
             said, warned = io.StringIO(), io.StringIO()
             length, seq = len(self.ledger), self._obs_seq
             base = self.__dict__.get("base")  # None until first replayed
-            graph = self.__dict__.get("graph")  # None until first loaded
-            nodes = None if graph is None else len(graph)
             try:
                 with self.ledger.batch():
                     status = self._run_line(raw, goal, said, warned)
             except BaseException:
                 if len(self.ledger) == length:
                     # No block of the line is in the chain (a failed write
-                    # drops them all), so neither is any change it made.
+                    # drops them all with their nodes), so neither is any
+                    # change it made.
                     self._obs_seq = seq
-                    self._nodes.truncate(nodes)
                     if base is None:
                         self.__dict__.pop("base", None)
                     else:

@@ -373,7 +373,7 @@ def run_recovery(event: FailureEvent, context: RecoveryContext) -> RecoveryRepor
     Every change a protocol makes to the base is a block folded through
     _commit, and every run closes with a summary recovery block whose
     digest binds the report lines, so a replay of the ledger rebuilds the
-    post-recovery base.
+    post-recovery base.  The run's blocks and nodes are one ledger batch.
     """
     protocol = {
         FailureKind.BELIEF_INCONSISTENCY: "I",
@@ -383,23 +383,24 @@ def run_recovery(event: FailureEvent, context: RecoveryContext) -> RecoveryRepor
         FailureKind.POLICY_MISPROJECTION: "V",
     }.get(event.kind, "none")
     report = RecoveryReport(protocol=protocol, event=event, base=context.base)
-    if event.kind == FailureKind.BELIEF_INCONSISTENCY:
-        _protocol_cascade(event, context, report)
-    elif event.kind == FailureKind.JUSTIFICATION_BREAKDOWN:
-        _protocol_repair(event, context, report)
-    elif event.kind == FailureKind.APPROXIMATION_DRIFT:
-        _protocol_reground(event, context, report)
-    elif event.kind == FailureKind.GROUNDING_MISALIGNMENT:
-        _protocol_reground(event, context, report)
-        report.directives += ["human-review", "rollback"]
-        _note(report, context, event, "flagged-for-human-review")
-    elif event.kind == FailureKind.POLICY_MISPROJECTION:
-        _protocol_reselect(event, context, report)
-    else:
-        report.escalated = True
-        _note(report, context, event, "escalated(unclassified)")
-    digest = sha256(report.render().encode()).digest()
-    report.base = _commit(context, Op.RECOVERY, "", digest)
+    with context.ledger.batch():
+        if event.kind == FailureKind.BELIEF_INCONSISTENCY:
+            _protocol_cascade(event, context, report)
+        elif event.kind == FailureKind.JUSTIFICATION_BREAKDOWN:
+            _protocol_repair(event, context, report)
+        elif event.kind == FailureKind.APPROXIMATION_DRIFT:
+            _protocol_reground(event, context, report)
+        elif event.kind == FailureKind.GROUNDING_MISALIGNMENT:
+            _protocol_reground(event, context, report)
+            report.directives += ["human-review", "rollback"]
+            _note(report, context, event, "flagged-for-human-review")
+        elif event.kind == FailureKind.POLICY_MISPROJECTION:
+            _protocol_reselect(event, context, report)
+        else:
+            report.escalated = True
+            _note(report, context, event, "escalated(unclassified)")
+        digest = sha256(report.render().encode()).digest()
+        report.base = _commit(context, Op.RECOVERY, "", digest)
     return report
 
 

@@ -27,9 +27,6 @@ DEFAULT_SOURCE_RELIABILITY = 0.5
 _FIELD_SEP = b"\x1f"
 _CHAIN_SEP = b"\x1e"
 
-LEAF_RULES = frozenset({"observation", "axiom", "approximation"})
-
-
 class UnknownPremiseError(LookupError):
     """A premise id does not name any recorded node."""
 
@@ -456,31 +453,40 @@ def checked_fields(
 
 
 def load_graph(
-    lines: Iterable[str], graph: JustificationGraph | None = None
+    lines: Iterable[str | bytes], graph: JustificationGraph | None = None
 ) -> JustificationGraph:
-    """graph, a new one by default, with the nodes that node-store lines
-    hold added, each validated again.
+    """graph, a new one by default, with the nodes that node-store lines,
+    as text or as the bytes read, hold added, each validated again.
 
-    ValueError names the first line that holds no valid node: a blank
-    line (as in a ledger), bad JSON, a missing or mistyped field, an id
-    that does not match the content, an unknown premise or an unsound
-    step.  A line repeating a node adds nothing.  A conclusion nested
-    deeper than the parser's limit is not damage, so ResourceLimitError
-    names its line instead.  Each conclusion comes from graph's formula
-    table, which graph keeps: nodes with the same conclusion text share
-    one parsed formula with each other and with every other request for
-    that text, so a session compiles each distinct formula once.
+    ValueError names the first line that holds no valid node by its
+    number alone, with at most a column within it: a blank line (as in
+    a ledger), bytes that are not UTF-8, bad JSON, a missing or mistyped
+    field, an id that does not match the content, an unknown premise or
+    an unsound step.  A line repeating a node adds nothing.  A
+    conclusion nested deeper than the parser's limit is not damage, so
+    ResourceLimitError names its line instead.  Each conclusion comes
+    from graph's formula table, which graph keeps: nodes with the same
+    conclusion text share one parsed formula with each other and with
+    every other request for that text, so a session compiles each
+    distinct formula once.
     """
     if graph is None:
         graph = JustificationGraph()
     formula_for = graph.formula
     for number, line in enumerate(lines, 1):
+        where = f"node store line {number}"
         try:
-            graph.add_node(node_from_json(line, formula_for))
+            text = line if isinstance(line, str) else line.decode()
+            graph.add_node(node_from_json(text, formula_for))
         except UnknownPremiseError as err:
-            raise ValueError(f"node store line {number}: unknown premise {err}") from None
+            raise ValueError(f"{where}: unknown premise {err}") from None
         except NestingLimitError as err:
-            raise ResourceLimitError(f"node store line {number}: {err}") from None
+            raise ResourceLimitError(f"{where}: {err}") from None
+        except UnicodeDecodeError as err:
+            column = len(line[: err.start].decode()) + 1
+            raise ValueError(f"{where}: invalid UTF-8 at column {column}") from None
+        except json.JSONDecodeError as err:
+            raise ValueError(f"{where}: {err.msg} at column {err.colno}") from None
         except ValueError as err:
-            raise ValueError(f"node store line {number}: {err}") from None
+            raise ValueError(f"{where}: {err}") from None
     return graph

@@ -15,14 +15,17 @@ verify_chain applies it to the blocks held in memory.  Replaying the
 ledger through the belief module with the same configuration
 reconstructs the live base exactly, because commit is the one way to
 change a base: it folds the next block as apply_block does and appends
-it only once that fold has succeeded.  A batch writes the lines of the
-blocks appended inside it with one write and one fsync.  Ledger._write
-runs the before_write hook, a NodeStore's write, before any block line,
-so a node is stored before a block names it.  The ledger and the node
-store each open their file for appending on their first write, keep
-that handle until close, and learn where the file ends by one seek at
-that open; from then on they track it, so a write neither reopens the
-file nor seeks.
+it only once that fold has succeeded.  A batch is the write unit for
+both files: it writes the nodes its ledger's NodeStore gained, then the
+lines of the blocks appended inside it, with one write each and one
+fsync, so a node is stored before a block names it.  If either write
+fails, the batch cuts both files back to where they ended when it
+began, and takes its blocks out of the chain and the nodes recorded
+since out of the graph, so a failed write leaves both files and the
+graph as they were, for every command.  The ledger and the node store
+each open their file for appending on their first write and keep that
+handle until close; each tracks where its file ends, so a write neither
+reopens the file nor seeks.
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ import re
 from binascii import unhexlify
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
 
 from .belief import (
     MARKING_RULES,
@@ -185,6 +187,16 @@ def _parse_line(raw: bytes) -> Block | None:
     )
 
 
+def _lines(data: bytes) -> list[bytes]:
+    """The lines of a store file, without their newlines: the one rule
+    by which both files are split.  Only the piece after the final
+    newline may be empty; an empty line anywhere else is damage."""
+    lines = data.split(b"\n")
+    if not lines[-1]:
+        lines.pop()
+    return lines
+
+
 # A line is its payload, the separator and 64 hex digits of hash.
 _HASH_SUFFIX = len(_FIELD_SEP) + 64
 
@@ -198,19 +210,16 @@ class Ledger:
     begun empty, is the verified prefix; ``verify_chain`` re-hashes the
     whole chain and, when it is intact, records it as that prefix.
     ``ensure_verified`` accepts a chain equal to the prefix without
-    hashing it again.  before_write, when given, runs each time block
-    lines are about to be written.  The first write opens the file for
-    appending; the handle stays open until ``close``, which a file-backed
-    ledger that has written needs, directly or as a context manager.
+    hashing it again.  nodes, a session's NodeStore when given, is
+    written and taken back with each batch.  The first write opens the
+    file for appending; the handle stays open until ``close``, which a
+    file-backed ledger that has written needs, directly or as a context
+    manager.
     """
 
-    def __init__(
-        self,
-        path: str | Path | None = None,
-        before_write: Callable[[], None] | None = None,
-    ):
+    def __init__(self, path: str | Path | None = None, nodes: NodeStore | None = None):
         self.path = Path(path) if path is not None else None
-        self.before_write = before_write
+        self.nodes = nodes
         self._blocks: list[Block] = []
         # The verified prefix: the chain as read, if it verified, else
         # None until verify_chain succeeds.  ensure_verified compares it
@@ -239,15 +248,10 @@ class Ledger:
         only as block_payload gives them, so no payload is rebuilt.
         """
         assert self.path is not None
-        lines = self.path.read_bytes().split(b"\n")
-        # Only the piece after the final newline may be empty; an empty
-        # line anywhere else is a corrupt block.
-        if not lines[-1]:
-            lines.pop()
         blocks = self._blocks
         intact = True
         previous = ZERO_HASH
-        for raw in lines:
+        for raw in _lines(self.path.read_bytes()):
             block = _parse_line(raw)
             if block is None:
                 self._corrupt_at = len(blocks)
@@ -349,18 +353,22 @@ class Ledger:
 
     @contextlib.contextmanager
     def batch(self):
-        """Write the blocks appended inside with one write and one fsync.
+        """Write the blocks appended inside, and the nodes the store
+        gained, with one write each and one fsync.
 
-        They join the chain when appended and are written on any exit,
-        by exception too.  When the write raises, the blocks leave the
-        chain again and the error propagates.  Nested, or without a
-        file, it adds nothing.
+        They join the chain, and the graph, when added and are written
+        on any exit, by exception too.  When a write raises, both files
+        are cut back to where they ended when the batch began, the
+        blocks leave the chain, the nodes recorded since then leave the
+        graph, and the error propagates.  A batch that appends no block
+        keeps none of its nodes either.  Nested, or without a file, it
+        adds nothing.
         """
         if self.path is None or self._pending is not None:
             yield
             return
         self._pending = []
-        kept = len(self._blocks)
+        kept, mark = len(self._blocks), self.nodes and self.nodes.mark()
         try:
             yield
         finally:
@@ -373,18 +381,23 @@ class Ledger:
                     if self._verified is not None:
                         del self._verified[kept:]
                     self._digests = {b.justification_digest for b in self._blocks}
+                    if self.nodes is not None:
+                        self.nodes.truncate(mark)
                     raise
+            elif self.nodes is not None:
+                # No block names a node recorded here, so none is kept.
+                self.nodes.truncate(mark)
 
     def _write(self, data: bytes) -> None:
-        """Run before_write, then append the block lines through the kept
-        handle and fsync them.
+        """Write the store's new nodes, then append the block lines
+        through the kept handle and fsync them.
 
         This is the one place that orders node lines before block lines.
         A write that fails leaves the file, and the length tracked for
         it, as they were before it.
         """
-        if self.before_write is not None:
-            self.before_write()
+        if self.nodes is not None:
+            self.nodes.write_new()
         if self._handle is None:
             self._handle, self._end = _open_append(self.path)
         self._end = _append_all(self._handle, data, self._end, sync=True)
@@ -434,17 +447,18 @@ class NodeStore:
 
     load reads the store into graph; write_new appends the nodes the
     graph gained since, through a handle that its first write opens and
-    close closes, and truncate takes nodes back out.  Both track the
-    file's length instead of asking for it.  Before load it writes
-    nothing and reads nothing, and graph holds no node: it serves only
-    its formula table.  A session's ledger runs write_new as its
-    before_write hook.
+    close closes; mark tells where the store stands and truncate takes
+    it back there.  Each tracks the file's length, learnt at load,
+    instead of asking for it.  Before load it writes nothing and reads
+    nothing, and graph holds no node: it serves only its formula table.
+    A session's ledger writes it and takes it back (Ledger.batch).
     """
 
     def __init__(self, path: str):
         self.path = path
         self.graph = JustificationGraph()
-        self._loaded = 0
+        # The mark load left, None before a load succeeds.
+        self._read = None
         self._written = 0
         # The append handle, once a write opened it, and the file's length.
         self._handle = None
@@ -454,20 +468,27 @@ class NodeStore:
         """graph, with the nodes the store holds read into it.  A damaged
         store raises ReplayError, like a block naming a node the store
         lacks; a read that raises leaves graph without nodes."""
-        graph = self.graph
+        graph, data = self.graph, b""
         if self.path and os.path.exists(self.path):
-            with open(self.path, "r", encoding="utf-8") as handle:
-                # No node of a failed read stays for write_new to write.
-                try:
-                    load_graph(handle, graph)
-                except ValueError as err:
-                    graph.truncate(0)
-                    raise ReplayError(str(err)) from None
-                except BaseException:
-                    graph.truncate(0)
-                    raise
-        self._loaded = self._written = len(graph)
+            with open(self.path, "rb") as handle:
+                data = handle.read()
+            # No node of a failed read stays for write_new to write.
+            try:
+                load_graph(_lines(data), graph)
+            except ValueError as err:
+                graph.truncate(0)
+                raise ReplayError(str(err)) from None
+            except BaseException:
+                graph.truncate(0)
+                raise
+        self._written, self._end = len(graph), len(data)
+        self._read = self._written, self._written, self._end
         return graph
+
+    def mark(self) -> tuple[int, int, int] | None:
+        """Where the store stands: the graph's node count, how many of
+        them the file holds, and its length; None before load."""
+        return self._read and (len(self.graph), self._written, self._end)
 
     def write_new(self) -> None:
         graph = self.graph
@@ -479,20 +500,14 @@ class NodeStore:
         self._end = _append_all(self._handle, "".join(lines).encode(), self._end)
         self._written = len(graph)
 
-    def truncate(self, count: int | None) -> None:
-        """Drop the graph's nodes after the first count, or after those
-        load read when count is None, and cut the lines of the ones
-        already written off the end of the store."""
-        graph = self.graph
-        if count is None:
-            count = self._loaded
-        if self._written > count:
-            lines = graph.nodes_since(count)[: self._written - count]
-            size = len("".join(node_to_json(n) + "\n" for n in lines).encode())
-            self._handle.truncate(self._end - size)
-            self._end -= size
-            self._written = count
-        graph.truncate(count)
+    def truncate(self, mark: tuple[int, int, int] | None) -> None:
+        """Drop the nodes added since mark and cut the file back to its
+        length then; a mark of None means what load read, or nothing."""
+        count, self._written, end = mark or self._read or (0, 0, 0)
+        if self._end != end:
+            self._handle.truncate(end)
+            self._end = end
+        self.graph.truncate(count)
 
     def close(self) -> None:
         if self._handle is not None:
@@ -618,18 +633,19 @@ def commit(
     base returned is the one a replay of the ledger rebuilds.  node is a
     new observation, not yet in graph: its block inserts the node's
     conclusion under the node's id, and becomes a REVISE when the fold
-    revised the base.  The node joins graph once the fold has succeeded.
+    revised the base.  The node joins graph, once the fold has
+    succeeded, in the batch that writes the block.
     """
     if node is None:
         block = ledger.next_block(op, formula, justification_digest, timestamp)
-        folded = apply_block(base, block, config, graph)
-    else:
-        folded, route, formula = _fold_node(base, node, config, graph)
-        if route == "revised":
-            op = Op.REVISE
-        block = ledger.next_block(op, formula, bytes.fromhex(node.node_id), timestamp)
+        return apply_block(base, block, config, graph), ledger.append_block(block)
+    folded, route, formula = _fold_node(base, node, config, graph)
+    if route == "revised":
+        op = Op.REVISE
+    block = ledger.next_block(op, formula, bytes.fromhex(node.node_id), timestamp)
+    with ledger.batch():
         graph.add_node(node)
-    return folded, ledger.append_block(block)
+        return folded, ledger.append_block(block)
 
 
 def replay(

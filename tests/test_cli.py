@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import errno
 import hashlib
 import io
 import json
@@ -573,8 +574,26 @@ class TestNodeStoreDamage:
         assert (code, out) == (4, "")
         assert err.startswith("error\tledger\t" + reason)
         assert err.count("\n") == 1 and "Traceback" not in err
+        # The store line is the only line named, json's own count too.
+        assert err.count("line") == 1
         code, out, _ = cli("verify-proof", "q.proof")
         assert (code, out) == (0, "ok\n")
+
+    def test_a_line_that_is_not_utf8_is_named_by_its_line_and_column(
+        self, cli, tmp_path
+    ):
+        """A byte that is not UTF-8 is damage on the line it sits on,
+        at its column there, not at its offset in the file."""
+        cli("observe", "p", "--p", "0.99")
+        cli("observe", "p -> q", "--p", "0.97")
+        nodes = tmp_path / "veritas.nodes"
+        first, second, end = nodes.read_bytes().split(b"\n")
+        nodes.write_bytes(b"\n".join((first, second[:10] + b"\xff" + second[11:], end)))
+        assert cli("query", "q") == (
+            4,
+            "",
+            "error\tledger\tnode store line 2: invalid UTF-8 at column 11\n",
+        )
 
     def test_a_run_of_an_empty_stream_reads_no_node_store(self, cli, tmp_path):
         """run on an empty stream writes only its session-start block, so
@@ -587,6 +606,42 @@ class TestNodeStoreDamage:
         assert cli("run", "--stream", str(stream)) == (0, "", "")
         assert cli("ledger", "verify") == (0, "ok\t2\n", "")
         assert cli("query", "p")[0] == 4
+
+
+class TestFailedWrite:
+    """A command whose fsynced block write fails exits 2 and leaves both
+    files byte for byte as they were, so the chain still verifies."""
+
+    @pytest.mark.parametrize(
+        "setup, command",
+        [
+            (["p"], ("observe", "p -> q", "--p", "0.97")),
+            (["p", "p -> q"], ("prove", "q", "--out", "q.proof")),
+        ],
+        ids=["observe", "prove"],
+    )
+    def test_a_failed_write_changes_no_byte(
+        self, cli, tmp_path, monkeypatch, setup, command
+    ):
+        for text in setup:
+            assert cli("observe", text, "--p", "0.99")[0] == 0
+        files = [tmp_path / "veritas.vlog", tmp_path / "veritas.nodes"]
+        before = [path.read_bytes() for path in files]
+        append_all, failed = veritas.ledger._append_all, []
+
+        def full_once(handle, data, end, sync=False):
+            if sync and not failed:
+                failed.append(data)
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return append_all(handle, data, end, sync)
+
+        monkeypatch.setattr(veritas.ledger, "_append_all", full_once)
+        code, out, err = cli(*command)
+        assert (code, out) == (2, "") and failed
+        full = f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"
+        assert err == f"error\tusage\t{full}\n"
+        assert [path.read_bytes() for path in files] == before
+        assert cli("ledger", "verify") == (0, f"ok\t{len(setup)}\n", "")
 
 
 class TestRollbackCommand:

@@ -125,6 +125,24 @@ def observe_fan(session: Session) -> None:
         session.observe(f"p -> q{i}", 0.99, "rulebook")
 
 
+class FullDisk:
+    """A kept append handle whose write number failing stores half its
+    bytes, then fails with ENOSPC; every other write goes through."""
+
+    def __init__(self, handle, failing: int):
+        self._handle, self.failing, self.writes = handle, failing, 0
+
+    def __getattr__(self, name):
+        return getattr(self._handle, name)
+
+    def write(self, data):
+        self.writes += 1
+        if self.writes != self.failing:
+            return self._handle.write(data)
+        self._handle.write(bytes(data[: len(data) // 2]))
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
 def plain_entry(text: str, probability: float, **kwargs) -> BeliefEntry:
     kwargs.setdefault("provenance", Provenance("sensor", 0, probability))
     kwargs.setdefault("status", StatusTag.OPERATIONAL)
@@ -348,9 +366,11 @@ class TestLazyOpen:
             written = [node_to_json(n) for n in session.graph.all_nodes()]
         with open(config.resolved_nodes_path(), encoding="utf-8") as handle:
             assert handle.read().splitlines() == written
-        # p, p -> q, q, r, q again (a new entailment step, stamped after
-        # r), and !p.
-        assert len(written) == 6
+        # p, p -> q, q, r and !p.  Proved again after r, q gets a new
+        # entailment step with the anchored chain digest, so the proof
+        # appends no block, and no block would name that step: it is
+        # not kept.
+        assert len(written) == 5
 
     def test_live_equals_replay_equals_reopened(self, make_config):
         """Full BeliefBase equality, retraction log and history included."""
@@ -468,28 +488,11 @@ class TestFormulaTable:
         line of that text, spelt another way, then observes."""
         config, opener = make_config(), builtins.open
 
-        class FullDisk:
-            """The ledger's kept handle: its fourth write stores half its
-            bytes, then fails."""
-
-            def __init__(self, handle):
-                self._handle, self.writes = handle, 0
-
-            def __getattr__(self, name):
-                return getattr(self._handle, name)
-
-            def write(self, data):
-                self.writes += 1
-                # Each run writes its session-start block, then its line.
-                if self.writes != 4:
-                    return self._handle.write(data)
-                self._handle.write(bytes(data[: len(data) // 2]))
-                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-
         def flaky_open(file, mode="r", *args, **kwargs):
             handle = opener(file, mode, *args, **kwargs)
             if os.fspath(file) == config.ledger_path and "a" in mode:
-                return FullDisk(handle)
+                # Each run writes its session-start block, then its line.
+                return FullDisk(handle, 4)
             return handle
 
         monkeypatch.setattr(builtins, "open", flaky_open)
@@ -726,6 +729,28 @@ class TestProofs:
             session.observe("p", 0.99, "sensor")
             with pytest.raises(NoJustificationError):
                 session.prove("r")
+
+    def test_a_proof_already_anchored_keeps_no_node(self, make_config):
+        """A second proof of q, after an observation moved the clock,
+        records an entailment node with a new id but the anchored chain
+        digest, so it appends no block; no block would name the node,
+        so the graph does not keep it and no later write stores it."""
+        config = make_config()
+        with Session(config) as session:
+            session.observe("p", 0.99, "sensor")
+            session.observe("p -> q", 0.97, "rulebook")
+            first = session.prove("q")
+            session.observe("s", 0.99, "sensor")
+            nodes, length = session.graph.all_nodes(), len(session.ledger)
+            again = session.prove("q")
+            assert again.digest == first.digest and again.chain != first.chain
+            assert session.verify_proof(again).ok
+            assert len(session.ledger) == length
+            assert session.graph.all_nodes() == nodes
+            session.observe("t", 0.99, "sensor")
+            stored = session.graph.all_nodes()
+        with Session(config) as reopened:
+            assert reopened.graph.all_nodes() == stored
 
 
 class TestRollback:
@@ -1611,6 +1636,61 @@ class TestGroupCommit:
             line = "FullBattery(Drone1)\t0.99\tx\n"
             session.run_loop([line], io.StringIO(), io.StringIO())
             assert len(simulated) == 2
+
+
+class TestFailedWrite:
+    """A failed write is undone in one place, the ledger's batch, for
+    every command that writes: both files are cut back, and the graph
+    loses the nodes the call recorded."""
+
+    CALLS = {
+        "observe": lambda session: session.observe("p -> q", 0.97, "rulebook"),
+        "prove": lambda session: session.prove("q"),
+        "recover": lambda session: session.recover(
+            FailureEvent(FailureKind.APPROXIMATION_DRIFT, "p")
+        ),
+    }
+
+    @pytest.mark.parametrize("failing", ["block", "node"])
+    @pytest.mark.parametrize("call", CALLS)
+    def test_a_failed_call_keeps_none_of_its_nodes(
+        self, make_config, monkeypatch, call, failing
+    ):
+        """ENOSPC on the call's fsynced block write, or on its node
+        write: the graph and the base are as before the call, and a
+        session that goes on to observe r ends with the bytes of a twin
+        that skipped the call."""
+        config, twin = make_config(), make_config("twin")
+        setup = ["p", "p -> q"] if call == "prove" else ["p"]
+        for each in (config, twin):
+            with Session(each) as session:
+                for text in setup:
+                    session.observe(text, 0.99, "sensor")
+        append_all, failed = veritas.ledger._append_all, []
+
+        def full_once(handle, data, end, sync=False):
+            # Block lines are fsynced, node lines are not.
+            if sync == (failing == "block") and not failed:
+                failed.append(data)
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return append_all(handle, data, end, sync)
+
+        monkeypatch.setattr(veritas.ledger, "_append_all", full_once)
+        with Session(config) as session:
+            nodes, base = session.graph.all_nodes(), session.base
+            with pytest.raises(OSError) as err:
+                self.CALLS[call](session)
+            assert err.value.errno == errno.ENOSPC and failed
+            assert session.graph.all_nodes() == nodes
+            assert session.base == base
+            assert session.observe("r", 0.99, "sensor") == "admitted"
+        with Session(twin) as session:
+            session.observe("r", 0.99, "sensor")
+        for mine, theirs in (
+            (config.ledger_path, twin.ledger_path),
+            (config.resolved_nodes_path(), twin.resolved_nodes_path()),
+        ):
+            assert Path(mine).read_bytes() == Path(theirs).read_bytes()
 
 
 class TestWrittenBytes:

@@ -447,27 +447,36 @@ class TestBatch:
         assert len(fsyncs) == 1
         assert [b.formula for b in Ledger(path).blocks] == ["kept"]
 
-    def test_before_write_runs_at_the_exit_before_the_lines_are_written(
+    def test_the_node_store_writes_at_the_exit_before_the_lines_are_written(
         self, tmp_path, fsyncs, monkeypatch
     ):
-        """The hook runs once per write of block lines, batched or not,
-        before the file write; a hook that raises writes nothing and
-        drops the batch's blocks from the chain."""
+        """The store's write_new runs once per write of block lines,
+        batched or not, before the file write; one that raises writes
+        nothing, drops the batch's blocks from the chain and takes the
+        store back to the mark it gave when the batch began."""
         path = tmp_path / "chain.vlog"
-        events = []
+        events, marks = [], []
         append_all = ledger_module._append_all
 
         def spy_write(handle, data, end, sync=False):
             events.append(("write", data.count(b"\n")))
             return append_all(handle, data, end, sync)
 
-        def before_write():
-            events.append(("hook", path.exists(), len(fsyncs)))
-            if len(ledger) == 4:
-                raise OSError("node store full")
+        class Store:
+            def mark(self):
+                marks.append(("mark", len(ledger)))
+                return len(ledger)
+
+            def write_new(self):
+                events.append(("hook", path.exists(), len(fsyncs)))
+                if len(ledger) == 4:
+                    raise OSError("node store full")
+
+            def truncate(self, mark):
+                marks.append(("truncate", mark))
 
         monkeypatch.setattr(ledger_module, "_append_all", spy_write)
-        ledger = Ledger(path, before_write)
+        ledger = Ledger(path, Store())
         with ledger:
             with pytest.raises(RuntimeError):
                 with ledger.batch():
@@ -481,6 +490,7 @@ class TestBatch:
             with pytest.raises(OSError, match="node store full"):
                 ledger.append(Op.META, formula="refused")
         assert events[4:] == [("hook", True, 2)] and len(fsyncs) == 2
+        assert marks == [("mark", 0), ("mark", 2), ("mark", 3), ("truncate", 3)]
         assert [b.formula for b in ledger.blocks] == ["kept", "also", "alone"]
         assert Ledger(path).blocks == ledger.blocks
 

@@ -10,11 +10,20 @@ Inside a run_loop line's batch the reopened bytes lag the live chain,
 as they would after a crash there.  After every step the session's
 incremental sweep, world state and IsSafe verdict must also equal the
 oracles' full passes over the base.
+
+Some observe, contract and prove steps find the disk full: the next
+write to one of the two files stores half its bytes and fails.  After
+every step each file must hold exactly the session's chain or graph,
+and a twin session, given every step but those that failed, must hold
+the same bytes (fixed clock).
 """
 
 from __future__ import annotations
 
+import builtins
+import errno
 import io
+import os
 import shutil
 import tempfile
 from pathlib import Path
@@ -23,12 +32,14 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 from oracles import reference_is_safe, reference_sweep, reference_world_state
+from test_engine import FullDisk
 
 from veritas.belief import ConsistencyError
 from veritas.config import EngineConfig
 from veritas.engine import Session
 from veritas.guard import FailureEvent, FailureKind, mscu_sweep
-from veritas.ledger import replay
+from veritas.justify import NoJustificationError, node_to_json
+from veritas.ledger import block_line, replay
 
 DOMAIN = Path(__file__).parent / "domains" / "drone.domain"
 
@@ -51,6 +62,12 @@ class SessionMachine(RuleBasedStateMachine):
             domain_path=str(DOMAIN),
         )
         self.session = self._open()
+        self.twin_config = EngineConfig(
+            ledger_path=str(self.dir / "twin.vlog"),
+            fixed_clock=True,
+            domain_path=str(DOMAIN),
+        )
+        self.twin = Session(self.twin_config)
 
     def _open(self) -> Session:
         """A live session whose every append is followed by a reopen."""
@@ -81,6 +98,7 @@ class SessionMachine(RuleBasedStateMachine):
 
     def teardown(self) -> None:
         self.session.close()
+        self.twin.close()
         shutil.rmtree(self.dir)
 
     @rule(
@@ -89,10 +107,55 @@ class SessionMachine(RuleBasedStateMachine):
         source=st.sampled_from(("alice", "bob")),
     )
     def observe(self, text: str, probability: float, source: str) -> None:
+        for session in (self.session, self.twin):
+            try:
+                session.observe(text, probability, source)
+            except ConsistencyError:
+                assert text == "p & !p"
+
+    @rule(
+        suffix=st.sampled_from((".vlog", ".nodes")),
+        step=st.sampled_from(("observe", "contract", "prove")),
+        text=st.sampled_from(FORMULAS),
+    )
+    def full_disk(self, suffix: str, step: str, text: str) -> None:
+        """One observe, contract or prove whose next write to the live
+        file with suffix stores half its bytes, then fails with ENOSPC.
+        The session's append handles are closed around the step, so
+        that write opens the file again, through FullDisk."""
+        target, opener = str(self.dir / f"live{suffix}"), builtins.open
+
+        def flaky_open(file, mode="r", *args, **kwargs):
+            handle = opener(file, mode, *args, **kwargs)
+            if os.fspath(file) == target and "a" in mode:
+                return FullDisk(handle, 1)
+            return handle
+
+        def run(session: Session) -> None:
+            try:
+                if step == "observe":
+                    session.observe(text, 0.96, "dave")
+                elif step == "contract":
+                    session.contract_formula(text)
+                else:
+                    session.prove(text)
+            except (ConsistencyError, NoJustificationError):
+                pass
+
+        ledger = self.session.ledger
+        ledger.close()
+        ledger.nodes.close()
+        builtins.open = flaky_open
         try:
-            self.session.observe(text, probability, source)
-        except ConsistencyError:
-            assert text == "p & !p"
+            run(self.session)
+        except OSError as err:
+            assert err.errno == errno.ENOSPC
+        else:
+            run(self.twin)
+        finally:
+            builtins.open = opener
+            ledger.close()
+            ledger.nodes.close()
 
     @rule(
         lines=st.lists(
@@ -104,44 +167,74 @@ class SessionMachine(RuleBasedStateMachine):
     def run(self, lines) -> None:
         """run_loop, one batch per line; a refused line ends the run."""
         stream = [f"{text}\t{probability}\tcarol\n" for text, probability in lines]
-        try:
-            self.session.run_loop(stream, io.StringIO(), io.StringIO())
-        except ConsistencyError:
-            assert "p & !p" in [text for text, _ in lines]
+        for session in (self.session, self.twin):
+            try:
+                session.run_loop(stream, io.StringIO(), io.StringIO())
+            except ConsistencyError:
+                assert "p & !p" in [text for text, _ in lines]
 
     @rule(text=st.sampled_from(FORMULAS))
     def contract(self, text: str) -> None:
-        try:
-            self.session.contract_formula(text)
-        except ConsistencyError:
-            assert text == "p | !p"
+        for session in (self.session, self.twin):
+            try:
+                session.contract_formula(text)
+            except ConsistencyError:
+                assert text == "p | !p"
+
+    @rule(text=st.sampled_from(FORMULAS))
+    def prove(self, text: str) -> None:
+        for session in (self.session, self.twin):
+            try:
+                session.prove(text)
+            except NoJustificationError:
+                pass
 
     @rule()
     def sweep_and_react(self) -> None:
-        self.session.sweep_and_react()
+        for session in (self.session, self.twin):
+            session.sweep_and_react()
 
     @rule(kind=st.sampled_from(list(FailureKind)), data=st.data())
     def recover(self, kind: FailureKind, data) -> None:
         """Mostly about a held formula, else one not held or unparsable."""
         held = [entry.key for entry in self.session.base.entries]
         subject = data.draw(st.sampled_from(held + ["t", "((("]))
-        self.session.recover(FailureEvent(kind, subject))
+        for session in (self.session, self.twin):
+            session.recover(FailureEvent(kind, subject))
 
     @rule(data=st.data())
     def rollback(self, data) -> None:
         upto = data.draw(st.integers(0, len(self.session.ledger)))
-        self.session.rollback(upto)
+        for session in (self.session, self.twin):
+            session.rollback(upto)
 
     @rule()
     def reopen(self) -> None:
         self.session.close()
         self.session = self._open()
+        self.twin.close()
+        self.twin = Session(self.twin_config)
 
     @invariant()
     def live_equals_replay_equals_reopened(self) -> None:
         live = self.session.base
         assert live == replay(self.session.ledger, self.config, self.session.graph)
         assert self._reopened() == live
+
+    @invariant()
+    def files_hold_the_session_and_the_twin(self) -> None:
+        """Each file holds exactly the chain's or the graph's lines, and
+        the twin, which skipped the failed steps, the same bytes."""
+        session = self.session
+        nodes = session.graph.all_nodes()
+        for suffix, lines in (
+            (".vlog", [block_line(b) for b in session.ledger.blocks]),
+            (".nodes", [f"{node_to_json(n)}\n".encode() for n in nodes]),
+        ):
+            live, twin = self.dir / f"live{suffix}", self.dir / f"twin{suffix}"
+            held = live.read_bytes() if live.exists() else b""
+            assert held == b"".join(lines)
+            assert held == (twin.read_bytes() if twin.exists() else b"")
 
     @invariant()
     def incremental_reads_equal_full_passes(self) -> None:
@@ -158,6 +251,6 @@ class SessionMachine(RuleBasedStateMachine):
 
 
 SessionMachine.TestCase.settings = settings(
-    max_examples=40, stateful_step_count=15, deadline=None, derandomize=True
+    max_examples=80, stateful_step_count=15, deadline=None, derandomize=True
 )
 TestSessionInvariants = SessionMachine.TestCase
