@@ -3,11 +3,12 @@
 Exit status doubles as a machine-readable verdict: 0 success, 2 bad
 input, 3 consistency refusal, 4 ledger corruption (or a damaged node
 store, or a block naming a node the store lacks), 5 planning failure,
-6 recovery escalation, 7 resource limit, 1 anything else.  Errors go to
-stderr as one tab-separated ``error`` line.  A reader that closes stdout
-early is not an error: the command stops at its first failed write,
-prints nothing more and exits 141, as a shell reports a command that
-SIGPIPE ended.
+6 recovery escalation, 7 resource limit, 8 a failed read or write of a
+store file (the ledger, its node store or its lock; files the user
+names are bad input), 1 anything else.  Errors go to stderr as one
+tab-separated ``error`` line.  A reader that closes stdout early is not
+an error: the command stops at its first failed write, prints nothing
+more and exits 141, as a shell reports a command that SIGPIPE ended.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .engine import (
     resolve_action,
 )
 from .justify import NoJustificationError
-from .ledger import Ledger, LedgerCorruptionError, ReplayError, replay
+from .ledger import Ledger, LedgerCorruptionError, ReplayError, StoreIOError, replay
 from .logic import ParseError, ResourceLimitError, render_canonical
 from .plan import PlanningError, render_trace
 
@@ -41,6 +42,7 @@ EXIT_CORRUPT = 4
 EXIT_NO_PLAN = 5
 EXIT_ESCALATED = 6
 EXIT_LIMIT = 7
+EXIT_IO = 8
 # 128 + SIGPIPE: the reader closed stdout before the output was written.
 EXIT_CLOSED_STDOUT = 141
 
@@ -305,6 +307,9 @@ def main(argv: list[str] | None = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return EXIT_CLOSED_STDOUT
+    except StoreIOError as err:
+        _error("io", err)
+        return EXIT_IO
     except ParseError as err:
         _error("parse", err)
         return EXIT_USAGE

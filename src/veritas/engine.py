@@ -11,9 +11,12 @@ never drift apart and a refused change appends no block.  A ledger
 batch is the write unit for both the ledger and the node store: it
 writes the store's new nodes before any block line, so later sessions
 can replay every block, and a write that fails leaves both files and
-the graph as they were, for every command.  commit, prove and a
-recovery open their batch before they record a node; a run line is one
-batch, and a failed one also gives the session back its base.
+the graph as they were, for every command.  observe, prove and a
+recovery record each node with record_inference inside their batch,
+then commit the block that names it, and set the live base only once
+the batch is written; a batch that keeps no block keeps none of its
+nodes, in memory as on file.  A run line is one batch, and a failed one
+also gives the session back its base.
 """
 
 from __future__ import annotations
@@ -52,19 +55,17 @@ from .guard import (
 )
 from .justify import (
     JustificationGraph,
-    JustificationNode,
     NoJustificationError,
     PublicProof,
     VerifyResult,
     build_public_proof,
     checked_fields,
     hash_chain,
-    node_digest,
     node_from_json,
     node_to_json,
     verify_public_proof,
 )
-from .ledger import ZERO_HASH, Block, Ledger, NodeStore, Op, commit, replay
+from .ledger import ZERO_HASH, Block, Ledger, NodeStore, Op, commit, replay, store_io
 from .logic import (
     Atom,
     Formula,
@@ -226,7 +227,8 @@ class Session:
         return replay(self.ledger, self.config, self.graph)
 
     def _acquire_lock(self, path: str) -> None:
-        handle = open(path, "a+")
+        with store_io(path):
+            handle = open(path, "a+")
         try:
             fcntl.flock(handle.fileno(), fcntl.LOCK_EX | fcntl.LOCK_NB)
         except OSError:
@@ -267,19 +269,12 @@ class Session:
 
     # -- persistence ----------------------------------------------------
 
-    def _append_and_apply(
-        self,
-        op: Op | str,
-        formula: str = "",
-        digest: bytes = ZERO_HASH,
-        node: JustificationNode | None = None,
-    ) -> Block:
-        """Fold the next block into the base; append it only if that worked.
-
-        A fold that raises (a resource limit, say) leaves the ledger and
-        the live base as they were.
-        """
-        self.base, block = commit(
+    def _commit(
+        self, op: Op | str, formula: str = "", digest: bytes = ZERO_HASH
+    ) -> tuple[BeliefBase, Block]:
+        """ledger.commit on the live base: the folded base, which the
+        caller sets once the block is written, and the block."""
+        return commit(
             self.ledger,
             self.base,
             self.config,
@@ -288,9 +283,7 @@ class Session:
             formula,
             digest,
             self._block_ts(),
-            node,
         )
-        return block
 
     def _append_meta(self, formula: str, digest: bytes = ZERO_HASH) -> None:
         """Append a META block: a record with no effect on the base."""
@@ -304,10 +297,10 @@ class Session:
         """Admit one observation; returns which route it took.
 
         The formula may be given as text, which formula resolves, or
-        already parsed.  commit folds
-        its node's entry into the live base exactly as replay folds its
-        block, and appends the block (insert or revise, by the route the
-        fold took) only once the fold has succeeded.
+        already parsed.  Its node is recorded, as prove's is, in the
+        batch of the block that names it: commit folds the node's entry
+        as replay folds the block, and appends the block (insert or
+        revise, by the fold's route) only once the fold has succeeded.
         """
         if isinstance(formula, str):
             formula = self.formula(formula)
@@ -316,14 +309,14 @@ class Session:
                 f"observation is self-contradictory: {render_canonical(formula)}"
             )
         provenance = Provenance(source, self._prov_ts(), probability)
-        node = JustificationNode(
-            node_digest(formula, "observation", (), provenance),
-            formula,
-            "observation",
-            (),
-            provenance,
-        )
-        block = self._append_and_apply(Op.INSERT, node=node)
+        with self.ledger.batch():
+            node_id = self.graph.record_inference(
+                formula, (), "observation", provenance
+            )
+            base, block = self._commit(
+                Op.INSERT, render_canonical(formula), bytes.fromhex(node_id)
+            )
+        self.base = base
         self._obs_seq += 1
         if block.op == Op.REVISE:
             return "revised"
@@ -340,7 +333,7 @@ class Session:
             raise ConsistencyError(
                 f"refusing to contract a tautology: {render_canonical(formula)}"
             )
-        self._append_and_apply(Op.CONTRACT, render_canonical(formula))
+        self.base, _ = self._commit(Op.CONTRACT, render_canonical(formula))
 
     # -- queries and proofs -----------------------------------------------
 
@@ -641,7 +634,7 @@ class Session:
         wanted = {e.key: e for e in target.entries}
         for key in sorted(current):
             if key not in wanted or wanted[key] != current[key]:
-                self._append_and_apply(Op.RECOVERY, key)
+                self.base, _ = self._commit(Op.RECOVERY, key)
                 appended += 1
         for key in sorted(wanted):
             formula = self.formula(key)
@@ -662,10 +655,12 @@ class Session:
                     raise ValueError(
                         f"cannot restore {key}: no matching node"
                     )
-            self._append_and_apply(Op.INSERT, key, bytes.fromhex(insert_id))
+            self.base, _ = self._commit(Op.INSERT, key, bytes.fromhex(insert_id))
+            # A reopened session counts every insert on its fixed clock.
+            self._obs_seq += 1
             appended += 1
             if self.base.find(formula) != entry:
-                self._append_and_apply(
+                self.base, _ = self._commit(
                     Op.RECOVERY, key, bytes.fromhex(entry.justification)
                 )
                 appended += 1

@@ -375,30 +375,10 @@ def run_recovery(event: FailureEvent, context: RecoveryContext) -> RecoveryRepor
     digest binds the report lines, so a replay of the ledger rebuilds the
     post-recovery base.  The run's blocks and nodes are one ledger batch.
     """
-    protocol = {
-        FailureKind.BELIEF_INCONSISTENCY: "I",
-        FailureKind.JUSTIFICATION_BREAKDOWN: "II",
-        FailureKind.APPROXIMATION_DRIFT: "III",
-        FailureKind.GROUNDING_MISALIGNMENT: "IV",
-        FailureKind.POLICY_MISPROJECTION: "V",
-    }.get(event.kind, "none")
+    protocol, handler = _PROTOCOLS[event.kind]
     report = RecoveryReport(protocol=protocol, event=event, base=context.base)
     with context.ledger.batch():
-        if event.kind == FailureKind.BELIEF_INCONSISTENCY:
-            _protocol_cascade(event, context, report)
-        elif event.kind == FailureKind.JUSTIFICATION_BREAKDOWN:
-            _protocol_repair(event, context, report)
-        elif event.kind == FailureKind.APPROXIMATION_DRIFT:
-            _protocol_reground(event, context, report)
-        elif event.kind == FailureKind.GROUNDING_MISALIGNMENT:
-            _protocol_reground(event, context, report)
-            report.directives += ["human-review", "rollback"]
-            _note(report, context, event, "flagged-for-human-review")
-        elif event.kind == FailureKind.POLICY_MISPROJECTION:
-            _protocol_reselect(event, context, report)
-        else:
-            report.escalated = True
-            _note(report, context, event, "escalated(unclassified)")
+        handler(event, context, report)
         digest = sha256(report.render().encode()).digest()
         report.base = _commit(context, Op.RECOVERY, "", digest)
     return report
@@ -552,6 +532,15 @@ def _protocol_reground(
     _note(report, context, event, "marked-for-reobservation", subject=entry.key)
 
 
+def _protocol_flag(
+    event: FailureEvent, context: RecoveryContext, report: RecoveryReport
+) -> None:
+    """Protocol IV: regrounding, as III, and a call for human review."""
+    _protocol_reground(event, context, report)
+    report.directives += ["human-review", "rollback"]
+    _note(report, context, event, "flagged-for-human-review")
+
+
 def _protocol_reselect(
     event: FailureEvent, context: RecoveryContext, report: RecoveryReport
 ) -> None:
@@ -563,3 +552,22 @@ def _protocol_reselect(
         _note(report, context, event, "escalated(no-alternate)")
     else:
         _note(report, context, event, f"reselected({alternate})")
+
+
+def _protocol_escalate(
+    event: FailureEvent, context: RecoveryContext, report: RecoveryReport
+) -> None:
+    """No protocol for an unclassified failure: escalate."""
+    report.escalated = True
+    _note(report, context, event, "escalated(unclassified)")
+
+
+# Each failure kind's protocol: its report label and its handler.
+_PROTOCOLS = {
+    FailureKind.UNKNOWN: ("none", _protocol_escalate),
+    FailureKind.BELIEF_INCONSISTENCY: ("I", _protocol_cascade),
+    FailureKind.JUSTIFICATION_BREAKDOWN: ("II", _protocol_repair),
+    FailureKind.APPROXIMATION_DRIFT: ("III", _protocol_reground),
+    FailureKind.GROUNDING_MISALIGNMENT: ("IV", _protocol_flag),
+    FailureKind.POLICY_MISPROJECTION: ("V", _protocol_reselect),
+}

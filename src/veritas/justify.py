@@ -156,17 +156,17 @@ class JustificationGraph:
         rule: str,
         provenance: Provenance,
     ) -> str:
-        """Add an inference step and return its content digest, the id
-        of the node that add_node admits, as it admits a node read back."""
+        """Add an inference step and return its id, the content digest
+        computed here once: add_node's checks but the id's (_admit)."""
         premises = tuple(premises)
         node_id = node_digest(conclusion, rule, premises, provenance)
-        return self.add_node(
+        return self._admit(
             JustificationNode(node_id, conclusion, rule, premises, provenance)
         )
 
     def add_node(self, node: JustificationNode) -> str:
-        """Insert a pre-built node, re-validating id, premises, and step:
-        every node joins the graph here."""
+        """Insert a node read back (a store line, a proof step): its id
+        must be the digest of its content, then _admit checks its step."""
         if node.node_id in node.premises:
             raise CycleError(f"node {node.node_id} references itself")
         expected = node_digest(
@@ -176,6 +176,10 @@ class JustificationGraph:
             raise ValueError(
                 f"node id {node.node_id} does not match content digest"
             )
+        return self._admit(node)
+
+    def _admit(self, node: JustificationNode) -> str:
+        """Check a node's premises and step: every node joins here."""
         # The id is a digest of the content, so that node was checked
         # when it joined.
         if node.node_id in self._nodes:

@@ -15,17 +15,21 @@ verify_chain applies it to the blocks held in memory.  Replaying the
 ledger through the belief module with the same configuration
 reconstructs the live base exactly, because commit is the one way to
 change a base: it folds the next block as apply_block does and appends
-it only once that fold has succeeded.  A batch is the write unit for
-both files: it writes the nodes its ledger's NodeStore gained, then the
-lines of the blocks appended inside it, with one write each and one
-fsync, so a node is stored before a block names it.  If either write
-fails, the batch cuts both files back to where they ended when it
-began, and takes its blocks out of the chain and the nodes recorded
-since out of the graph, so a failed write leaves both files and the
-graph as they were, for every command.  The ledger and the node store
+it only once that fold has succeeded.  A node joins the graph one way:
+the writer records it inside a batch, then commits the block that
+names it.  A batch is the write unit for both files: it writes the
+nodes its ledger's NodeStore gained, then the lines of the blocks
+appended inside it, with one write each and one fsync, so a node is
+stored before a block names it.  If either write fails, the batch cuts
+both files back to where they ended when it began, and takes its blocks
+out of the chain and the nodes recorded since out of the graph, so a
+failed write leaves both files and the graph as they were, for every
+command.  A batch that keeps no block keeps none of its nodes, on every
+ledger, with a file or without one.  The ledger and the node store
 each open their file for appending on their first write and keep that
 handle until close; each tracks where its file ends, so a write neither
-reopens the file nor seeks.
+reopens the file nor seeks.  An OSError from opening, reading, writing
+or fsyncing either file is raised as a StoreIOError naming it.
 """
 
 from __future__ import annotations
@@ -70,6 +74,24 @@ class LedgerCorruptionError(RuntimeError):
     def __init__(self, index: int):
         super().__init__(f"ledger corrupt at block {index}")
         self.index = index
+
+
+class StoreIOError(OSError):
+    """Opening, reading, writing or fsyncing a store file failed: the
+    operating system's error, with that file as its filename."""
+
+    def __str__(self) -> str:
+        return f"{self.filename}: {self.strerror}"
+
+
+@contextlib.contextmanager
+def store_io(path):
+    """Raise an OSError from inside as a StoreIOError naming path."""
+    try:
+        yield
+    except OSError as err:
+        path = os.fspath(path)
+        raise StoreIOError(err.errno, err.strerror or str(err), path) from err
 
 
 class ReplayError(RuntimeError):
@@ -251,7 +273,9 @@ class Ledger:
         blocks = self._blocks
         intact = True
         previous = ZERO_HASH
-        for raw in _lines(self.path.read_bytes()):
+        with store_io(self.path):
+            data = self.path.read_bytes()
+        for raw in _lines(data):
             block = _parse_line(raw)
             if block is None:
                 self._corrupt_at = len(blocks)
@@ -360,11 +384,11 @@ class Ledger:
         on any exit, by exception too.  When a write raises, both files
         are cut back to where they ended when the batch began, the
         blocks leave the chain, the nodes recorded since then leave the
-        graph, and the error propagates.  A batch that appends no block
-        keeps none of its nodes either.  Nested, or without a file, it
-        adds nothing.
+        graph, and the error propagates.  A batch that keeps no block
+        keeps none of its nodes either; only the write needs a file.
+        Nested, it adds nothing.
         """
-        if self.path is None or self._pending is not None:
+        if self._pending is not None:
             yield
             return
         self._pending = []
@@ -373,20 +397,19 @@ class Ledger:
             yield
         finally:
             data, self._pending = b"".join(self._pending), None
-            if data:
-                try:
+            try:
+                if data:
                     self._write(data)
-                except BaseException:
-                    del self._blocks[kept:]
-                    if self._verified is not None:
-                        del self._verified[kept:]
-                    self._digests = {b.justification_digest for b in self._blocks}
-                    if self.nodes is not None:
-                        self.nodes.truncate(mark)
-                    raise
-            elif self.nodes is not None:
-                # No block names a node recorded here, so none is kept.
-                self.nodes.truncate(mark)
+            except BaseException:
+                del self._blocks[kept:]
+                if self._verified is not None:
+                    del self._verified[kept:]
+                self._digests = {b.justification_digest for b in self._blocks}
+                raise
+            finally:
+                # No block kept names a node recorded here, so none is kept.
+                if len(self._blocks) == kept and self.nodes is not None:
+                    self.nodes.truncate(mark)
 
     def _write(self, data: bytes) -> None:
         """Write the store's new nodes, then append the block lines
@@ -398,9 +421,10 @@ class Ledger:
         """
         if self.nodes is not None:
             self.nodes.write_new()
-        if self._handle is None:
-            self._handle, self._end = _open_append(self.path)
-        self._end = _append_all(self._handle, data, self._end, sync=True)
+        with store_io(self.path):
+            if self._handle is None:
+                self._handle, self._end = _open_append(self.path)
+            self._end = _append_all(self._handle, data, self._end, sync=True)
 
     def close(self) -> None:
         """Close the append handle, if a write opened it."""
@@ -470,7 +494,7 @@ class NodeStore:
         lacks; a read that raises leaves graph without nodes."""
         graph, data = self.graph, b""
         if self.path and os.path.exists(self.path):
-            with open(self.path, "rb") as handle:
+            with store_io(self.path), open(self.path, "rb") as handle:
                 data = handle.read()
             # No node of a failed read stays for write_new to write.
             try:
@@ -494,10 +518,11 @@ class NodeStore:
         graph = self.graph
         if len(graph) == self._written:
             return
-        if self._handle is None:
-            self._handle, self._end = _open_append(self.path)
         lines = (node_to_json(n) + "\n" for n in graph.nodes_since(self._written))
-        self._end = _append_all(self._handle, "".join(lines).encode(), self._end)
+        with store_io(self.path):
+            if self._handle is None:
+                self._handle, self._end = _open_append(self.path)
+            self._end = _append_all(self._handle, "".join(lines).encode(), self._end)
         self._written = len(graph)
 
     def truncate(self, mark: tuple[int, int, int] | None) -> None:
@@ -505,7 +530,8 @@ class NodeStore:
         length then; a mark of None means what load read, or nothing."""
         count, self._written, end = mark or self._read or (0, 0, 0)
         if self._end != end:
-            self._handle.truncate(end)
+            with store_io(self.path):
+                self._handle.truncate(end)
             self._end = end
         self.graph.truncate(count)
 
@@ -530,7 +556,7 @@ def apply_block(
     belief effect.
     """
     if block.op in (Op.INSERT, Op.REVISE):
-        return _fold_node(base, _named_node(block, graph), config, graph)[0]
+        return _fold_node(base, _block_node(block, graph), config, graph)[0]
     if block.op == Op.CONTRACT:
         return contract(base, _stored_formula(block, graph))
     if block.op == Op.RECOVERY:
@@ -538,7 +564,7 @@ def apply_block(
             return base
         if block.justification_digest == ZERO_HASH:
             return retract_entry(base, _stored_formula(block, graph), "recovery")
-        node = _named_node(block, graph)
+        node = _block_node(block, graph)
         # A demotion or regrounding node marks the entry for re-observation:
         # approximate and not assertable, whatever its probability.
         probability = node.provenance.confidence
@@ -559,21 +585,28 @@ def apply_block(
     return base
 
 
-def _named_node(block: Block, graph: JustificationGraph) -> JustificationNode:
-    """The node an insert, revise or amending recovery block names.
+def _block_node(block: Block, graph: JustificationGraph) -> JustificationNode:
+    """The node an insert, revise or amending recovery block names."""
+    return _named_node(block.index, block.formula, block.justification_digest, graph)
+
+
+def _named_node(
+    index: int, formula: str, digest: bytes, graph: JustificationGraph
+) -> JustificationNode:
+    """The node that block index, with text formula, names by digest.
 
     Every writer gives the block the canonical text of the node's
     conclusion, so a node graph lacks, or one that concludes another
     formula, raises ReplayError.
     """
-    node_id = block.justification_digest.hex()
+    node_id = digest.hex()
     node = graph.get(node_id)
     if node is None:
-        raise ReplayError(f"block {block.index} references unknown node {node_id}")
-    if render_canonical(node.conclusion) != block.formula:
+        raise ReplayError(f"block {index} references unknown node {node_id}")
+    if render_canonical(node.conclusion) != formula:
         raise ReplayError(
-            f"block {block.index} names node {node_id}, which does not"
-            f" conclude {block.formula!r}"
+            f"block {index} names node {node_id}, which does not"
+            f" conclude {formula!r}"
         )
     return node
 
@@ -594,9 +627,9 @@ def _fold_node(
     node: JustificationNode,
     config: EngineConfig,
     graph: JustificationGraph,
-) -> tuple[BeliefBase, str, str]:
+) -> tuple[BeliefBase, str]:
     """Fold in the entry an insert or revise block adds for node: the
-    new base, the route update_belief_state took, and the entry's key.
+    new base and the route update_belief_state took.
 
     The entry's formula, probability and provenance come from the node,
     and the assertion gate weighs its derivation depth; only its
@@ -611,8 +644,7 @@ def _fold_node(
         justification=node.node_id,
         assertable=assertion_gate(probability, graph.depth_of(node), config),
     )
-    folded, route = update_belief_state(base, entry, theta=config.theta)
-    return folded, route, entry.key
+    return update_belief_state(base, entry, theta=config.theta)
 
 
 def commit(
@@ -624,28 +656,25 @@ def commit(
     formula: str = "",
     justification_digest: bytes = ZERO_HASH,
     timestamp: int = 0,
-    node: JustificationNode | None = None,
 ) -> tuple[BeliefBase, Block]:
     """Fold the next block into base, then append it; the folded base
     and the block.
 
     A fold that raises (a resource limit, say) appends nothing, and the
-    base returned is the one a replay of the ledger rebuilds.  node is a
-    new observation, not yet in graph: its block inserts the node's
-    conclusion under the node's id, and becomes a REVISE when the fold
-    revised the base.  The node joins graph, once the fold has
-    succeeded, in the batch that writes the block.
+    base returned is the one a replay of the ledger rebuilds.  An insert
+    is folded before its block is built, and becomes a REVISE when the
+    fold revised the base, so each block is hashed once.
     """
-    if node is None:
+    op = Op(op) if isinstance(op, str) else op
+    if op is not Op.INSERT:
         block = ledger.next_block(op, formula, justification_digest, timestamp)
         return apply_block(base, block, config, graph), ledger.append_block(block)
-    folded, route, formula = _fold_node(base, node, config, graph)
+    node = _named_node(len(ledger), formula, justification_digest, graph)
+    folded, route = _fold_node(base, node, config, graph)
     if route == "revised":
         op = Op.REVISE
-    block = ledger.next_block(op, formula, bytes.fromhex(node.node_id), timestamp)
-    with ledger.batch():
-        graph.add_node(node)
-        return folded, ledger.append_block(block)
+    block = ledger.next_block(op, formula, justification_digest, timestamp)
+    return folded, ledger.append_block(block)
 
 
 def replay(

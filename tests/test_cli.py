@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import builtins
 import contextlib
 import dataclasses
 import errno
@@ -16,6 +17,7 @@ from pathlib import Path
 
 import pytest
 from oracles import reference_first_bad_block
+from test_engine import FullDisk
 
 import veritas
 import veritas.cli
@@ -609,7 +611,7 @@ class TestNodeStoreDamage:
 
 
 class TestFailedWrite:
-    """A command whose fsynced block write fails exits 2 and leaves both
+    """A command whose fsynced block write fails exits 8 and leaves both
     files byte for byte as they were, so the chain still verifies."""
 
     @pytest.mark.parametrize(
@@ -637,11 +639,117 @@ class TestFailedWrite:
 
         monkeypatch.setattr(veritas.ledger, "_append_all", full_once)
         code, out, err = cli(*command)
-        assert (code, out) == (2, "") and failed
-        full = f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"
-        assert err == f"error\tusage\t{full}\n"
+        assert (code, out) == (8, "") and failed
+        assert err == f"error\tio\tveritas.vlog: {os.strerror(errno.ENOSPC)}\n"
         assert [path.read_bytes() for path in files] == before
         assert cli("ledger", "verify") == (0, f"ok\t{len(setup)}\n", "")
+
+
+def _full_disk(name):
+    """Arrange that the first write through the append handle on the
+    store file name stores half its bytes and fails (FullDisk)."""
+
+    def arrange(patch):
+        opener = builtins.open
+
+        def flaky_open(file, mode="r", *args, **kwargs):
+            handle = opener(file, mode, *args, **kwargs)
+            if os.fspath(file) == name and "a" in mode:
+                return FullDisk(handle, 1)
+            return handle
+
+        patch.setattr(builtins, "open", flaky_open)
+
+    return arrange
+
+
+def _failing_fsync(patch):
+    def fsync(fd):
+        raise OSError(errno.EIO, os.strerror(errno.EIO))
+
+    patch.setattr(os, "fsync", fsync)
+
+
+def _directory(name):
+    """Arrange that name, a file veritas opens, is a directory."""
+    return lambda patch: os.mkdir(name)
+
+
+_OBSERVE_RULE = ("observe", "p -> q", "--p", "0.97")
+
+
+class TestStoreIO:
+    """Where an I/O error starts decides its exit code.  Opening,
+    reading, writing or fsyncing a store file (the ledger, its node
+    store, its lock) exits 8 with one error line naming the file, and a
+    failed write changes no byte of either file; a file the user names
+    (a stream, a proof, a config, a domain, an output) is bad input,
+    exit 2."""
+
+    # origin, observations before, arrangement, command, file, errno
+    STORE = [
+        ("vlog-write", ["p"], _full_disk("veritas.vlog"), _OBSERVE_RULE,
+         "veritas.vlog", errno.ENOSPC),
+        ("nodes-write", ["p"], _full_disk("veritas.nodes"), _OBSERVE_RULE,
+         "veritas.nodes", errno.ENOSPC),
+        ("vlog-fsync", ["p"], _failing_fsync, _OBSERVE_RULE,
+         "veritas.vlog", errno.EIO),
+        ("prove-vlog-write", ["p", "p -> q"], _full_disk("veritas.vlog"),
+         ("prove", "q", "--out", "q.proof"), "veritas.vlog", errno.ENOSPC),
+        ("prove-nodes-write", ["p", "p -> q"], _full_disk("veritas.nodes"),
+         ("prove", "q", "--out", "q.proof"), "veritas.nodes", errno.ENOSPC),
+        ("vlog-read", [], _directory("veritas.vlog"), ("query", "p"),
+         "veritas.vlog", errno.EISDIR),
+        ("verify-vlog-read", [], _directory("veritas.vlog"), ("ledger", "verify"),
+         "veritas.vlog", errno.EISDIR),
+        ("nodes-read", [], _directory("veritas.nodes"), ("query", "p"),
+         "veritas.nodes", errno.EISDIR),
+        ("lock-open", [], _directory("veritas.vlog.lock"), ("query", "p"),
+         "veritas.vlog.lock", errno.EISDIR),
+    ]
+
+    @pytest.mark.parametrize(
+        "setup, arrange, command, name, number",
+        [row[1:] for row in STORE],
+        ids=[row[0] for row in STORE],
+    )
+    def test_a_store_file_error_exits_eight(
+        self, cli, tmp_path, setup, arrange, command, name, number
+    ):
+        for text in setup:
+            assert cli("observe", text, "--p", "0.99")[0] == 0
+        files = [tmp_path / "veritas.vlog", tmp_path / "veritas.nodes"]
+
+        def contents():
+            return [path.read_bytes() if path.is_file() else None for path in files]
+
+        before = contents()
+        with pytest.MonkeyPatch.context() as patch:
+            arrange(patch)
+            code, out, err = cli(*command)
+        assert (code, out) == (8, "")
+        assert err == f"error\tio\t{name}: {os.strerror(number)}\n"
+        assert contents() == before
+        if setup:
+            assert cli("ledger", "verify") == (0, f"ok\t{len(setup)}\n", "")
+
+    USER = [
+        ("stream", [], ("run", "--stream", "missing.tsv")),
+        ("proof", [], ("verify-proof", "missing.proof")),
+        ("config", [], ("--config", "missing.conf", "query", "p")),
+        ("domain", [], ("plan", "--domain", "missing.domain")),
+        ("out", ["p"], ("prove", "p", "--out", ".")),
+    ]
+
+    @pytest.mark.parametrize(
+        "setup, command", [row[1:] for row in USER], ids=[row[0] for row in USER]
+    )
+    def test_a_file_the_user_names_is_bad_input(self, cli, setup, command):
+        for text in setup:
+            assert cli("observe", text, "--p", "0.99")[0] == 0
+        code, out, err = cli(*command)
+        assert (code, out) == (2, "")
+        assert err.startswith("error\tusage\t") and err.count("\n") == 1
 
 
 class TestRollbackCommand:

@@ -308,6 +308,29 @@ class TestReplayParity:
         with Session(make_config()) as session:
             assert export(session.base) == before
 
+    @pytest.mark.parametrize("path", ["agent.vlog", ""], ids=["file", "memory"])
+    def test_65th_atom_leaves_graph_and_files_unchanged(
+        self, make_config, tmp_path, path
+    ):
+        """The refused observation's node was recorded in its batch, which
+        keeps no block and so none of its nodes: the graph, and any file,
+        are as they were, in memory as on file."""
+        config = make_config(ledger_path=path and str(tmp_path / path))
+        stores = [tmp_path / "agent.vlog", tmp_path / "agent.nodes"]
+
+        def held(session):
+            files = [p.read_bytes() if p.exists() else None for p in stores]
+            return session.graph.all_nodes(), session.ledger.blocks, files
+
+        with Session(config) as session:
+            session.observe(" & ".join(f"w{i}" for i in range(64)), 0.99, "sensor")
+            before = held(session)
+            with pytest.raises(ResourceLimitError):
+                session.observe("w64", 0.99, "sensor")
+            assert held(session) == before
+            assert export(session.base) == replay_export(session)
+        assert (before[2][0] is None) == (path == "")
+
     def test_refused_contraction_writes_no_block(self, make_config):
         with Session(make_config()) as session:
             observe_fan(session)
@@ -752,6 +775,44 @@ class TestProofs:
         with Session(config) as reopened:
             assert reopened.graph.all_nodes() == stored
 
+    def test_a_memory_session_keeps_the_nodes_a_file_session_keeps(
+        self, make_config
+    ):
+        """The second, unanchored proof of q keeps no node in memory
+        either, so both sessions end with the same node ids."""
+        held = []
+        for path in (make_config().ledger_path, ""):
+            with Session(make_config(ledger_path=path)) as session:
+                session.observe("p", 0.99, "sensor")
+                session.observe("p -> q", 0.97, "rulebook")
+                session.prove("q")
+                session.observe("s", 0.99, "sensor")
+                session.prove("q")
+                held.append([node.node_id for node in session.graph.all_nodes()])
+        assert held[0] == held[1] and len(held[0]) == 4
+
+    @pytest.mark.parametrize("path", ["agent.vlog", ""], ids=["file", "memory"])
+    def test_each_node_is_hashed_once(
+        self, make_config, monkeypatch, tmp_path, path
+    ):
+        """An observation's node and a proof's entailment node are each
+        hashed once: record_inference does not check the id it computed."""
+        hashed, digest = [], veritas.justify.node_digest
+
+        def spy(conclusion, *args):
+            hashed.append(render_canonical(conclusion))
+            return digest(conclusion, *args)
+
+        for module in (veritas.justify, veritas.engine):
+            monkeypatch.setattr(module, "node_digest", spy, raising=False)
+        config = make_config(ledger_path=path and str(tmp_path / path))
+        with Session(config) as session:
+            session.observe("p", 0.99, "sensor")
+            session.observe("p -> q", 0.97, "rulebook")
+            assert hashed == ["p", "(p -> q)"]
+            session.prove("q")
+        assert hashed == ["p", "(p -> q)", "q"]
+
 
 class TestRollback:
     """Rollback appends compensating blocks and never truncates."""
@@ -799,6 +860,28 @@ class TestRollback:
             assert not again.assertable
             assert session.base.entries == marked
             assert export(session.base) == replay_export(session)
+
+    def test_an_observation_after_a_rollback_does_not_depend_on_a_reopen(
+        self, make_config
+    ):
+        """A reopened session counts rollback's inserts on its fixed
+        clock, and so does the session that appended them, so the next
+        observation gets the same node either way."""
+        config, twin = make_config(), make_config("twin")
+        for each in (config, twin):
+            with Session(each) as session:
+                session.observe("p", 0.99, "sensor")
+                session.contract_formula("p")
+                session.rollback(1)
+                if each is config:
+                    session.observe("q", 0.99, "sensor")
+        with Session(twin) as session:
+            session.observe("q", 0.99, "sensor")
+        for mine, theirs in (
+            (config.ledger_path, twin.ledger_path),
+            (config.resolved_nodes_path(), twin.resolved_nodes_path()),
+        ):
+            assert Path(mine).read_bytes() == Path(theirs).read_bytes()
 
     def test_rollback_bounds_are_checked(self, make_config):
         with Session(make_config()) as session:
@@ -1401,28 +1484,12 @@ class TestGroupCommit:
         config, reference = make_config(), make_config("reference")
         opener = builtins.open
 
-        class FullDisk:
-            """The ledger's kept handle: its fourth write stores half its
-            bytes, then fails."""
-
-            def __init__(self, handle):
-                self._handle, self.writes = handle, 0
-
-            def __getattr__(self, name):
-                return getattr(self._handle, name)
-
-            def write(self, data):
-                self.writes += 1
-                # Each run writes its session-start block, then its line.
-                if self.writes != 4:
-                    return self._handle.write(data)
-                self._handle.write(bytes(data[: len(data) // 2]))
-                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-
         def flaky_open(file, mode="r", *args, **kwargs):
             handle = opener(file, mode, *args, **kwargs)
             if os.fspath(file) == config.ledger_path and "a" in mode:
-                return FullDisk(handle)
+                # Each run writes its session-start block, then its line,
+                # so the fourth write is the second line's.
+                return FullDisk(handle, 4)
             return handle
 
         monkeypatch.setattr(builtins, "open", flaky_open)
@@ -1467,28 +1534,11 @@ class TestGroupCommit:
         config, reference = make_config(), make_config("reference")
         opener, append_all, ends = builtins.open, veritas.ledger._append_all, []
 
-        class FullDisk:
-            """The ledger's kept handle: the write of line failed stores
-            half its bytes, then fails."""
-
-            def __init__(self, handle):
-                self._handle, self.writes = handle, 0
-
-            def __getattr__(self, name):
-                return getattr(self._handle, name)
-
-            def write(self, data):
-                self.writes += 1
-                # Each run writes its session-start block, then its line.
-                if self.writes != 2 * failed + 2:
-                    return self._handle.write(data)
-                self._handle.write(bytes(data[: len(data) // 2]))
-                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-
         def flaky_open(file, mode="r", *args, **kwargs):
             handle = opener(file, mode, *args, **kwargs)
             if os.fspath(file) == config.ledger_path and "a" in mode:
-                return FullDisk(handle)
+                # Each run writes its session-start block, then its line.
+                return FullDisk(handle, 2 * failed + 2)
             return handle
 
         def tracked_append(handle, data, end, sync=False):
@@ -1563,27 +1613,10 @@ class TestGroupCommit:
         config = make_config()
         nodes_path, opener = config.resolved_nodes_path(), builtins.open
 
-        class FullDisk:
-            """The store's kept handle: its second write stores half its
-            bytes, then fails."""
-
-            def __init__(self, handle):
-                self._handle, self.writes = handle, 0
-
-            def __getattr__(self, name):
-                return getattr(self._handle, name)
-
-            def write(self, data):
-                self.writes += 1
-                if self.writes != 2:
-                    return self._handle.write(data)
-                self._handle.write(data[: len(data) // 2])
-                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-
         def flaky_open(file, mode="r", *args, **kwargs):
             handle = opener(file, mode, *args, **kwargs)
             if os.fspath(file) == nodes_path and "a" in mode:
-                return FullDisk(handle)
+                return FullDisk(handle, 2)
             return handle
 
         monkeypatch.setattr(builtins, "open", flaky_open)

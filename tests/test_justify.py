@@ -112,6 +112,19 @@ class TestRecordInference:
             assert len(graph) == before
         assert refusals[0] == refusals[1]
 
+    def test_recording_hashes_the_node_once(self, graph, monkeypatch):
+        """record_inference computes the id once and does not check it
+        again; add_node hashes a node read back to check its id."""
+        hashed, digest = [], justify.node_digest
+        monkeypatch.setattr(
+            justify, "node_digest", lambda *args: hashed.append(args) or digest(*args)
+        )
+        prov = Provenance("s", 0, 0.9)
+        node_id = graph.record_inference(parse("p"), (), "observation", prov)
+        assert len(hashed) == 1
+        assert JustificationGraph().add_node(graph.node(node_id)) == node_id
+        assert len(hashed) == 2
+
     def test_self_referencing_node_rejected(self, graph):
         """A node listing its own id as a premise is a cycle."""
         node = JustificationNode(

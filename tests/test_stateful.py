@@ -15,7 +15,9 @@ Some observe, contract and prove steps find the disk full: the next
 write to one of the two files stores half its bytes and fails.  After
 every step each file must hold exactly the session's chain or graph,
 and a twin session, given every step but those that failed, must hold
-the same bytes (fixed clock).
+the same bytes (fixed clock).  An in-memory session given the twin's
+steps must hold the same node ids and export the same base: a ledger
+without a file keeps and drops nodes as a file one does.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 from oracles import reference_is_safe, reference_sweep, reference_world_state
 from test_engine import FullDisk
 
-from veritas.belief import ConsistencyError
+from veritas.belief import ConsistencyError, export
 from veritas.config import EngineConfig
 from veritas.engine import Session
 from veritas.guard import FailureEvent, FailureKind, mscu_sweep
@@ -68,6 +70,13 @@ class SessionMachine(RuleBasedStateMachine):
             domain_path=str(DOMAIN),
         )
         self.twin = Session(self.twin_config)
+        self.memory = Session(
+            EngineConfig(ledger_path="", fixed_clock=True, domain_path=str(DOMAIN))
+        )
+
+    def _sessions(self) -> tuple[Session, ...]:
+        """The live session, its file twin and its in-memory twin."""
+        return self.session, self.twin, self.memory
 
     def _open(self) -> Session:
         """A live session whose every append is followed by a reopen."""
@@ -97,8 +106,8 @@ class SessionMachine(RuleBasedStateMachine):
             return reopened.base
 
     def teardown(self) -> None:
-        self.session.close()
-        self.twin.close()
+        for session in self._sessions():
+            session.close()
         shutil.rmtree(self.dir)
 
     @rule(
@@ -107,7 +116,7 @@ class SessionMachine(RuleBasedStateMachine):
         source=st.sampled_from(("alice", "bob")),
     )
     def observe(self, text: str, probability: float, source: str) -> None:
-        for session in (self.session, self.twin):
+        for session in self._sessions():
             try:
                 session.observe(text, probability, source)
             except ConsistencyError:
@@ -152,6 +161,7 @@ class SessionMachine(RuleBasedStateMachine):
             assert err.errno == errno.ENOSPC
         else:
             run(self.twin)
+            run(self.memory)
         finally:
             builtins.open = opener
             ledger.close()
@@ -167,7 +177,7 @@ class SessionMachine(RuleBasedStateMachine):
     def run(self, lines) -> None:
         """run_loop, one batch per line; a refused line ends the run."""
         stream = [f"{text}\t{probability}\tcarol\n" for text, probability in lines]
-        for session in (self.session, self.twin):
+        for session in self._sessions():
             try:
                 session.run_loop(stream, io.StringIO(), io.StringIO())
             except ConsistencyError:
@@ -175,7 +185,7 @@ class SessionMachine(RuleBasedStateMachine):
 
     @rule(text=st.sampled_from(FORMULAS))
     def contract(self, text: str) -> None:
-        for session in (self.session, self.twin):
+        for session in self._sessions():
             try:
                 session.contract_formula(text)
             except ConsistencyError:
@@ -183,15 +193,29 @@ class SessionMachine(RuleBasedStateMachine):
 
     @rule(text=st.sampled_from(FORMULAS))
     def prove(self, text: str) -> None:
-        for session in (self.session, self.twin):
+        for session in self._sessions():
             try:
                 session.prove(text)
             except NoJustificationError:
                 pass
 
+    @rule(text=st.sampled_from(FORMULAS), other=st.sampled_from(FORMULAS))
+    def prove_again(self, text: str, other: str) -> None:
+        """A proof, an observation that moves the clock, and the same
+        proof again, whose node gets a new id but an anchored digest."""
+        for session in self._sessions():
+            for step in ("prove", "observe", "prove"):
+                try:
+                    if step == "observe":
+                        session.observe(other, 0.99, "erin")
+                    else:
+                        session.prove(text)
+                except (ConsistencyError, NoJustificationError):
+                    pass
+
     @rule()
     def sweep_and_react(self) -> None:
-        for session in (self.session, self.twin):
+        for session in self._sessions():
             session.sweep_and_react()
 
     @rule(kind=st.sampled_from(list(FailureKind)), data=st.data())
@@ -199,13 +223,13 @@ class SessionMachine(RuleBasedStateMachine):
         """Mostly about a held formula, else one not held or unparsable."""
         held = [entry.key for entry in self.session.base.entries]
         subject = data.draw(st.sampled_from(held + ["t", "((("]))
-        for session in (self.session, self.twin):
+        for session in self._sessions():
             session.recover(FailureEvent(kind, subject))
 
     @rule(data=st.data())
     def rollback(self, data) -> None:
         upto = data.draw(st.integers(0, len(self.session.ledger)))
-        for session in (self.session, self.twin):
+        for session in self._sessions():
             session.rollback(upto)
 
     @rule()
@@ -235,6 +259,16 @@ class SessionMachine(RuleBasedStateMachine):
             held = live.read_bytes() if live.exists() else b""
             assert held == b"".join(lines)
             assert held == (twin.read_bytes() if twin.exists() else b"")
+
+    @invariant()
+    def memory_holds_the_files_nodes_and_base(self) -> None:
+        """The in-memory twin holds the live session's node ids, in
+        order, and its base."""
+        live, memory = self.session, self.memory
+        assert [n.node_id for n in memory.graph.all_nodes()] == [
+            n.node_id for n in live.graph.all_nodes()
+        ]
+        assert export(memory.base) == export(live.base)
 
     @invariant()
     def incremental_reads_equal_full_passes(self) -> None:
