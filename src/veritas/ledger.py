@@ -84,14 +84,21 @@ class StoreIOError(OSError):
         return f"{self.filename}: {self.strerror}"
 
 
+def _store_error(err: OSError, path) -> StoreIOError:
+    """err as a StoreIOError naming path."""
+    return StoreIOError(err.errno, err.strerror or str(err), os.fspath(path))
+
+
 @contextlib.contextmanager
 def store_io(path):
-    """Raise an OSError from inside as a StoreIOError naming path."""
+    """Raise an OSError from inside as a StoreIOError naming path.  The
+    writes of a batch, which run for every block, catch the error
+    themselves and raise _store_error's, since entering a generator
+    context manager costs a microsecond or so."""
     try:
         yield
     except OSError as err:
-        path = os.fspath(path)
-        raise StoreIOError(err.errno, err.strerror or str(err), path) from err
+        raise _store_error(err, path) from err
 
 
 class ReplayError(RuntimeError):
@@ -421,10 +428,12 @@ class Ledger:
         """
         if self.nodes is not None:
             self.nodes.write_new()
-        with store_io(self.path):
+        try:
             if self._handle is None:
                 self._handle, self._end = _open_append(self.path)
             self._end = _append_all(self._handle, data, self._end, sync=True)
+        except OSError as err:
+            raise _store_error(err, self.path) from err
 
     def close(self) -> None:
         """Close the append handle, if a write opened it."""
@@ -519,10 +528,12 @@ class NodeStore:
         if len(graph) == self._written:
             return
         lines = (node_to_json(n) + "\n" for n in graph.nodes_since(self._written))
-        with store_io(self.path):
+        try:
             if self._handle is None:
                 self._handle, self._end = _open_append(self.path)
             self._end = _append_all(self._handle, "".join(lines).encode(), self._end)
+        except OSError as err:
+            raise _store_error(err, self.path) from err
         self._written = len(graph)
 
     def truncate(self, mark: tuple[int, int, int] | None) -> None:

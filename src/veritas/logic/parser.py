@@ -10,21 +10,30 @@ Grammar, loosest binding first::
     unary   := "!" unary | "(" formula ")" | atom
     atom    := IDENT ["(" IDENT ("," IDENT)* ")"]
 
-One regex scan (findall) turns the text into token strings, whitespace
-absorbed into the token after it, and one loop over them climbs the
-four binary levels with an explicit stack (Pratt, "Top Down Operator
-Precedence", 1973), so no formula costs a call per grammar level.  Token
-offsets are found only for an error, by scanning the text again.
+A text spelt as render_canonical spells an atom, a negated atom or a
+binary connective over two atoms (``S1``, ``(! S1)``, ``(S1 -> S2)``),
+the shapes a store holds for nearly every line, is read by one
+anchored regex match.  The general route reads such a text, without
+error and one connective deep at most, as exactly that tree, so the
+match builds the tree directly and keeps the text as its canonical
+one.  Every other text, other spacing or nesting included,
+takes the general route: one regex scan (findall) turns the text into
+token strings, whitespace absorbed into the token after it, and one
+loop over them climbs the four binary levels with an explicit stack
+(Pratt, "Top Down Operator Precedence", 1973), so no formula costs a
+call per grammar level.  Token offsets are found only for an error,
+by scanning the text again, so errors are the general route's alone.
 
 Atoms come from a process-wide table keyed by their canonical text: a
-spelling is validated once, and every compound formula shares its atom
-instances, which are immutable leaves that keep their text.  Every
-formula parse returns is a new instance, a bare atom a fresh copy of
-its shared one, so the compiled form sat keeps on it lives as long as
-that instance.  A session parses through its justification graph's
-formula table (JustificationGraph.formula), which keeps one parsed
-instance per distinct text, so there a formula and its compiled form
-serve every later request for the text.
+spelling is validated once, by whichever route meets it first (both
+register an atom through _register), and every compound formula
+shares its atom instances, which are immutable leaves that keep their
+text.  Every formula parse returns is a new instance, a bare atom a
+fresh copy of its shared one, so the compiled form sat keeps on it
+lives as long as that instance.  A session parses through its
+justification graph's formula table (JustificationGraph.formula),
+which keeps one parsed instance per distinct text, so there a formula
+and its compiled form serve every later request for the text.
 
 A formula may nest at most MAX_DEPTH connectives deep: every "!" and
 every binary operator on the path from the root to an atom counts, and
@@ -62,6 +71,17 @@ _GROUP = 0
 _NEGATION = -1
 
 _FORMULA_START = frozenset({"NOT", "LPAREN", "IDENT"})
+
+# The canonical text of an atom, and the canonical shapes parse reads
+# with one match: (! A), (A op B) for each binary op, and a bare atom.
+_CANONICAL_ATOM = (
+    r"[A-Za-z][A-Za-z0-9_]*(?:\([A-Za-z][A-Za-z0-9_]*(?:,[A-Za-z][A-Za-z0-9_]*)*\))?"
+)
+_SHAPE_RE = re.compile(
+    rf"\((?:! |({_CANONICAL_ATOM}) (&|\||->|<->) )({_CANONICAL_ATOM})\)"
+    rf"|({_CANONICAL_ATOM})"
+)
+_SHAPE_BUILD = {"&": And, "|": Or, "->": Implies, "<->": Iff}
 
 # The deepest nesting parse accepts; see the module docstring.  A
 # recursive walk over a formula takes stack per connective: one frame
@@ -159,10 +179,25 @@ def _atom(tokens: list[str], index: int) -> tuple[Atom, int]:
         key = f"{name}({','.join(args)})"
     atom = _ATOMS.get(key)
     if atom is None:
-        atom = Atom(name, tuple(args)) if args else Atom(name)
-        object.__setattr__(atom, "_text", key)
-        atom = _ATOMS.setdefault(key, atom)
+        atom = _register(key, name, args)
     return atom, index
+
+
+def _register(key: str, name: str, args: list[str] | None) -> Atom:
+    """The shared atom of canonical text key, validated and added to
+    the table if it is new there."""
+    atom = Atom(name, tuple(args)) if args else Atom(name)
+    object.__setattr__(atom, "_text", key)
+    return _ATOMS.setdefault(key, atom)
+
+
+def _shared(key: str) -> Atom:
+    """The shared atom of canonical text key, which _SHAPE_RE matched."""
+    atom = _ATOMS.get(key)
+    if atom is None:
+        name, _, args = key.partition("(")
+        atom = _register(key, name, args[:-1].split(",") if args else None)
+    return atom
 
 
 def _formula(tokens: list[str]) -> tuple[Formula, int]:
@@ -248,6 +283,18 @@ def parse(text: str) -> Formula:
     atom = _ATOMS.get(text)
     if atom is not None:
         return _fresh(atom)
+    shape = _SHAPE_RE.fullmatch(text)
+    if shape is not None:
+        left, op, right, bare = shape.groups()
+        if bare is not None:
+            return _fresh(_shared(bare))
+        operand = _shared(right)
+        if op is None:
+            formula: Formula = Not(operand)
+        else:
+            formula = _SHAPE_BUILD[op](_shared(left), operand)
+        object.__setattr__(formula, "_text", text)
+        return formula
     tokens = _TOKEN_RE.findall(text)
     try:
         formula, index = _formula(tokens)

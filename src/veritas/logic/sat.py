@@ -7,26 +7,38 @@ DPLL solver over them: unit propagation over two watched literals per
 clause, a trail that backtracking undoes, and branching on the smallest
 unassigned variable id, true first.
 
-Compilation is one recursive walk.  It distributes a disjunction as
-negation normal form would while one side is a single clause; past
-that, it names the larger side with a fresh variable x and adds the
-definition clauses c | {! x} for each clause c of that side.  It names
-each <-> operand that is not a literal with a variable defined both
-ways (Tseitin 1968; Plaisted & Greenbaum 1986).  Within one compile
-each subformula is walked at most once per polarity, so the clauses
-grow linearly with the formula.  A formula whose walk names nothing
-gets the clauses of plain distribution in the same order, less those
-that hold a literal and its negation.  Clause literals are integers.
-Atom ids come from one process-wide table, and new atoms get theirs in
-sorted order per formula.  Fresh variables take ids from a process-wide
-counter that starts above any atom id; they never count toward an atom
-limit, and DPLL branches on them after every atom.  The negation that
-entails tests is compiled once per goal instance too.  A re-parsed
-formula is a new instance and compiles afresh: the parser shares atom
-instances between formulas, but hands out every bare atom it returns
-as a fresh one.  A session shares more: its justification graph's
-formula table hands out one instance per distinct text, so there each
-distinct formula compiles once.
+A formula is compiled by one recursive walk.  It distributes a
+disjunction as negation normal form would while one side is a single
+clause; past that, it names the larger side with a fresh variable x
+and adds the definition clauses c | {! x} for each clause c of that
+side.  It names each <-> operand that is not a literal with a variable
+defined both ways (Tseitin 1968; Plaisted & Greenbaum 1986).  Within
+one compile each subformula is walked at most once per polarity, so
+the clauses grow linearly with the formula.  A formula whose walk
+names nothing gets the clauses of plain distribution in the same
+order, less those that hold a literal and its negation.  Clause
+literals are integers.  Atom ids come from one process-wide table, and
+new atoms get theirs in sorted order per formula.  Fresh variables
+take ids from a process-wide counter that starts above any atom id;
+they never count toward an atom limit, and DPLL branches on them after
+every atom.
+
+An atom, a negated atom, and a binary connective over two such
+literals, nearly every formula a store holds, skip the walk.  The walk
+names nothing in them and gives each a fixed list of clauses over its
+literals: a literal its unit clause, & the two units, | and -> one
+two-literal clause and <-> two, none where the formula always holds
+(p | ! p, p -> p, p <-> p).  _compile builds that list directly
+(_PAIR_CLAUSES), numbering new atoms in the same sorted order, so the
+result has the walk's atom ids, its clauses in its order and no fresh
+ids.
+
+The negation that entails tests is compiled once per goal instance
+too.  A re-parsed formula is a new instance and compiles afresh: the
+parser shares atom instances between formulas, but hands out every
+bare atom it returns as a fresh one.  A session shares more: its
+justification graph's formula table hands out one instance per
+distinct text, so there each distinct formula compiles once.
 
 Verdicts are not cached, but a satisfiable check can hand a model back
 as a Witness: one true literal picked from each clause, with the
@@ -270,6 +282,26 @@ def _compiled(formula: Formula) -> _Compiled:
 
 
 def _compile(formula: Formula) -> _Compiled:
+    """The formula's atom ids, clauses and fresh variables.
+
+    A literal, or a binary connective over two literals, is compiled by
+    its shape (_PAIR_CLAUSES) into what _walk_compile gives it; any
+    other formula is walked.
+    """
+    literal = _side(formula)
+    if literal:
+        a = _ATOM_IDS[literal[0]]
+        return _Compiled(frozenset((a,)), (frozenset((literal[1] * a,)),), ())
+    pair = _PAIR_CLAUSES.get(type(formula))
+    if pair is not None:
+        left, right = _side(formula.left), _side(formula.right)  # type: ignore[attr-defined]
+        if left and right:
+            a, b = _pair_ids(left[0], right[0])
+            return _Compiled(frozenset((a, b)), pair(left[1] * a, right[1] * b), ())
+    return _walk_compile(formula)
+
+
+def _walk_compile(formula: Formula) -> _Compiled:
     """The formula's atom ids, clauses and fresh variables, from one _Walk.
 
     A walk that meets an atom without an id stops; the formula's new
@@ -284,6 +316,37 @@ def _compile(formula: Formula) -> _Compiled:
             _ATOM_IDS[atom]
         walk = _Walk(formula)
     return _Compiled(frozenset(walk.atom_ids), tuple(walk.result), tuple(walk.fresh))
+
+
+def _side(f: Formula) -> tuple[Atom, int] | None:
+    """(atom, 1) for an atom, (atom, -1) for a negated atom, else None."""
+    if type(f) is Atom:
+        return f, 1  # type: ignore[return-value]
+    if type(f) is Not and type(f.operand) is Atom:  # type: ignore[attr-defined]
+        return f.operand, -1  # type: ignore[attr-defined]
+    return None
+
+
+def _pair_ids(x: Atom, y: Atom) -> tuple[int, int]:
+    """The ids of two atoms; new ones get theirs in sorted atom order,
+    as they would before a walk."""
+    a, b = _ATOM_IDS.get(x), _ATOM_IDS.get(y)
+    if a is None or b is None:
+        for atom in sorted({x, y}, key=_atom_key):
+            _ATOM_IDS[atom]
+        a, b = _ATOM_IDS[x], _ATOM_IDS[y]
+    return a, b
+
+
+# Connective -> the clauses _Walk gives it over the literals a and b,
+# in its order: a conjunction joins two units, a disjunction or an
+# implication that always holds gives none, and <-> two implications.
+_PAIR_CLAUSES: dict[type, Callable[[int, int], tuple[frozenset[int], ...]]] = {
+    And: lambda a, b: (frozenset((a,)), frozenset((b,))),
+    Or: lambda a, b: () if a == -b else (frozenset((a, b)),),
+    Implies: lambda a, b: () if a == b else (frozenset((-a, b)),),
+    Iff: lambda a, b: (frozenset((-a, b)), frozenset((-b, a))) if a != b else (),
+}
 
 
 class _NewAtom(Exception):

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import gc
 import hashlib
+import io
 import os
 import random
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -32,7 +34,7 @@ from veritas.ledger import (
     replay,
     verify_inclusion,
 )
-from veritas.logic import Atom, parse, render_canonical, sat, syntax
+from veritas.logic import Atom, Or, parse, parser, render_canonical, sat, syntax
 
 
 def observation(
@@ -705,7 +707,9 @@ class TestReplayScale:
 
 class TestColdLoad:
     """Opening a store reads each node's conclusion once: one parse, at
-    most one walk of the tree to render it, one compile."""
+    most one walk of the tree to render it, one compile.  An atom or a
+    two-atom rule keeps the canonical text it was read from, so it is
+    never walked."""
 
     def test_each_conclusion_renders_and_compiles_once(
         self, tmp_path, monkeypatch
@@ -740,7 +744,41 @@ class TestColdLoad:
         for conclusion in conclusions:
             assert sum(f is conclusion for f in compiles) == 1
             walked = sum(f is conclusion for f in walks)
-            assert walked == (0 if isinstance(conclusion, Atom) else 1)
+            assert walked == (1 if isinstance(conclusion, Or) else 0)
+
+    def test_a_cold_read_ledger_replays_without_the_general_routes(
+        self, tmp_path, monkeypatch
+    ):
+        """A fresh session on an 80-line ledger built as the cold-read
+        benchmark builds it (atoms and two-atom rules) parses every
+        conclusion with one match and compiles it by its shape: the
+        tokenizer's precedence loop never runs, and no walk is built."""
+        monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
+        from workloads import COLD_LINES, ingest_stream
+
+        lines, _ = ingest_stream(921, COLD_LINES)
+        config = EngineConfig(ledger_path=str(tmp_path / "bench.vlog"), fixed_clock=True)
+        with Session(config) as session:
+            assert session.run_loop(lines, io.StringIO(), io.StringIO()) == 0
+            expected = export(session.base)
+
+        tokenized, walked = [], []
+        formula, walk = parser._formula, sat._Walk
+
+        def spy_formula(tokens):
+            tokenized.append(tokens)
+            return formula(tokens)
+
+        def spy_walk(f):
+            walked.append(f)
+            return walk(f)
+
+        monkeypatch.setattr(parser, "_formula", spy_formula)
+        monkeypatch.setattr(sat, "_Walk", spy_walk)
+        with Session(config) as session:
+            assert export(session.base) == expected
+            assert len(session.graph) == COLD_LINES
+        assert tokenized == [] and walked == []
 
 
 class TestMerkle:

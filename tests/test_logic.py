@@ -7,8 +7,13 @@ beyond the formula classes themselves.
 
 from __future__ import annotations
 
+import json
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -30,7 +35,7 @@ from oracles import (
     witness_valuations,
 )
 
-from veritas.logic import sat
+from veritas.logic import parser, sat, syntax
 from veritas.logic import (
     And,
     Atom,
@@ -327,9 +332,56 @@ _SOUP = st.lists(
 ).map("".join)
 
 
+# Identifiers for the canonical shapes parse reads with one match, the
+# last three with letters outside ASCII, which no identifier holds.
+_SHAPE_IDENTS = st.sampled_from(["p", "S9", "At", "x_y", "Zz0", "é", "λx", "Ab\u00df"])
+_SHAPE_ATOM_TEXTS = st.builds(
+    lambda name, args, comma: f"{name}({comma.join(args)})" if args else name,
+    _SHAPE_IDENTS,
+    st.lists(_SHAPE_IDENTS, max_size=3),
+    st.sampled_from([",", ", ", " ,"]),
+)
+# Canonical shapes first, then near misses the general route must read.
+_SHAPE_TEMPLATES = [
+    "{a}", "(! {a})", "({a} & {b})", "({a} | {b})", "({a} -> {b})", "({a} <-> {b})",
+    "({a}->{b})", "( {a} -> {b})", "({a} -> {b} )", "({a}  | {b})", "(({a}) -> {b})",
+    "({a} -> {b} -> {c})", "(! !{a})", "(!{a})", "(! ({a}))", "((! {a}) <-> {b})",
+    "({a} -> {b}", "{a} -> {b})", "(({a} & {b}))", "({a} & {b}) | {c}", "{a} -> {b}",
+    "({a} <- {b})", "({a} ! {b})", "(! {a} & {b})", "()", "(! )", "({a} & )",
+]
+_SHAPE_TEXTS = st.builds(
+    lambda template, a, b, c, tail: template.format(a=a, b=b, c=c) + tail,
+    st.sampled_from(_SHAPE_TEMPLATES),
+    _SHAPE_ATOM_TEXTS,
+    _SHAPE_ATOM_TEXTS,
+    _SHAPE_ATOM_TEXTS,
+    st.sampled_from(["", "", "\n", " ", "\t"]),
+)
+
+
 class TestParserParity:
     """The operator-precedence parser against the recursive-descent one
     it replaced, kept in oracles as reference_parse."""
+
+    @settings(max_examples=1500, deadline=None)
+    @given(_SHAPE_TEXTS)
+    @example("(S9 -> At(a,b))")
+    @example("(At(a,b,c) <-> (! p))")
+    @example("(é -> p)")
+    @example("(p -> q)\n")
+    @example("At(a, b)")
+    def test_canonical_shapes_and_near_misses_agree(self, text):
+        """Every text near the shapes parse reads with one match gets the
+        reference parser's tree or error.  A compound formula shares the
+        table's atoms, and a text it keeps is the canonical one."""
+        got = outcome(parse, text)
+        assert got == outcome(reference_parse, text)
+        if isinstance(got, (tuple, Atom)):
+            return
+        for atom in syntax._iter_atoms(got):
+            assert atom is parser._ATOMS[render_canonical(atom)]
+        if got._text is not None:
+            assert got._text == text == render_canonical(reference_parse(text))
 
     @settings(max_examples=200, deadline=None)
     @given(formulas, st.randoms(use_true_random=False))
@@ -647,9 +699,42 @@ def is_shape(f: Formula) -> bool:
     return isinstance(f, Atom)
 
 
+# Two atoms whose sorted order is not their order in the formulas below.
+_KERNEL_X, _KERNEL_Y = Atom("q"), Atom("At", ("a", "b"))
+
+
+def _signed(atom: Atom, negative: bool) -> Formula:
+    return Not(atom) if negative else atom
+
+
+# Every shape _compile builds without a walk: both literals of an atom,
+# and each connective over two signed literals, of two distinct atoms or
+# of one atom twice.
+_KERNEL_SHAPES = [_KERNEL_X, Not(_KERNEL_X)] + [
+    kind(_signed(_KERNEL_X, left), _signed(right_atom, right))
+    for kind in (And, Or, Implies, Iff)
+    for right_atom in (_KERNEL_Y, _KERNEL_X)
+    for left in (False, True)
+    for right in (False, True)
+]
+
+
 class TestCompileParity:
     """The definitional walk against plain distribution, kept in oracles
-    as reference_compile."""
+    as reference_compile, and the shapes compiled without a walk against
+    the walk."""
+
+    @pytest.mark.parametrize("known", [[], [_KERNEL_X], [_KERNEL_Y], [_KERNEL_X, _KERNEL_Y]])
+    @pytest.mark.parametrize("f", _KERNEL_SHAPES, ids=render_canonical)
+    def test_every_shape_compiles_as_the_walk_does(self, f, known):
+        """Same atom ids, the same clauses in the same order, each
+        clause's literals in the same order, and no fresh ids, whether
+        the table is fresh, knows one atom or knows both."""
+        shaped = compile_with_table(sat._compile, f, known)
+        walked = compile_with_table(sat._walk_compile, f, known)
+        assert shaped == walked
+        assert [list(c) for c in shaped.clauses] == [list(c) for c in walked.clauses]
+        assert shaped.fresh_ids == ()
 
     @settings(max_examples=400, deadline=None)
     @given(st.one_of(_SHAPES, formulas), st.data())
@@ -687,6 +772,59 @@ class TestCompileParity:
         first, second = sat._ATOM_IDS[Atom("Aa_never_seen")], sat._ATOM_IDS[Atom("Zz_never_seen")]
         assert second == first + 1
         assert compiled.clauses == (frozenset({first, second}),)
+
+
+# Run by a fresh interpreter: compile a two-atom rule over atoms the
+# process has never seen, through parse's one match and _compile's
+# shape, then over a table reset to what it held before, through the
+# tokenizer and the walk.  Prints each result's atom ids and clauses.
+_FRESH_RULE_SCRIPT = """
+import json
+from veritas.logic import parse, parser, sat
+
+def refuse(*args):
+    raise AssertionError("the general route was taken")
+
+def result(compiled, atoms):
+    ids = {repr(atom): sat._ATOM_IDS[atom] for atom in atoms}
+    return [ids, [sorted(clause) for clause in compiled.clauses], list(compiled.fresh_ids)]
+
+atoms_before, ids_before = dict(parser._ATOMS), dict(sat._ATOM_IDS)
+general = parser._formula, sat._Walk
+parser._formula = sat._Walk = refuse
+rule = parse("(S9_new -> S2_new)")
+shaped = result(sat._compile(rule), [rule.left, rule.right])
+parser._formula, sat._Walk = general
+parser._ATOMS.clear()
+parser._ATOMS.update(atoms_before)
+sat._ATOM_IDS = sat._AtomIds(ids_before)
+rule = parse("S9_new  ->  S2_new")
+walked = result(sat._walk_compile(rule), [rule.left, rule.right])
+print(json.dumps([shaped, walked]))
+"""
+
+
+class TestKernelAtomIds:
+    """A fresh process numbers a rule's new atoms on the shape route as
+    on the general one, whatever the hash seed."""
+
+    def test_new_atoms_get_the_general_routes_ids(self):
+        src = str(Path(parser.__file__).resolve().parents[2])
+        results = []
+        for seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            done = subprocess.run(
+                [sys.executable, "-c", _FRESH_RULE_SCRIPT],
+                env=env, capture_output=True, text=True, check=True,
+            )
+            shaped, walked = json.loads(done.stdout)
+            assert shaped == walked
+            results.append(shaped)
+        ids, clauses, fresh = results[0]
+        assert results[1] == results[0]
+        x, y = ids["Atom(predicate='S2_new', args=())"], ids["Atom(predicate='S9_new', args=())"]
+        assert y == x + 1
+        assert clauses == [sorted((-y, x))] and fresh == []
 
 
 class TestClausify:
