@@ -25,11 +25,9 @@ from .engine import (
     EscalationError,
     Session,
     SessionLockedError,
-    proof_from_json,
-    proof_to_json,
     resolve_action,
 )
-from .justify import NoJustificationError
+from .justify import NoJustificationError, proof_from_json, proof_to_json
 from .ledger import Ledger, LedgerCorruptionError, ReplayError, StoreIOError, replay
 from .logic import ParseError, ResourceLimitError, render_canonical
 from .plan import PlanningError, render_trace
@@ -202,10 +200,10 @@ def _dispatch(args: argparse.Namespace, session: Session) -> int:
         out.write(session.query(args.formula).render() + "\n")
         return EXIT_OK
     if args.command == "justify":
-        chain, digest = session.justify_formula(args.formula)
-        for node in chain:
+        proof = session.justify_formula(args.formula)
+        for node in proof.chain:
             out.write(f"{node.rule}\t{render_canonical(node.conclusion)}\n")
-        out.write(f"digest\t{digest.hex()}\n")
+        out.write(f"digest\t{proof.digest.hex()}\n")
         return EXIT_OK
     if args.command == "prove":
         proof = session.prove(args.formula)

@@ -17,6 +17,12 @@ then commit the block that names it, and set the live base only once
 the batch is written; a batch that keeps no block keeps none of its
 nodes, in memory as on file.  A run line is one batch, and a failed one
 also gives the session back its base.
+
+query and prove read one Answer (Session._answer): a formula is
+entailed when held and assertable, or entailed by the assertable
+entries, at the held entry's probability, else at the weakest link of
+the preferred minimal support.  prove refuses any other formula;
+justify_formula reads the recorded chain of any held entry.
 """
 
 from __future__ import annotations
@@ -24,7 +30,6 @@ from __future__ import annotations
 import fcntl
 import functools
 import io
-import json
 import time
 from dataclasses import dataclass
 
@@ -59,10 +64,6 @@ from .justify import (
     PublicProof,
     VerifyResult,
     build_public_proof,
-    checked_fields,
-    hash_chain,
-    node_from_json,
-    node_to_json,
     verify_public_proof,
 )
 from .ledger import ZERO_HASH, Block, Ledger, NodeStore, Op, commit, replay, store_io
@@ -103,11 +104,28 @@ class EscalationError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class QueryResult:
+class Answer:
+    """Session._answer's answer: support is the held entry, else a
+    derived answer's preferred minimal support; tier and state follow
+    from the probability."""
+
+    formula: Formula
     entailed: bool
     probability: float
-    tier: ConfidenceTier
-    state: FourState
+    support: tuple[BeliefEntry, ...]
+
+    @property
+    def tier(self) -> ConfidenceTier:
+        return classify_confidence(self.probability)
+
+    @property
+    def state(self) -> FourState:
+        return project_four_state(self.probability)
+
+    @property
+    def held(self) -> bool:
+        key = render_canonical(self.formula)
+        return len(self.support) == 1 and self.support[0].key == key
 
     def render(self) -> str:
         verdict = "entailed" if self.entailed else "not-entailed"
@@ -119,38 +137,6 @@ class QueryResult:
                 f"state={self.state.value}",
             )
         )
-
-
-def proof_to_json(proof: PublicProof) -> str:
-    return json.dumps(
-        {
-            "conclusion": render_canonical(proof.conclusion),
-            "digest": proof.digest.hex(),
-            "chain": [json.loads(node_to_json(n)) for n in proof.chain],
-        },
-        indent=2,
-    )
-
-
-_PROOF_FIELDS = (("conclusion", str), ("digest", str), ("chain", list))
-
-
-def proof_from_json(text: str) -> PublicProof:
-    """The proof a proof_to_json file holds; ValueError if it holds none.
-
-    Bad JSON, a top level or field that checked_fields refuses, as it
-    refuses a node line's, and a bad node, conclusion or digest all
-    raise ValueError.  The conclusions share one formula table, so the
-    proof's conclusion, its last step's too, is parsed once.
-    """
-    conclusion, digest, chain = checked_fields(
-        json.loads(text), _PROOF_FIELDS, "proof"
-    )
-    formula = JustificationGraph().formula
-    chain = tuple(node_from_json(json.dumps(item), formula) for item in chain)
-    return PublicProof(
-        conclusion=formula(conclusion), chain=chain, digest=bytes.fromhex(digest)
-    )
 
 
 def parse_observation_line(line: str) -> tuple[str, float, str]:
@@ -350,35 +336,29 @@ class Session:
         kept_ids = {id(f) for f in kept}
         return [e for e in support if id(e.formula) in kept_ids]
 
-    def _entailed(self, formula: Formula) -> bool:
-        return entails(self.base.assertable_formulas(), formula)
-
-    def query(self, text: str) -> QueryResult:
-        formula = self.formula(text)
+    def _answer(self, formula: Formula) -> Answer:
+        """The answer query reports and prove certifies (see the module
+        docstring); an empty support, a tautology's, carries 1.0."""
         entry = self.base.find(formula)
         # A base entails each formula it holds, so a held, assertable
         # formula needs no solve.
-        held = entry is not None and entry.assertable
-        entailed = held or self._entailed(formula)
-        if entry is not None:
-            probability = entry.probability
-        elif entailed:
-            support = self._minimal_support(formula)
-            probability = (
-                weakest_link([e.probability for e in support])
-                if support
-                else 1.0
-            )
-        else:
-            probability = 0.0
-        return QueryResult(
-            entailed=entailed,
-            probability=probability,
-            tier=classify_confidence(probability),
-            state=project_four_state(probability),
+        entailed = (entry is not None and entry.assertable) or entails(
+            self.base.assertable_formulas(), formula
         )
+        if entry is not None:
+            return Answer(formula, entailed, entry.probability, (entry,))
+        if not entailed:
+            return Answer(formula, False, 0.0, ())
+        support = tuple(self._minimal_support(formula))
+        probability = weakest_link([e.probability for e in support]) if support else 1.0
+        return Answer(formula, True, probability, support)
 
-    def justify_formula(self, text: str):
+    def query(self, text: str) -> Answer:
+        return self._answer(self.formula(text))
+
+    def justify_formula(self, text: str) -> PublicProof:
+        """The unanchored proof of a held entry's recorded node, whether
+        or not the entry is asserted."""
         formula = self.formula(text)
         entry = self.base.find(formula)
         # No node id is None, so a missing justification is not in graph.
@@ -386,44 +366,30 @@ class Session:
             raise NoJustificationError(
                 f"no recorded justification for {render_canonical(formula)}"
             )
-        chain = self.graph.trace(entry.justification)
-        return chain, hash_chain(chain)
+        return build_public_proof(self.graph, entry.justification)
 
     def prove(self, text: str) -> PublicProof:
-        """Build an anchored public proof for a held or entailed formula."""
-        formula = self.formula(text)
-        entry = self.base.find(formula)
+        """Build an anchored public proof of an entailed formula: the held
+        entry's own node, else one entailment node over the answer's
+        support at its probability."""
+        answer = self._answer(self.formula(text))
+        if not answer.entailed:
+            raise NoJustificationError(
+                f"not entailed: {render_canonical(answer.formula)}"
+            )
         with self.ledger.batch():
-            if entry is not None and entry.justification in self.graph:
-                node_id = entry.justification
+            if answer.held:
+                proof = self.justify_formula(text)
             else:
-                if not self._entailed(formula):
-                    raise NoJustificationError(
-                        f"not entailed: {render_canonical(formula)}"
-                    )
-                support = self._minimal_support(formula)
-                premises = []
-                for supporting in support:
-                    if supporting.justification not in self.graph:
-                        raise NoJustificationError(
-                            f"support {supporting.key} has no justification node"
-                        )
-                    premises.append(supporting.justification)
                 node_id = self.graph.record_inference(
-                    formula,
-                    tuple(premises),
+                    answer.formula,
+                    tuple(e.justification for e in answer.support),
                     "entailment",
-                    Provenance(
-                        "engine",
-                        self._prov_ts(),
-                        weakest_link([e.probability for e in support])
-                        if support
-                        else 1.0,
-                    ),
+                    Provenance("engine", self._prov_ts(), answer.probability),
                 )
-            proof = build_public_proof(self.graph, node_id)
+                proof = build_public_proof(self.graph, node_id)
             if not self.ledger.contains_digest(proof.digest):
-                self._append_meta(render_canonical(formula), proof.digest)
+                self._append_meta(render_canonical(answer.formula), proof.digest)
         return proof
 
     def verify_proof(self, proof: PublicProof) -> VerifyResult:

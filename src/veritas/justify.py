@@ -6,6 +6,7 @@ construction and any mutation is detectable.  A public proof packages
 the sub-DAG supporting one formula together with a chain digest over
 the conclusion formulas; verification needs only the proof and a way to
 ask whether the digest is anchored, and admits each step by add_node.
+A proof file is what proof_to_json writes and proof_from_json reads.
 """
 
 from __future__ import annotations
@@ -454,6 +455,38 @@ def checked_fields(
         if not isinstance(obj[name], kind):
             raise ValueError(f"{what} field {name!r} has the wrong type")
     return [obj[name] for name, _ in fields]
+
+
+def proof_to_json(proof: PublicProof) -> str:
+    return json.dumps(
+        {
+            "conclusion": render_canonical(proof.conclusion),
+            "digest": proof.digest.hex(),
+            "chain": [json.loads(node_to_json(n)) for n in proof.chain],
+        },
+        indent=2,
+    )
+
+
+_PROOF_FIELDS = (("conclusion", str), ("digest", str), ("chain", list))
+
+
+def proof_from_json(text: str) -> PublicProof:
+    """The proof a proof_to_json file holds; ValueError if it holds none.
+
+    Bad JSON, a top level or field that checked_fields refuses, as it
+    refuses a node line's, and a bad node, conclusion or digest all
+    raise ValueError.  The conclusions share one formula table, so the
+    proof's conclusion, its last step's too, is parsed once.
+    """
+    conclusion, digest, chain = checked_fields(
+        json.loads(text), _PROOF_FIELDS, "proof"
+    )
+    formula = JustificationGraph().formula
+    chain = tuple(node_from_json(json.dumps(item), formula) for item in chain)
+    return PublicProof(
+        conclusion=formula(conclusion), chain=chain, digest=bytes.fromhex(digest)
+    )
 
 
 def load_graph(

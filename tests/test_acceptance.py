@@ -31,7 +31,7 @@ from veritas.belief import (
     revise,
 )
 from veritas.config import EngineConfig, load_config
-from veritas.engine import Session, proof_from_json, proof_to_json
+from veritas.engine import Session
 from veritas.guard import (
     FailureEvent,
     FailureKind,
@@ -45,6 +45,8 @@ from veritas.justify import (
     PublicProof,
     hash_chain,
     node_digest,
+    proof_from_json,
+    proof_to_json,
 )
 from veritas.ledger import (
     Ledger,

@@ -162,6 +162,27 @@ class TestJustifyAndProve:
         assert code == 0
         assert out == "ok\n"
 
+    def test_prove_refuses_what_query_does_not_entail(self, cli, tmp_path):
+        """A formula held below the gate is no answer: prove exits 1 and
+        writes no file, block or node, while justify still prints the
+        held entry's record."""
+        assert cli("observe", "q", "--p", "0.6") == (0, "stored-non-assertable\tq\n", "")
+        assert cli("query", "q") == (
+            0, "not-entailed\tp=0.6\ttier=2\tstate=Uncertain\n", ""
+        )
+        stores = [tmp_path / name for name in ("veritas.vlog", "veritas.nodes")]
+        before = [path.read_bytes() for path in stores]
+        assert cli("prove", "q", "--out", "q.proof") == (
+            1, "", "error\tjustify\tnot entailed: q\n"
+        )
+        assert [path.read_bytes() for path in stores] == before
+        assert not (tmp_path / "q.proof").exists()
+        assert cli("ledger", "verify") == (0, "ok\t1\n", "")
+        code, out, _ = cli("justify", "q")
+        assert code == 0
+        assert out.splitlines()[0] == "observation\tq"
+        assert out.splitlines()[-1].startswith("digest\t")
+
     def test_tampered_proof_file_is_rejected(self, cli, tmp_path):
         cli("observe", "p", "--p", "0.99")
         cli("prove", "p", "--out", "p.proof")

@@ -41,12 +41,15 @@ from veritas.engine import (
     SessionLockedError,
     parse_goal_literals,
     parse_observation_line,
-    proof_from_json,
-    proof_to_json,
     resolve_action,
 )
 from veritas.guard import FailureEvent, FailureKind
-from veritas.justify import NoJustificationError, node_to_json
+from veritas.justify import (
+    NoJustificationError,
+    node_to_json,
+    proof_from_json,
+    proof_to_json,
+)
 from veritas.ledger import (
     ZERO_HASH,
     Ledger,
@@ -600,6 +603,53 @@ class TestQuery:
             assert solves == ["q", "r"]
 
 
+# Literals, rules and disjunctions over four atoms.
+ANSWER_POOL = (
+    list("pqrs")
+    + [f"!{a}" for a in "pqrs"]
+    + [f"{a} -> {b}" for a in "pqrs" for b in "pqrs" if a != b]
+    + [f"{a} | {b}" for a in "pqrs" for b in "pqrs" if a < b]
+)
+
+
+class TestOneAnswer:
+    """query and prove read one answer (Session._answer)."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_prove_certifies_exactly_what_query_entails(self, make_config, seed):
+        """Random observations over four atoms at 0.6, 0.96 and 0.99,
+        refused ones skipped, then every goal of the pool: query entails
+        a goal exactly when the base holds it as assertable or its
+        assertable entries entail it (tt_entails); prove refuses exactly
+        the goals query does not entail; and every proof verifies, its
+        last step at query's probability."""
+        rng = random.Random(seed)
+        with Session(make_config(ledger_path="")) as session:
+            for _ in range(rng.randrange(3, 9)):
+                try:
+                    session.observe(
+                        rng.choice(ANSWER_POOL), rng.choice((0.6, 0.96, 0.99)), "s"
+                    )
+                except ConsistencyError:
+                    continue
+            assertable = session.base.assertable_formulas()
+            for text in ANSWER_POOL:
+                goal = parse(text)
+                entry = session.base.find(goal)
+                answer = session.query(text)
+                assert answer.entailed == (
+                    (entry is not None and entry.assertable)
+                    or tt_entails(assertable, goal)
+                ), text
+                if not answer.entailed:
+                    with pytest.raises(NoJustificationError):
+                        session.prove(text)
+                    continue
+                proof = session.prove(text)
+                assert session.verify_proof(proof).ok
+                assert proof.chain[-1].provenance.confidence == answer.probability
+
+
 class TestMinimalSupport:
     """The support behind a derived answer is the preferred minimal one."""
 
@@ -752,6 +802,41 @@ class TestProofs:
             session.observe("p", 0.99, "sensor")
             with pytest.raises(NoJustificationError):
                 session.prove("r")
+
+    @pytest.mark.parametrize("demoted", [False, True], ids=["below-gate", "demoted"])
+    def test_a_held_formula_that_is_not_entailed_is_refused(
+        self, make_config, demoted
+    ):
+        """prove reads query's answer: a held entry that the assertable
+        entries do not entail, stored below the gate or demoted by
+        protocol II, gets no proof, and the refusal writes no block and
+        no node.  justify still returns the entry's recorded chain."""
+        config = make_config()
+        with Session(config) as session:
+            if demoted:
+                session.observe("q", 0.99, "sensor")
+                session.recover(
+                    FailureEvent(FailureKind.JUSTIFICATION_BREAKDOWN, "q")
+                )
+            else:
+                assert session.observe("q", 0.6, "scout") == "stored-non-assertable"
+            entry = session.base.find(parse("q"))
+            assert not entry.assertable
+            assert session.query("q").render() == (
+                "not-entailed\tp=0.005\ttier=0\tstate=Rejected"
+                if demoted
+                else "not-entailed\tp=0.6\ttier=2\tstate=Uncertain"
+            )
+            stores = [Path(config.ledger_path), Path(config.resolved_nodes_path())]
+            before = [path.read_bytes() for path in stores]
+            length, nodes = len(session.ledger), len(session.graph)
+            with pytest.raises(NoJustificationError, match="^not entailed: q$"):
+                session.prove("q")
+            assert (len(session.ledger), len(session.graph)) == (length, nodes)
+            chain = session.justify_formula("q").chain
+            assert chain[-1].node_id == entry.justification
+            assert chain[-1].rule == ("demotion" if demoted else "observation")
+        assert [path.read_bytes() for path in stores] == before
 
     def test_a_proof_already_anchored_keeps_no_node(self, make_config):
         """A second proof of q, after an observation moved the clock,
