@@ -9,15 +9,18 @@ names are bad input), 1 anything else.  Errors go to stderr as one
 tab-separated ``error`` line.  A reader that closes stdout early is not
 an error: the command stops at its first failed write, prints nothing
 more and exits 141, as a shell reports a command that SIGPIPE ended.
+A plain command line is read straight from the command table; help and
+usage errors come from argparse, worded as the Python release words them.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
+from typing import TYPE_CHECKING
 
 from .belief import ConsistencyError, export
 from .config import EngineConfig, ThetaRangeWarning, apply_env, apply_file, assign
@@ -31,6 +34,9 @@ from .justify import NoJustificationError, proof_from_json, proof_to_json
 from .ledger import Ledger, LedgerCorruptionError, ReplayError, StoreIOError, replay
 from .logic import ParseError, ResourceLimitError, render_canonical
 from .plan import PlanningError, render_trace
+
+if TYPE_CHECKING:
+    import argparse
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -87,11 +93,10 @@ _COMMANDS: dict[str, tuple] = {
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The veritas parser; given a command, with only its subparser.
+def build_parser() -> argparse.ArgumentParser:
+    """The veritas parser, every command's subparser built."""
+    import argparse
 
-    Help and usage output are the same either way.
-    """
     parser = argparse.ArgumentParser(
         prog="veritas",
         description="Auditable beliefs, proofs, and plans over a hash-chained ledger.",
@@ -106,34 +111,58 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         help="override one config entry (repeatable)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    if command is not None:
-        # The usage line must still list every command.  Only here: a
-        # metavar also renames the argument in the errors about a missing
-        # or unknown command, which only the full parser reports.
-        sub.metavar = "{%s}" % ",".join(_COMMANDS)
-    for name in _COMMANDS if command is None else (command,):
-        help_text, *arguments = _COMMANDS[name]
+    for name, (help_text, *arguments) in _COMMANDS.items():
         subparser = sub.add_parser(name, help=help_text)
         for flag, options in arguments:
             subparser.add_argument(flag, **options)
     return parser
 
 
-def _named_command(argv: list[str]) -> str | None:
-    """The command argv names after its --config and --set pairs, if known.
-
-    Any other spelling (--set=..., an abbreviated option, -h) gives
-    None, and with it the full parser.
-    """
-    at = 0
-    while at < len(argv) and argv[at] in ("--config", "--set"):
+def _plain(argv: list[str]) -> SimpleNamespace | None:
+    """What build_parser().parse_args(argv) gives, if argv is plain:
+    --config and --set pairs, a command, then its own flags spelt in
+    full, each once with a value, and exactly its positionals, where no
+    value starts with "-" and each converts.  Otherwise None."""
+    at, config, overrides = 0, [None], []
+    while argv[at:at + 1] in (["--config"], ["--set"]):
+        if at + 1 == len(argv) or argv[at + 1].startswith("-"):
+            return None
+        (config if argv[at] == "--config" else overrides).append(argv[at + 1])
         at += 2
-    if at < len(argv) and argv[at] in _COMMANDS:
-        return argv[at]
-    return None
+    if at == len(argv) or argv[at] not in _COMMANDS:
+        return None
+    _, *arguments = _COMMANDS[argv[at]]
+    fields = {"config": config[-1], "overrides": overrides, "command": argv[at]}
+    given, words = {}, []
+    rest = iter(argv[at + 1:])
+    for token in rest:
+        if token.startswith("-"):
+            value = next(rest, "-")
+            if token in given or value.startswith("-"):
+                return None
+            given[token] = value
+        else:
+            words.append(token)
+    positionals = iter(words)
+    for name, options in arguments:
+        raw = given.pop(name, None) if name[0] == "-" else next(positionals, None)
+        value = options.get("default")
+        if raw is None and options.get("required", name[0] != "-"):
+            return None
+        if raw is not None:
+            try:
+                value = options.get("type", str)(raw)
+            except (TypeError, ValueError):
+                return None
+            if value not in options.get("choices", (value,)):
+                return None
+        fields[name.lstrip("-")] = value
+    if given or next(positionals, None) is not None:
+        return None
+    return SimpleNamespace(**fields)
 
 
-def _build_config(args: argparse.Namespace) -> EngineConfig:
+def _build_config(args: SimpleNamespace) -> EngineConfig:
     """The file, then VERITAS_ variables, then each --set, validated once.
 
     Each warning the validation raises prints as one tab-separated line
@@ -184,7 +213,7 @@ def _read_policy(path: str) -> tuple[list[str], float | None, float | None]:
     return actions, expected, actual
 
 
-def _dispatch(args: argparse.Namespace, session: Session) -> int:
+def _dispatch(args: SimpleNamespace, session: Session) -> int:
     out = sys.stdout
     if args.command == "observe":
         formula = session.formula(args.formula)
@@ -280,9 +309,8 @@ def _error(category: str, err: object) -> None:
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    parser = build_parser(_named_command(argv))
     try:
-        args = parser.parse_args(argv)
+        args = _plain(argv) or SimpleNamespace(**vars(build_parser().parse_args(argv)))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

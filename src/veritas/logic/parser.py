@@ -283,7 +283,11 @@ def parse(text: str) -> Formula:
     atom = _ATOMS.get(text)
     if atom is not None:
         return _fresh(atom)
-    shape = _SHAPE_RE.fullmatch(text)
+    # Only a canonical compound starts with "(", and a bare atom has no
+    # space and no "!": stream spellings such as "S1 -> S2" skip the match.
+    shape = None
+    if text[:1] == "(" or " " not in text and "!" not in text:
+        shape = _SHAPE_RE.fullmatch(text)
     if shape is not None:
         left, op, right, bare = shape.groups()
         if bare is not None:

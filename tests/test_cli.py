@@ -16,6 +16,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from oracles import reference_first_bad_block
 from test_engine import FullDisk
 
@@ -1156,7 +1158,7 @@ class TestConfigPlumbing:
         """Each field but reliability, coerced by the type of its default."""
         raw, value = GOOD_VALUE[type(getattr(EngineConfig(), key))]
         argv = setting(source, key, raw, monkeypatch, tmp_path)
-        args = veritas.cli.build_parser("query").parse_args([*argv, "query", "p"])
+        args = veritas.cli.build_parser().parse_args([*argv, "query", "p"])
         assert getattr(veritas.cli._build_config(args), key) == value
 
     @pytest.mark.parametrize("source", ["file", "env", "set"])
@@ -1221,7 +1223,7 @@ class TestConfigPlumbing:
     @pytest.mark.parametrize("name, key", ENV_NAMES)
     def test_environment_names_map_to_keys(self, monkeypatch, name, key):
         """A VERITAS_ name sets the key the table gives; any other is ignored."""
-        args = veritas.cli.build_parser("query").parse_args(["query", "p"])
+        args = veritas.cli.build_parser().parse_args(["query", "p"])
         before = dataclasses.asdict(veritas.cli._build_config(args))
         monkeypatch.setenv(name, "0.97")
         after = dataclasses.asdict(veritas.cli._build_config(args))
@@ -1394,12 +1396,13 @@ class TestSurface:
 
     @pytest.mark.parametrize(
         "argv, built",
-        [(["query", "p"], 2), (["-h"], 1 + len(COMMAND_NAMES))],
+        [(["query", "p"], 0), (["-h"], 1 + len(COMMAND_NAMES))],
         ids=["query p", "-h"],
     )
     def test_a_command_builds_only_its_own_subparser(
         self, argv, built, bare_cli, monkeypatch, capsys
     ):
+        """A plain command line builds no parser; help builds them all."""
         inits = []
         original = argparse.ArgumentParser.__init__
 
@@ -1411,6 +1414,124 @@ class TestSurface:
         code, _, _ = run_main(argv, capsys)
         assert code == 0
         assert len(inits) == built
+
+
+# Every flag of every command.
+FLAGS = sorted(
+    {
+        flag
+        for _, *arguments in veritas.cli._COMMANDS.values()
+        for flag, _ in arguments
+        if flag.startswith("-")
+    }
+)
+VALUES = ["p", "p -> q", "0.9", "3", "-0.5", "-1", "-", "", "abc", "verify", "bogus"]
+# Commands, flags spelt in full, abbreviated and joined to a value, the
+# global options, help, the end of options, and values.
+TOKENS = [
+    *COMMAND_NAMES,
+    *FLAGS,
+    *(flag[:-1] for flag in FLAGS if len(flag) > 3),
+    *(f"{flag}=1" for flag in FLAGS),
+    "--set=fixed_clock=true",
+    "--config", "--set", "--conf", "-h", "--",
+    *VALUES,
+]
+
+
+@st.composite
+def command_lines(draw) -> list[str]:
+    """Global option pairs, a command, its positionals and each of its
+    flags up to twice, in any order and each with a value, then up to
+    two tokens inserted, replaced or deleted: often plain, often one
+    token off."""
+    value = st.sampled_from(VALUES)
+    name = draw(st.sampled_from(COMMAND_NAMES))
+    _, *arguments = veritas.cli._COMMANDS[name]
+    argv = []
+    for _ in range(draw(st.integers(0, 2))):
+        argv += [draw(st.sampled_from(["--config", "--set"])), draw(value)]
+    argv.append(name)
+    for flag, _ in draw(st.permutations(arguments)):
+        if flag.startswith("-"):
+            for _ in range(draw(st.integers(0, 2))):
+                argv += [flag, draw(value)]
+        else:
+            argv.append(draw(value))
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(argv)))
+        edit = draw(st.sampled_from(["insert", "replace", "delete"]))
+        if edit == "insert":
+            argv.insert(at, draw(st.sampled_from(TOKENS)))
+        elif at < len(argv):
+            argv[at:at + 1] = [draw(st.sampled_from(TOKENS))] if edit == "replace" else []
+    return argv
+
+
+# The cold-read benchmark's command lines: ledger verify, then query,
+# prove and verify-proof of two held and two derived atoms.
+COLD_FLAGS = ["--set", "ledger_path=cold-read/bench.vlog", "--set", "fixed_clock=true"]
+COLD_READ_ARGV = [[*COLD_FLAGS, "ledger", "verify"]] + [
+    argv
+    for k, atom in enumerate(["S15", "S26", "S32", "S8"])
+    for argv in (
+        [*COLD_FLAGS, "query", atom],
+        [*COLD_FLAGS, "prove", atom, "--out", f"cold-read/proof{k}.json"],
+        [*COLD_FLAGS, "verify-proof", f"cold-read/proof{k}.json"],
+    )
+]
+# Lines the table must read itself: the README's examples (its quick
+# start first), the CI quick start's other lines, and cold-read's.
+PLAIN_ARGV = [
+    ["observe", "p", "--p", "0.99", "--source", "sensor"],
+    ["observe", "p -> q", "--p", "0.97", "--source", "rulebook"],
+    ["query", "q"],
+    ["prove", "q", "--out", "q.proof"],
+    ["verify-proof", "q.proof"],
+    ["ledger", "verify"],
+    ["plan", "--domain", "nav.domain", "--goal", "At(Agent1,LocationB)"],
+    ["rollback", "--to", "0"],
+    ["ledger", "replay", "--to", "5"],
+    ["audit"],
+    ["observe", "r", "--p", "0.6"],
+    ["prove", "r", "--out", "r.proof"],
+    *COLD_READ_ARGV,
+]
+
+
+class TestPlainCommandLine:
+    """main reads a plain command line from the command table, and must
+    read it as the full parser does."""
+
+    @settings(max_examples=600, deadline=None)
+    @given(command_lines())
+    # A repeated flag whose first value fails, an option as a value, and
+    # a value outside the choices: rare draws that the parser refuses.
+    @example(["observe", "p", "--p", "abc", "--p", "0.9"])
+    @example(["prove", "p", "--out", "-h"])
+    @example(["ledger", "bogus"])
+    def test_a_plain_line_reads_as_the_parser_reads_it(self, argv):
+        plain = veritas.cli._plain(argv)
+        if plain is None:
+            return
+        try:
+            parsed = veritas.cli.build_parser().parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"the parser refuses {argv!r}, which read as plain")
+        assert vars(plain) == vars(parsed)
+
+    @pytest.mark.parametrize("argv", PLAIN_ARGV, ids=" ".join)
+    def test_common_lines_are_plain(self, argv):
+        plain = veritas.cli._plain(argv)
+        assert plain is not None
+        assert vars(plain) == vars(veritas.cli.build_parser().parse_args(argv))
+
+    def test_a_plain_command_leaves_argparse_unloaded(self, tmp_path):
+        script = (
+            "import sys, veritas.cli; code = veritas.cli.main(['ledger', 'verify']); "
+            "print(code, 'argparse' in sys.modules, 'gettext' in sys.modules)"
+        )
+        assert run_fresh(script, cwd=tmp_path) == "ok\t0\n0 False False\n"
 
 
 class TestClosedStdout:
