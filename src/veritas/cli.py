@@ -302,8 +302,21 @@ def _verify_only(config: EngineConfig) -> int:
     return EXIT_OK
 
 
-def _error(category: str, err: object) -> None:
-    sys.stderr.write(f"error\t{category}\t{err}\n")
+# How main reports an error: the first row whose types it is an instance
+# of gives its category and exit status, so StoreIOError comes before
+# OSError and ParseError before ValueError.  Any other error propagates.
+_FAILURES: tuple[tuple[tuple[type[Exception], ...], str, int], ...] = (
+    ((StoreIOError,), "io", EXIT_IO),
+    ((ParseError,), "parse", EXIT_USAGE),
+    ((ValueError, OSError), "usage", EXIT_USAGE),
+    ((ConsistencyError,), "refused", EXIT_REFUSED),
+    ((LedgerCorruptionError, ReplayError), "ledger", EXIT_CORRUPT),
+    ((PlanningError,), "plan", EXIT_NO_PLAN),
+    ((EscalationError,), "escalated", EXIT_ESCALATED),
+    ((ResourceLimitError,), "limit", EXIT_LIMIT),
+    ((NoJustificationError,), "justify", EXIT_ERROR),
+    ((SessionLockedError,), "locked", EXIT_ERROR),
+)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -333,36 +346,12 @@ def main(argv: list[str] | None = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return EXIT_CLOSED_STDOUT
-    except StoreIOError as err:
-        _error("io", err)
-        return EXIT_IO
-    except ParseError as err:
-        _error("parse", err)
-        return EXIT_USAGE
-    except (ValueError, OSError) as err:
-        _error("usage", err)
-        return EXIT_USAGE
-    except ConsistencyError as err:
-        _error("refused", err)
-        return EXIT_REFUSED
-    except (LedgerCorruptionError, ReplayError) as err:
-        _error("ledger", err)
-        return EXIT_CORRUPT
-    except PlanningError as err:
-        _error("plan", err)
-        return EXIT_NO_PLAN
-    except EscalationError as err:
-        _error("escalated", err)
-        return EXIT_ESCALATED
-    except ResourceLimitError as err:
-        _error("limit", err)
-        return EXIT_LIMIT
-    except NoJustificationError as err:
-        _error("justify", err)
-        return EXIT_ERROR
-    except SessionLockedError as err:
-        _error("locked", err)
-        return EXIT_ERROR
+    except Exception as err:
+        for types, category, status in _FAILURES:
+            if isinstance(err, types):
+                sys.stderr.write(f"error\t{category}\t{err}\n")
+                return status
+        raise
 
 
 if __name__ == "__main__":

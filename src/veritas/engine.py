@@ -15,8 +15,10 @@ the graph as they were, for every command.  observe, prove and a
 recovery record each node with record_inference inside their batch,
 then commit the block that names it, and set the live base only once
 the batch is written; a batch that keeps no block keeps none of its
-nodes, in memory as on file.  A run line is one batch, and a failed one
-also gives the session back its base.
+nodes, in memory as on file.  A run line is one batch; a failed one
+leaves the chain as it was, and the session reads its base back.  Under
+fixed_clock a block is stamped with its index, and a node with the count
+of INSERT and REVISE blocks in the chain, rollback's re-inserts included.
 
 query and prove read one Answer (Session._answer): a formula is
 entailed when held and assertable, or entailed by the assertable
@@ -66,7 +68,7 @@ from .justify import (
     build_public_proof,
     verify_public_proof,
 )
-from .ledger import ZERO_HASH, Block, Ledger, NodeStore, Op, commit, replay, store_io
+from .ledger import ZERO_HASH, Block, Ledger, NodeStore, Op, _store_error, commit, replay
 from .logic import (
     Atom,
     Formula,
@@ -186,9 +188,7 @@ class Session:
             # would keep the lock held through its traceback.
             self.close()
             raise
-        self._obs_seq = sum(
-            1 for b in self.ledger.blocks if b.op in (Op.INSERT, Op.REVISE)
-        )
+        self._read_back()
         self._domain: Domain | None = None
         # The last planning problem and its plan or error, see _abduce.
         self._last_plan: tuple | None = None
@@ -212,9 +212,18 @@ class Session:
         """The base replayed from the ledger on first use."""
         return replay(self.ledger, self.config, self.graph)
 
+    def _read_back(self) -> None:
+        """Drop the cached base, which the next use replays from the
+        chain, and count the fixed clock's INSERT and REVISE blocks."""
+        self.__dict__.pop("base", None)
+        blocks = self.ledger.blocks
+        self._insert_blocks = sum(b.op in (Op.INSERT, Op.REVISE) for b in blocks)
+
     def _acquire_lock(self, path: str) -> None:
-        with store_io(path):
+        try:
             handle = open(path, "a+")
+        except OSError as err:
+            raise _store_error(err, path) from err
         try:
             fcntl.flock(handle.fileno(), fcntl.LOCK_EX | fcntl.LOCK_NB)
         except OSError:
@@ -250,7 +259,7 @@ class Session:
 
     def _prov_ts(self) -> int:
         if self.config.fixed_clock:
-            return self._obs_seq
+            return self._insert_blocks
         return int(time.time() * 1000)
 
     # -- persistence ----------------------------------------------------
@@ -303,7 +312,7 @@ class Session:
                 Op.INSERT, render_canonical(formula), bytes.fromhex(node_id)
             )
         self.base = base
-        self._obs_seq += 1
+        self._insert_blocks += 1
         if block.op == Op.REVISE:
             return "revised"
         entry = self.base.find(formula)
@@ -622,8 +631,7 @@ class Session:
                         f"cannot restore {key}: no matching node"
                     )
             self.base, _ = self._commit(Op.INSERT, key, bytes.fromhex(insert_id))
-            # A reopened session counts every insert on its fixed clock.
-            self._obs_seq += 1
+            self._insert_blocks += 1
             appended += 1
             if self.base.find(formula) != entry:
                 self.base, _ = self._commit(
@@ -657,7 +665,7 @@ class Session:
         batch, and its output once that batch is on disk.  A line that
         raises prints nothing, but the blocks it appended are written.  If
         writing them fails, none is kept, nor is any node the line added,
-        and the session and its files are as they were before the line.
+        and the session reads its base and clock back from the chain.
         """
         goal = None
         if self.config.goal:
@@ -667,8 +675,7 @@ class Session:
         self._append_meta("session-start")
         for raw in lines:
             said, warned = io.StringIO(), io.StringIO()
-            length, seq = len(self.ledger), self._obs_seq
-            base = self.__dict__.get("base")  # None until first replayed
+            length = len(self.ledger)
             try:
                 with self.ledger.batch():
                     status = self._run_line(raw, goal, said, warned)
@@ -677,11 +684,7 @@ class Session:
                     # No block of the line is in the chain (a failed write
                     # drops them all with their nodes), so neither is any
                     # change it made.
-                    self._obs_seq = seq
-                    if base is None:
-                        self.__dict__.pop("base", None)
-                    else:
-                        self.base = base
+                    self._read_back()
                 raise
             out.write(said.getvalue())
             diag.write(warned.getvalue())

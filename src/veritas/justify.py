@@ -114,7 +114,6 @@ class JustificationGraph:
 
     def __init__(self) -> None:
         self._nodes: dict[str, JustificationNode] = {}
-        self._by_conclusion: dict[str, list[str]] = {}
         self._formulas: dict[str, Formula] = {}
 
     def __contains__(self, node_id: str) -> bool:
@@ -195,16 +194,16 @@ class JustificationGraph:
                     f"premises do not entail {render_canonical(node.conclusion)}"
                 )
         self._nodes[node.node_id] = node
-        key = render_canonical(node.conclusion)
-        self._by_conclusion.setdefault(key, []).append(node.node_id)
         return node.node_id
 
     def nodes_for(self, formula: Formula) -> list[str]:
-        """All node ids concluding the formula, oldest first."""
-        return list(self._by_conclusion.get(render_canonical(formula), []))
+        """All node ids concluding the formula, oldest first, by a scan."""
+        key = render_canonical(formula)
+        nodes = self._nodes.values()
+        return [n.node_id for n in nodes if render_canonical(n.conclusion) == key]
 
     def latest_for(self, formula: Formula) -> str | None:
-        ids = self._by_conclusion.get(render_canonical(formula))
+        ids = self.nodes_for(formula)
         return ids[-1] if ids else None
 
     def trace(self, target: Formula | str) -> list[JustificationNode]:
@@ -262,18 +261,9 @@ class JustificationGraph:
         return list(newest)[::-1]
 
     def truncate(self, count: int) -> None:
-        """Drop the nodes added after the first count, newest first.
-
-        A node's id is the newest under its conclusion until a later
-        node joins, so each removal pops the end of its index list.
-        """
+        """Drop the nodes added after the first count, newest first."""
         while len(self._nodes) > count:
-            _, node = self._nodes.popitem()
-            key = render_canonical(node.conclusion)
-            ids = self._by_conclusion[key]
-            ids.pop()
-            if not ids:
-                del self._by_conclusion[key]
+            self._nodes.popitem()
 
 
 def build_public_proof(graph: JustificationGraph, target: Formula | str) -> PublicProof:

@@ -85,20 +85,8 @@ class StoreIOError(OSError):
 
 
 def _store_error(err: OSError, path) -> StoreIOError:
-    """err as a StoreIOError naming path."""
+    """err as a StoreIOError naming path: each store-file OSError's one mapping."""
     return StoreIOError(err.errno, err.strerror or str(err), os.fspath(path))
-
-
-@contextlib.contextmanager
-def store_io(path):
-    """Raise an OSError from inside as a StoreIOError naming path.  The
-    writes of a batch, which run for every block, catch the error
-    themselves and raise _store_error's, since entering a generator
-    context manager costs a microsecond or so."""
-    try:
-        yield
-    except OSError as err:
-        raise _store_error(err, path) from err
 
 
 class ReplayError(RuntimeError):
@@ -280,8 +268,10 @@ class Ledger:
         blocks = self._blocks
         intact = True
         previous = ZERO_HASH
-        with store_io(self.path):
+        try:
             data = self.path.read_bytes()
+        except OSError as err:
+            raise _store_error(err, self.path) from err
         for raw in _lines(data):
             block = _parse_line(raw)
             if block is None:
@@ -327,8 +317,8 @@ class Ledger:
     def ensure_verified(self) -> None:
         """Raise LedgerCorruptionError unless the chain is intact.
 
-        A chain that still equals the verified prefix is not hashed
-        again; any other chain is verified in full.
+        A chain still equal to the verified prefix (compared block by
+        block) is not hashed again; any other is verified in full.
         """
         if self._blocks != self._verified:
             bad = self.verify_chain()
@@ -503,8 +493,11 @@ class NodeStore:
         lacks; a read that raises leaves graph without nodes."""
         graph, data = self.graph, b""
         if self.path and os.path.exists(self.path):
-            with store_io(self.path), open(self.path, "rb") as handle:
-                data = handle.read()
+            try:
+                with open(self.path, "rb") as handle:
+                    data = handle.read()
+            except OSError as err:
+                raise _store_error(err, self.path) from err
             # No node of a failed read stays for write_new to write.
             try:
                 load_graph(_lines(data), graph)
@@ -541,8 +534,10 @@ class NodeStore:
         length then; a mark of None means what load read, or nothing."""
         count, self._written, end = mark or self._read or (0, 0, 0)
         if self._end != end:
-            with store_io(self.path):
+            try:
                 self._handle.truncate(end)
+            except OSError as err:
+                raise _store_error(err, self.path) from err
             self._end = end
         self.graph.truncate(count)
 

@@ -26,14 +26,21 @@ import veritas.cli
 import veritas.engine
 import veritas.ledger
 import veritas.logic.parser
-from veritas.belief import export
+from veritas.belief import ConsistencyError, export
 from veritas.cli import main
 from veritas.config import EngineConfig, ThetaRangeWarning, load_config
 from veritas.belief import Provenance
-from veritas.engine import Session
-from veritas.justify import node_digest
-from veritas.ledger import Ledger, LedgerCorruptionError, Op
-from veritas.logic import parse
+from veritas.engine import EscalationError, Session, SessionLockedError
+from veritas.justify import NoJustificationError, node_digest
+from veritas.ledger import (
+    Ledger,
+    LedgerCorruptionError,
+    Op,
+    ReplayError,
+    StoreIOError,
+)
+from veritas.logic import ParseError, ResourceLimitError, parse
+from veritas.plan import PlanningError
 from veritas.logic.parser import MAX_DEPTH
 
 DOMAINS = Path(__file__).parent / "domains"
@@ -773,6 +780,48 @@ class TestStoreIO:
         code, out, err = cli(*command)
         assert (code, out) == (2, "")
         assert err.startswith("error\tusage\t") and err.count("\n") == 1
+
+
+class TestFailureTable:
+    """Each error a command raises exits with README's code for it and
+    prints one error line with its category.  A StoreIOError is an
+    OSError and a ParseError a ValueError, yet each keeps its own row;
+    an error of no listed class propagates."""
+
+    CASES = [
+        (StoreIOError(errno.EIO, os.strerror(errno.EIO), "veritas.vlog"), 8, "io"),
+        (ParseError("unexpected token", 3, frozenset({"atom"})), 2, "parse"),
+        (ValueError("bad value"), 2, "usage"),
+        (OSError(errno.ENOENT, "no such file"), 2, "usage"),
+        (ConsistencyError("self-contradictory"), 3, "refused"),
+        (LedgerCorruptionError(3), 4, "ledger"),
+        (ReplayError("unknown node"), 4, "ledger"),
+        (PlanningError("no plan"), 5, "plan"),
+        (EscalationError("no alternate"), 6, "escalated"),
+        (ResourceLimitError("too many atoms"), 7, "limit"),
+        (NoJustificationError("not entailed: q"), 1, "justify"),
+        (SessionLockedError("another session holds it"), 1, "locked"),
+    ]
+
+    @pytest.mark.parametrize(
+        "error, code, category", CASES, ids=[type(case[0]).__name__ for case in CASES]
+    )
+    def test_an_error_exits_with_its_code_and_one_line(
+        self, cli, monkeypatch, error, code, category
+    ):
+        def query(session, text):
+            raise error
+
+        monkeypatch.setattr(Session, "query", query)
+        assert cli("query", "p") == (code, "", f"error\t{category}\t{error}\n")
+
+    def test_an_error_of_no_listed_class_propagates(self, cli, monkeypatch):
+        def query(session, text):
+            raise KeyError("p")
+
+        monkeypatch.setattr(Session, "query", query)
+        with pytest.raises(KeyError):
+            cli("query", "p")
 
 
 class TestRollbackCommand:

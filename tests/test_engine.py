@@ -128,6 +128,19 @@ def observe_fan(session: Session) -> None:
         session.observe(f"p -> q{i}", 0.99, "rulebook")
 
 
+@pytest.fixture()
+def replays(monkeypatch) -> list:
+    """Every replay a session makes of its ledger."""
+    calls, original = [], veritas.engine.replay
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(veritas.engine, "replay", spy)
+    return calls
+
+
 class FullDisk:
     """A kept append handle whose write number failing stores half its
     bytes, then fails with ENOSPC; every other write goes through."""
@@ -949,10 +962,12 @@ class TestRollback:
     def test_an_observation_after_a_rollback_does_not_depend_on_a_reopen(
         self, make_config
     ):
-        """A reopened session counts rollback's inserts on its fixed
-        clock, and so does the session that appended them, so the next
-        observation gets the same node either way."""
+        """The fixed clock counts the INSERT and REVISE blocks in the
+        chain, rollback's re-insert of p included, in the session that
+        appended them as in a reopened one: the next observation is
+        stamped 2 and gets the same node either way."""
         config, twin = make_config(), make_config("twin")
+        stamps = []
         for each in (config, twin):
             with Session(each) as session:
                 session.observe("p", 0.99, "sensor")
@@ -960,8 +975,11 @@ class TestRollback:
                 session.rollback(1)
                 if each is config:
                     session.observe("q", 0.99, "sensor")
+                    stamps.append(session.base.find(parse("q")).provenance.timestamp)
         with Session(twin) as session:
             session.observe("q", 0.99, "sensor")
+            stamps.append(session.base.find(parse("q")).provenance.timestamp)
+        assert stamps == [2, 2]
         for mine, theirs in (
             (config.ledger_path, twin.ledger_path),
             (config.resolved_nodes_path(), twin.resolved_nodes_path()),
@@ -1520,9 +1538,11 @@ class TestGroupCommit:
 
     @pytest.mark.parametrize("failing", ["mscu_sweep", "seal_trace"])
     def test_a_failing_line_keeps_its_blocks_and_prints_after_fsync(
-        self, make_config, monkeypatch, failing
+        self, make_config, monkeypatch, replays, failing
     ):
-        """The third line raises after its observation block was buffered."""
+        """The third line raises after its observation block was buffered;
+        its blocks are written, so the session keeps its base and never
+        replays the ledger again."""
         config = make_config(
             domain_path=str(DOMAINS / "drone.domain"), goal="At(Drone1,SiteAlpha)"
         )
@@ -1556,16 +1576,27 @@ class TestGroupCommit:
             live = session.base
             assert live.find(parse("S2")) is not None
             assert live == replay(session.ledger, config, session.graph)
+            assert len(replays) == 1
         with Session(config) as reopened:
             assert reopened.ledger.blocks == session.ledger.blocks
             assert reopened.base == live
 
+    def test_a_clean_run_replays_once(self, make_config, replays):
+        """The base is replayed on first use and then only folded."""
+        lines = [f"S{i}\t0.99\tsensor\n" for i in range(3)]
+        with Session(make_config()) as session:
+            assert session.run_loop(lines, io.StringIO(), io.StringIO()) == 0
+            live = session.base
+        assert len(replays) == 1
+        assert [e.key for e in live.entries] == ["S0", "S1", "S2"]
+
     def test_a_failed_write_leaves_no_trace_of_its_line(
-        self, make_config, monkeypatch
+        self, make_config, monkeypatch, replays
     ):
         """ENOSPC halfway through writing the second of three one-line
         runs: the file, the chain and the session go back to before that
-        line, and the ledger ends as if the line had never been read."""
+        line, and the ledger ends as if the line had never been read.  The
+        session reads its base back by one replay, at its next use."""
         config, reference = make_config(), make_config("reference")
         opener = builtins.open
 
@@ -1585,7 +1616,9 @@ class TestGroupCommit:
             with pytest.raises(OSError) as err:
                 session.run_loop(lines[1:2], out, io.StringIO())
             assert err.value.errno == errno.ENOSPC and out.getvalue() == ""
+            assert len(replays) == 1
             live = session.base
+            assert len(replays) == 2
             assert live.find(parse("S1")) is None
             assert live == replay(session.ledger, config, session.graph)
             on_disk = Ledger(config.ledger_path)
@@ -1596,6 +1629,7 @@ class TestGroupCommit:
             assert session.run_loop(lines[2:], io.StringIO(), io.StringIO()) == 0
             live = session.base
             assert live == replay(session.ledger, config, session.graph)
+            assert len(replays) == 2
         with Session(config) as reopened:
             assert reopened.ledger.verify_chain() is None
             assert reopened.base == live

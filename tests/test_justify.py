@@ -269,6 +269,37 @@ class TestTrace:
         observe(graph, "p")  # already recorded: the graph does not grow
         assert graph.nodes_since(len(nodes)) == []
 
+    def test_nodes_for_and_latest_for_are_oldest_first_at_every_length(
+        self, graph
+    ):
+        """Several nodes per conclusion, observed and derived: nodes_for
+        lists them oldest first and latest_for names the newest, for any
+        spelling of the formula, and still after truncate to each length."""
+        ids = [observe(graph, "p", ts) for ts in range(3)]
+        ids.append(observe(graph, "p -> q", 0))
+        ids.append(
+            graph.record_inference(
+                parse("q"), (ids[1], ids[3]), "modus-ponens",
+                Provenance("deriver", 4, 0.95),
+            )
+        )
+        ids += [observe(graph, "q", 5), observe(graph, "p", 6)]
+        concluded = ["p", "p", "p", "(p -> q)", "q", "q", "p"]
+        for count in reversed(range(len(ids) + 1)):
+            graph.truncate(count)
+            assert len(graph) == count
+            for text in ("p", "q", "p->q", "(p -> q)", "r"):
+                key = render_canonical(parse(text))
+                expected = [
+                    node_id
+                    for node_id, conclusion in zip(ids[:count], concluded)
+                    if conclusion == key
+                ]
+                assert graph.nodes_for(parse(text)) == expected
+                assert graph.latest_for(parse(text)) == (
+                    expected[-1] if expected else None
+                )
+
 
 class TestHashChain:
     def test_single_node_digest_is_sha256_of_formula(self, graph):
