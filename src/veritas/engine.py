@@ -32,6 +32,7 @@ from __future__ import annotations
 import fcntl
 import functools
 import io
+import os
 import time
 from dataclasses import dataclass
 
@@ -173,7 +174,7 @@ class Session:
     def __init__(self, config: EngineConfig):
         config.validate()
         self.config = config
-        self._lock_handle = None
+        self._lock_fd: int | None = None
         # The store refers to no session, so closed ones need no cyclic GC.
         self._nodes = NodeStore(
             config.resolved_nodes_path() if config.ledger_path else ""
@@ -220,18 +221,20 @@ class Session:
         self._insert_blocks = sum(b.op in (Op.INSERT, Op.REVISE) for b in blocks)
 
     def _acquire_lock(self, path: str) -> None:
+        """Hold an exclusive flock on path, created if missing, through
+        a bare descriptor: nothing reads or writes the file."""
         try:
-            handle = open(path, "a+")
+            fd = os.open(path, os.O_RDWR | os.O_CREAT | os.O_APPEND, 0o666)
         except OSError as err:
             raise _store_error(err, path) from err
         try:
-            fcntl.flock(handle.fileno(), fcntl.LOCK_EX | fcntl.LOCK_NB)
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
         except OSError:
-            handle.close()
+            os.close(fd)
             raise SessionLockedError(
                 f"another session holds {path}"
             ) from None
-        self._lock_handle = handle
+        self._lock_fd = fd
 
     def close(self) -> None:
         """Close both files' append handles, then release the lock."""
@@ -239,10 +242,10 @@ class Session:
         if hasattr(self, "ledger"):
             self.ledger.close()
         self._nodes.close()
-        if self._lock_handle is not None:
-            fcntl.flock(self._lock_handle.fileno(), fcntl.LOCK_UN)
-            self._lock_handle.close()
-            self._lock_handle = None
+        if self._lock_fd is not None:
+            fcntl.flock(self._lock_fd, fcntl.LOCK_UN)
+            os.close(self._lock_fd)
+            self._lock_fd = None
 
     def __enter__(self) -> Session:
         return self

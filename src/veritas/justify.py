@@ -25,7 +25,7 @@ from .record import record
 
 DEFAULT_SOURCE_RELIABILITY = 0.5
 
-_FIELD_SEP = b"\x1f"
+_FIELD_SEP = "\x1f"
 _CHAIN_SEP = b"\x1e"
 
 class UnknownPremiseError(LookupError):
@@ -60,17 +60,20 @@ def node_digest(
     provenance: Provenance,
 ) -> str:
     """SHA-256 over the node's serialized content, as lowercase hex."""
+    # The separator is ASCII and UTF-8 encodes piece by piece, so one
+    # encode of the joined text gives the bytes of the encoded fields
+    # joined.
     payload = _FIELD_SEP.join(
         (
-            render_canonical(conclusion).encode(),
-            rule.encode(),
-            ",".join(premises).encode(),
-            provenance.source.encode(),
-            str(provenance.timestamp).encode(),
-            repr(provenance.confidence).encode(),
+            render_canonical(conclusion),
+            rule,
+            ",".join(premises),
+            provenance.source,
+            str(provenance.timestamp),
+            repr(provenance.confidence),
         )
     )
-    return sha256(payload).hexdigest()
+    return sha256(payload.encode()).hexdigest()
 
 
 def hash_chain(nodes: Sequence[JustificationNode]) -> bytes:
@@ -419,14 +422,13 @@ def node_from_json(
         confidence = float(whole + part) if part else int(whole)
         premises = listed[1:-1].split('", "') if listed else ()
         timestamp = int(stamp)
+    # Positional: a keyword call to a class packs a dict (see record).
     return JustificationNode(
-        node_id=node_id,
-        conclusion=parse(text) if formula_for is None else formula_for(text),
-        rule=rule,
-        premises=tuple(premises),
-        provenance=Provenance(
-            source=source, timestamp=timestamp, confidence=confidence
-        ),
+        node_id,
+        parse(text) if formula_for is None else formula_for(text),
+        rule,
+        tuple(premises),
+        Provenance(source, timestamp, confidence),
     )
 
 
@@ -501,19 +503,19 @@ def load_graph(
         graph = JustificationGraph()
     formula_for = graph.formula
     for number, line in enumerate(lines, 1):
-        where = f"node store line {number}"
         try:
             text = line if isinstance(line, str) else line.decode()
             graph.add_node(node_from_json(text, formula_for))
+            continue
         except UnknownPremiseError as err:
-            raise ValueError(f"{where}: unknown premise {err}") from None
+            damage = f"unknown premise {err}"
         except NestingLimitError as err:
-            raise ResourceLimitError(f"{where}: {err}") from None
+            raise ResourceLimitError(f"node store line {number}: {err}") from None
         except UnicodeDecodeError as err:
-            column = len(line[: err.start].decode()) + 1
-            raise ValueError(f"{where}: invalid UTF-8 at column {column}") from None
+            damage = f"invalid UTF-8 at column {len(line[: err.start].decode()) + 1}"
         except json.JSONDecodeError as err:
-            raise ValueError(f"{where}: {err.msg} at column {err.colno}") from None
+            damage = f"{err.msg} at column {err.colno}"
         except ValueError as err:
-            raise ValueError(f"{where}: {err}") from None
+            damage = str(err)
+        raise ValueError(f"node store line {number}: {damage}")
     return graph

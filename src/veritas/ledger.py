@@ -5,39 +5,38 @@ justification digest, and the previous block's hash; the genesis block
 links to 32 zero bytes.  The on-disk format is one line per block: the
 hashed serialization, a unit separator, the block hash in hex, and a
 newline.  A line is read back only when it is exactly that, byte for
-byte: a line whose fields would parse to the same block but are spelt
-otherwise (a zero-padded index, uppercase hex) is corrupt, since its
-bytes are not what was hashed.  One check, _extends, decides whether a
-block may follow the one before: its index, its link and its hash.
-Opening a file applies it to each line once, hashing the bytes the line
-was read from, so a chain read intact needs no second pass;
-verify_chain applies it to the blocks held in memory.  Replaying the
-ledger through the belief module with the same configuration
-reconstructs the live base exactly, because commit is the one way to
-change a base: it folds the next block as apply_block does and appends
-it only once that fold has succeeded.  A node joins the graph one way:
-the writer records it inside a batch, then commits the block that
-names it.  A batch is the write unit for both files: it writes the
-nodes its ledger's NodeStore gained, then the lines of the blocks
-appended inside it, with one write each and one fsync, so a node is
-stored before a block names it.  If either write fails, the batch cuts
-both files back to where they ended when it began, and takes its blocks
-out of the chain and the nodes recorded since out of the graph, so a
-failed write leaves both files and the graph as they were, for every
-command.  A batch that keeps no block keeps none of its nodes, on every
-ledger, with a file or without one.  The ledger and the node store
-each open their file for appending on their first write and keep that
-handle until close; each tracks where its file ends, so a write neither
-reopens the file nor seeks.  An OSError from opening, reading, writing
-or fsyncing either file is raised as a StoreIOError naming it.
+byte: it is split on the separator into seven fields, and each must be
+spelt as block_line spells it.  A line whose fields would parse to the
+same block but are spelt otherwise (a zero-padded index, uppercase hex)
+is corrupt, since its bytes are not what was hashed.  One check,
+_extends, decides whether a block may follow the one before: its index,
+its link and its hash.  Opening a file applies it to each line once,
+hashing the bytes the line was read from, so a chain read intact needs
+no second pass; verify_chain applies it to the blocks held in memory.
+Replaying the ledger through the belief module with the same
+configuration reconstructs the live base exactly, because commit is the
+one way to change a base: it folds the next block as apply_block does
+and appends it only once that fold has succeeded.  A node joins the
+graph one way: the writer records it inside a batch, then commits the
+block that names it.  A batch is the write unit for both files: it
+writes the nodes its ledger's NodeStore gained, then the lines of the
+blocks appended inside it, with one write each and one fsync, so a node
+is stored before a block names it.  If either write fails, the batch
+cuts both files back to where they ended when it began, and takes its
+blocks out of the chain and the nodes recorded since out of the graph,
+so a failed write leaves both files and the graph as they were, for
+every command.  A batch that keeps no block keeps none of its nodes, on
+every ledger, with a file or without one.  The ledger and the node
+store each open their file for appending on their first write and keep
+that handle until close; each tracks where its file ends, so a write
+neither reopens the file nor seeks.  An OSError from opening, reading,
+writing or fsyncing either file is raised as a StoreIOError naming it.
 """
 
 from __future__ import annotations
 
-import contextlib
 import enum
 import os
-import re
 from binascii import unhexlify
 from dataclasses import dataclass
 from pathlib import Path
@@ -164,31 +163,30 @@ def _extends(block: Block, index: int, previous: bytes, payload: bytes) -> bool:
     )
 
 
-# What block_line writes and nothing else: decimals without a sign or
-# leading zeros, a known op, lowercase hex, no trailing bytes.
-_DECIMAL = rb"(0|[1-9][0-9]*)"
-_HEX_32 = rb"([0-9a-f]{64})"
-_LINE_RE = re.compile(
-    _FIELD_SEP.join(
-        (
-            _DECIMAL,
-            _DECIMAL,
-            b"(" + b"|".join(re.escape(op.value.encode()) for op in Op) + b")",
-            rb"([^\x1f]*)",
-            _HEX_32,
-            _HEX_32,
-            _HEX_32,
-        )
-    )
-)
 _OPS = {op.value.encode(): op for op in Op}
+_HEX_DIGITS = b"0123456789abcdef"
 
 
 def _parse_line(raw: bytes) -> Block | None:
-    match = _LINE_RE.fullmatch(raw)
-    if match is None:
+    """The block a line holds, or None unless the line is what
+    block_line writes and nothing else: seven fields split on the
+    separator, decimals without a sign or leading zeros, a known op, a
+    UTF-8 formula and three hashes of 64 lowercase hex digits."""
+    fields = raw.split(_FIELD_SEP)
+    if len(fields) != 7:
         return None
-    index, timestamp, op, formula, digest, h_prev, h = match.groups()
+    index, timestamp, op, formula, digest, h_prev, h = fields
+    op = _OPS.get(op)
+    if (
+        op is None
+        or not index.isdigit()
+        or (index[0] == b"0"[0] and len(index) > 1)
+        or not timestamp.isdigit()
+        or (timestamp[0] == b"0"[0] and len(timestamp) > 1)
+        or not len(digest) == len(h_prev) == len(h) == 64
+        or (digest + h_prev + h).strip(_HEX_DIGITS)
+    ):
+        return None
     try:
         text = formula.decode()
     except UnicodeDecodeError:
@@ -196,7 +194,7 @@ def _parse_line(raw: bytes) -> Block | None:
     return Block(
         int(index),
         int(timestamp),
-        _OPS[op],
+        op,
         text,
         unhexlify(digest),
         unhexlify(h_prev),
@@ -261,8 +259,8 @@ class Ledger:
         tell whether the chain read is intact.
 
         Each block passes _extends as it is read, until one fails.  The
-        hash is taken over the bytes of its line, which _LINE_RE admits
-        only as block_payload gives them, so no payload is rebuilt.
+        hash is taken over the bytes of its line, which _parse_line
+        admits only as block_payload gives them, so no payload is rebuilt.
         """
         assert self.path is not None
         blocks = self._blocks
@@ -372,8 +370,7 @@ class Ledger:
                 self._pending.append(block_line(block))
         return block
 
-    @contextlib.contextmanager
-    def batch(self):
+    def batch(self) -> _Batch:
         """Write the blocks appended inside, and the nodes the store
         gained, with one write each and one fsync.
 
@@ -385,28 +382,7 @@ class Ledger:
         keeps none of its nodes either; only the write needs a file.
         Nested, it adds nothing.
         """
-        if self._pending is not None:
-            yield
-            return
-        self._pending = []
-        kept, mark = len(self._blocks), self.nodes and self.nodes.mark()
-        try:
-            yield
-        finally:
-            data, self._pending = b"".join(self._pending), None
-            try:
-                if data:
-                    self._write(data)
-            except BaseException:
-                del self._blocks[kept:]
-                if self._verified is not None:
-                    del self._verified[kept:]
-                self._digests = {b.justification_digest for b in self._blocks}
-                raise
-            finally:
-                # No block kept names a node recorded here, so none is kept.
-                if len(self._blocks) == kept and self.nodes is not None:
-                    self.nodes.truncate(mark)
+        return _Batch(self)
 
     def _write(self, data: bytes) -> None:
         """Write the store's new nodes, then append the block lines
@@ -440,6 +416,44 @@ class Ledger:
     def contains_digest(self, digest: bytes) -> bool:
         """Whether any block anchors the given justification digest."""
         return digest in self._digests
+
+
+class _Batch:
+    """The context manager Ledger.batch returns.  Only the outermost
+    batch, entered while no lines are pending, marks where the chain and
+    the node store stand, and writes or cuts back on exit."""
+
+    __slots__ = ("ledger", "kept", "mark")
+
+    def __init__(self, ledger: Ledger):
+        self.ledger = ledger
+        self.kept: int | None = None
+
+    def __enter__(self) -> None:
+        ledger = self.ledger
+        if ledger._pending is None:
+            self.kept = len(ledger._blocks)
+            self.mark = ledger.nodes and ledger.nodes.mark()
+            ledger._pending = []
+
+    def __exit__(self, *exc) -> None:
+        kept, ledger = self.kept, self.ledger
+        if kept is None:
+            return
+        data, ledger._pending = b"".join(ledger._pending), None
+        try:
+            if data:
+                ledger._write(data)
+        except BaseException:
+            del ledger._blocks[kept:]
+            if ledger._verified is not None:
+                del ledger._verified[kept:]
+            ledger._digests = {b.justification_digest for b in ledger._blocks}
+            raise
+        finally:
+            # No block kept names a node recorded here, so none is kept.
+            if len(ledger._blocks) == kept and ledger.nodes is not None:
+                ledger.nodes.truncate(self.mark)
 
 
 def _open_append(path):
@@ -642,13 +656,14 @@ def _fold_node(
     premises need be in graph.
     """
     probability = node.provenance.confidence
+    # Positional: a keyword call to a class packs a dict (see record).
     entry = BeliefEntry(
-        formula=node.conclusion,
-        probability=probability,
-        provenance=node.provenance,
-        status=status_for(node.rule, probability),
-        justification=node.node_id,
-        assertable=assertion_gate(probability, graph.depth_of(node), config),
+        node.conclusion,
+        probability,
+        node.provenance,
+        status_for(node.rule, probability),
+        node.node_id,
+        assertion_gate(probability, graph.depth_of(node), config),
     )
     return update_belief_state(base, entry, theta=config.theta)
 

@@ -9,7 +9,9 @@ dataclasses generates its own: positional and keyword-only parameters,
 defaults, default_factory, init=False fields and __post_init__ behave as
 they do there, and equality, hashing, repr, FrozenInstanceError and
 dataclasses.replace are the dataclass's own.  A slotted record has no
-instance dict, so vars() does not apply to it.
+instance dict, so vars() does not apply to it.  The readers that build
+one record per stored line pass its fields positionally, because a
+keyword call to a class packs the keywords into a dict.
 """
 
 from __future__ import annotations

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import builtins
 import errno
+import fcntl
 import hashlib
 import io
 import json
@@ -378,6 +379,47 @@ class TestReplayParity:
         with pytest.raises(LedgerCorruptionError):
             Session(config)
         assert first.value is not None
+
+    def test_close_releases_the_lock_and_its_descriptor(self, make_config):
+        config = make_config()
+        lock = config.ledger_path + ".lock"
+        session = Session(config)
+        fd = session._lock_fd
+        assert not lock_is_free(lock)
+        session.close()
+        with pytest.raises(OSError) as closed:
+            os.fstat(fd)
+        assert closed.value.errno == errno.EBADF
+        assert lock_is_free(lock)
+        session.close()
+
+    def test_a_failed_open_releases_the_lock_descriptor(self, make_config):
+        config = make_config()
+        Path(config.ledger_path).write_bytes(b"not a block\n")
+        with pytest.raises(LedgerCorruptionError):
+            Session(config)
+        assert lock_is_free(config.ledger_path + ".lock")
+
+    def test_a_missing_lock_file_is_created(self, make_config):
+        config = make_config()
+        lock = Path(config.ledger_path + ".lock")
+        assert not lock.exists()
+        with Session(config):
+            assert lock.is_file() and lock.read_bytes() == b""
+        assert lock_is_free(str(lock))
+
+
+def lock_is_free(path: str) -> bool:
+    """Whether an exclusive flock on path, through a descriptor of its
+    own, is granted at once."""
+    fd = os.open(path, os.O_RDWR)
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+    except BlockingIOError:
+        return False
+    finally:
+        os.close(fd)
+    return True
 
 
 class TestLazyOpen:

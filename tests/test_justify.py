@@ -12,7 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from veritas import justify
-from veritas.belief import Provenance
+from veritas.belief import Provenance, export
+from veritas.config import EngineConfig
+from veritas.engine import Session
 from veritas.justify import (
     CycleError,
     JustificationGraph,
@@ -30,6 +32,7 @@ from veritas.justify import (
     node_to_json,
     verify_public_proof,
 )
+from veritas.ledger import NodeStore
 from veritas.logic import Atom, ParseError, parse, render_canonical
 from veritas.logic.parser import MAX_DEPTH, NestingLimitError
 
@@ -62,6 +65,47 @@ class TestNodeDigest:
             b"\x1f".join([b"q", b"mp", b"aa,bb", b"s", b"0", b"0.9"])
         ).hexdigest()
         assert digest == expected
+
+    def test_non_ascii_fields_hash_as_their_encodings_joined(self, graph, tmp_path):
+        """The id is the SHA-256 of the fields each encoded as UTF-8 and
+        joined by 0x1F, for a non-ASCII source and rule too; the node
+        store holding them reopens, and every id is checked again."""
+        source, rule = "capteur-é", "règle"
+        premises = (
+            observe(graph, "p", ts=1),
+            graph.record_inference(
+                parse("p -> q"), (), "observation", Provenance(source, 2, 0.97)
+            ),
+        )
+        prov = Provenance(source, 3, 0.96)
+        node_id = graph.record_inference(parse("q"), premises, rule, prov)
+        fields = ["q", rule, ",".join(premises), source, "3", "0.96"]
+        expected = hashlib.sha256(
+            b"\x1f".join(field.encode("utf-8") for field in fields)
+        ).hexdigest()
+        assert node_digest(parse("q"), rule, premises, prov) == node_id == expected
+        path = tmp_path / "agent.nodes"
+        path.write_bytes(
+            "".join(node_to_json(n) + "\n" for n in graph.all_nodes()).encode()
+        )
+        reopened = NodeStore(str(path)).load()
+        assert reopened.all_nodes() == graph.all_nodes()
+        assert reopened.get(node_id).provenance.source == source
+
+    def test_a_session_store_with_a_non_ascii_source_reopens(self, tmp_path):
+        config = EngineConfig(ledger_path=str(tmp_path / "agent.vlog"), fixed_clock=True)
+        with Session(config) as session:
+            session.observe("p", 0.99, "capteur-é")
+            session.observe("p -> q", 0.97, "capteur-é")
+            session.prove("q")
+            nodes, held = session.graph.all_nodes(), export(session.base)
+        with Session(config) as session:
+            assert session.graph.all_nodes() == nodes
+            assert export(session.base) == held
+        assert len(nodes) == 3
+        for node in nodes:
+            content = (node.conclusion, node.rule, node.premises, node.provenance)
+            assert node_digest(*content) == node.node_id
 
     def test_identical_content_is_idempotent(self, graph):
         first = observe(graph, "p", ts=3)

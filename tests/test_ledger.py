@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import gc
 import hashlib
 import io
@@ -12,7 +13,10 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import reference_first_bad_block
 from veritas.belief import BeliefBase, Provenance, StatusTag, export
 from veritas.cli import main
 from veritas.config import EngineConfig
@@ -334,6 +338,17 @@ class TestVerifiedPrefix:
             fields[position] = field
             assert ledger_module._parse_line(hex_line(*fields)) is None
 
+    @pytest.mark.parametrize(
+        "field", [b"03", b"00", b"+3", b"-3", b" 3", b"3 ", b"3a", b"", "\u0663".encode()]
+    )
+    def test_strict_decimals_reject_near_misses(self, field):
+        """An index or timestamp with a sign, a leading zero, a space or
+        anything but ASCII digits makes the line unreadable."""
+        for position in range(2):
+            fields = hex_line(b"0f" * 32, b"1e" * 32, b"2d" * 32).split(b"\x1f")
+            fields[position] = field
+            assert ledger_module._parse_line(b"\x1f".join(fields)) is None
+
     def test_strict_hex_decodes_lowercase(self):
         block = ledger_module._parse_line(hex_line(b"0f" * 32, b"1e" * 32, b"2d" * 32))
         assert block.justification_digest == b"\x0f" * 32
@@ -399,6 +414,77 @@ class TestLineIsItsSerialization:
         assert main([*argv, "query", "p"]) == 4
         out, err = capsys.readouterr()
         assert out == "" and err == "error\tledger\tledger corrupt at block 3\n"
+
+
+# What an edit may put into a line: hex digits of both cases, the field
+# separator, a newline, signs, a space, a NUL, a byte no UTF-8 text
+# holds, and the two bytes of a UTF-8 character.
+EDIT_BYTES = [bytes([c]) for c in b"0123456789abcdefABCDEF\x1f\n+- \x00\xff"]
+EDIT_BYTES.append("é".encode())
+
+
+def named_bad_block(path: Path) -> int | None:
+    """The block ledger verify names in the file at path, or None."""
+    try:
+        Ledger(path).ensure_verified()
+    except LedgerCorruptionError as err:
+        return err.index
+    return None
+
+
+class TestDecoderAgainstTheReference:
+    """Random edits of a real store's lines: opening the file names the
+    first bad block that a field-by-field check with hashlib names, and
+    an intact file's blocks, written back, are the file's bytes."""
+
+    @pytest.fixture(scope="class")
+    def store(self, tmp_path_factory) -> Path:
+        """A store of inserts, a revision, a proof's META block and a
+        contraction."""
+        path = tmp_path_factory.mktemp("decoder") / "store.vlog"
+        flags = ["--set", f"ledger_path={path}", "--set", "fixed_clock=true"]
+        with contextlib.redirect_stdout(io.StringIO()):
+            for text, p in (("p", "0.99"), ("p -> q", "0.97"), ("!p", "0.99"), ("r", "0.6")):
+                assert main([*flags, "observe", text, "--p", p]) == 0
+            proof = path.with_name("q.proof")
+            assert main([*flags, "prove", "p -> q", "--out", str(proof)]) == 0
+            assert main([*flags, "contract", "r"]) == 0
+        return path
+
+    def test_the_store_writes_back_to_its_bytes(self, store):
+        data = store.read_bytes()
+        assert reference_first_bad_block(data) is None
+        assert b"".join(map(block_line, Ledger(store).blocks)) == data
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_an_edited_store_is_named_as_the_reference_names_it(self, store, data):
+        lines = store.read_bytes().split(b"\n")[:-1]
+        for _ in range(data.draw(st.integers(1, 3), "edits")):
+            row = data.draw(st.integers(0, len(lines) - 1), "line")
+            line = lines[row]
+            # Field edges are where a lenient reader differs, so half
+            # the edits land next to a separator or at an end.
+            edges = [0, len(line)]
+            for at, byte in enumerate(line):
+                if byte == 0x1F:
+                    edges += [max(at - 1, 0), at, at + 1]
+            at = data.draw(
+                st.sampled_from(edges) | st.integers(0, len(line)), "position"
+            )
+            byte = data.draw(st.sampled_from(EDIT_BYTES), "byte")
+            kind = data.draw(st.sampled_from(["replace", "insert", "delete"]), "kind")
+            if kind == "insert":
+                lines[row] = line[:at] + byte + line[at:]
+            else:
+                lines[row] = line[:at] + (byte if kind == "replace" else b"") + line[at + 1:]
+        edited = b"".join(line + b"\n" for line in lines)
+        path = store.with_name("edited.vlog")
+        path.write_bytes(edited)
+        bad = reference_first_bad_block(edited)
+        assert named_bad_block(path) == bad
+        if bad is None:
+            assert b"".join(map(block_line, Ledger(path).blocks)) == edited
 
 
 @pytest.fixture
